@@ -33,6 +33,8 @@ from .falsifier import (
     GramKind,
     SearchConfig,
     Verdict,
+    _field_plan,
+    _trial_cell,
     _trial_rng,
     falsify,
     moore_complex_experiment,
@@ -356,19 +358,12 @@ def cmd_falsify(args, threads: int) -> int:
     return 2 if any(r.violation_count for r in reports) else 0
 
 
-_FIELD_PLANS = {
-    "real": (Field.REAL,),
-    "complex": (Field.COMPLEX,),
-    "both": (Field.REAL, Field.COMPLEX),
-}
-
-
 def cmd_equality(args, threads: int) -> int:
     started = _utc_now()
     names = _select_names(args.ineq, list(EQUALITY_BUILDERS))
     config = _search_config(args, trials=args.samples)
-    plan = _FIELD_PLANS[args.field]
-    dims = tuple(range(config.dims[0], config.dims[1] + 1))
+    # builder_space maps each cell to a field the builder can run in
+    plan = _field_plan("equality", (Field.REAL, Field.COMPLEX), config.field)
     failures = 0
     totals = {}
     with _Sink(args.out) as sink:
@@ -376,9 +371,7 @@ def cmd_equality(args, threads: int) -> int:
             build = EQUALITY_BUILDERS[name]
             passes = 0
             for index in range(config.trials):
-                dim = dims[index % len(dims)]
-                field = plan[(index // len(dims)) % len(plan)]
-                space = builder_space(name, dim, field)
+                space = builder_space(name, *_trial_cell(config, plan, index))
                 rng = _trial_rng(config.seed, "equality:" + name, index)
                 built = build(space, rng)
                 passes += 1 if built.ok else 0

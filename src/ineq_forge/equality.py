@@ -11,11 +11,14 @@ to a linear-dependence question over the space:
 * projection-line: the single-direction product bound is tight when the
   doubled projection residue r of a along x is dependent with b.
 
-Solving over floats means the characterizations become thresholded residual
-tests.  Dependence uses the normalized Gram determinant (DEPENDENCE_TOL) and
-attainment uses a residual against the witness scale (ATTAINMENT_REL), which
-separates constructed instances from generic ones by several orders of
-magnitude.
+Solving over floats means the characterizations become thresholded tests.
+The two projection kinds decide on the normalized Gram determinant of their
+vector pair alone (DEPENDENCE_TOL), which is invariant under rescaling either
+vector; a residual against the larger norm is not, and certifies independent
+pairs once their norms differ by many orders of magnitude.  The
+reflection-ratio kind compares the residual of u - lam v against the witness
+scale (ATTAINMENT_REL).  Both separate constructed instances from generic
+ones by several orders of magnitude.
 
 The builder registry at the bottom produces concrete equality-attaining
 instances per inequality, together with the certificate recovered from them
@@ -69,8 +72,11 @@ class EqualityCertificate:
 
     `coefficients` holds (lam,) for reflection-ratio certificates (None when
     the reference vector vanishes) and (lam, mu) for the two projection
-    kinds; `residual` is in vector-norm units and `attained` compares it
-    against ATTAINMENT_REL times `scale`.
+    kinds; `residual` is in vector-norm units.  For reflection-ratio
+    certificates `attained` compares the residual against ATTAINMENT_REL
+    times `scale`; for the projection kinds it holds when the normalized
+    Gram determinant of the pair is at most DEPENDENCE_TOL (or one vector is
+    negligible against its reference norm), whatever the two scales.
     """
 
     kind: EqualityKind
@@ -126,7 +132,7 @@ def _dependence_certificate(space, kind, first, second, ref_first, ref_second, f
     smallest = max(float(eigvals[0]), 0.0)
     residual = float(np.sqrt(smallest))
     det_norm = (g00 * g11 - g01 * g01) / (g00 * g11)
-    attained = det_norm <= DEPENDENCE_TOL or residual <= ATTAINMENT_REL * scale
+    attained = det_norm <= DEPENDENCE_TOL
     c1, c2 = float(eigvecs[0, 0]), float(eigvecs[1, 0])
     coeffs = (c1, -c2) if flip_second else (c1, c2)
     return EqualityCertificate(kind, coeffs, residual, bool(attained), float(scale))

@@ -29,7 +29,10 @@ counted: a double-precision "violation" of a true bound is overwhelmingly
 roundoff, and the report only counts confirmed ones.  The worst margin is
 selected by scale-normalized margin (ties to the lower trial index) and
 reported in raw units.  Local ascent refines the most promising candidates
-by projected central-difference descent on the normalized margin.
+by projected central-difference descent on the normalized margin.  The
+complex-premise Moore experiment refines its lowest ratios with the same
+descent routine and the same coordinate codec, so both searches share one
+implementation of the step, the projection and the premise guard.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ from scipy import special as sps
 
 from .catalog import (
     CATALOG,
+    MooreParams,
     TOL_ABS,
     TOL_REL,
     digest_inputs,
     fnv1a_64,
     instance_digest,
-    run_catalog,
     verify_moore,
 )
 from .orthonormal import OrthonormalFamily, gram_schmidt
@@ -60,7 +63,6 @@ from .spaces import (
     DomainError,
     Field,
     SpaceSpec,
-    inner,
     norm,
     zero_norm_threshold,
 )
@@ -183,19 +185,23 @@ def _random_gram(seed: int, name: str, dim: int, field: Field) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _field_plan(entry, choice: FieldChoice):
+def _field_plan(name: str, fields: tuple, choice: FieldChoice):
+    """Fields a run visits for `choice`, given the `fields` that `name` is
+    defined over."""
     if choice is FieldChoice.REAL:
         return (Field.REAL,)
     if choice is FieldChoice.COMPLEX:
-        if Field.COMPLEX not in entry.fields:
-            raise DomainError(f"{entry.name} is not defined over complex spaces")
+        if Field.COMPLEX not in fields:
+            raise DomainError(f"{name} is not defined over complex spaces")
         return (Field.COMPLEX,)
-    return entry.fields
+    return fields
 
 
-def _dims_list(config: SearchConfig):
+def _trial_cell(config: SearchConfig, plan: tuple, index: int):
+    """(dim, field) of one trial: dimensions cycle fastest, fields blockwise."""
     lo, hi = config.dims
-    return tuple(range(lo, hi + 1))
+    dims = hi - lo + 1
+    return lo + index % dims, plan[(index // dims) % len(plan)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,10 +215,6 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
     whitener = np.linalg.inv(space.chol.T)
     whitener.setflags(write=False)
     return space, whitener
-
-
-def _space_and_whitener(config: SearchConfig, name: str, dim: int, field: Field):
-    return _cached_space(config.seed, config.gram, name, dim, field)
 
 
 # sampling primitives (all in whitened coordinates) -----------------------------
@@ -324,26 +326,18 @@ def _sample_generic(entry, space, whitener, rng, params):
     return inputs, False
 
 
-def _sample_two_against_probe(space, whitener, rng, t_lo, keys, signed_anchor=False):
-    """Probe vector plus two vectors cosine-conditioned against it."""
+def _sample_near_parallel(entry, space, whitener, rng, params):
+    """Probe vector plus two vectors whose cosine modulus against it is at
+    least 1 - eps (sign or phase uniform), keyed by the entry's vector
+    arguments in order: x, y, z for moore-1.9 and x, a, b for
+    buzano-moore-1.16."""
+    need = max(1.0 - params.eps, 0.0)
     probe = _nonzero_std(rng, space)
     phat = probe / np.linalg.norm(probe)
-    first = _conditioned_vector(rng, space, phat, t_lo, 1.0, signed_anchor)
-    second = _conditioned_vector(rng, space, phat, t_lo, 1.0, signed_anchor)
-    names = {keys[0]: _ambient(whitener, probe), keys[1]: _ambient(whitener, first), keys[2]: _ambient(whitener, second)}
-    return names
-
-
-def _sample_moore(entry, space, whitener, rng, params):
-    need = max(1.0 - params.eps, 0.0)
-    inputs = _sample_two_against_probe(space, whitener, rng, need * need, ("x", "y", "z"))
-    return inputs, False
-
-
-def _sample_buzano_moore(entry, space, whitener, rng, params):
-    need = max(1.0 - params.eps, 0.0)
-    inputs = _sample_two_against_probe(space, whitener, rng, need * need, ("x", "a", "b"))
-    return inputs, False
+    first = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
+    second = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
+    vectors = (probe, first, second)
+    return {k: _ambient(whitener, v) for k, v in zip(entry.vector_args, vectors)}, False
 
 
 def _sample_precupanu_moore(entry, space, whitener, rng, params):
@@ -417,8 +411,8 @@ def _sample_quotient_transfer(entry, space, whitener, rng, params):
 
 
 _SAMPLERS = {
-    "moore-1.9": _sample_moore,
-    "buzano-moore-1.16": _sample_buzano_moore,
+    "moore-1.9": _sample_near_parallel,
+    "buzano-moore-1.16": _sample_near_parallel,
     "precupanu-moore-1.12": _sample_precupanu_moore,
     "t1.5-i": _sample_cosine_transfer,
     "t1.5-ii": _sample_quotient_transfer,
@@ -431,11 +425,8 @@ def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int) -> S
         entry = CATALOG[ineq_name]
     except KeyError:
         raise DomainError(f"unknown inequality {ineq_name!r}") from None
-    plan = _field_plan(entry, config.field)
-    dims = _dims_list(config)
-    dim = dims[trial_index % len(dims)]
-    field = plan[(trial_index // len(dims)) % len(plan)]
-    space, whitener = _space_and_whitener(config, ineq_name, dim, field)
+    dim, field = _trial_cell(config, _field_plan(ineq_name, entry.fields, config.field), trial_index)
+    space, whitener = _cached_space(config.seed, config.gram, ineq_name, dim, field)
     rng = _trial_rng(config.seed, ineq_name, trial_index)
     sampler = _SAMPLERS.get(ineq_name, _sample_generic)
     inputs, starved = sampler(entry, space, whitener, rng, entry.default_params)
@@ -570,39 +561,25 @@ def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
     return grad
 
 
-def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
-    """Drive the instance toward equality or violation.
+def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
+    """Projected central-difference descent on `objective(inputs) ->
+    (value, premises_ok)`.
 
-    Projected descent on the scale-normalized binding margin: gradient by
-    central differences, every accepted step renormalizes nonzero-required
-    vectors to their starting norms and re-orthonormalizes families, and
-    steps that leave the premise region are rejected.  The recorded trace is
-    nonincreasing by construction.
+    Each step evaluates the 2n unprojected probes of the gradient, then
+    projected candidates along the normalized descent direction, halving the
+    step until one lowers the value with its premises intact.  The recorded
+    trace is nonincreasing by construction.
     """
-    try:
-        entry = CATALOG[ineq_name]
-    except KeyError:
-        raise DomainError(f"unknown inequality {ineq_name!r}") from None
-    params = params or entry.default_params
-    codec = _CoordCodec(entry, space, inputs)
 
     def evaluate(candidate):
-        if candidate is None:
-            return math.inf, False
-        try:
-            result = entry.run(space, candidate, params)
-        except (DomainError, ArithmeticError):
-            return math.inf, False
-        margin, _ = _normalized_margin(result)
-        ok = not (entry.has_premises and result.premises_hold is False)
-        return margin, ok
+        return (math.inf, False) if candidate is None else objective(candidate)
 
     def raw_objective(flat):
         return evaluate(codec.rebuild(flat, project=False))[0]
 
     flat = codec.flatten(inputs)
     current_inputs = inputs
-    current, _ = evaluate(inputs)
+    current, _ = objective(inputs)
     trace = [current]
     step = config.step_size
     if flat.size == 0:
@@ -633,6 +610,41 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
     return AscentResult(current_inputs, current, tuple(trace))
 
 
+def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
+    """Drive the instance toward equality or violation.
+
+    Descent on the scale-normalized binding margin: accepted steps
+    renormalize nonzero-required vectors to their starting norms and
+    re-orthonormalize families, and steps that leave the premise region are
+    rejected.
+    """
+    try:
+        entry = CATALOG[ineq_name]
+    except KeyError:
+        raise DomainError(f"unknown inequality {ineq_name!r}") from None
+    params = params or entry.default_params
+
+    def objective(candidate):
+        try:
+            result = entry.run(space, candidate, params)
+        except (DomainError, ArithmeticError):
+            return math.inf, False
+        margin, _ = _normalized_margin(result)
+        return margin, not (entry.has_premises and result.premises_hold is False)
+
+    return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
+
+
+def _keep_top(top: list, key: tuple) -> None:
+    """Keep the TOP_K smallest keys seen so far, ascending."""
+    if len(top) < TOP_K:
+        top.append(key)
+        top.sort()
+    elif key < top[-1]:
+        top[-1] = key
+        top.sort()
+
+
 # search driver -------------------------------------------------------------------
 
 
@@ -645,7 +657,7 @@ def _shard_worker(task):
     violations = 0
     starved_count = 0
     worst = None  # (normalized, index, raw)
-    top = []  # ascending (normalized, index)
+    top = []  # ascending (normalized, index, near_equality, violated)
     for index in range(start, stop):
         sampled = sample_instance(config, name, index)
         result = entry.run(sampled.space, sampled.inputs, params)
@@ -655,18 +667,14 @@ def _shard_worker(task):
         normalized, binding = _normalized_margin(result)
         hist[_bucket(normalized)] += 1
         near += 1 if binding.near_equality else 0
-        if not all(link.holds for link in result.links):
-            if _confirmed_violation(entry, sampled.space, sampled.inputs, params):
-                violations += 1
-        key = (normalized, index, binding.near_equality)
-        if worst is None or key[:2] < (worst[0], worst[1]):
+        violated = not all(link.holds for link in result.links) and _confirmed_violation(
+            entry, sampled.space, sampled.inputs, params
+        )
+        violations += 1 if violated else 0
+        if worst is None or (normalized, index) < (worst[0], worst[1]):
             worst = (normalized, index, float(binding.min_margin))
-        if len(top) < TOP_K:
-            top.append(key)
-            top.sort()
-        elif key < top[-1]:
-            top[-1] = key
-            top.sort()
+        # (normalized, index) is unique, so the flags never decide the order
+        _keep_top(top, (normalized, index, binding.near_equality, violated))
     return hist, near, violations, starved_count, worst, top
 
 
@@ -676,7 +684,7 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchRep
         entry = CATALOG[ineq_name]
     except KeyError:
         raise DomainError(f"unknown inequality {ineq_name!r}") from None
-    _field_plan(entry, config.field)
+    _field_plan(ineq_name, entry.fields, config.field)
     params = entry.default_params
     tasks = [
         (ineq_name, config, start, min(start + SHARD_SIZE, config.trials))
@@ -711,7 +719,7 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchRep
         worst_instance = (sampled.space, sampled.inputs)
 
     if config.ascent_steps > 0:
-        for normalized, index, sampled_near in top:
+        for normalized, index, sampled_near, sampled_violated in top:
             sampled = sample_instance(config, ineq_name, index)
             refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config, params)
             try:
@@ -721,14 +729,15 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchRep
             if entry.has_premises and result.premises_hold is False:
                 continue
             refined_normalized, binding = _normalized_margin(result)
+            # the refined instance replaces its trial's contribution, so
+            # each trial still counts at most once as near-equality and at
+            # most once as a violation
             if binding.near_equality and not sampled_near:
-                # the refined instance replaces its trial's contribution, so
-                # each trial still counts at most once
                 near += 1
             if worst is None or refined_normalized < worst[0]:
                 worst = (refined_normalized, index, float(binding.min_margin))
                 worst_instance = (sampled.space, refined.refined_inputs)
-            if not all(link.holds for link in result.links):
+            if not sampled_violated and not all(link.holds for link in result.links):
                 if _confirmed_violation(entry, sampled.space, refined.refined_inputs, params):
                     violations += 1
 
@@ -754,12 +763,10 @@ _MOORE_COMPLEX_KEY = "moore-complex"
 
 
 def _moore_complex_sample(config: SearchConfig, eps: float, index: int):
-    dims = _dims_list(config)
-    dim = dims[index % len(dims)]
-    space, whitener = _space_and_whitener(config, _MOORE_COMPLEX_KEY, dim, Field.COMPLEX)
+    dim, field = _trial_cell(config, (Field.COMPLEX,), index)
+    space, whitener = _cached_space(config.seed, config.gram, _MOORE_COMPLEX_KEY, dim, field)
     rng = _trial_rng(config.seed, _MOORE_COMPLEX_KEY, index)
-    need = max(1.0 - eps, 0.0)
-    inputs = _sample_two_against_probe(space, whitener, rng, need * need, ("x", "y", "z"))
+    inputs, _ = _sample_near_parallel(CATALOG["moore-1.9"], space, whitener, rng, MooreParams(eps=eps))
     return space, inputs
 
 
@@ -769,72 +776,18 @@ def _moore_ratio(space, inputs, eps: float, extended: bool = False):
     return verdict.premises_hold, verdict.conclusion.center / scale, verdict.conclusion.scale
 
 
-def _refine_moore_candidate(space, inputs, eps: float, first_bound: float, config: SearchConfig):
-    """Projected descent on ratio - first_bound for the complex experiment."""
-    dim = space.dim
-    norms = {k: norm(space, inputs[k]) for k in ("x", "y", "z")}
+def _refine_moore_candidate(space, inputs, eps: float, config: SearchConfig) -> AscentResult:
+    """Descent on the premise-conditioned ratio for the complex experiment,
+    with moore-1.9's codec applied to the complex space."""
 
-    def rebuild(flat, project):
-        out = {}
-        pos = 0
-        for k in ("x", "y", "z"):
-            v = flat[pos : pos + dim] + 1j * flat[pos + dim : pos + 2 * dim]
-            pos += 2 * dim
-            if project:
-                n = norm(space, v)
-                if n <= zero_norm_threshold(space):
-                    return None
-                v = v * (norms[k] / n)
-            out[k] = v
-        return out
-
-    def flatten(values):
-        parts = []
-        for k in ("x", "y", "z"):
-            v = np.asarray(values[k], dtype=np.complex128)
-            parts.append(v.real.astype(np.float64))
-            parts.append(v.imag.astype(np.float64))
-        return np.concatenate(parts)
-
-    def evaluate(values):
-        if values is None:
-            return math.inf, False
+    def objective(values):
         try:
             ok, ratio, _ = _moore_ratio(space, values, eps)
         except DomainError:
             return math.inf, False
         return ratio, ok
 
-    def raw_objective(flat):
-        return evaluate(rebuild(flat, project=False))[0]
-
-    flat = flatten(inputs)
-    current_inputs = inputs
-    current, _ = evaluate(inputs)
-    step = config.step_size
-    for _ in range(config.ascent_steps):
-        grad = _central_gradient(raw_objective, flat, config.fd_eps)
-        gnorm = float(np.linalg.norm(grad))
-        if not math.isfinite(gnorm) or gnorm < 1e-14:
-            break
-        direction = grad / gnorm
-        reach = max(float(np.linalg.norm(flat)), 1e-12)
-        accepted = False
-        trial_step = step
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = rebuild(flat - trial_step * reach * direction, project=True)
-            value, ok = evaluate(candidate)
-            if ok and value < current:
-                accepted = True
-                break
-            trial_step /= 2.0
-        if not accepted:
-            break
-        current_inputs = candidate
-        flat = flatten(candidate)
-        current = value
-        step = min(trial_step * 1.5, 1.0)
-    return current_inputs, current
+    return _descend(objective, _CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs, config)
 
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
@@ -855,44 +808,37 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     first_bound = 1.0 - eps - math.sqrt(2.0 * eps)
     second_bound = 1.0 - 4.0 * eps + 2.0 * eps * eps
     satisfying = 0
-    best = None  # (ratio, index)
-    top = []
+    min_ratio = None
+    top = []  # ascending (ratio, index)
     witness = None
-    for index in range(config.trials):
-        space, inputs = _moore_complex_sample(config, eps, index)
+
+    def below_first_bound(ratio, scale):
+        return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
+
+    def observe(space, inputs):
+        """Fold one instance into the minimum and the witness; returns its
+        ratio, or None when its premises fail."""
+        nonlocal min_ratio, witness
         ok, ratio, scale = _moore_ratio(space, inputs, eps)
         if not ok:
-            continue
-        satisfying += 1
-        key = (ratio, index)
-        if best is None or key < best:
-            best = key
-        if len(top) < TOP_K:
-            top.append(key)
-            top.sort()
-        elif key < top[-1]:
-            top[-1] = key
-            top.sort()
-        if ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL):
+            return None
+        if min_ratio is None or ratio < min_ratio:
+            min_ratio = ratio
+        if witness is None and below_first_bound(ratio, scale):
             ok_e, ratio_e, scale_e = _moore_ratio(space, inputs, eps, extended=True)
-            if ok_e and ratio_e - first_bound < -(TOL_ABS / max(scale_e, _TINY) + TOL_REL):
-                if witness is None:
-                    witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
-    min_ratio = None if best is None else best[0]
+            if ok_e and below_first_bound(ratio_e, scale_e):
+                witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
+        return ratio
+
+    for index in range(config.trials):
+        ratio = observe(*_moore_complex_sample(config, eps, index))
+        if ratio is not None:
+            satisfying += 1
+            _keep_top(top, (ratio, index))
     if config.ascent_steps > 0:
-        for ratio, index in top:
+        for _, index in top:
             space, inputs = _moore_complex_sample(config, eps, index)
-            refined, refined_ratio = _refine_moore_candidate(space, inputs, eps, first_bound, config)
-            ok, check_ratio, scale = _moore_ratio(space, refined, eps)
-            if not ok:
-                continue
-            if min_ratio is None or check_ratio < min_ratio:
-                min_ratio = check_ratio
-            if check_ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL):
-                ok_e, ratio_e, scale_e = _moore_ratio(space, refined, eps, extended=True)
-                if ok_e and ratio_e - first_bound < -(TOL_ABS / max(scale_e, _TINY) + TOL_REL):
-                    if witness is None:
-                        witness = digest_inputs(space, refined["x"], refined["y"], refined["z"])
+            observe(space, _refine_moore_candidate(space, inputs, eps, config).refined_inputs)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

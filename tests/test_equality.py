@@ -6,7 +6,7 @@ solvers are never used to produce their own expected values.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ineq_forge.catalog import eval_generalized, eval_richard
@@ -217,6 +217,8 @@ class TestScaleInvariance:
         st.floats(min_value=-5.0, max_value=5.0),
         st.floats(min_value=-5.0, max_value=5.0),
     )
+    # norms about 1e9 apart: this independent pair must stay uncertified
+    @example(5.0, -4.0, 0.0)
     @settings(max_examples=40, deadline=None)
     def test_line_attained_flag(self, ea, eb, ex):
         sa, sb, sx = 10.0**ea, 10.0**eb, 10.0**ex

@@ -6,6 +6,7 @@ deterministic sampling streams (Philox keying, draw order, whitening), so any
 accidental reordering of draws shows up as a digest mismatch here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ import pytest
 
 from ineq_forge.catalog import (
     CATALOG,
+    CatalogResult,
     MooreParams,
     catalog_names,
+    eval_schwarz,
     instance_digest,
+    make_evaluation,
 )
 from ineq_forge.falsifier import (
     FieldChoice,
@@ -25,7 +29,10 @@ from ineq_forge.falsifier import (
     _bucket,
     _central_gradient,
     _conditioned_vector,
+    _moore_complex_sample,
+    _moore_ratio,
     _random_gram,
+    _refine_moore_candidate,
     _sample_precupanu_moore,
     _sample_quotient_transfer,
     _trial_rng,
@@ -232,6 +239,23 @@ class TestHistogram:
         assert sum(report.margin_histogram) == 64 - report.premise_starved
 
 
+def _always_violating(space, inputs, params, extended):
+    # Schwarz turned around with a factor 2: |<x,y>| >= 2 ||x|| ||y|| fails
+    # on every instance, at any precision, and its margin still varies
+    ev = eval_schwarz(space, inputs["x"], inputs["y"], extended=extended)
+    bad = make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs)
+    return CatalogResult((bad,), bad, None)
+
+
+class TestCountInvariants:
+    def test_refined_violation_counts_each_trial_once(self, monkeypatch):
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], runner=_always_violating))
+        report = falsify("schwarz", SearchConfig(seed=0, trials=20, dims=(2, 4), ascent_steps=3))
+        # every trial violates, and each is counted once
+        assert report.violation_count == report.trials_run
+        assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
+
+
 class TestFullSweep:
     def test_no_confirmed_violations_anywhere(self):
         cfg = SearchConfig(seed=0, trials=36, dims=(1, 6))
@@ -340,6 +364,23 @@ class TestMooreComplexExperiment:
     def test_deterministic(self):
         cfg = SearchConfig(seed=14, trials=400, dims=(2, 4), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM)
         assert moore_complex_experiment(0.2, cfg) == moore_complex_experiment(0.2, cfg)
+
+    def test_refinement_keeps_norms_and_premises(self):
+        eps = 0.2
+        cfg = SearchConfig(seed=14, trials=8, dims=(2, 4), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM,
+                           ascent_steps=6)
+        moved = 0
+        for index in range(cfg.trials):
+            space, inputs = _moore_complex_sample(cfg, eps, index)
+            res = _refine_moore_candidate(space, inputs, eps, cfg)
+            for k in ("x", "y", "z"):
+                assert norm(space, res.refined_inputs[k]) == pytest.approx(norm(space, inputs[k]), rel=1e-9)
+            ok, ratio, _ = _moore_ratio(space, res.refined_inputs, eps)
+            assert ok
+            assert ratio == res.final_margin == res.trace[-1]
+            assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+            moved += len(res.trace) > 1
+        assert moved > 0
 
     def test_refinement_can_only_lower_the_minimum(self):
         base = SearchConfig(seed=1, trials=150, dims=(2, 3), field=FieldChoice.COMPLEX)
