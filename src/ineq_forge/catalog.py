@@ -17,6 +17,10 @@ Conditional statements (the Moore style results) return verdict objects that
 carry a premises flag next to the conclusion record; the conclusion is always
 evaluated so that vacuous instances remain inspectable.
 
+Each statement validates each argument once on entry (`_vec`,
+`_family_members`, `_complexified_parts`) and from then on pairs through the
+unvalidated `spaces.pairing` and `spaces.pairing_norm`.
+
 Instances are fingerprinted with a 64-bit FNV-1a digest over a canonical byte
 serialization: field tag, dimension, then every vector argument in signature
 order as big-endian float64 coordinate payloads (families get a length prefix,
@@ -42,7 +46,8 @@ from .spaces import (
     SpaceSpec,
     as_vector,
     inner,
-    norm,
+    pairing,
+    pairing_norm,
     require_nonzero,
 )
 
@@ -288,8 +293,8 @@ def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False) -> IneqEvalu
     """|<x,y>| against ||x|| ||y||; zero vectors are allowed."""
     xx = _vec(space, x, "x", nonzero=False, extended=extended)
     yy = _vec(space, y, "y", nonzero=False, extended=extended)
-    lhs = abs(inner(space, xx, yy, extended=extended))
-    rhs = norm(space, xx, extended=extended) * norm(space, yy, extended=extended)
+    lhs = abs(pairing(space, xx, yy, extended=extended))
+    rhs = pairing_norm(space, xx, extended=extended) * pairing_norm(space, yy, extended=extended)
     return make_evaluation("schwarz", rhs, lhs, rhs=rhs)
 
 
@@ -300,17 +305,17 @@ def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False) -> I
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    nx2 = inner(space, xx, xx, extended=extended)
-    ny2 = inner(space, yy, yy, extended=extended)
-    xa = inner(space, xx, aa, extended=extended)
-    xb = inner(space, xx, bb, extended=extended)
-    ya = inner(space, yy, aa, extended=extended)
-    yb = inner(space, yy, bb, extended=extended)
-    xy = inner(space, xx, yy, extended=extended)
+    nx2 = pairing(space, xx, xx, extended=extended)
+    ny2 = pairing(space, yy, yy, extended=extended)
+    xa = pairing(space, xx, aa, extended=extended)
+    xb = pairing(space, xx, bb, extended=extended)
+    ya = pairing(space, yy, aa, extended=extended)
+    yb = pairing(space, yy, bb, extended=extended)
+    xy = pairing(space, xx, yy, extended=extended)
     center = xa * xb / nx2 + ya * yb / ny2 - 2 * xa * yb * xy / (nx2 * ny2)
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
-    ab = inner(space, aa, bb, extended=extended)
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
+    ab = pairing(space, aa, bb, extended=extended)
     lhs = (ab - na * nb) / 2
     rhs = (ab + na * nb) / 2
     return make_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs)
@@ -322,11 +327,11 @@ def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False) -> IneqEv
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    nx2 = inner(space, xx, xx, extended=extended)
-    center = inner(space, xx, aa, extended=extended) * inner(space, xx, bb, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
-    ab = inner(space, aa, bb, extended=extended)
+    nx2 = pairing(space, xx, xx, extended=extended)
+    center = pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended)
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
+    ab = pairing(space, aa, bb, extended=extended)
     lhs = (ab - na * nb) / 2 * nx2
     rhs = (ab + na * nb) / 2 * nx2
     return make_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs)
@@ -338,13 +343,13 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False) ->
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    nx2 = inner(space, xx, xx, extended=extended)
-    ny2 = inner(space, yy, yy, extended=extended)
-    xa = inner(space, xx, aa, extended=extended)
-    ya = inner(space, yy, aa, extended=extended)
-    xy = inner(space, xx, yy, extended=extended)
+    nx2 = pairing(space, xx, xx, extended=extended)
+    ny2 = pairing(space, yy, yy, extended=extended)
+    xa = pairing(space, xx, aa, extended=extended)
+    ya = pairing(space, yy, aa, extended=extended)
+    xy = pairing(space, xx, yy, extended=extended)
     center = xa * xa / nx2 + ya * ya / ny2 - 2 * xa * ya * xy / (nx2 * ny2)
-    na2 = inner(space, aa, aa, extended=extended)
+    na2 = pairing(space, aa, aa, extended=extended)
     zero = type(center)(0.0) if not isinstance(center, float) else 0.0
     return make_evaluation("precupanu-self-1.5", na2, zero, center=center, rhs=na2)
 
@@ -355,13 +360,13 @@ def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False) -> In
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nx = norm(space, xx, extended=extended)
-    ny = norm(space, yy, extended=extended)
-    ca = inner(space, xx, aa, extended=extended) / (nx * na)
-    cb = inner(space, yy, aa, extended=extended) / (ny * na)
+    na = pairing_norm(space, aa, extended=extended)
+    nx = pairing_norm(space, xx, extended=extended)
+    ny = pairing_norm(space, yy, extended=extended)
+    ca = pairing(space, xx, aa, extended=extended) / (nx * na)
+    cb = pairing(space, yy, aa, extended=extended) / (ny * na)
     lhs = (ca + cb) ** 2 / 2 - 1.5
-    center = inner(space, xx, yy, extended=extended) / (nx * ny)
+    center = pairing(space, xx, yy, extended=extended) / (nx * ny)
     return make_evaluation("angle-1.6", 1.0, lhs, center=center)
 
 
@@ -382,19 +387,20 @@ def verify_moore(space: SpaceSpec, x, y, z, eps: float, *, extended: bool = Fals
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
     zz = _vec(space, z, "z", nonzero=True, extended=extended)
-    nx = norm(space, xx, extended=extended)
-    ny = norm(space, yy, extended=extended)
-    nz = norm(space, zz, extended=extended)
+    nx = pairing_norm(space, xx, extended=extended)
+    ny = pairing_norm(space, yy, extended=extended)
+    nz = pairing_norm(space, zz, extended=extended)
     need = 1.0 - eps
     slack_y = PREMISE_SLACK * nx * ny
     slack_z = PREMISE_SLACK * nx * nz
     premises = bool(
-        abs(inner(space, xx, yy, extended=extended)) >= need * nx * ny - slack_y
-        and abs(inner(space, xx, zz, extended=extended)) >= need * nx * nz - slack_z
+        abs(pairing(space, xx, yy, extended=extended)) >= need * nx * ny - slack_y
+        and abs(pairing(space, xx, zz, extended=extended)) >= need * nx * nz - slack_z
     )
     coeff = moore_coefficient(eps)
     scale = ny * nz
-    conclusion = make_evaluation("moore-1.9", scale, coeff * scale, center=abs(inner(space, yy, zz, extended=extended)))
+    center = abs(pairing(space, yy, zz, extended=extended))
+    conclusion = make_evaluation("moore-1.9", scale, coeff * scale, center=center)
     return MooreVerdict(premises, conclusion)
 
 
@@ -418,16 +424,16 @@ def verify_precupanu_moore(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
-    nx = norm(space, xx, extended=extended)
-    ca = inner(space, xx, aa, extended=extended) / (nx * na)
-    cb = inner(space, xx, bb, extended=extended) / (nx * nb)
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
+    nx = pairing_norm(space, xx, extended=extended)
+    ca = pairing(space, xx, aa, extended=extended) / (nx * na)
+    cb = pairing(space, xx, bb, extended=extended) / (nx * nb)
     premises = bool(
         eps1 - PREMISE_SLACK <= ca <= eps2 + PREMISE_SLACK and eps1 - PREMISE_SLACK <= cb <= eps2 + PREMISE_SLACK
     )
     lo, hi = precupanu_moore_bounds(eps1)
-    ab = inner(space, aa, bb, extended=extended)
+    ab = pairing(space, aa, bb, extended=extended)
     scale = na * nb
     conclusion = make_evaluation("precupanu-moore-1.12", scale, lo * scale, center=ab, rhs=hi * scale)
     refinement = make_evaluation("precupanu-moore-1.12", scale, -scale, center=lo * scale, rhs=ab)
@@ -439,11 +445,11 @@ def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False) -> IneqEva
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    nx2 = inner(space, xx, xx, extended=extended).real if space.field is Field.COMPLEX else inner(space, xx, xx, extended=extended)
-    lhs = abs(inner(space, xx, aa, extended=extended) * inner(space, xx, bb, extended=extended))
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
-    rhs = (na * nb + abs(inner(space, aa, bb, extended=extended))) / 2 * nx2
+    nx2 = pairing(space, xx, xx, extended=extended).real
+    lhs = abs(pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended))
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
+    rhs = (na * nb + abs(pairing(space, aa, bb, extended=extended))) / 2 * nx2
     return make_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs)
 
 
@@ -454,18 +460,18 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, eps: float, *, extended: bool
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
-    nx = norm(space, xx, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
+    nx = pairing_norm(space, xx, extended=extended)
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
     need = 1.0 - eps
     premises = bool(
-        abs(inner(space, xx, aa, extended=extended)) >= need * nx * na - PREMISE_SLACK * nx * na
-        and abs(inner(space, xx, bb, extended=extended)) >= need * nx * nb - PREMISE_SLACK * nx * nb
+        abs(pairing(space, xx, aa, extended=extended)) >= need * nx * na - PREMISE_SLACK * nx * na
+        and abs(pairing(space, xx, bb, extended=extended)) >= need * nx * nb - PREMISE_SLACK * nx * nb
     )
     coeff = 1.0 - 4.0 * eps + 2.0 * eps * eps
     scale = na * nb
     conclusion = make_evaluation(
-        "buzano-moore-1.16", scale, coeff * scale, center=abs(inner(space, aa, bb, extended=extended))
+        "buzano-moore-1.16", scale, coeff * scale, center=abs(pairing(space, aa, bb, extended=extended))
     )
     return BuzanoMooreVerdict(premises, conclusion, eps <= 1.0 - math.sqrt(2.0) / 2.0)
 
@@ -482,14 +488,14 @@ def verify_cosine_transfer(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nx = norm(space, xx, extended=extended)
-    ny = norm(space, yy, extended=extended)
-    cxa = inner(space, xx, aa, extended=extended) / (nx * na)
-    cya = inner(space, yy, aa, extended=extended) / (ny * na)
+    na = pairing_norm(space, aa, extended=extended)
+    nx = pairing_norm(space, xx, extended=extended)
+    ny = pairing_norm(space, yy, extended=extended)
+    cxa = pairing(space, xx, aa, extended=extended) / (nx * na)
+    cya = pairing(space, yy, aa, extended=extended) / (ny * na)
     premises = bool(cxa >= delta1 - PREMISE_SLACK and cya >= delta2 - PREMISE_SLACK)
     bound = (delta1 + delta2) ** 2 / 2 - 1.5
-    center = inner(space, xx, yy, extended=extended) / (nx * ny)
+    center = pairing(space, xx, yy, extended=extended) / (nx * ny)
     conclusion = make_evaluation("t1.5-i", 1.0, bound, center=center)
     return MooreVerdict(premises, conclusion)
 
@@ -508,11 +514,11 @@ def verify_quotient_transfer(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = norm(space, aa, extended=extended)
-    nb = norm(space, bb, extended=extended)
-    nx2 = inner(space, xx, xx, extended=extended)
-    quotient = inner(space, xx, aa, extended=extended) * inner(space, xx, bb, extended=extended) / nx2
-    cos_ab = inner(space, aa, bb, extended=extended) / (na * nb)
+    na = pairing_norm(space, aa, extended=extended)
+    nb = pairing_norm(space, bb, extended=extended)
+    nx2 = pairing(space, xx, xx, extended=extended)
+    quotient = pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended) / nx2
+    cos_ab = pairing(space, aa, bb, extended=extended) / (na * nb)
     slack = PREMISE_SLACK * na * nb
     lower = upper = None
     if mu1 is not None:
@@ -544,9 +550,9 @@ def _family_core(space, E, F, x, y, extended):
     cfy = _pairings_right(space, g, mf, y)
     cross = _cross_matrix(space, g, me, mf)
     s = ce @ cey + cf @ cfy - 2.0 * (ce @ cross @ cfy)
-    xy = inner(space, x, y, extended=extended)
-    nx = norm(space, x, extended=extended)
-    ny = norm(space, y, extended=extended)
+    xy = pairing(space, x, y, extended=extended)
+    nx = pairing_norm(space, x, extended=extended)
+    ny = pairing_norm(space, y, extended=extended)
     return s, xy, nx, ny, (me, mf, ce, cfy)
 
 
@@ -564,6 +570,8 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) ->
     direct = abs(s - 0.5 * xy)
     u = 2.0 * (ce @ me) - xx
     v = 2.0 * (np.conj(cfy) @ mf) - yy
+    # u and v are derived rather than validated arguments, so this pairing
+    # goes through the checking `inner`, which also rejects non-finite ones
     other = 0.5 * abs(inner(space, u, v, extended=extended))
     tol = ROUTE_AGREEMENT_REL * max(float(direct), float(other), float(nx * ny))
     if abs(float(direct) - float(other)) > tol:
@@ -604,14 +612,14 @@ def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False) -> ChainEvalu
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     zre, zim = _complexified_parts(space, z, "z", extended)
-    pa = inner(space, aa, zre, extended=extended)
-    pb = inner(space, aa, zim, extended=extended)
+    pa = pairing(space, aa, zre, extended=extended)
+    pb = pairing(space, aa, zim, extended=extended)
     lhs = pa * pa + pb * pb
-    na2 = inner(space, aa, aa, extended=extended)
-    nre2 = inner(space, zre, zre, extended=extended)
-    nim2 = inner(space, zim, zim, extended=extended)
+    na2 = pairing(space, aa, aa, extended=extended)
+    nre2 = pairing(space, zre, zre, extended=extended)
+    nim2 = pairing(space, zim, zim, extended=extended)
     nz2 = nre2 + nim2
-    mixed = inner(space, zre, zim, extended=extended)
+    mixed = pairing(space, zre, zim, extended=extended)
     self_pair = np.sqrt((nre2 - nim2) ** 2 + (2.0 * mixed) ** 2)
     middle = 0.5 * na2 * (nz2 + self_pair)
     scale = na2 * nz2
@@ -632,10 +640,10 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) ->
     cwf = _pairings(space, g, wre, mf).astype(cdt) + 1j * _pairings(space, g, wim, mf).astype(cdt)
     cross = _cross_matrix(space, g, me, mf).astype(cdt)
     t = cwe @ cwe + cwf @ cwf - 2.0 * (cwe @ cross @ cwf)
-    nre2 = inner(space, wre, wre, extended=extended)
-    nim2 = inner(space, wim, wim, extended=extended)
+    nre2 = pairing(space, wre, wre, extended=extended)
+    nim2 = pairing(space, wim, wim, extended=extended)
     nw2 = nre2 + nim2
-    mixed = inner(space, wre, wim, extended=extended)
+    mixed = pairing(space, wre, wim, extended=extended)
     self_pair = (nre2 - nim2) + 1j * (2.0 * mixed)
     half_self = 0.5 * abs(self_pair)
     middle1 = half_self + abs(t - 0.5 * self_pair)

@@ -6,7 +6,10 @@ Search design
 Every trial is a pure function of (seed, inequality name, trial index): the
 per-trial generator is Philox keyed on (seed, fnv1a(name)) with the trial
 index in the counter, so runs partition arbitrarily across workers without
-changing a single sampled byte.  Trials sweep the configured dimension range
+changing a single sampled byte.  A Philox stream depends only on its key and
+counter, so one generator per (seed, name) serves every trial: its counter
+and output buffers are reset for each trial, which reproduces a freshly
+built generator draw for draw.  Trials sweep the configured dimension range
 cyclically and alternate fields blockwise for field-agnostic statements.
 
 Vectors are sampled with independent standard normal coordinates (real and
@@ -163,9 +166,25 @@ def _name_key(name: str) -> int:
     return fnv1a_64(name.encode("utf-8"))
 
 
+@functools.lru_cache(maxsize=256)
+def _stream(seed: int, name: str):
+    """The one Philox generator of (seed, name), with its initial state."""
+    bits = np.random.Philox(key=[seed, _name_key(name)])
+    return bits, np.random.Generator(bits), bits.state
+
+
 def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
-    bits = np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 0, index])
-    return np.random.Generator(bits)
+    """The generator of one trial: Philox keyed on (seed, fnv1a(name)) at
+    counter [0, 0, 0, index], drawing exactly as a freshly built one.
+
+    The generator is shared by every trial of (seed, name): it is reset here,
+    so it stays valid only until the next call with the same seed and name.
+    """
+    bits, rng, initial = _stream(seed, name)
+    state = dict(initial)
+    state["state"] = {"counter": np.array([0, 0, 0, index], dtype=np.uint64), "key": initial["state"]["key"]}
+    bits.state = state
+    return rng
 
 
 def _gram_rng(seed: int, name: str, dim: int, field: Field) -> np.random.Generator:
@@ -437,9 +456,10 @@ def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int) -> S
 
 
 def _bucket(normalized_margin: float) -> int:
-    """Bucket 0 collects nonpositive margins, 1..30 span decades from 1e-17
-    up (positive underflow folds into 1), 31 is overflow."""
-    if normalized_margin <= 0.0:
+    """Bucket 0 collects margins not shown to hold: nonpositive ones and NaN.
+    1..30 span decades from 1e-17 up (positive underflow folds into 1), 31 is
+    overflow."""
+    if not normalized_margin > 0.0:
         return 0
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
@@ -465,7 +485,10 @@ class _CoordCodec:
 
     Families always rebuild through gram_schmidt (the orthonormality
     manifold is the only place they make sense), vectors and complexified
-    pairs renormalize to their starting norms when `project` is set.
+    pairs renormalize to their starting norms when `project` is set.  Each
+    family's last rebuild, or its failure, is kept with the bytes of its
+    slice and reused while that slice is unchanged, so a gradient probe
+    re-orthonormalizes only the family it perturbs.
     """
 
     def __init__(self, entry, space, inputs):
@@ -478,6 +501,7 @@ class _CoordCodec:
             k: math.hypot(norm(space, inputs[k].re), norm(space, inputs[k].im))
             for k in entry.complexified_args
         }
+        self.last_families = {}  # family name -> (slice bytes, family or None)
 
     def flatten(self, inputs) -> np.ndarray:
         parts = []
@@ -498,27 +522,35 @@ class _CoordCodec:
             return np.zeros(0)
         return np.concatenate(parts)
 
+    def _family(self, chunk: np.ndarray, size: int):
+        """Orthonormalize one family's slice; None when that fails."""
+        dim = self.space.dim
+        raw = chunk[: size * dim].reshape(size, dim)
+        if self.complex_field:
+            raw = raw + 1j * chunk[size * dim :].reshape(size, dim)
+        if size == 0:
+            return OrthonormalFamily(self.space, raw.astype(self.space.field.dtype))
+        try:
+            return gram_schmidt(self.space, raw)
+        except DomainError:
+            return None
+
     def rebuild(self, flat: np.ndarray, project: bool):
         dim = self.space.dim
         pos = 0
         inputs = {}
         for k in self.entry.family_args:
             size = self.family_sizes[k]
-            real = flat[pos : pos + size * dim].reshape(size, dim)
-            pos += size * dim
-            if self.complex_field:
-                imag = flat[pos : pos + size * dim].reshape(size, dim)
-                pos += size * dim
-                raw = real + 1j * imag
-            else:
-                raw = real
-            if size == 0:
-                inputs[k] = OrthonormalFamily(self.space, raw.astype(self.space.field.dtype))
-                continue
-            try:
-                inputs[k] = gram_schmidt(self.space, raw)
-            except DomainError:
+            end = pos + size * dim * (2 if self.complex_field else 1)
+            key = flat[pos:end].tobytes()
+            last = self.last_families.get(k)
+            if last is None or last[0] != key:
+                last = (key, self._family(flat[pos:end], size))
+                self.last_families[k] = last
+            pos = end
+            if last[1] is None:
                 return None
+            inputs[k] = last[1]
         for k in self.entry.vector_args:
             v = flat[pos : pos + dim].copy()
             pos += dim

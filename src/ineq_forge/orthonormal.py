@@ -23,7 +23,7 @@ from .spaces import (
     Field,
     SpaceSpec,
     as_vector,
-    norm,
+    pairing_norm,
 )
 
 DEFAULT_FAMILY_TOL = 1e-10
@@ -110,7 +110,8 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL):
     Uses classical Gram-Schmidt with a second reorthogonalization pass,
     which keeps the result orthonormal to working precision even for
     ill-conditioned inputs.  Raises RankDeficientError, naming the first
-    offending row, when a vector is dependent on its predecessors.
+    offending row, when a vector is dependent on its predecessors.  Rows are
+    checked for finiteness once, up front.
     """
     vs = np.asarray(vectors, dtype=space.field.dtype)
     if vs.ndim != 2 or vs.shape[1] != space.dim:
@@ -119,15 +120,17 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL):
         raise DomainError(
             f"cannot orthonormalize {vs.shape[0]} vectors in dimension {space.dim}"
         )
+    if not np.isfinite(vs).all():
+        raise DomainError("vector has non-finite coordinates")
     out = np.zeros_like(vs)
     for i, v in enumerate(vs):
-        scale = norm(space, v)
+        scale = pairing_norm(space, v)
         u = v
         for _ in range(2):
             if i:
                 coeffs = _pair_matrix(space, u[np.newaxis, :], out[:i])[0]
                 u = u - coeffs @ out[:i]
-        r = norm(space, u)
+        r = pairing_norm(space, u)
         if r <= RANK_TOL * max(scale, 1e-300):
             raise RankDeficientError(i, r)
         out[i] = u / r

@@ -10,6 +10,13 @@ second: inner(u, v) = u^T G conj(v) with G Hermitian positive definite
 which coincides with the plain complex space on coordinates re + i*im and
 the same gram.  Every operation has an extended-precision twin (x86 80-bit
 long double) used as an independent numerical oracle.
+
+Validation happens once, at the boundary.  The public `as_vector`, `inner`,
+`norm` and `require_nonzero` check their arguments (complex data in a real
+space, length, finiteness) on every call.  `pairing` and `pairing_norm` are
+the same arithmetic without the checks, for arrays that already passed
+`as_vector`: the catalog's statement kernels validate each argument once on
+entry and then pair through them.
 """
 
 from __future__ import annotations
@@ -92,34 +99,38 @@ def as_vector(space: SpaceSpec, x) -> np.ndarray:
     v = np.asarray(x, dtype=space.field.dtype)
     if v.shape != (space.dim,):
         raise DomainError(f"expected a vector of length {space.dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v.view(np.float64) if np.iscomplexobj(v) else v)):
+    if not np.isfinite(v).all():
         raise DomainError("vector has non-finite coordinates")
     return v
 
 
-def inner(space: SpaceSpec, u, v, *, extended: bool = False):
-    """The pairing u^T gram conj(v); linear in u, conjugate-linear in v."""
-    uu = as_vector(space, u)
-    vv = as_vector(space, v)
+def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray, *, extended: bool = False):
+    """The pairing u^T gram conj(v) of arrays that already passed as_vector.
+
+    Validates nothing.  With `extended` the arithmetic runs in the field's
+    extended dtype and the result stays a numpy scalar; otherwise it is a
+    Python float or complex.
+    """
     if extended:
         dt = space.field.extended_dtype
-        uu = uu.astype(dt)
-        vv = vv.astype(dt)
+        u = u.astype(dt, copy=False)
+        v = v.astype(dt, copy=False)
         g = None if space.gram is None else space.gram.astype(dt)
     else:
         g = space.gram
-    w = np.conj(vv) if space.field is Field.COMPLEX else vv
+    w = np.conj(v) if space.field is Field.COMPLEX else v
     if g is not None:
         w = g @ w
-    out = uu @ w
+    out = u @ w
     if extended:
         return out
     return complex(out) if space.field is Field.COMPLEX else float(out)
 
 
-def norm(space: SpaceSpec, u, *, extended: bool = False):
-    """Norm induced by the pairing; tiny negative squares clamp to zero."""
-    q = inner(space, u, u, extended=extended)
+def pairing_norm(space: SpaceSpec, u: np.ndarray, *, extended: bool = False):
+    """Norm induced by `pairing`, on an array that already passed as_vector;
+    tiny negative squares clamp to zero."""
+    q = pairing(space, u, u, extended=extended)
     if space.field is Field.COMPLEX:
         re = q.real
         if abs(q.imag) > 1e-12 * max(1.0, abs(re)):
@@ -130,13 +141,23 @@ def norm(space: SpaceSpec, u, *, extended: bool = False):
     return np.sqrt(max(re, zero)) if extended else float(np.sqrt(max(re, 0.0)))
 
 
+def inner(space: SpaceSpec, u, v, *, extended: bool = False):
+    """The pairing u^T gram conj(v); linear in u, conjugate-linear in v."""
+    return pairing(space, as_vector(space, u), as_vector(space, v), extended=extended)
+
+
+def norm(space: SpaceSpec, u, *, extended: bool = False):
+    """Norm induced by the pairing; tiny negative squares clamp to zero."""
+    return pairing_norm(space, as_vector(space, u), extended=extended)
+
+
 def zero_norm_threshold(space: SpaceSpec) -> float:
     return ZERO_NORM_FACTOR * float(np.sqrt(space.dim))
 
 
 def require_nonzero(space: SpaceSpec, v, what: str) -> np.ndarray:
     vv = as_vector(space, v)
-    if norm(space, vv) < zero_norm_threshold(space):
+    if pairing_norm(space, vv) < zero_norm_threshold(space):
         raise DomainError(f"{what} must be nonzero (norm below {zero_norm_threshold(space):.3e})")
     return vv
 

@@ -42,6 +42,7 @@ from ineq_forge.catalog import (
     verify_precupanu_moore,
     verify_quotient_transfer,
 )
+from ineq_forge.falsifier import SearchConfig, sample_instance
 from ineq_forge.orthonormal import OrthonormalFamily, gram_schmidt
 from ineq_forge.spaces import (
     ComplexifiedVector,
@@ -866,3 +867,33 @@ class TestCatalogRegistry:
                 run_catalog("real-double-2.14", s, {"E": E, "F": F, "x": x, "y": y}),
             ):
                 assert all(ev.holds for ev in result.links)
+
+
+def _spoiled(value):
+    """Copies of a vector argument with a NaN coordinate and with one
+    coordinate too many."""
+    if isinstance(value, ComplexifiedVector):
+        # the type refuses NaN itself, so only the length can be wrong
+        return [ComplexifiedVector(np.append(value.re, 1.0), np.append(value.im, 1.0))]
+    with_nan = np.array(value, copy=True)
+    with_nan[0] = np.nan
+    return [with_nan, np.append(value, value[0])]
+
+
+class TestBoundaryValidation:
+    """Statements validate each argument once on entry and then pair without
+    checks, so a bad argument must still be rejected at both precisions."""
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize(
+        "name, arg",
+        [(n, a) for n, e in CATALOG.items() for a in (*e.vector_args, *e.complexified_args)],
+    )
+    def test_bad_vector_argument_raises(self, name, arg, extended):
+        entry = CATALOG[name]
+        config = SearchConfig(seed=0, trials=len(entry.fields), dims=(3, 3))
+        for index in range(len(entry.fields)):  # one trial per field
+            sampled = sample_instance(config, name, index)
+            for bad in _spoiled(sampled.inputs[arg]):
+                with pytest.raises(DomainError):
+                    entry.run(sampled.space, {**sampled.inputs, arg: bad}, extended=extended)

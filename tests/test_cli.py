@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line surface: flag grammar, exit codes,
 record layout, and byte determinism."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -245,3 +246,27 @@ class TestEntryPoint:
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "ineq_forge"], capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+class TestGoldenOutput:
+    """Pinned sha256 of the timestamp-blanked output of two small runs that
+    go through the ascent and its coordinate codec, which the instance
+    digest goldens do not cover."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "falsify --ineq all --dims 1..4 --gram random --trials 6 --ascent-steps 2 --seed 3",
+                "a34b32eb443d2588d37cdb8b1da586a3045581986cec34fe9743a979e18e199e",
+            ),
+            (
+                "moore-complex --eps 0.05 --samples 300 --ascent-steps 4 --seed 7",
+                "f834f1811e7342083bd7cc521b17f2c49df4b6fab565b980751f01661f809141",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(strip_times(out).encode("utf-8")).hexdigest() == digest

@@ -31,8 +31,11 @@ from ineq_forge.falsifier import (
     _conditioned_vector,
     _moore_complex_sample,
     _moore_ratio,
+    _SAMPLERS,
+    _name_key,
     _random_gram,
     _refine_moore_candidate,
+    _sample_generic,
     _sample_precupanu_moore,
     _sample_quotient_transfer,
     _trial_rng,
@@ -41,7 +44,8 @@ from ineq_forge.falsifier import (
     moore_complex_experiment,
     sample_instance,
 )
-from ineq_forge.spaces import DomainError, Field, SpaceSpec, inner, norm
+from ineq_forge.orthonormal import OrthonormalFamily
+from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, inner, norm
 
 
 class TestSearchConfig:
@@ -123,6 +127,56 @@ class TestDeterminism:
         a = _trial_rng(0, "schwarz", 0).standard_normal(4)
         b = _trial_rng(0, "buzano-1.14", 0).standard_normal(4)
         assert not np.allclose(a, b)
+
+
+def _fresh_rng(seed, name, index):
+    return np.random.Generator(np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 0, index]))
+
+
+def _input_bytes(inputs):
+    parts = []
+    for key in sorted(inputs):
+        value = inputs[key]
+        if isinstance(value, OrthonormalFamily):
+            parts.append(value.members.tobytes())
+        elif isinstance(value, ComplexifiedVector):
+            parts += [value.re.tobytes(), value.im.tobytes()]
+        else:
+            parts.append(np.asarray(value).tobytes())
+    return b"|".join(parts)
+
+
+class TestStreamReuse:
+    """One generator per (seed, name) is reset for every trial; its draws
+    must be those of a freshly built Philox at the trial's counter."""
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("generalized-2.1", FieldChoice.BOTH),  # draws integers (family sizes)
+            ("t1.5-ii", FieldChoice.BOTH),
+            ("buzano-moore-1.16", FieldChoice.COMPLEX),
+        ],
+    )
+    def test_out_of_order_trials_match_fresh_generators(self, name, field):
+        cfg = SearchConfig(seed=17, trials=8, dims=(2, 4), field=field)
+        entry = CATALOG[name]
+        for index in (5, 2, 5):
+            sampled = sample_instance(cfg, name, index)
+            sampler = _SAMPLERS.get(name, _sample_generic)
+            rng = _fresh_rng(cfg.seed, name, index)
+            expected, starved = sampler(entry, sampled.space, None, rng, entry.default_params)
+            assert _input_bytes(sampled.inputs) == _input_bytes(expected)
+            assert sampled.starved == starved
+
+    def test_partial_integers_draw_is_reset(self):
+        # one bounded integer uses half of a 64-bit word and part of the
+        # four-word buffer; a new request must not see the leftovers
+        _trial_rng(23, "schwarz", 4).integers(0, 7)
+        again = _trial_rng(23, "schwarz", 4)
+        fresh = _fresh_rng(23, "schwarz", 4)
+        for draw in (lambda r: r.integers(0, 7, size=5), lambda r: r.standard_normal(6), lambda r: r.uniform(size=3)):
+            assert np.array_equal(draw(again), draw(fresh))
 
 
 class TestWhitening:
@@ -232,6 +286,7 @@ class TestHistogram:
         assert _bucket(9.99) == 18
         assert _bucket(1e13) == 31
         assert _bucket(1e15) == 31
+        assert _bucket(math.nan) == 0
 
     def test_histogram_totals_match_unstarved_trials(self):
         cfg = SearchConfig(seed=6, trials=64, dims=(2, 4))
@@ -247,12 +302,23 @@ def _always_violating(space, inputs, params, extended):
     return CatalogResult((bad,), bad, None)
 
 
+def _nan_margin(space, inputs, params, extended):
+    bad = make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan)
+    return CatalogResult((bad,), bad, None)
+
+
 class TestCountInvariants:
     def test_refined_violation_counts_each_trial_once(self, monkeypatch):
         monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], runner=_always_violating))
         report = falsify("schwarz", SearchConfig(seed=0, trials=20, dims=(2, 4), ascent_steps=3))
         # every trial violates, and each is counted once
         assert report.violation_count == report.trials_run
+        assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
+
+    def test_nan_margin_is_counted_in_bucket_zero(self, monkeypatch):
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], runner=_nan_margin))
+        report = falsify("schwarz", SearchConfig(seed=0, trials=12, dims=(2, 4)))
+        assert report.margin_histogram[0] == report.trials_run
         assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
 
 

@@ -93,6 +93,11 @@ class TestGramSchmidt:
             gram_schmidt(s, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert exc.value.index == 0
 
+    def test_non_finite_row_is_rejected(self):
+        s = SpaceSpec(2)
+        with pytest.raises(DomainError):
+            gram_schmidt(s, np.array([[1.0, 0.0], [0.0, np.inf]]))
+
     def test_near_dependence_below_threshold(self):
         s = SpaceSpec(2)
         v2 = np.array([1.0, 1e-12])  # residual ~1e-12 < 1e-10 * ||v2||
