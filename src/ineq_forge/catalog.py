@@ -45,7 +45,6 @@ from .spaces import (
     Field,
     SpaceSpec,
     as_vector,
-    inner,
     pairing,
     pairing_norm,
     require_nonzero,
@@ -570,9 +569,11 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) ->
     direct = abs(s - 0.5 * xy)
     u = 2.0 * (ce @ me) - xx
     v = 2.0 * (np.conj(cfy) @ mf) - yy
-    # u and v are derived rather than validated arguments, so this pairing
-    # goes through the checking `inner`, which also rejects non-finite ones
-    other = 0.5 * abs(inner(space, u, v, extended=extended))
+    # u and v are derived rather than validated arguments: check them here,
+    # in their own dtype, and pair them at the precision of the direct route
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("reflected vectors have non-finite coordinates")
+    other = 0.5 * abs(pairing(space, u, v, extended=extended))
     tol = ROUTE_AGREEMENT_REL * max(float(direct), float(other), float(nx * ny))
     if abs(float(direct) - float(other)) > tol:
         raise ArithmeticError(

@@ -10,6 +10,11 @@ exactly one run manifest as the final stdout line.  Floats are serialized
 with 17 significant digits so every value round-trips bit-exactly; the two
 timestamp fields are the only bytes that differ between identical runs.
 
+With --emit-instances, `verify` also writes one line per trial whose premises
+hold.  Those lines come from the falsify shard pass that fills the summary,
+so each instance is sampled, evaluated and digested once; they are written
+shard by shard in trial order, before the name's summary line.
+
 Exit codes: 0 pass, 1 usage error, 2 confirmed violation or failed equality
 round-trip, 3 experimental counterexample finding (moore-complex only).
 """
@@ -17,6 +22,7 @@ round-trip, 3 experimental counterexample finding (moore-complex only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from .catalog import CATALOG, CATALOG_VERSION, catalog_names, instance_digest
+from .catalog import CATALOG_VERSION, catalog_names
 from .equality import EQUALITY_BUILDERS, builder_space
 from .falsifier import (
     FieldChoice,
@@ -38,7 +44,6 @@ from .falsifier import (
     _trial_rng,
     falsify,
     moore_complex_experiment,
-    sample_instance,
 )
 from .spaces import DomainError, Field
 
@@ -65,7 +70,34 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
+_encode_str = json.JSONEncoder(ensure_ascii=False).encode
+
+
+@functools.lru_cache(maxsize=1024)
+def _str_key(key: str) -> str:
+    return _encode_str(key) + ":"
+
+
+def _member_key(key) -> str:
+    """`"key":` for one dict member.  The spelling of a str key is memoized,
+    since record lines repeat the same keys; other keys go through str()."""
+    if type(key) is str:
+        return _str_key(key)
+    return to_json(str(key)) + ":"
+
+
 def to_json(value) -> str:
+    # exact scalar types first: bool, None, numpy scalars, subclasses and
+    # sequences take the isinstance chain below
+    kind = type(value)
+    if kind is float:
+        return format_float(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join([_member_key(k) + to_json(v) for k, v in value.items()]) + "}"
     if value is None:
         return "null"
     if value is True:
@@ -77,9 +109,7 @@ def to_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{to_json(str(k))}:{to_json(v)}" for k, v in value.items()) + "}"
+        return _encode_str(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -281,42 +311,39 @@ def _search_config(args, *, trials: int, ascent_steps: int = 0, step_size: float
 # command handlers ------------------------------------------------------------
 
 
-def _instance_line(name: str, config: SearchConfig, index: int) -> Optional[str]:
-    """One JSON record for a sampled instance, or None when its premises
-    failed (starvation is visible in the summary counter instead)."""
-    entry = CATALOG[name]
-    sampled = sample_instance(config, name, index)
-    result = entry.run(sampled.space, sampled.inputs, entry.default_params)
-    if entry.has_premises and result.premises_hold is False:
-        return None
-    binding = result.binding
-    return to_json(
-        {
-            "ineq": name,
-            "dim": sampled.space.dim,
-            "field": sampled.space.field.name.lower(),
-            "seed": config.seed,
-            "digest": instance_digest(name, sampled.space, sampled.inputs),
-            "lhs": binding.lhs,
-            "center": binding.center,
-            "rhs": binding.rhs,
-            "margin_lower": binding.margin_lower,
-            "margin_upper": binding.margin_upper,
-            "holds": all(link.holds for link in result.links),
-            "near_equality": binding.near_equality,
-        }
-    )
+def _write_instances(sink: _Sink, name: str, seed: int, records) -> None:
+    """One JSON line per instance record of a falsify shard; trials whose
+    premises failed have no record (starvation shows in the summary
+    counter instead)."""
+    for dim, field, digest, lhs, center, rhs, margin_lower, margin_upper, holds, near in records:
+        sink.record(
+            to_json(
+                {
+                    "ineq": name,
+                    "dim": dim,
+                    "field": field,
+                    "seed": seed,
+                    "digest": digest,
+                    "lhs": lhs,
+                    "center": center,
+                    "rhs": rhs,
+                    "margin_lower": margin_lower,
+                    "margin_upper": margin_upper,
+                    "holds": holds,
+                    "near_equality": near,
+                }
+            )
+        )
 
 
-def _run_reports(args, names, config: SearchConfig, threads: int, sink: _Sink, emit_instances: bool):
+def _run_reports(names, config: SearchConfig, threads: int, sink: _Sink, emit_instances: bool):
     reports = []
     for name in names:
         if emit_instances:
-            for index in range(config.trials):
-                line = _instance_line(name, config, index)
-                if line is not None:
-                    sink.record(line)
-        report = falsify(name, config, threads=threads)
+            write = functools.partial(_write_instances, sink, name, config.seed)
+            report = falsify(name, config, threads=threads, on_records=write)
+        else:
+            report = falsify(name, config, threads=threads)
         sink.record(_report_line(report))
         reports.append(report)
     return reports
@@ -339,7 +366,7 @@ def cmd_verify(args, threads: int) -> int:
     names = _select_names(args.ineq, catalog_names())
     config = _search_config(args, trials=args.samples)
     with _Sink(args.out) as sink:
-        reports = _run_reports(args, names, config, threads, sink, args.emit_instances)
+        reports = _run_reports(names, config, threads, sink, args.emit_instances)
         if args.csv:
             _write_csv(args.csv, reports)
         _finish(sink, "verify", config, {r.ineq: r.trials_run for r in reports}, started)
@@ -351,7 +378,7 @@ def cmd_falsify(args, threads: int) -> int:
     names = _select_names(args.ineq, catalog_names())
     config = _search_config(args, trials=args.trials, ascent_steps=args.ascent_steps, step_size=args.step)
     with _Sink(args.out) as sink:
-        reports = _run_reports(args, names, config, threads, sink, emit_instances=False)
+        reports = _run_reports(names, config, threads, sink, emit_instances=False)
         if args.csv:
             _write_csv(args.csv, reports)
         _finish(sink, "falsify", config, {r.ineq: r.trials_run for r in reports}, started)

@@ -27,6 +27,12 @@ constant time per sample at any eps.  The one remaining rejection loop (the
 probe direction of the quotient-transfer statement) is capped; trials that
 exhaust the cap are reported as premise-starved, never silently dropped.
 
+A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
+order or by a process pool, and merged in shard order.  A shard can also
+return one instance record per trial whose premises hold (its digest and
+binding margins), so a caller that writes every instance gets them from the
+same sampling and evaluation as the report, one shard at a time.
+
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
 roundoff, and the report only counts confirmed ones.  The worst margin is
@@ -40,6 +46,7 @@ implementation of the step, the projection and the premise guard.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -246,6 +253,24 @@ def _std_vector(rng, dim: int, field: Field):
     return v
 
 
+def _std_rows(rng, size: int, dim: int, field: Field):
+    """`size` draws of _std_vector in one call, same stream order: each
+    row's real part, then its imaginary part."""
+    if field is Field.COMPLEX:
+        parts = rng.standard_normal((size, 2, dim))
+        return parts[:, 0] + 1j * parts[:, 1]
+    return rng.standard_normal((size, dim))
+
+
+def _norm(w) -> float:
+    """np.linalg.norm of a 1-d draw, by the same dot products and sqrt
+    without its dispatch."""
+    if np.iscomplexobj(w):
+        re, im = w.real, w.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(w.dot(w))
+
+
 def _ambient(whitener, w):
     return w if whitener is None else whitener @ w
 
@@ -254,11 +279,12 @@ def _nonzero_std(rng, space: SpaceSpec):
     threshold = zero_norm_threshold(space)
     for _ in range(64):
         w = _std_vector(rng, space.dim, space.field)
-        if np.linalg.norm(w) > threshold:
+        if _norm(w) > threshold:
             return w
     raise RuntimeError("could not sample a nonzero vector")
 
 
+@functools.lru_cache(maxsize=1024)
 def _beta_cdf(t: float, d: int, field: Field) -> float:
     if field is Field.COMPLEX:
         return 1.0 - (1.0 - t) ** (d - 1)
@@ -279,7 +305,7 @@ def _orth_unit(rng, xhat):
     for _ in range(64):
         p = _std_vector(rng, d, field)
         p = p - (p @ np.conj(xhat)) * xhat
-        n = np.linalg.norm(p)
+        n = _norm(p)
         if n > 1e-12:
             return p / n
     raise RuntimeError("could not sample an orthogonal direction")
@@ -312,7 +338,7 @@ def _conditioned_vector(rng, space: SpaceSpec, xhat, t_lo: float, t_hi: float, s
     direction = c * xhat
     if d > 1 and tail > 0.0:
         direction = direction + tail * _orth_unit(rng, xhat)
-    magnitude = np.linalg.norm(_std_vector(rng, d, field))
+    magnitude = _norm(_std_vector(rng, d, field))
     return magnitude * direction
 
 
@@ -325,7 +351,7 @@ def _sample_generic(entry, space, whitener, rng, params):
     for key in entry.family_args:
         size = int(rng.integers(0, dim + 1))
         for _ in range(16):
-            rows = np.array([_std_vector(rng, dim, space.field) for _ in range(size)]).reshape(size, dim)
+            rows = _std_rows(rng, size, dim, space.field)
             try:
                 inputs[key] = gram_schmidt(space, np.array([_ambient(whitener, r) for r in rows]).reshape(size, dim))
                 break
@@ -339,7 +365,7 @@ def _sample_generic(entry, space, whitener, rng, params):
         for _ in range(64):
             re = _std_vector(rng, dim, Field.REAL)
             im = _std_vector(rng, dim, Field.REAL)
-            if math.hypot(np.linalg.norm(re), np.linalg.norm(im)) > zero_norm_threshold(space):
+            if math.hypot(_norm(re), _norm(im)) > zero_norm_threshold(space):
                 break
         inputs[key] = ComplexifiedVector(_ambient(whitener, re), _ambient(whitener, im))
     return inputs, False
@@ -352,7 +378,7 @@ def _sample_near_parallel(entry, space, whitener, rng, params):
     buzano-moore-1.16."""
     need = max(1.0 - params.eps, 0.0)
     probe = _nonzero_std(rng, space)
-    phat = probe / np.linalg.norm(probe)
+    phat = probe / _norm(probe)
     first = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
     second = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
     vectors = (probe, first, second)
@@ -363,7 +389,7 @@ def _sample_precupanu_moore(entry, space, whitener, rng, params):
     eps1, eps2 = params.eps1, params.eps2
     starved = eps1 > 1.0 + 1e-12 or (space.dim == 1 and not eps1 - 1e-12 <= 1.0 <= eps2 + 1e-12)
     x = _nonzero_std(rng, space)
-    xhat = x / np.linalg.norm(x)
+    xhat = x / _norm(x)
     hi = min(eps2, 1.0)
     a = _conditioned_vector(rng, space, xhat, eps1 * eps1, hi * hi, True)
     b = _conditioned_vector(rng, space, xhat, eps1 * eps1, hi * hi, True)
@@ -373,7 +399,7 @@ def _sample_precupanu_moore(entry, space, whitener, rng, params):
 
 def _sample_cosine_transfer(entry, space, whitener, rng, params):
     anchor = _nonzero_std(rng, space)
-    ahat = anchor / np.linalg.norm(anchor)
+    ahat = anchor / _norm(anchor)
     x = _conditioned_vector(rng, space, ahat, params.delta1 ** 2, 1.0, True)
     y = _conditioned_vector(rng, space, ahat, params.delta2 ** 2, 1.0, True)
     inputs = {"a": _ambient(whitener, anchor), "x": _ambient(whitener, x), "y": _ambient(whitener, y)}
@@ -403,25 +429,25 @@ def _sample_quotient_transfer(entry, space, whitener, rng, params):
     if mu1 is not None:
         gamma = max(2.0 * mu1 - 1.0, 0.0)
         a = _nonzero_std(rng, space)
-        ahat = a / np.linalg.norm(a)
+        ahat = a / _norm(a)
         b = _conditioned_vector(rng, space, ahat, gamma * gamma, 1.0, True)
-        bhat = b / np.linalg.norm(b)
+        bhat = b / _norm(b)
         c = float(np.clip(ahat @ bhat, -1.0, 1.0))
         bisector = ahat + bhat
-        bisector = bisector / np.linalg.norm(bisector)
+        bisector = bisector / _norm(bisector)
         t_min = min(max(mu1 + (1.0 - c) / 2.0, 0.0), 1.0)
         x = _conditioned_vector(rng, space, bisector, t_min, 1.0, True)
         inputs = {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}
         return inputs, False
     a = _nonzero_std(rng, space)
     b = _nonzero_std(rng, space)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     starved = True
     x = None
     for _ in range(REJECTION_CAP):
         x = _nonzero_std(rng, space)
-        xhat = x / np.linalg.norm(x)
+        xhat = x / _norm(x)
         if float(xhat @ a) * float(xhat @ b) <= mu2 * na * nb:
             starved = False
             break
@@ -680,8 +706,18 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
+def _instance_record(name: str, sampled: SampledInstance, result, holds: bool) -> tuple:
+    """The plain values of one evaluated trial that an instance line needs:
+    (dim, field, instance digest, the binding link's lhs, center, rhs,
+    margin_lower and margin_upper, holds, near_equality)."""
+    space = sampled.space
+    b = result.binding
+    return (space.dim, space.field.name.lower(), instance_digest(name, space, sampled.inputs),
+            b.lhs, b.center, b.rhs, b.margin_lower, b.margin_upper, holds, b.near_equality)
+
+
 def _shard_worker(task):
-    name, config, start, stop = task
+    name, config, start, stop, with_records = task
     entry = CATALOG[name]
     params = entry.default_params
     hist = [0] * HISTOGRAM_BUCKETS
@@ -690,6 +726,7 @@ def _shard_worker(task):
     starved_count = 0
     worst = None  # (normalized, index, raw)
     top = []  # ascending (normalized, index, near_equality, violated)
+    records = [] if with_records else None
     for index in range(start, stop):
         sampled = sample_instance(config, name, index)
         result = entry.run(sampled.space, sampled.inputs, params)
@@ -699,19 +736,27 @@ def _shard_worker(task):
         normalized, binding = _normalized_margin(result)
         hist[_bucket(normalized)] += 1
         near += 1 if binding.near_equality else 0
-        violated = not all(link.holds for link in result.links) and _confirmed_violation(
-            entry, sampled.space, sampled.inputs, params
-        )
+        holds = all(link.holds for link in result.links)
+        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs, params)
         violations += 1 if violated else 0
         if worst is None or (normalized, index) < (worst[0], worst[1]):
             worst = (normalized, index, float(binding.min_margin))
         # (normalized, index) is unique, so the flags never decide the order
         _keep_top(top, (normalized, index, binding.near_equality, violated))
-    return hist, near, violations, starved_count, worst, top
+        if records is not None:
+            records.append(_instance_record(name, sampled, result, holds))
+    return hist, near, violations, starved_count, worst, top, records
 
 
-def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchReport:
-    """Run the randomized search for one inequality and aggregate a report."""
+def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
+    """Run the randomized search for one inequality and aggregate a report.
+
+    With `on_records`, every trial whose premises hold also yields an
+    instance record (`_instance_record`) from the same sampling and
+    evaluation that the report counts.  `on_records` receives each shard's
+    records, in trial order, as that shard arrives and in shard order, so
+    the caller holds one shard's records at a time.
+    """
     try:
         entry = CATALOG[ineq_name]
     except KeyError:
@@ -719,14 +764,9 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchRep
     _field_plan(ineq_name, entry.fields, config.field)
     params = entry.default_params
     tasks = [
-        (ineq_name, config, start, min(start + SHARD_SIZE, config.trials))
+        (ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
         for start in range(0, config.trials, SHARD_SIZE)
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_shard_worker, tasks))
-    else:
-        partials = [_shard_worker(t) for t in tasks]
 
     hist = [0] * HISTOGRAM_BUCKETS
     near = 0
@@ -734,14 +774,20 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1) -> SearchRep
     starved = 0
     worst = None
     top = []
-    for p_hist, p_near, p_viol, p_starved, p_worst, p_top in partials:
-        hist = [a + b for a, b in zip(hist, p_hist)]
-        near += p_near
-        violations += p_viol
-        starved += p_starved
-        if p_worst is not None and (worst is None or (p_worst[0], p_worst[1]) < (worst[0], worst[1])):
-            worst = p_worst
-        top.extend(p_top)
+    use_pool = threads > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=threads) if use_pool else contextlib.nullcontext() as pool:
+        # both maps yield the shards in order; the pool's as each finishes
+        partials = pool.map(_shard_worker, tasks) if use_pool else map(_shard_worker, tasks)
+        for p_hist, p_near, p_viol, p_starved, p_worst, p_top, p_records in partials:
+            hist = [a + b for a, b in zip(hist, p_hist)]
+            near += p_near
+            violations += p_viol
+            starved += p_starved
+            if p_worst is not None and (worst is None or (p_worst[0], p_worst[1]) < (worst[0], worst[1])):
+                worst = p_worst
+            top.extend(p_top)
+            if on_records is not None:
+                on_records(p_records)
     top.sort()
     top = top[:TOP_K]
 

@@ -21,6 +21,7 @@ entry and then pair through them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -152,7 +153,9 @@ def norm(space: SpaceSpec, u, *, extended: bool = False):
 
 
 def zero_norm_threshold(space: SpaceSpec) -> float:
-    return ZERO_NORM_FACTOR * float(np.sqrt(space.dim))
+    # math.sqrt and np.sqrt are both correctly rounded; math.sqrt skips
+    # numpy's scalar dispatch
+    return ZERO_NORM_FACTOR * math.sqrt(space.dim)
 
 
 def require_nonzero(space: SpaceSpec, v, what: str) -> np.ndarray:

@@ -599,6 +599,33 @@ class TestGeneralized:
         with pytest.raises(DomainError):
             eval_generalized(R2, empty_fam(R2), empty_fam(R2), [0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("space", [R3, SpaceSpec(3, Field.COMPLEX)])
+    def test_extended_reflection_route_pairs_extended_vectors(self, space, monkeypatch):
+        from ineq_forge import catalog, spaces
+
+        seen = []
+        pairing = spaces.pairing
+
+        def recording(sp, u, v, *, extended=False):
+            if extended:
+                seen.append((u.dtype, v.dtype))
+            return pairing(sp, u, v, extended=extended)
+
+        rng = np.random.default_rng(3)
+        E, F = random_family(rng, space, 2), random_family(rng, space, 1)
+        x, y = random_vec(rng, space), random_vec(rng, space)
+        monkeypatch.setattr(catalog, "pairing", recording)
+        monkeypatch.setattr(spaces, "pairing", recording)
+        eval_generalized(space, E, F, x, y, extended=True)
+        # the last extended pairing is the reflection route's; none may get
+        # vectors rounded to double first
+        assert seen and all(dt == space.field.extended_dtype for pair in seen for dt in pair)
+
+    def test_non_finite_reflection_raises(self):
+        # finite inputs whose doubled projection overflows
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            eval_generalized(R2, fam(R2, [1.0, 0.0]), empty_fam(R2), [1e308, 1.0], [1.0, 1.0])
+
     def test_family_space_mismatch(self):
         with pytest.raises(DomainError):
             eval_generalized(R3, fam(R2, [1.0, 0.0]), empty_fam(R3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])

@@ -1,16 +1,19 @@
 """End-to-end tests for the command-line surface: flag grammar, exit codes,
 record layout, and byte determinism."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ineq_forge import cli
-from ineq_forge.catalog import catalog_names
+from ineq_forge.catalog import CATALOG, catalog_names
 from ineq_forge.falsifier import SearchReport
 
 TIMESTAMP = re.compile(r'"(started_at|finished_at)":"[^"]*"')
@@ -38,6 +41,61 @@ class TestSerialization:
     def test_nested_structures(self):
         blob = cli.to_json({"a": [1, 0.5, None, True], "b": {"c": "x\"y"}})
         assert json.loads(blob) == {"a": [1, 0.5, None, True], "b": {"c": 'x"y'}}
+
+
+def _reference_to_json(value) -> str:
+    """The general isinstance chain that to_json's fast paths must match."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return cli.format_float(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_reference_to_json(str(k))}:{_reference_to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_reference_to_json(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+class TestFastSerialization:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.float64(0.1),
+            -0.0,
+            float("nan"),
+            float("-inf"),
+            True,
+            False,
+            None,
+            2**70,
+            -3,
+            "tab\tquote\"ünï\u2028",
+            [1, [2.5, [None, True]], (np.float64(-0.0), "x")],
+            {"ü": 1, "名前": [0.5, {"née": False}], 7: "int key", True: "bool key", 2.5: "float key"},
+            {"lhs": np.float64(1.0) / 3.0, "center": None, "holds": True},
+            # equal keys of different types spell differently
+            [{1: "int"}, {True: "bool"}, {1.0: "float"}],
+        ],
+    )
+    def test_same_bytes_as_the_general_path(self, value):
+        assert cli.to_json(value) == _reference_to_json(value)
+        # the second call reads the memoized keys
+        assert cli.to_json(value) == _reference_to_json(value)
+
+    @pytest.mark.parametrize("value", [object(), np.float32(1.0), np.int64(3), {1, 2}, {"k": b"bytes"}])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            cli.to_json(value)
+        with pytest.raises(TypeError):
+            _reference_to_json(value)
 
 
 class TestUsageErrors:
@@ -146,6 +204,41 @@ class TestVerify:
         assert code == 2
 
 
+def _starving_every_third(runner):
+    """A runner whose premises fail on every third call, which is every
+    third trial when each trial is evaluated once."""
+    calls = itertools.count()
+
+    def run(space, inputs, params, extended):
+        result = runner(space, inputs, params, extended)
+        return dataclasses.replace(result, premises_hold=next(calls) % 3 != 2)
+
+    return run
+
+
+class TestInstanceLines:
+    def test_one_line_per_counted_trial(self, capsys, monkeypatch):
+        names = ("moore-1.9", "t1.5-i")
+        for name in names:
+            entry = CATALOG[name]
+            monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, runner=_starving_every_third(entry.runner)))
+        monkeypatch.delenv("INEQ_FORGE_THREADS", raising=False)
+        code, out, _ = run_cli(
+            capsys, "verify", "--ineq", ",".join(names), "--samples", "30", "--dims", "2..4",
+            "--seed", "4", "--emit-instances",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+        reports = {r["ineq"]: r for r in records if "trials_run" in r}
+        for name in names:
+            report = reports[name]
+            emitted = sum(1 for r in records if "digest" in r and r["ineq"] == name)
+            assert report["premise_starved"] == 10
+            assert emitted == sum(report["margin_histogram"]) == report["trials_run"] - report["premise_starved"]
+        # each name's instance lines come before its summary line
+        assert [r["ineq"] for r in records] == ["moore-1.9"] * 21 + ["t1.5-i"] * 21
+
+
 class TestFalsify:
     def test_kurepa_dimension_one_example(self, capsys):
         code, out, _ = run_cli(capsys, "falsify", "--ineq", "kurepa-3.2", "--dims", "1..1", "--trials", "100")
@@ -251,7 +344,7 @@ class TestEntryPoint:
 class TestGoldenOutput:
     """Pinned sha256 of the timestamp-blanked output of two small runs that
     go through the ascent and its coordinate codec, which the instance
-    digest goldens do not cover."""
+    digest goldens do not cover, and of an emitting run over two shards."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -270,3 +363,15 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(strip_times(out).encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_emitting_run_over_two_shards_is_pinned(self, capsys, monkeypatch, threads):
+        # 4100 trials per name make two shards, so with two threads the
+        # instance lines of both shards come back through the pool
+        monkeypatch.setenv("INEQ_FORGE_THREADS", threads)
+        argv = "verify --ineq schwarz,generalized-2.1 --samples 4100 --dims 1..2 --gram random --seed 2 --emit-instances"
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out.count("\n") == 8203
+        digest = hashlib.sha256(strip_times(out).encode("utf-8")).hexdigest()
+        assert digest == "fae61a64bb7896047ddc604dc933c1e233c448767f1c707de36a4a9bc9dee689"

@@ -38,6 +38,9 @@ from ineq_forge.falsifier import (
     _sample_generic,
     _sample_precupanu_moore,
     _sample_quotient_transfer,
+    _norm,
+    _std_rows,
+    _std_vector,
     _trial_rng,
     falsify,
     local_ascent,
@@ -273,6 +276,25 @@ class TestPerNameSamplers:
             inputs, starved = _sample_quotient_transfer(entry, space, None, rng, MooreParams(mu2=-0.5))
             a, b = float(inputs["a"][0]), float(inputs["b"][0])
             assert starved == (a * b > -0.5 * abs(a) * abs(b))
+
+
+class TestSamplingPrimitives:
+    @pytest.mark.parametrize("field", list(Field))
+    def test_family_rows_draw_as_one_vector_per_row(self, field):
+        for size in (0, 1, 3):
+            rows = _std_rows(np.random.default_rng(5), size, 4, field)
+            rng = np.random.default_rng(5)
+            one_by_one = [_std_vector(rng, 4, field) for _ in range(size)]
+            assert rows.shape == (size, 4)
+            assert rows.tobytes() == np.array(one_by_one, dtype=field.dtype).reshape(size, 4).tobytes()
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_draw_norm_is_numpys_to_the_bit(self, field):
+        rng = np.random.default_rng(8)
+        for dim in range(1, 9):
+            for _ in range(50):
+                w = _std_vector(rng, dim, field) * 10.0 ** rng.integers(-150, 150)
+                assert _norm(w) == np.linalg.norm(w)
 
 
 class TestHistogram:
