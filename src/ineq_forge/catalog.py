@@ -1,7 +1,7 @@
 """Evaluation records and closed forms for the inequality catalog.
 
-Every statement is evaluated into one or more IneqEvaluation records with a
-uniform margin convention:
+Every statement returns one CatalogResult: a tuple of IneqEvaluation links
+and a premises flag.  Each link follows a uniform margin convention:
 
 * two sided:      lhs <= center <= rhs   (both margins present)
 * one sided upper: lhs <= rhs            (center is None, margin_upper only)
@@ -13,13 +13,16 @@ under rescaling of the inputs.  `near_equality` flags records whose smallest
 present margin is within NEAR_EQUALITY_REL * scale of zero; a violated record
 is therefore also near equality, which keeps tightness counters monotone.
 
-Conditional statements (the Moore style results) return verdict objects that
-carry a premises flag next to the conclusion record; the conclusion is always
-evaluated so that vacuous instances remain inspectable.
+Chained statements return one link per cap; the binding link is the one
+with the smallest scale-normalized margin.  Conditional statements (the Moore
+style results) set `premises_hold`, which is None for the others; their
+conclusion is always evaluated so that vacuous instances remain inspectable.
 
 Each statement validates each argument once on entry (`_vec`,
-`_family_members`, `_complexified_parts`) and from then on pairs through the
-unvalidated `spaces.pairing` and `spaces.pairing_norm`.
+`_family_members`, `_complexified_parts`), casting it there to the field's
+extended dtype when called with `extended=True`.  From then on it pairs
+through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
+compute in the dtype of their operands.
 
 Instances are fingerprinted with a 64-bit FNV-1a digest over a canonical byte
 serialization: field tag, dimension, then every vector argument in signature
@@ -142,25 +145,16 @@ def make_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> IneqEvaluat
 
 
 @dataclass(frozen=True)
-class ChainEvaluation:
-    """A conjunction of chained links sharing one scale."""
+class CatalogResult:
+    """The links of one evaluated statement and, for conditional statements,
+    whether the premises hold (None otherwise)."""
 
     links: tuple
-
-    @property
-    def eval1(self) -> IneqEvaluation:
-        return self.links[0]
-
-    @property
-    def eval2(self) -> IneqEvaluation:
-        return self.links[1]
-
-    @property
-    def eval3(self) -> IneqEvaluation:
-        return self.links[2]
+    premises_hold: Optional[bool] = None
 
     @property
     def binding(self) -> IneqEvaluation:
+        """The link with the smallest scale-normalized margin; the first on ties."""
         return min(self.links, key=lambda ev: ev.min_margin / max(ev.scale, 1e-300))
 
 
@@ -177,44 +171,6 @@ class MooreParams:
     mu2: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class MooreVerdict:
-    premises_hold: bool
-    conclusion: IneqEvaluation
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.premises_hold
-
-
-@dataclass(frozen=True)
-class PrecupanuMooreVerdict:
-    premises_hold: bool
-    conclusion: IneqEvaluation
-    refinement: IneqEvaluation
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.premises_hold
-
-
-@dataclass(frozen=True)
-class BuzanoMooreVerdict:
-    premises_hold: bool
-    conclusion: IneqEvaluation
-    in_useful_window: bool
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.premises_hold
-
-
-@dataclass(frozen=True)
-class QuotientTransferVerdict:
-    lower: Optional[MooreVerdict]
-    upper: Optional[MooreVerdict]
-
-
 # shared numeric helpers ------------------------------------------------------
 
 
@@ -228,14 +184,6 @@ def _vec(space, v, name, *, nonzero, extended):
     if extended:
         arr = arr.astype(space.field.extended_dtype)
     return arr
-
-
-def _gram_matrix(space: SpaceSpec, extended: bool):
-    if space.gram is None:
-        return None
-    if extended:
-        return space.gram.astype(space.field.extended_dtype)
-    return space.gram
 
 
 def _family_members(space: SpaceSpec, family, name: str, extended: bool) -> np.ndarray:
@@ -255,21 +203,21 @@ def _family_members(space: SpaceSpec, family, name: str, extended: bool) -> np.n
     return members
 
 
-def _pairings(space, g, x, members):
+def _pairings(space, x, members):
     """<x, e_i> for every family member, as a 1-d array."""
-    gx = x if g is None else x @ g
+    gx = x if space.gram is None else x @ space.gram
     return members.conj() @ gx
 
 
-def _pairings_right(space, g, members, y):
+def _pairings_right(space, members, y):
     """<e_i, y> for every family member."""
-    gy = np.conj(y) if g is None else g @ np.conj(y)
+    gy = np.conj(y) if space.gram is None else space.gram @ np.conj(y)
     return members @ gy
 
 
-def _cross_matrix(space, g, members_e, members_f):
+def _cross_matrix(space, members_e, members_f):
     """<e_i, f_j> as a (len(E), len(F)) matrix."""
-    mf = np.conj(members_f.T) if g is None else g @ np.conj(members_f.T)
+    mf = np.conj(members_f.T) if space.gram is None else space.gram @ np.conj(members_f.T)
     return members_e @ mf
 
 
@@ -281,92 +229,88 @@ def _complexified_parts(space, z, name, extended):
     return re, im
 
 
-def _abs2(value):
-    return (value * np.conj(value)).real if np.iscomplexobj(np.asarray(value)) else value * value
-
-
 # elementary statements -------------------------------------------------------
 
 
-def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False) -> CatalogResult:
     """|<x,y>| against ||x|| ||y||; zero vectors are allowed."""
     xx = _vec(space, x, "x", nonzero=False, extended=extended)
     yy = _vec(space, y, "y", nonzero=False, extended=extended)
-    lhs = abs(pairing(space, xx, yy, extended=extended))
-    rhs = pairing_norm(space, xx, extended=extended) * pairing_norm(space, yy, extended=extended)
-    return make_evaluation("schwarz", rhs, lhs, rhs=rhs)
+    lhs = abs(pairing(space, xx, yy))
+    rhs = pairing_norm(space, xx) * pairing_norm(space, yy)
+    return CatalogResult((make_evaluation("schwarz", rhs, lhs, rhs=rhs),))
 
 
-def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False) -> CatalogResult:
     """Two-sided bound on the mixed projection sum of a and b onto x and y."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    nx2 = pairing(space, xx, xx, extended=extended)
-    ny2 = pairing(space, yy, yy, extended=extended)
-    xa = pairing(space, xx, aa, extended=extended)
-    xb = pairing(space, xx, bb, extended=extended)
-    ya = pairing(space, yy, aa, extended=extended)
-    yb = pairing(space, yy, bb, extended=extended)
-    xy = pairing(space, xx, yy, extended=extended)
+    nx2 = pairing(space, xx, xx)
+    ny2 = pairing(space, yy, yy)
+    xa = pairing(space, xx, aa)
+    xb = pairing(space, xx, bb)
+    ya = pairing(space, yy, aa)
+    yb = pairing(space, yy, bb)
+    xy = pairing(space, xx, yy)
     center = xa * xb / nx2 + ya * yb / ny2 - 2 * xa * yb * xy / (nx2 * ny2)
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
-    ab = pairing(space, aa, bb, extended=extended)
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
+    ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2
     rhs = (ab + na * nb) / 2
-    return make_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs)
+    return CatalogResult((make_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs),))
 
 
-def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False) -> IneqEvaluation:
+def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False) -> CatalogResult:
     """Two-sided bound on <x,a><x,b> along a single direction x."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    nx2 = pairing(space, xx, xx, extended=extended)
-    center = pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
-    ab = pairing(space, aa, bb, extended=extended)
+    nx2 = pairing(space, xx, xx)
+    center = pairing(space, xx, aa) * pairing(space, xx, bb)
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
+    ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2 * nx2
     rhs = (ab + na * nb) / 2 * nx2
-    return make_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs)
+    return CatalogResult((make_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs),))
 
 
-def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False) -> CatalogResult:
     """Nonnegative quadratic form of a against the (x, y) pair, capped by ||a||^2."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    nx2 = pairing(space, xx, xx, extended=extended)
-    ny2 = pairing(space, yy, yy, extended=extended)
-    xa = pairing(space, xx, aa, extended=extended)
-    ya = pairing(space, yy, aa, extended=extended)
-    xy = pairing(space, xx, yy, extended=extended)
+    nx2 = pairing(space, xx, xx)
+    ny2 = pairing(space, yy, yy)
+    xa = pairing(space, xx, aa)
+    ya = pairing(space, yy, aa)
+    xy = pairing(space, xx, yy)
     center = xa * xa / nx2 + ya * ya / ny2 - 2 * xa * ya * xy / (nx2 * ny2)
-    na2 = pairing(space, aa, aa, extended=extended)
+    na2 = pairing(space, aa, aa)
     zero = type(center)(0.0) if not isinstance(center, float) else 0.0
-    return make_evaluation("precupanu-self-1.5", na2, zero, center=center, rhs=na2)
+    return CatalogResult((make_evaluation("precupanu-self-1.5", na2, zero, center=center, rhs=na2),))
 
 
-def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False) -> CatalogResult:
     """Lower bound on cos(x, y) from the cosines of x and y against a."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nx = pairing_norm(space, xx, extended=extended)
-    ny = pairing_norm(space, yy, extended=extended)
-    ca = pairing(space, xx, aa, extended=extended) / (nx * na)
-    cb = pairing(space, yy, aa, extended=extended) / (ny * na)
+    na = pairing_norm(space, aa)
+    nx = pairing_norm(space, xx)
+    ny = pairing_norm(space, yy)
+    ca = pairing(space, xx, aa) / (nx * na)
+    cb = pairing(space, yy, aa) / (ny * na)
     lhs = (ca + cb) ** 2 / 2 - 1.5
-    center = pairing(space, xx, yy, extended=extended) / (nx * ny)
-    return make_evaluation("angle-1.6", 1.0, lhs, center=center)
+    center = pairing(space, xx, yy) / (nx * ny)
+    return CatalogResult((make_evaluation("angle-1.6", 1.0, lhs, center=center),))
 
 
 # conditional statements ------------------------------------------------------
@@ -379,28 +323,34 @@ def moore_coefficient(eps: float) -> float:
     return max(1.0 - eps - math.sqrt(2.0 * eps), 1.0 - 4.0 * eps, 0.0)
 
 
-def verify_moore(space: SpaceSpec, x, y, z, eps: float, *, extended: bool = False) -> MooreVerdict:
+def buzano_moore_useful(eps: float) -> bool:
+    """Whether the Buzano-Moore coefficient 1 - 4 eps + 2 eps^2 is nonnegative,
+    so that the conclusion says more than |<a,b>| >= 0."""
+    return eps <= 1.0 - math.sqrt(2.0) / 2.0
+
+
+def verify_moore(space: SpaceSpec, x, y, z, eps: float, *, extended: bool = False) -> CatalogResult:
     """If y and z are both eps-parallel to x, bound |<y,z>| from below."""
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
     zz = _vec(space, z, "z", nonzero=True, extended=extended)
-    nx = pairing_norm(space, xx, extended=extended)
-    ny = pairing_norm(space, yy, extended=extended)
-    nz = pairing_norm(space, zz, extended=extended)
+    nx = pairing_norm(space, xx)
+    ny = pairing_norm(space, yy)
+    nz = pairing_norm(space, zz)
     need = 1.0 - eps
     slack_y = PREMISE_SLACK * nx * ny
     slack_z = PREMISE_SLACK * nx * nz
     premises = bool(
-        abs(pairing(space, xx, yy, extended=extended)) >= need * nx * ny - slack_y
-        and abs(pairing(space, xx, zz, extended=extended)) >= need * nx * nz - slack_z
+        abs(pairing(space, xx, yy)) >= need * nx * ny - slack_y
+        and abs(pairing(space, xx, zz)) >= need * nx * nz - slack_z
     )
     coeff = moore_coefficient(eps)
     scale = ny * nz
-    center = abs(pairing(space, yy, zz, extended=extended))
+    center = abs(pairing(space, yy, zz))
     conclusion = make_evaluation("moore-1.9", scale, coeff * scale, center=center)
-    return MooreVerdict(premises, conclusion)
+    return CatalogResult((conclusion,), premises)
 
 
 def precupanu_moore_bounds(eps1: float):
@@ -412,7 +362,7 @@ def precupanu_moore_bounds(eps1: float):
 
 def verify_precupanu_moore(
     space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False
-) -> PrecupanuMooreVerdict:
+) -> CatalogResult:
     """Signed cosine window against x transfers to a two-sided bound on <a,b>."""
     _require_field(space, (Field.REAL,), "this statement")
     if params.eps1 is None or params.eps2 is None:
@@ -423,61 +373,59 @@ def verify_precupanu_moore(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
-    nx = pairing_norm(space, xx, extended=extended)
-    ca = pairing(space, xx, aa, extended=extended) / (nx * na)
-    cb = pairing(space, xx, bb, extended=extended) / (nx * nb)
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
+    nx = pairing_norm(space, xx)
+    ca = pairing(space, xx, aa) / (nx * na)
+    cb = pairing(space, xx, bb) / (nx * nb)
     premises = bool(
         eps1 - PREMISE_SLACK <= ca <= eps2 + PREMISE_SLACK and eps1 - PREMISE_SLACK <= cb <= eps2 + PREMISE_SLACK
     )
     lo, hi = precupanu_moore_bounds(eps1)
-    ab = pairing(space, aa, bb, extended=extended)
+    ab = pairing(space, aa, bb)
     scale = na * nb
     conclusion = make_evaluation("precupanu-moore-1.12", scale, lo * scale, center=ab, rhs=hi * scale)
     refinement = make_evaluation("precupanu-moore-1.12", scale, -scale, center=lo * scale, rhs=ab)
-    return PrecupanuMooreVerdict(premises, conclusion, refinement)
+    return CatalogResult((conclusion, refinement), premises)
 
 
-def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False) -> IneqEvaluation:
+def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False) -> CatalogResult:
     """Modulus bound on <x,a><x,b> along x; valid in both fields."""
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    nx2 = pairing(space, xx, xx, extended=extended).real
-    lhs = abs(pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended))
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
-    rhs = (na * nb + abs(pairing(space, aa, bb, extended=extended))) / 2 * nx2
-    return make_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs)
+    nx2 = pairing(space, xx, xx).real
+    lhs = abs(pairing(space, xx, aa) * pairing(space, xx, bb))
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
+    rhs = (na * nb + abs(pairing(space, aa, bb))) / 2 * nx2
+    return CatalogResult((make_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
 
 
-def verify_buzano_moore(space: SpaceSpec, x, a, b, eps: float, *, extended: bool = False) -> BuzanoMooreVerdict:
+def verify_buzano_moore(space: SpaceSpec, x, a, b, eps: float, *, extended: bool = False) -> CatalogResult:
     """Modulus near-parallelism to x transfers to a lower bound on |<a,b>|."""
     if not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
-    nx = pairing_norm(space, xx, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
+    nx = pairing_norm(space, xx)
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
     need = 1.0 - eps
     premises = bool(
-        abs(pairing(space, xx, aa, extended=extended)) >= need * nx * na - PREMISE_SLACK * nx * na
-        and abs(pairing(space, xx, bb, extended=extended)) >= need * nx * nb - PREMISE_SLACK * nx * nb
+        abs(pairing(space, xx, aa)) >= need * nx * na - PREMISE_SLACK * nx * na
+        and abs(pairing(space, xx, bb)) >= need * nx * nb - PREMISE_SLACK * nx * nb
     )
     coeff = 1.0 - 4.0 * eps + 2.0 * eps * eps
     scale = na * nb
-    conclusion = make_evaluation(
-        "buzano-moore-1.16", scale, coeff * scale, center=abs(pairing(space, aa, bb, extended=extended))
-    )
-    return BuzanoMooreVerdict(premises, conclusion, eps <= 1.0 - math.sqrt(2.0) / 2.0)
+    conclusion = make_evaluation("buzano-moore-1.16", scale, coeff * scale, center=abs(pairing(space, aa, bb)))
+    return CatalogResult((conclusion,), premises)
 
 
 def verify_cosine_transfer(
     space: SpaceSpec, a, x, y, delta1: float, delta2: float, *, extended: bool = False
-) -> MooreVerdict:
+) -> CatalogResult:
     """Cosine floors of x and y against a transfer to a cosine floor of (x, y)."""
     _require_field(space, (Field.REAL,), "this statement")
     if not (0 < delta1 <= 1 and 0 < delta2 <= 1):
@@ -487,22 +435,26 @@ def verify_cosine_transfer(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nx = pairing_norm(space, xx, extended=extended)
-    ny = pairing_norm(space, yy, extended=extended)
-    cxa = pairing(space, xx, aa, extended=extended) / (nx * na)
-    cya = pairing(space, yy, aa, extended=extended) / (ny * na)
+    na = pairing_norm(space, aa)
+    nx = pairing_norm(space, xx)
+    ny = pairing_norm(space, yy)
+    cxa = pairing(space, xx, aa) / (nx * na)
+    cya = pairing(space, yy, aa) / (ny * na)
     premises = bool(cxa >= delta1 - PREMISE_SLACK and cya >= delta2 - PREMISE_SLACK)
     bound = (delta1 + delta2) ** 2 / 2 - 1.5
-    center = pairing(space, xx, yy, extended=extended) / (nx * ny)
+    center = pairing(space, xx, yy) / (nx * ny)
     conclusion = make_evaluation("t1.5-i", 1.0, bound, center=center)
-    return MooreVerdict(premises, conclusion)
+    return CatalogResult((conclusion,), premises)
 
 
 def verify_quotient_transfer(
     space: SpaceSpec, a, b, x, mu1: Optional[float] = None, mu2: Optional[float] = None, *, extended: bool = False
-) -> QuotientTransferVerdict:
-    """Floors/caps on <x,a><x,b>/||x||^2 transfer to cosine bounds on (a, b)."""
+) -> tuple:
+    """Floors/caps on <x,a><x,b>/||x||^2 transfer to cosine bounds on (a, b).
+
+    Returns (lower, upper): the mu1 and the mu2 result, None where that
+    parameter is not given.
+    """
     _require_field(space, (Field.REAL,), "this statement")
     if mu1 is None and mu2 is None:
         raise DomainError("at least one of mu1, mu2 is required")
@@ -513,22 +465,22 @@ def verify_quotient_transfer(
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     bb = _vec(space, b, "b", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa, extended=extended)
-    nb = pairing_norm(space, bb, extended=extended)
-    nx2 = pairing(space, xx, xx, extended=extended)
-    quotient = pairing(space, xx, aa, extended=extended) * pairing(space, xx, bb, extended=extended) / nx2
-    cos_ab = pairing(space, aa, bb, extended=extended) / (na * nb)
+    na = pairing_norm(space, aa)
+    nb = pairing_norm(space, bb)
+    nx2 = pairing(space, xx, xx)
+    quotient = pairing(space, xx, aa) * pairing(space, xx, bb) / nx2
+    cos_ab = pairing(space, aa, bb) / (na * nb)
     slack = PREMISE_SLACK * na * nb
     lower = upper = None
     if mu1 is not None:
         premises = bool(quotient >= mu1 * na * nb - slack)
         conclusion = make_evaluation("t1.5-ii", 1.0, 2.0 * mu1 - 1.0, center=cos_ab)
-        lower = MooreVerdict(premises, conclusion)
+        lower = CatalogResult((conclusion,), premises)
     if mu2 is not None:
         premises = bool(quotient <= mu2 * na * nb + slack)
         conclusion = make_evaluation("t1.5-ii", 1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
-        upper = MooreVerdict(premises, conclusion)
-    return QuotientTransferVerdict(lower, upper)
+        upper = CatalogResult((conclusion,), premises)
+    return lower, upper
 
 
 # orthonormal-family statements -----------------------------------------------
@@ -540,22 +492,21 @@ def _family_core(space, E, F, x, y, extended):
     Returns (S, <x,y>, ||x||, ||y||, pieces) where S is the bilinear family
     sum and pieces holds the member pairings for reflection reuse.
     """
-    g = _gram_matrix(space, extended)
     me = _family_members(space, E, "E", extended)
     mf = _family_members(space, F, "F", extended)
-    ce = _pairings(space, g, x, me)
-    cf = _pairings(space, g, x, mf)
-    cey = _pairings_right(space, g, me, y)
-    cfy = _pairings_right(space, g, mf, y)
-    cross = _cross_matrix(space, g, me, mf)
+    ce = _pairings(space, x, me)
+    cf = _pairings(space, x, mf)
+    cey = _pairings_right(space, me, y)
+    cfy = _pairings_right(space, mf, y)
+    cross = _cross_matrix(space, me, mf)
     s = ce @ cey + cf @ cfy - 2.0 * (ce @ cross @ cfy)
-    xy = pairing(space, x, y, extended=extended)
-    nx = pairing_norm(space, x, extended=extended)
-    ny = pairing_norm(space, y, extended=extended)
+    xy = pairing(space, x, y)
+    nx = pairing_norm(space, x)
+    ny = pairing_norm(space, y)
     return s, xy, nx, ny, (me, mf, ce, cfy)
 
 
-def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
     """Two-family projection sum bound, cross-checked through reflections.
 
     The direct summation |S - <x,y>/2| and the reflection route
@@ -573,16 +524,16 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) ->
     # in their own dtype, and pair them at the precision of the direct route
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise DomainError("reflected vectors have non-finite coordinates")
-    other = 0.5 * abs(pairing(space, u, v, extended=extended))
+    other = 0.5 * abs(pairing(space, u, v))
     tol = ROUTE_AGREEMENT_REL * max(float(direct), float(other), float(nx * ny))
     if abs(float(direct) - float(other)) > tol:
         raise ArithmeticError(
             f"projection-sum routes disagree: {float(direct)!r} vs {float(other)!r}"
         )
-    return make_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny)
+    return CatalogResult((make_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny),))
 
 
-def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> ChainEvaluation:
+def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
     """Two chained caps on |S| through the signed half-pairing midpoint."""
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
@@ -591,10 +542,10 @@ def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> Chain
     scale = nx * ny
     first = make_evaluation("chain-2.10", scale, abs(s), rhs=middle)
     second = make_evaluation("chain-2.10", scale, middle, rhs=0.5 * (abs(xy) + scale))
-    return ChainEvaluation((first, second))
+    return CatalogResult((first, second))
 
 
-def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> IneqEvaluation:
+def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
     """Signed two-sided window for the real two-family sum."""
     _require_field(space, (Field.REAL,), "this statement")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
@@ -602,49 +553,47 @@ def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False) ->
     s, xy, nx, ny, _ = _family_core(space, E, F, xx, yy, extended)
     lhs = 0.5 * (xy - nx * ny)
     rhs = 0.5 * (xy + nx * ny)
-    return make_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs)
+    return CatalogResult((make_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs),))
 
 
 # complexified statements -----------------------------------------------------
 
 
-def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False) -> ChainEvaluation:
+def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False) -> CatalogResult:
     """Quadratic cap for the pairing of a real direction with a complexified z."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     zre, zim = _complexified_parts(space, z, "z", extended)
-    pa = pairing(space, aa, zre, extended=extended)
-    pb = pairing(space, aa, zim, extended=extended)
+    pa = pairing(space, aa, zre)
+    pb = pairing(space, aa, zim)
     lhs = pa * pa + pb * pb
-    na2 = pairing(space, aa, aa, extended=extended)
-    nre2 = pairing(space, zre, zre, extended=extended)
-    nim2 = pairing(space, zim, zim, extended=extended)
+    na2 = pairing(space, aa, aa)
+    nre2 = pairing(space, zre, zre)
+    nim2 = pairing(space, zim, zim)
     nz2 = nre2 + nim2
-    mixed = pairing(space, zre, zim, extended=extended)
+    mixed = pairing(space, zre, zim)
     self_pair = np.sqrt((nre2 - nim2) ** 2 + (2.0 * mixed) ** 2)
     middle = 0.5 * na2 * (nz2 + self_pair)
     scale = na2 * nz2
     first = make_evaluation("kurepa-3.2", scale, lhs, rhs=middle)
     second = make_evaluation("kurepa-3.2", scale, middle, rhs=na2 * nz2)
-    return ChainEvaluation((first, second))
+    return CatalogResult((first, second))
 
 
-def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) -> ChainEvaluation:
+def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) -> CatalogResult:
     """Three chained caps for the squared family pairings of a complexified w."""
     _require_field(space, (Field.REAL,), "this statement")
     wre, wim = _complexified_parts(space, w, "w", extended)
-    g = _gram_matrix(space, extended)
     me = _family_members(space, E, "E", extended)
     mf = _family_members(space, F, "F", extended)
-    cdt = np.clongdouble if extended else np.complex128
-    cwe = _pairings(space, g, wre, me).astype(cdt) + 1j * _pairings(space, g, wim, me).astype(cdt)
-    cwf = _pairings(space, g, wre, mf).astype(cdt) + 1j * _pairings(space, g, wim, mf).astype(cdt)
-    cross = _cross_matrix(space, g, me, mf).astype(cdt)
+    cwe = _pairings(space, wre, me) + 1j * _pairings(space, wim, me)
+    cwf = _pairings(space, wre, mf) + 1j * _pairings(space, wim, mf)
+    cross = _cross_matrix(space, me, mf)
     t = cwe @ cwe + cwf @ cwf - 2.0 * (cwe @ cross @ cwf)
-    nre2 = pairing(space, wre, wre, extended=extended)
-    nim2 = pairing(space, wim, wim, extended=extended)
+    nre2 = pairing(space, wre, wre)
+    nim2 = pairing(space, wim, wim)
     nw2 = nre2 + nim2
-    mixed = pairing(space, wre, wim, extended=extended)
+    mixed = pairing(space, wre, wim)
     self_pair = (nre2 - nim2) + 1j * (2.0 * mixed)
     half_self = 0.5 * abs(self_pair)
     middle1 = half_self + abs(t - 0.5 * self_pair)
@@ -652,17 +601,10 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) ->
     first = make_evaluation("kurepa-refined-3.3", nw2, abs(t), rhs=middle1)
     second = make_evaluation("kurepa-refined-3.3", nw2, middle1, rhs=middle2)
     third = make_evaluation("kurepa-refined-3.3", nw2, middle2, rhs=nw2)
-    return ChainEvaluation((first, second, third))
+    return CatalogResult((first, second, third))
 
 
 # registry --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatalogResult:
-    links: tuple
-    binding: IneqEvaluation
-    premises_hold: Optional[bool]
 
 
 @dataclass(frozen=True)
@@ -682,24 +624,6 @@ class CatalogEntry:
         if space.field not in self.fields:
             raise DomainError(f"{self.name} is not defined over {space.field.name.lower()} spaces")
         return self.runner(space, inputs, params or self.default_params, extended)
-
-
-def _single(ev) -> CatalogResult:
-    return CatalogResult((ev,), ev, None)
-
-
-def _conditional(verdict, extra=()) -> CatalogResult:
-    links = (verdict.conclusion, *extra)
-    binding = min(links, key=lambda ev: ev.min_margin / max(ev.scale, 1e-300))
-    return CatalogResult(links, binding, verdict.premises_hold)
-
-
-def _chained(chain: ChainEvaluation) -> CatalogResult:
-    return CatalogResult(chain.links, chain.binding, None)
-
-
-def _quotient_branch(verdict: QuotientTransferVerdict) -> MooreVerdict:
-    return verdict.lower if verdict.lower is not None else verdict.upper
 
 
 def _entry(name, fields, runner, vectors=(), families=(), complexified=(), params=None, premises=False):
@@ -722,37 +646,37 @@ CATALOG = {
     "schwarz": _entry(
         "schwarz",
         _BOTH,
-        lambda s, i, p, ext: _single(eval_schwarz(s, i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_schwarz(s, i["x"], i["y"], extended=ext),
         vectors=("x", "y"),
     ),
     "precupanu-1.1": _entry(
         "precupanu-1.1",
         _REAL,
-        lambda s, i, p, ext: _single(eval_precupanu(s, i["a"], i["b"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_precupanu(s, i["a"], i["b"], i["x"], i["y"], extended=ext),
         vectors=("a", "b", "x", "y"),
     ),
     "richard-1.3": _entry(
         "richard-1.3",
         _REAL,
-        lambda s, i, p, ext: _single(eval_richard(s, i["a"], i["b"], i["x"], extended=ext)),
+        lambda s, i, p, ext: eval_richard(s, i["a"], i["b"], i["x"], extended=ext),
         vectors=("a", "b", "x"),
     ),
     "precupanu-self-1.5": _entry(
         "precupanu-self-1.5",
         _REAL,
-        lambda s, i, p, ext: _single(eval_precupanu_self(s, i["a"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_precupanu_self(s, i["a"], i["x"], i["y"], extended=ext),
         vectors=("a", "x", "y"),
     ),
     "angle-1.6": _entry(
         "angle-1.6",
         _REAL,
-        lambda s, i, p, ext: _single(eval_angle_bound(s, i["a"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_angle_bound(s, i["a"], i["x"], i["y"], extended=ext),
         vectors=("a", "x", "y"),
     ),
     "moore-1.9": _entry(
         "moore-1.9",
         _REAL,
-        lambda s, i, p, ext: _conditional(verify_moore(s, i["x"], i["y"], i["z"], p.eps, extended=ext)),
+        lambda s, i, p, ext: verify_moore(s, i["x"], i["y"], i["z"], p.eps, extended=ext),
         vectors=("x", "y", "z"),
         params=MooreParams(eps=0.05),
         premises=True,
@@ -760,9 +684,7 @@ CATALOG = {
     "precupanu-moore-1.12": _entry(
         "precupanu-moore-1.12",
         _REAL,
-        lambda s, i, p, ext: (
-            lambda v: _conditional(v, extra=(v.refinement,))
-        )(verify_precupanu_moore(s, i["a"], i["b"], i["x"], p, extended=ext)),
+        lambda s, i, p, ext: verify_precupanu_moore(s, i["a"], i["b"], i["x"], p, extended=ext),
         vectors=("a", "b", "x"),
         params=MooreParams(eps1=0.8, eps2=1.0),
         premises=True,
@@ -770,13 +692,13 @@ CATALOG = {
     "buzano-1.14": _entry(
         "buzano-1.14",
         _BOTH,
-        lambda s, i, p, ext: _single(eval_buzano(s, i["a"], i["b"], i["x"], extended=ext)),
+        lambda s, i, p, ext: eval_buzano(s, i["a"], i["b"], i["x"], extended=ext),
         vectors=("a", "b", "x"),
     ),
     "buzano-moore-1.16": _entry(
         "buzano-moore-1.16",
         _BOTH,
-        lambda s, i, p, ext: _conditional(verify_buzano_moore(s, i["x"], i["a"], i["b"], p.eps, extended=ext)),
+        lambda s, i, p, ext: verify_buzano_moore(s, i["x"], i["a"], i["b"], p.eps, extended=ext),
         vectors=("x", "a", "b"),
         params=MooreParams(eps=0.1),
         premises=True,
@@ -784,9 +706,7 @@ CATALOG = {
     "t1.5-i": _entry(
         "t1.5-i",
         _REAL,
-        lambda s, i, p, ext: _conditional(
-            verify_cosine_transfer(s, i["a"], i["x"], i["y"], p.delta1, p.delta2, extended=ext)
-        ),
+        lambda s, i, p, ext: verify_cosine_transfer(s, i["a"], i["x"], i["y"], p.delta1, p.delta2, extended=ext),
         vectors=("a", "x", "y"),
         params=MooreParams(delta1=0.7, delta2=0.7),
         premises=True,
@@ -794,8 +714,9 @@ CATALOG = {
     "t1.5-ii": _entry(
         "t1.5-ii",
         _REAL,
-        lambda s, i, p, ext: _conditional(
-            _quotient_branch(verify_quotient_transfer(s, i["a"], i["b"], i["x"], mu1=p.mu1, mu2=p.mu2, extended=ext))
+        # the mu1 lane when mu1 is set, else the mu2 lane
+        lambda s, i, p, ext: next(
+            filter(None, verify_quotient_transfer(s, i["a"], i["b"], i["x"], mu1=p.mu1, mu2=p.mu2, extended=ext))
         ),
         vectors=("a", "b", "x"),
         params=MooreParams(mu1=0.6),
@@ -804,35 +725,35 @@ CATALOG = {
     "generalized-2.1": _entry(
         "generalized-2.1",
         _BOTH,
-        lambda s, i, p, ext: _single(eval_generalized(s, i["E"], i["F"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_generalized(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
         vectors=("x", "y"),
         families=("E", "F"),
     ),
     "chain-2.10": _entry(
         "chain-2.10",
         _BOTH,
-        lambda s, i, p, ext: _chained(eval_chain(s, i["E"], i["F"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_chain(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
         vectors=("x", "y"),
         families=("E", "F"),
     ),
     "real-double-2.14": _entry(
         "real-double-2.14",
         _REAL,
-        lambda s, i, p, ext: _single(eval_real_double(s, i["E"], i["F"], i["x"], i["y"], extended=ext)),
+        lambda s, i, p, ext: eval_real_double(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
         vectors=("x", "y"),
         families=("E", "F"),
     ),
     "kurepa-3.2": _entry(
         "kurepa-3.2",
         _REAL,
-        lambda s, i, p, ext: _chained(eval_kurepa(s, i["a"], i["z"], extended=ext)),
+        lambda s, i, p, ext: eval_kurepa(s, i["a"], i["z"], extended=ext),
         vectors=("a",),
         complexified=("z",),
     ),
     "kurepa-refined-3.3": _entry(
         "kurepa-refined-3.3",
         _REAL,
-        lambda s, i, p, ext: _chained(eval_kurepa_refined(s, i["E"], i["F"], i["w"], extended=ext)),
+        lambda s, i, p, ext: eval_kurepa_refined(s, i["E"], i["F"], i["w"], extended=ext),
         families=("E", "F"),
         complexified=("w",),
     ),

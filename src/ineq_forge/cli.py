@@ -15,8 +15,9 @@ hold.  Those lines come from the falsify shard pass that fills the summary,
 so each instance is sampled, evaluated and digested once; they are written
 shard by shard in trial order, before the name's summary line.
 
-Exit codes: 0 pass, 1 usage error, 2 confirmed violation or failed equality
-round-trip, 3 experimental counterexample finding (moore-complex only).
+Exit codes: 0 pass, 1 usage error or unwritable output path, 2 confirmed
+violation or failed equality round-trip, 3 experimental counterexample
+finding (moore-complex only).
 """
 
 from __future__ import annotations
@@ -441,7 +442,8 @@ def main(argv=None) -> int:
         return args.handler(args, threads)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
+        # OSError: an --out or --csv path that cannot be written
         sys.stderr.write(f"ineq-forge: error: {exc}\n")
         return 1
 

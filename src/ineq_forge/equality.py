@@ -264,7 +264,7 @@ def build_generalized(space: SpaceSpec, rng) -> BuiltEquality:
     x = construct_equality_instance(space, E, F, lam, y)
     cert = solve_reflection_ratio(space, E, F, x, y)
     recovered = cert.coefficients[0] if cert.coefficients else None
-    ev = eval_generalized(space, E, F, x, y)
+    ev = eval_generalized(space, E, F, x, y).binding
     return BuiltEquality("generalized-2.1", cert, lam, recovered, ev)
 
 
@@ -274,7 +274,7 @@ def build_schwarz(space: SpaceSpec, rng) -> BuiltEquality:
     x = lam * y
     cert = solve_reflection_ratio(space, _empty_family(space), _empty_family(space), x, y)
     recovered = cert.coefficients[0] if cert.coefficients else None
-    ev = eval_schwarz(space, x, y)
+    ev = eval_schwarz(space, x, y).binding
     return BuiltEquality("schwarz", cert, lam, recovered, ev)
 
 
@@ -295,7 +295,7 @@ def build_richard(space: SpaceSpec, rng) -> BuiltEquality:
     kappa = norm(space, a) / norm(space, b)
     lam_c, mu_c = cert.coefficients
     recovered = mu_c / lam_c if abs(lam_c) > 1e-13 else None
-    ev = eval_richard(space, a, b, x)
+    ev = eval_richard(space, a, b, x).binding
     return BuiltEquality("richard-1.3", cert, kappa, recovered, ev)
 
 
@@ -317,7 +317,7 @@ def build_buzano(space: SpaceSpec, rng) -> BuiltEquality:
     cert = solve_reflection_ratio(space, xhat, _empty_family(space), a, b)
     expected = -phase * na / nb
     recovered = cert.coefficients[0] if cert.coefficients else None
-    ev = eval_buzano(space, a, b, x)
+    ev = eval_buzano(space, a, b, x).binding
     return BuiltEquality("buzano-1.14", cert, expected, recovered, ev)
 
 

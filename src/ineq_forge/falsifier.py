@@ -491,9 +491,8 @@ def _bucket(normalized_margin: float) -> int:
 
 
 def _normalized_margin(result):
-    values = [link.min_margin / max(link.scale, _TINY) for link in result.links]
-    i = min(range(len(values)), key=values.__getitem__)
-    return values[i], result.links[i]
+    binding = result.binding
+    return binding.min_margin / max(binding.scale, _TINY), binding
 
 
 def _confirmed_violation(entry, space, inputs, params) -> bool:
@@ -706,14 +705,14 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _instance_record(name: str, sampled: SampledInstance, result, holds: bool) -> tuple:
+def _instance_record(name: str, sampled: SampledInstance, binding, holds: bool) -> tuple:
     """The plain values of one evaluated trial that an instance line needs:
     (dim, field, instance digest, the binding link's lhs, center, rhs,
     margin_lower and margin_upper, holds, near_equality)."""
     space = sampled.space
-    b = result.binding
     return (space.dim, space.field.name.lower(), instance_digest(name, space, sampled.inputs),
-            b.lhs, b.center, b.rhs, b.margin_lower, b.margin_upper, holds, b.near_equality)
+            binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper,
+            holds, binding.near_equality)
 
 
 def _shard_worker(task):
@@ -744,7 +743,7 @@ def _shard_worker(task):
         # (normalized, index) is unique, so the flags never decide the order
         _keep_top(top, (normalized, index, binding.near_equality, violated))
         if records is not None:
-            records.append(_instance_record(name, sampled, result, holds))
+            records.append(_instance_record(name, sampled, binding, holds))
     return hist, near, violations, starved_count, worst, top, records
 
 
@@ -849,9 +848,9 @@ def _moore_complex_sample(config: SearchConfig, eps: float, index: int):
 
 
 def _moore_ratio(space, inputs, eps: float, extended: bool = False):
-    verdict = verify_moore(space, inputs["x"], inputs["y"], inputs["z"], eps, extended=extended)
-    scale = max(verdict.conclusion.scale, _TINY)
-    return verdict.premises_hold, verdict.conclusion.center / scale, verdict.conclusion.scale
+    result = verify_moore(space, inputs["x"], inputs["y"], inputs["z"], eps, extended=extended)
+    (conclusion,) = result.links
+    return result.premises_hold, conclusion.center / max(conclusion.scale, _TINY), conclusion.scale
 
 
 def _refine_moore_candidate(space, inputs, eps: float, config: SearchConfig) -> AscentResult:

@@ -8,8 +8,11 @@ second: inner(u, v) = u^T G conj(v) with G Hermitian positive definite
     <(x, y), (x', y')> = <x, x'> + <y, y'> + i(<x', y> - <x, y'>),
 
 which coincides with the plain complex space on coordinates re + i*im and
-the same gram.  Every operation has an extended-precision twin (x86 80-bit
-long double) used as an independent numerical oracle.
+the same gram.  Precision follows the operands' dtype: float64/complex128
+coordinates pair in double precision, long double ones (x86 80-bit) in
+extended precision, which serves as an independent numerical oracle.  The
+gram stays double and numpy promotes it exactly.  `inner`, `norm` and the
+complexified pairings take `extended=True` and cast once after validation.
 
 Validation happens once, at the boundary.  The public `as_vector`, `inner`,
 `norm` and `require_nonzero` check their arguments (complex data in a real
@@ -105,51 +108,52 @@ def as_vector(space: SpaceSpec, x) -> np.ndarray:
     return v
 
 
-def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray, *, extended: bool = False):
+def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray):
     """The pairing u^T gram conj(v) of arrays that already passed as_vector.
 
-    Validates nothing.  With `extended` the arithmetic runs in the field's
-    extended dtype and the result stays a numpy scalar; otherwise it is a
-    Python float or complex.
+    Validates nothing and computes in the operands' dtype.  Double operands
+    give a Python float or complex; extended ones a numpy scalar.
     """
-    if extended:
-        dt = space.field.extended_dtype
-        u = u.astype(dt, copy=False)
-        v = v.astype(dt, copy=False)
-        g = None if space.gram is None else space.gram.astype(dt)
-    else:
-        g = space.gram
     w = np.conj(v) if space.field is Field.COMPLEX else v
-    if g is not None:
-        w = g @ w
+    if space.gram is not None:
+        w = space.gram @ w
     out = u @ w
-    if extended:
-        return out
-    return complex(out) if space.field is Field.COMPLEX else float(out)
+    t = type(out)
+    if t is np.float64:
+        return float(out)
+    if t is np.complex128:
+        return complex(out)
+    return out
 
 
-def pairing_norm(space: SpaceSpec, u: np.ndarray, *, extended: bool = False):
+def pairing_norm(space: SpaceSpec, u: np.ndarray):
     """Norm induced by `pairing`, on an array that already passed as_vector;
     tiny negative squares clamp to zero."""
-    q = pairing(space, u, u, extended=extended)
+    q = pairing(space, u, u)
     if space.field is Field.COMPLEX:
         re = q.real
         if abs(q.imag) > 1e-12 * max(1.0, abs(re)):
             raise DomainError("squared norm has a non-negligible imaginary part")
     else:
         re = q
-    zero = type(re)(0.0) if extended else 0.0
-    return np.sqrt(max(re, zero)) if extended else float(np.sqrt(max(re, 0.0)))
+    if type(re) is float:
+        return math.sqrt(max(re, 0.0))
+    return np.sqrt(max(re, type(re)(0.0)))
+
+
+def _operand(space: SpaceSpec, x, extended: bool) -> np.ndarray:
+    v = as_vector(space, x)
+    return v.astype(space.field.extended_dtype) if extended else v
 
 
 def inner(space: SpaceSpec, u, v, *, extended: bool = False):
     """The pairing u^T gram conj(v); linear in u, conjugate-linear in v."""
-    return pairing(space, as_vector(space, u), as_vector(space, v), extended=extended)
+    return pairing(space, _operand(space, u, extended), _operand(space, v, extended))
 
 
 def norm(space: SpaceSpec, u, *, extended: bool = False):
     """Norm induced by the pairing; tiny negative squares clamp to zero."""
-    return pairing_norm(space, as_vector(space, u), extended=extended)
+    return pairing_norm(space, _operand(space, u, extended))
 
 
 def zero_norm_threshold(space: SpaceSpec) -> float:

@@ -204,7 +204,7 @@ def test_criterion_4_reduction_suite():
         for i, e in enumerate(E.members):
             for j, f in enumerate(F.members):
                 s_xx -= 2.0 * ce[i] * np.conj(cf[j]) * inner(space, e, f)
-        general = eval_generalized(space, E, F, x, x)
+        general = eval_generalized(space, E, F, x, x).binding
         record("2.6 value", abs(s_xx - 0.5 * nx2), general.lhs, nx2)
         record("2.6 bound", 0.5 * nx2, general.rhs, nx2)
         chain = eval_chain(space, E, F, x, x)
@@ -220,7 +220,7 @@ def test_criterion_4_reduction_suite():
         y = _random_vector(space, rng)
         single = sum(inner(space, x, g) * inner(space, g, y) for g in G.members)
         direct_27 = abs(single - 0.5 * inner(space, x, y))
-        general_27 = eval_generalized(space, Ea, Fa, x, y)
+        general_27 = eval_generalized(space, Ea, Fa, x, y).binding
         scale_xy = norm(space, x) * norm(space, y)
         record("2.7 value", direct_27, general_27.lhs, scale_xy)
         record("2.7 bound", 0.5 * scale_xy, general_27.rhs, scale_xy)
@@ -237,7 +237,7 @@ def test_criterion_4_reduction_suite():
             + inner(space, x, f) * inner(space, f, y) / nf2
             - 2.0 * inner(space, x, e) * inner(space, f, y) * inner(space, e, f) / (ne2 * nf2)
         )
-        general_28 = eval_generalized(space, Es, Fs, x, y)
+        general_28 = eval_generalized(space, Es, Fs, x, y).binding
         record("2.8 value", abs(raw - 0.5 * inner(space, x, y)), general_28.lhs, scale_xy)
         chain_s = eval_chain(space, Es, Fs, x, y)
         record("2.12 value", abs(raw), chain_s.links[0].lhs, scale_xy)
@@ -250,7 +250,7 @@ def test_criterion_4_reduction_suite():
             + abs(inner(space, x, f)) ** 2 / nf2
             - 2.0 * inner(space, x, e) * inner(space, f, x) * inner(space, e, f) / (ne2 * nf2)
         )
-        general_29 = eval_generalized(space, Es, Fs, x, x)
+        general_29 = eval_generalized(space, Es, Fs, x, x).binding
         record("2.9 value", abs(raw_xx - 0.5 * nx2), general_29.lhs, nx2)
         chain_xx = eval_chain(space, Es, Fs, x, x)
         record("2.13 value", abs(raw_xx), chain_xx.links[0].lhs, nx2)
@@ -268,7 +268,7 @@ def test_criterion_4_reduction_suite():
         for i, e in enumerate(Er.members):
             for j, f in enumerate(Fr.members):
                 s_r -= 2.0 * ce_r[i] * cf_r[j] * inner(rspace, e, f)
-        window = eval_real_double(rspace, Er, Fr, xr, xr)
+        window = eval_real_double(rspace, Er, Fr, xr, xr).binding
         record("2.15 value", s_r, window.center, nxr2)
         record("2.15 lower", 0.0, window.lhs, nxr2)
         record("2.15 bound", nxr2, window.rhs, nxr2)

@@ -7,6 +7,7 @@ only assert properties that hold for every valid input (soundness, scale
 covariance, route agreement), never sampled magic numbers.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from ineq_forge.catalog import (
     NEAR_EQUALITY_REL,
     TOL_ABS,
     TOL_REL,
-    ChainEvaluation,
     IneqEvaluation,
     MooreParams,
+    buzano_moore_useful,
     digest_inputs,
     eval_angle_bound,
     eval_buzano,
@@ -42,7 +43,7 @@ from ineq_forge.catalog import (
     verify_precupanu_moore,
     verify_quotient_transfer,
 )
-from ineq_forge.falsifier import SearchConfig, sample_instance
+from ineq_forge.falsifier import FieldChoice, GramKind, SearchConfig, sample_instance
 from ineq_forge.orthonormal import OrthonormalFamily, gram_schmidt
 from ineq_forge.spaces import (
     ComplexifiedVector,
@@ -95,6 +96,34 @@ def random_vec(rng, space):
     return v
 
 
+def record_pairings(monkeypatch):
+    """Record the operand dtypes of every `pairing` call outside the
+    double-precision `require_nonzero` checks, which run on validated
+    arrays before the cast to extended precision."""
+    from ineq_forge import catalog, spaces
+
+    seen = []
+    checking = [0]
+    pairing, require_nonzero = spaces.pairing, catalog.require_nonzero
+
+    def recording(sp, u, v):
+        if not checking[0]:
+            seen.append((u.dtype, v.dtype))
+        return pairing(sp, u, v)
+
+    def counted_check(*args):
+        checking[0] += 1
+        try:
+            return require_nonzero(*args)
+        finally:
+            checking[0] -= 1
+
+    monkeypatch.setattr(catalog, "pairing", recording)
+    monkeypatch.setattr(spaces, "pairing", recording)
+    monkeypatch.setattr(catalog, "require_nonzero", counted_check)
+    return seen
+
+
 def random_family(rng, space, size):
     if size == 0:
         return empty_fam(space)
@@ -104,7 +133,7 @@ def random_family(rng, space, size):
 
 class TestEvaluationRecord:
     def test_two_sided_margins(self):
-        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0])
+        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
@@ -114,7 +143,7 @@ class TestEvaluationRecord:
         assert ev.holds and ev.near_equality
 
     def test_one_sided_upper_has_no_center(self):
-        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0])
+        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0]).binding
         assert ev.center is None and ev.margin_lower is None
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
@@ -122,17 +151,17 @@ class TestEvaluationRecord:
         assert ev.holds and not ev.near_equality
 
     def test_one_sided_lower_has_no_rhs(self):
-        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0])
+        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0]).binding
         assert ev.rhs is None and ev.margin_upper is None
         assert ev.lhs == pytest.approx(0.5)
         assert ev.center == pytest.approx(1.0)
         assert ev.margin_lower == pytest.approx(0.5)
 
     def test_near_equality_is_scale_relative(self):
-        ev = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-10])
+        ev = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-10]).binding
         # cos deficit ~ 5e-21 relative: far inside the near-equality band.
         assert ev.near_equality
-        ev2 = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-4])
+        ev2 = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-4]).binding
         assert not ev2.near_equality
 
 
@@ -171,37 +200,37 @@ class TestDigest:
 
 class TestSchwarz:
     def test_hand_value(self):
-        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0])
+        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
 
     def test_collinear_equality(self):
-        ev = eval_schwarz(R2, [2.0, 0.0], [2.0, 0.0])
+        ev = eval_schwarz(R2, [2.0, 0.0], [2.0, 0.0]).binding
         assert ev.margin_upper == pytest.approx(0.0, abs=1e-15)
         assert ev.near_equality
 
     def test_complex(self):
         # <x,y> = 1*conj(i) = -i, ||x|| = sqrt(2), ||y|| = 1.
-        ev = eval_schwarz(C2, [1.0, 1j], [1j, 0.0])
+        ev = eval_schwarz(C2, [1.0, 1j], [1j, 0.0]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
 
     def test_zero_vector_allowed(self):
-        ev = eval_schwarz(R2, [0.0, 0.0], [1.0, 0.0])
+        ev = eval_schwarz(R2, [0.0, 0.0], [1.0, 0.0]).binding
         assert ev.lhs == 0.0 and ev.rhs == 0.0
         assert ev.holds and ev.near_equality
 
     def test_weighted_gram(self):
         g = np.diag([4.0, 1.0])
         s = SpaceSpec(2, Field.REAL, g)
-        ev = eval_schwarz(s, [1.0, 0.0], [0.0, 1.0])
+        ev = eval_schwarz(s, [1.0, 0.0], [0.0, 1.0]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(2.0)
 
 
 class TestPrecupanu:
     def test_hand_value_right_equality(self):
-        ev = eval_precupanu(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0])
+        ev = eval_precupanu(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
@@ -218,8 +247,8 @@ class TestPrecupanu:
             y = y - (inner(R3, y, b) / inner(R3, b, b)) * b
             if norm(R3, y) < 1e-6:
                 continue
-            full = eval_precupanu(R3, a, b, x, y)
-            line = eval_richard(R3, a, b, x)
+            full = eval_precupanu(R3, a, b, x, y).binding
+            line = eval_richard(R3, a, b, x).binding
             nx2 = norm(R3, x) ** 2
             assert full.center * nx2 == pytest.approx(line.center, rel=1e-12, abs=1e-12)
             assert full.lhs * nx2 == pytest.approx(line.lhs, rel=1e-12, abs=1e-12)
@@ -244,26 +273,26 @@ class TestPrecupanu:
                 rng.standard_normal(3),
                 rng.standard_normal(3),
                 rng.standard_normal(3),
-            )
+            ).binding
             assert ev.holds
 
 
 class TestRichard:
     def test_hand_value_right_equality(self):
-        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0])
+        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.lhs == pytest.approx(-1.0)
 
     def test_orthogonal_a_b_to_x(self):
-        ev = eval_richard(R2, a=[0.0, 2.0], b=[0.0, -3.0], x=[1.0, 0.0])
+        ev = eval_richard(R2, a=[0.0, 2.0], b=[0.0, -3.0], x=[1.0, 0.0]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.lhs == pytest.approx(-6.0)
         assert ev.rhs == pytest.approx(0.0, abs=1e-15)
         assert ev.holds and ev.near_equality
 
     def test_a_b_x_identical_unit(self):
-        ev = eval_richard(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0])
+        ev = eval_richard(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
@@ -273,9 +302,9 @@ class TestRichard:
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        base = eval_richard(R3, a, b, x)
+        base = eval_richard(R3, a, b, x).binding
         for t in (2.0**-20, 2.0**20):
-            ev = eval_richard(R3, t * a, b, x)
+            ev = eval_richard(R3, t * a, b, x).binding
             assert ev.margin_lower / ev.scale == pytest.approx(base.margin_lower / base.scale, rel=1e-12)
             assert ev.margin_upper / ev.scale == pytest.approx(base.margin_upper / base.scale, rel=1e-12)
             assert ev.holds == base.holds and ev.near_equality == base.near_equality
@@ -287,31 +316,31 @@ class TestRichard:
 
 class TestPrecupanuSelf:
     def test_x_equals_y_collapses_to_zero(self):
-        ev = eval_precupanu_self(R2, a=[3.0, 4.0], x=[1.0, 2.0], y=[1.0, 2.0])
+        ev = eval_precupanu_self(R2, a=[3.0, 4.0], x=[1.0, 2.0], y=[1.0, 2.0]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-12)
         assert ev.lhs == 0.0
         assert ev.rhs == pytest.approx(25.0)
         assert ev.near_equality
 
     def test_orthogonal_frame_right_equality(self):
-        ev = eval_precupanu_self(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0])
+        ev = eval_precupanu_self(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
 
     def test_a_orthogonal_to_both(self):
-        ev = eval_precupanu_self(R3, a=[0.0, 0.0, 1.0], x=[1.0, 0.0, 0.0], y=[0.0, 1.0, 0.0])
+        ev = eval_precupanu_self(R3, a=[0.0, 0.0, 1.0], x=[1.0, 0.0, 0.0], y=[0.0, 1.0, 0.0]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.near_equality
 
 
 class TestAngleBound:
     def test_common_vector_hand_value(self):
-        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0])
+        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0]).binding
         assert ev.lhs == pytest.approx(0.5)
         assert ev.center == pytest.approx(1.0)
 
     def test_orthogonal_pair_bound_is_slack(self):
-        ev = eval_angle_bound(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0])
+        ev = eval_angle_bound(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.scale == 1.0
@@ -323,7 +352,7 @@ class TestAngleBound:
     def test_random_soundness(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            ev = eval_angle_bound(R3, rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3))
+            ev = eval_angle_bound(R3, rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3)).binding
             assert ev.holds
 
 
@@ -355,24 +384,24 @@ class TestMooreCoefficient:
 class TestVerifyMoore:
     def test_identical_vectors(self):
         v = verify_moore(R2, x=[1.0, 2.0], y=[1.0, 2.0], z=[1.0, 2.0], eps=0.1)
-        assert v.premises_hold and not v.vacuous
-        assert v.conclusion.center == pytest.approx(5.0)
-        assert v.conclusion.lhs == pytest.approx(0.6 * 5.0)
-        assert v.conclusion.rhs is None
-        assert v.conclusion.holds
+        assert v.premises_hold
+        assert v.links[0].center == pytest.approx(5.0)
+        assert v.links[0].lhs == pytest.approx(0.6 * 5.0)
+        assert v.links[0].rhs is None
+        assert v.links[0].holds
 
     def test_vacuous_premises_conclusion_still_evaluated(self):
         v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], eps=0.05)
-        assert not v.premises_hold and v.vacuous
-        assert v.conclusion.center == pytest.approx(0.0, abs=1e-15)
-        assert v.conclusion.lhs == pytest.approx(0.8)
-        assert not v.conclusion.holds
+        assert not v.premises_hold
+        assert v.links[0].center == pytest.approx(0.0, abs=1e-15)
+        assert v.links[0].lhs == pytest.approx(0.8)
+        assert not v.links[0].holds
 
     def test_eps_one_trivial_conclusion(self):
         v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], eps=1.0)
         assert v.premises_hold
-        assert v.conclusion.lhs == 0.0
-        assert v.conclusion.holds
+        assert v.links[0].lhs == 0.0
+        assert v.links[0].holds
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
@@ -400,12 +429,12 @@ class TestPrecupanuMoore:
     def test_aligned_instance(self):
         v = verify_precupanu_moore(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], params=MooreParams(eps1=0.9, eps2=1.0))
         assert v.premises_hold
-        c = v.conclusion
+        c = v.links[0]
         assert c.center == pytest.approx(1.0)
         assert c.lhs == pytest.approx(2 * 0.81 - 1)
         assert c.rhs == pytest.approx(2 * 0.81 + 1)
         assert c.holds
-        r = v.refinement
+        r = v.links[1]
         assert r.lhs == pytest.approx(-1.0)
         assert r.center == pytest.approx(2 * 0.81 - 1)
         assert r.rhs == pytest.approx(1.0)
@@ -414,7 +443,7 @@ class TestPrecupanuMoore:
     def test_vacuous_when_a_perp_x(self):
         v = verify_precupanu_moore(R2, a=[0.0, 1.0], b=[1.0, 0.0], x=[1.0, 0.0], params=MooreParams(eps1=0.5, eps2=0.9))
         assert not v.premises_hold
-        assert v.conclusion is not None
+        assert len(v.links) == 2
 
     def test_signed_premises(self):
         # Anti-aligned a fails the signed window even though |cos| = 1.
@@ -432,19 +461,19 @@ class TestPrecupanuMoore:
 
 class TestBuzano:
     def test_real_hand_equality(self):
-        ev = eval_buzano(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0])
+        ev = eval_buzano(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.near_equality
 
     def test_complex_hand_equality(self):
-        ev = eval_buzano(C1, a=[1j], b=[1.0], x=[1.0])
+        ev = eval_buzano(C1, a=[1j], b=[1.0], x=[1.0]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.near_equality
 
     def test_x_aligned_with_a_orthogonal_b(self):
-        ev = eval_buzano(R2, a=[1.0, 0.0], b=[0.0, 1.0], x=[1.0, 0.0])
+        ev = eval_buzano(R2, a=[1.0, 0.0], b=[0.0, 1.0], x=[1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(0.5)
 
@@ -454,8 +483,8 @@ class TestBuzano:
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s = SpaceSpec(3, Field.COMPLEX)
-        base = eval_buzano(s, a, b, x)
-        scaled = eval_buzano(s, a, b, 2.0**12 * x)
+        base = eval_buzano(s, a, b, x).binding
+        scaled = eval_buzano(s, a, b, 2.0**12 * x).binding
         assert scaled.margin_upper / scaled.scale == pytest.approx(base.margin_upper / base.scale, rel=1e-12)
 
 
@@ -463,20 +492,20 @@ class TestBuzanoMoore:
     def test_aligned_hand_value(self):
         v = verify_buzano_moore(C2, x=[1.0, 0.0], a=[1.0, 0.0], b=[1.0, 0.0], eps=0.1)
         assert v.premises_hold
-        assert v.in_useful_window
-        assert v.conclusion.lhs == pytest.approx(0.62)
-        assert v.conclusion.center == pytest.approx(1.0)
-        assert v.conclusion.holds
+        assert buzano_moore_useful(0.1)
+        assert v.links[0].lhs == pytest.approx(0.62)
+        assert v.links[0].center == pytest.approx(1.0)
+        assert v.links[0].holds
 
     def test_window_flag(self):
         crit = 1 - math.sqrt(2.0) / 2
-        assert verify_buzano_moore(R2, [1, 0], [1, 0], [1, 0], eps=crit).in_useful_window
-        assert not verify_buzano_moore(R2, [1, 0], [1, 0], [1, 0], eps=0.5).in_useful_window
+        assert buzano_moore_useful(crit)
+        assert not buzano_moore_useful(0.5)
 
     def test_coefficient_vanishes_at_window_edge(self):
         crit = 1 - math.sqrt(2.0) / 2
         v = verify_buzano_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], eps=crit)
-        assert abs(v.conclusion.lhs) <= 1e-12
+        assert abs(v.links[0].lhs) <= 1e-12
 
     def test_eps_range(self):
         for bad in (0.0, -0.2, 1.0 + 1e-9):
@@ -488,10 +517,10 @@ class TestCosineTransfer:
     def test_common_direction(self):
         v = verify_cosine_transfer(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0], delta1=1.0, delta2=1.0)
         assert v.premises_hold
-        assert v.conclusion.lhs == pytest.approx(0.5)
-        assert v.conclusion.center == pytest.approx(1.0)
-        assert v.conclusion.rhs is None
-        assert v.conclusion.scale == 1.0
+        assert v.links[0].lhs == pytest.approx(0.5)
+        assert v.links[0].center == pytest.approx(1.0)
+        assert v.links[0].rhs is None
+        assert v.links[0].scale == 1.0
 
     def test_vacuous(self):
         v = verify_cosine_transfer(R2, a=[1.0, 0.0], x=[0.0, 1.0], y=[1.0, 0.0], delta1=0.9, delta2=0.9)
@@ -515,30 +544,30 @@ class TestQuotientTransfer:
     def test_lower_branch(self):
         a, b = self._pair_with_cosine(0.8)
         x = a / np.linalg.norm(a) + b / np.linalg.norm(b)
-        v = verify_quotient_transfer(R2, a, b, x, mu1=0.6)
-        assert v.upper is None
-        assert v.lower.premises_hold
-        assert v.lower.conclusion.lhs == pytest.approx(0.2)
-        assert v.lower.conclusion.center == pytest.approx(0.8)
-        assert v.lower.conclusion.holds
+        lower, upper = verify_quotient_transfer(R2, a, b, x, mu1=0.6)
+        assert upper is None
+        assert lower.premises_hold
+        assert lower.links[0].lhs == pytest.approx(0.2)
+        assert lower.links[0].center == pytest.approx(0.8)
+        assert lower.links[0].holds
 
     def test_upper_branch(self):
         a, b = self._pair_with_cosine(-0.8)
         x = a / np.linalg.norm(a) - b / np.linalg.norm(b)
-        v = verify_quotient_transfer(R2, a, b, x, mu2=-0.6)
-        assert v.lower is None
-        assert v.upper.premises_hold
-        assert v.upper.conclusion.lhs == pytest.approx(-0.8)
-        assert v.upper.conclusion.rhs == pytest.approx(-0.2)
-        assert v.upper.conclusion.holds
+        lower, upper = verify_quotient_transfer(R2, a, b, x, mu2=-0.6)
+        assert lower is None
+        assert upper.premises_hold
+        assert upper.links[0].lhs == pytest.approx(-0.8)
+        assert upper.links[0].rhs == pytest.approx(-0.2)
+        assert upper.links[0].holds
 
     def test_both_branches(self):
         a, b = self._pair_with_cosine(0.0)
-        v = verify_quotient_transfer(R2, a, b, [1.0, 1.0], mu1=0.0, mu2=0.0)
-        assert v.lower is not None and v.upper is not None
+        lower, upper = verify_quotient_transfer(R2, a, b, [1.0, 1.0], mu1=0.0, mu2=0.0)
+        assert lower is not None and upper is not None
         # mu1=0 makes the lower premise hold whenever the quotient is >= 0.
-        assert v.lower.conclusion.lhs == pytest.approx(-1.0)
-        assert v.upper.conclusion.rhs == pytest.approx(1.0)
+        assert lower.links[0].lhs == pytest.approx(-1.0)
+        assert upper.links[0].rhs == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -548,10 +577,22 @@ class TestQuotientTransfer:
         with pytest.raises(DomainError):
             verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], mu2=0.3)
 
+    def test_catalog_entry_lane(self):
+        # t1.5-ii runs the mu1 lane when mu1 is set, else the mu2 lane
+        a, b = self._pair_with_cosine(0.8)
+        x = a + b
+        inputs = {"a": a, "b": b, "x": x}
+        lower, upper = verify_quotient_transfer(R2, a, b, x, mu1=0.6, mu2=-0.6)
+        assert lower.links[0].rhs is None and upper.links[0].center is None
+        assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu1=0.6, mu2=-0.6)) == lower
+        assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu2=-0.6)) == upper
+        with pytest.raises(DomainError):
+            run_catalog("t1.5-ii", R2, inputs, MooreParams())
+
 
 class TestGeneralized:
     def test_hand_value_single_member(self):
-        ev = eval_generalized(R2, fam(R2, [1.0, 0.0]), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0])
+        ev = eval_generalized(R2, fam(R2, [1.0, 0.0]), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(0.5)
         assert ev.rhs == pytest.approx(math.sqrt(2.0) / 2)
         assert ev.holds and not ev.near_equality
@@ -566,7 +607,7 @@ class TestGeneralized:
                 F = random_family(rng, space, int(rng.integers(0, 4)))
                 x = random_vec(rng, space)
                 y = random_vec(rng, space)
-                ev = eval_generalized(space, E, F, x, y)
+                ev = eval_generalized(space, E, F, x, y).binding
                 u = reflection(E, np.asarray(x, dtype=space.field.dtype))
                 v = reflection(F, np.asarray(y, dtype=space.field.dtype))
                 other = 0.5 * abs(inner(space, u, v))
@@ -574,12 +615,12 @@ class TestGeneralized:
 
     def test_identical_families_halve_schwarz(self):
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
-        ev = eval_generalized(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0])
+        ev = eval_generalized(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0]).binding
         assert ev.lhs == pytest.approx(0.5 * abs(1 * 3 + 2 * -1))
         assert ev.rhs == pytest.approx(0.5 * math.sqrt(5) * math.sqrt(10))
 
     def test_empty_families(self):
-        ev = eval_generalized(R2, empty_fam(R2), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0])
+        ev = eval_generalized(R2, empty_fam(R2), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0]).binding
         assert ev.lhs == pytest.approx(0.5 * 1.0)
         assert ev.rhs == pytest.approx(0.5 * math.sqrt(2.0))
 
@@ -591,8 +632,8 @@ class TestGeneralized:
             F = OrthonormalFamily(R3, big.members[2:])
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            split = eval_generalized(R3, E, F, x, y)
-            joined = eval_generalized(R3, OrthonormalFamily(R3, big.members), empty_fam(R3), x, y)
+            split = eval_generalized(R3, E, F, x, y).binding
+            joined = eval_generalized(R3, OrthonormalFamily(R3, big.members), empty_fam(R3), x, y).binding
             assert split.lhs == pytest.approx(joined.lhs, rel=1e-11, abs=1e-11 * split.scale)
 
     def test_requires_nonzero_x_y(self):
@@ -601,25 +642,16 @@ class TestGeneralized:
 
     @pytest.mark.parametrize("space", [R3, SpaceSpec(3, Field.COMPLEX)])
     def test_extended_reflection_route_pairs_extended_vectors(self, space, monkeypatch):
-        from ineq_forge import catalog, spaces
-
-        seen = []
-        pairing = spaces.pairing
-
-        def recording(sp, u, v, *, extended=False):
-            if extended:
-                seen.append((u.dtype, v.dtype))
-            return pairing(sp, u, v, extended=extended)
-
         rng = np.random.default_rng(3)
         E, F = random_family(rng, space, 2), random_family(rng, space, 1)
         x, y = random_vec(rng, space), random_vec(rng, space)
-        monkeypatch.setattr(catalog, "pairing", recording)
-        monkeypatch.setattr(spaces, "pairing", recording)
+        seen = record_pairings(monkeypatch)
         eval_generalized(space, E, F, x, y, extended=True)
-        # the last extended pairing is the reflection route's; none may get
-        # vectors rounded to double first
-        assert seen and all(dt == space.field.extended_dtype for pair in seen for dt in pair)
+        # the last pairing is the reflection route's; none may get vectors
+        # rounded to double first
+        ext = space.field.extended_dtype
+        assert seen and seen[-1] == (ext, ext)
+        assert all(pair == (ext, ext) for pair in seen)
 
     def test_non_finite_reflection_raises(self):
         # finite inputs whose doubled projection overflows
@@ -637,11 +669,11 @@ class TestChain:
         # signed inner product.  Both links are tight here.
         E = fam(R1, [1.0])
         ch = eval_chain(R1, E, empty_fam(R1), x=[1.0], y=[-1.0])
-        assert ch.eval1.lhs == pytest.approx(1.0)
-        assert ch.eval1.rhs == pytest.approx(1.0)
-        assert ch.eval2.lhs == pytest.approx(1.0)
-        assert ch.eval2.rhs == pytest.approx(1.0)
-        assert ch.eval1.holds and ch.eval2.holds
+        assert ch.links[0].lhs == pytest.approx(1.0)
+        assert ch.links[0].rhs == pytest.approx(1.0)
+        assert ch.links[1].lhs == pytest.approx(1.0)
+        assert ch.links[1].rhs == pytest.approx(1.0)
+        assert ch.links[0].holds and ch.links[1].holds
         assert ch.binding.near_equality
 
     def test_links_compose(self):
@@ -652,21 +684,21 @@ class TestChain:
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
             ch = eval_chain(R3, E, F, x, y)
-            assert ch.eval1.rhs == pytest.approx(ch.eval2.lhs, rel=1e-12)
-            assert ch.eval1.holds and ch.eval2.holds
-            gen = eval_generalized(R3, E, F, x, y)
+            assert ch.links[0].rhs == pytest.approx(ch.links[1].lhs, rel=1e-12)
+            assert ch.links[0].holds and ch.links[1].holds
+            gen = eval_generalized(R3, E, F, x, y).binding
             half = 0.5 * abs(inner(R3, x, y))
-            assert ch.eval2.lhs == pytest.approx(half + gen.lhs, rel=1e-11, abs=1e-11 * gen.scale)
+            assert ch.links[1].lhs == pytest.approx(half + gen.lhs, rel=1e-11, abs=1e-11 * gen.scale)
 
     def test_complex_allowed(self):
         s = SpaceSpec(2, Field.COMPLEX)
         ch = eval_chain(s, fam(s, [1.0, 0.0]), empty_fam(s), x=[1j, 1.0], y=[1.0, 1j])
-        assert ch.eval1.holds and ch.eval2.holds
+        assert ch.links[0].holds and ch.links[1].holds
 
 
 class TestRealDouble:
     def test_hand_value_right_equality(self):
-        ev = eval_real_double(R2, fam(R2, [1.0, 0.0]), fam(R2, [0.0, 1.0]), x=[1.0, 1.0], y=[1.0, 1.0])
+        ev = eval_real_double(R2, fam(R2, [1.0, 0.0]), fam(R2, [0.0, 1.0]), x=[1.0, 1.0], y=[1.0, 1.0]).binding
         assert ev.center == pytest.approx(2.0)
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(2.0)
@@ -674,14 +706,14 @@ class TestRealDouble:
 
     def test_identical_families_zero_center(self):
         E = fam(R2, [1.0, 0.0])
-        ev = eval_real_double(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0])
+        ev = eval_real_double(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-12)
 
     def test_signed_lower_bound_tight_on_antiparallel(self):
         # x = e, y = -e: center = -1 and the signed lower bound equals -1.
         # A lower bound written with |<x,y>| would be 0 and would be violated.
         E = fam(R1, [1.0])
-        ev = eval_real_double(R1, E, empty_fam(R1), x=[1.0], y=[-1.0])
+        ev = eval_real_double(R1, E, empty_fam(R1), x=[1.0], y=[-1.0]).binding
         assert ev.center == pytest.approx(-1.0)
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.rhs == pytest.approx(0.0, abs=1e-15)
@@ -693,7 +725,7 @@ class TestRealDouble:
             E = random_family(rng, R3, int(rng.integers(0, 4)))
             F = random_family(rng, R3, int(rng.integers(0, 4)))
             x = rng.standard_normal(3)
-            ev = eval_real_double(R3, E, F, x, x)
+            ev = eval_real_double(R3, E, F, x, x).binding
             assert ev.lhs == pytest.approx(0.0, abs=1e-12 * ev.scale)
             assert ev.rhs == pytest.approx(norm(R3, x) ** 2, rel=1e-12)
             assert ev.holds
@@ -708,26 +740,26 @@ class TestKurepa:
     def test_dim1_double_equality(self):
         z = ComplexifiedVector(np.array([3.0]), np.array([4.0]))
         ch = eval_kurepa(R1, a=[1.0], z=z)
-        assert ch.eval1.lhs == pytest.approx(25.0)
-        assert ch.eval1.rhs == pytest.approx(25.0)
-        assert ch.eval2.lhs == pytest.approx(25.0)
-        assert ch.eval2.rhs == pytest.approx(25.0)
+        assert ch.links[0].lhs == pytest.approx(25.0)
+        assert ch.links[0].rhs == pytest.approx(25.0)
+        assert ch.links[1].lhs == pytest.approx(25.0)
+        assert ch.links[1].rhs == pytest.approx(25.0)
         assert ch.binding.near_equality
 
     def test_real_part_only_reduces_to_schwarz(self):
         z = ComplexifiedVector(np.array([1.0, 2.0]), np.zeros(2))
         ch = eval_kurepa(R2, a=[3.0, 1.0], z=z)
         # <z, conj z> = ||z||^2, so the second link is tight.
-        assert ch.eval2.margin_upper == pytest.approx(0.0, abs=1e-12)
-        assert ch.eval1.lhs == pytest.approx((3.0 * 1 + 1.0 * 2) ** 2)
+        assert ch.links[1].margin_upper == pytest.approx(0.0, abs=1e-12)
+        assert ch.links[0].lhs == pytest.approx((3.0 * 1 + 1.0 * 2) ** 2)
 
     def test_orthogonal_equal_norm_parts_halve_the_cap(self):
         z = ComplexifiedVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         ch = eval_kurepa(R2, a=[5.0, 0.0], z=z)
         # <z, conj z> = 0 so the middle is half of ||a||^2 ||z||^2.
-        assert ch.eval1.rhs == pytest.approx(0.5 * 25.0 * 2.0)
-        assert ch.eval2.rhs == pytest.approx(25.0 * 2.0)
-        assert ch.eval2.margin_upper == pytest.approx(25.0)
+        assert ch.links[0].rhs == pytest.approx(0.5 * 25.0 * 2.0)
+        assert ch.links[1].rhs == pytest.approx(25.0 * 2.0)
+        assert ch.links[1].margin_upper == pytest.approx(25.0)
 
     def test_zero_a_rejected(self):
         z = ComplexifiedVector(np.array([1.0]), np.array([0.0]))
@@ -739,7 +771,7 @@ class TestKurepa:
         for _ in range(200):
             z = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
             ch = eval_kurepa(R3, rng.standard_normal(3), z)
-            assert ch.eval1.holds and ch.eval2.holds
+            assert ch.links[0].holds and ch.links[1].holds
 
 
 class TestKurepaRefined:
@@ -749,10 +781,10 @@ class TestKurepaRefined:
         ch = eval_kurepa_refined(R2, E, E, w)
         # The two family sums cancel (T = 0) while <w, conj w> = ||w||^2 = 5,
         # so the first link is slack by 5 and the last two are tight.
-        assert ch.eval1.lhs == pytest.approx(0.0, abs=1e-12)
-        assert ch.eval1.margin_upper == pytest.approx(5.0)
-        assert ch.eval2.margin_upper == pytest.approx(0.0, abs=1e-12)
-        assert ch.eval3.margin_upper == pytest.approx(0.0, abs=1e-12)
+        assert ch.links[0].lhs == pytest.approx(0.0, abs=1e-12)
+        assert ch.links[0].margin_upper == pytest.approx(5.0)
+        assert ch.links[1].margin_upper == pytest.approx(0.0, abs=1e-12)
+        assert ch.links[2].margin_upper == pytest.approx(0.0, abs=1e-12)
         assert ch.binding.near_equality
 
     def test_real_w_single_complete_family_all_tight(self):
@@ -769,12 +801,12 @@ class TestKurepaRefined:
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
         w = ComplexifiedVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         ch = eval_kurepa_refined(R2, E, empty_fam(R2), w)
-        assert ch.eval1.lhs == pytest.approx(0.0, abs=1e-15)
-        assert ch.eval1.rhs == pytest.approx(0.0, abs=1e-15)
-        assert ch.eval2.lhs == pytest.approx(0.0, abs=1e-15)
-        assert ch.eval2.rhs == pytest.approx(1.0)
-        assert ch.eval3.lhs == pytest.approx(1.0)
-        assert ch.eval3.rhs == pytest.approx(2.0)
+        assert ch.links[0].lhs == pytest.approx(0.0, abs=1e-15)
+        assert ch.links[0].rhs == pytest.approx(0.0, abs=1e-15)
+        assert ch.links[1].lhs == pytest.approx(0.0, abs=1e-15)
+        assert ch.links[1].rhs == pytest.approx(1.0)
+        assert ch.links[2].lhs == pytest.approx(1.0)
+        assert ch.links[2].rhs == pytest.approx(2.0)
         assert ch.binding.near_equality
 
     def test_singleton_family_scales_to_kurepa(self):
@@ -788,8 +820,8 @@ class TestKurepaRefined:
             z = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
             refined = eval_kurepa_refined(R3, E, empty_fam(R3), z)
             base = eval_kurepa(R3, a, z)
-            assert refined.eval1.lhs * na**2 == pytest.approx(base.eval1.lhs, rel=1e-11, abs=1e-11)
-            assert refined.eval3.rhs * na**2 == pytest.approx(base.eval2.rhs, rel=1e-11)
+            assert refined.links[0].lhs * na**2 == pytest.approx(base.links[0].lhs, rel=1e-11, abs=1e-11)
+            assert refined.links[2].rhs * na**2 == pytest.approx(base.links[1].rhs, rel=1e-11)
 
     def test_random_soundness(self):
         rng = np.random.default_rng(47)
@@ -799,8 +831,8 @@ class TestKurepaRefined:
             w = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
             ch = eval_kurepa_refined(R3, E, F, w)
             assert all(ev.holds for ev in ch.links)
-            assert ch.eval1.rhs == pytest.approx(ch.eval2.lhs, rel=1e-12)
-            assert ch.eval2.rhs == pytest.approx(ch.eval3.lhs, rel=1e-12)
+            assert ch.links[0].rhs == pytest.approx(ch.links[1].lhs, rel=1e-12)
+            assert ch.links[1].rhs == pytest.approx(ch.links[2].lhs, rel=1e-12)
 
 
 class TestExtendedPrecision:
@@ -810,8 +842,8 @@ class TestExtendedPrecision:
             a = rng.standard_normal(3)
             b = rng.standard_normal(3)
             x = rng.standard_normal(3)
-            d = eval_richard(R3, a, b, x)
-            e = eval_richard(R3, a, b, x, extended=True)
+            d = eval_richard(R3, a, b, x).binding
+            e = eval_richard(R3, a, b, x, extended=True).binding
             assert e.center == pytest.approx(d.center, rel=1e-8, abs=1e-8 * d.scale)
             assert e.lhs == pytest.approx(d.lhs, rel=1e-8, abs=1e-8 * d.scale)
             assert e.rhs == pytest.approx(d.rhs, rel=1e-8, abs=1e-8 * d.scale)
@@ -821,8 +853,40 @@ class TestExtendedPrecision:
         # cancellation; extended mode must keep it nonnegative.
         x = np.array([1.0, 1e-9])
         y = np.array([1.0, 0.0])
-        ev = eval_schwarz(R2, x, y, extended=True)
+        ev = eval_schwarz(R2, x, y, extended=True).binding
         assert ev.margin_upper >= 0.0
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [pytest.param(n, f, id=f"{n}-{f.value}") for n, e in CATALOG.items() for f in e.fields],
+    )
+    def test_every_pairing_gets_extended_operands(self, name, field, monkeypatch):
+        choice = FieldChoice.REAL if field is Field.REAL else FieldChoice.COMPLEX
+        config = SearchConfig(seed=3, trials=1, dims=(3, 3), field=choice, gram=GramKind.RANDOM)
+        sampled = sample_instance(config, name, 0)
+        assert sampled.space.field is field
+        seen = record_pairings(monkeypatch)
+        run_catalog(name, sampled.space, sampled.inputs, extended=True)
+        # every pairing, generalized-2.1's reflection route (its last) included
+        ext = field.extended_dtype
+        assert seen and all(pair == (ext, ext) for pair in seen)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs 80-bit long double")
+    def test_double_and_extended_links_are_pinned(self):
+        digest = hashlib.sha256()
+        for gram in (GramKind.IDENTITY, GramKind.RANDOM):
+            config = SearchConfig(seed=7, trials=100, dims=(1, 8), field=FieldChoice.BOTH, gram=gram)
+            for name, entry in CATALOG.items():
+                for index in range(100):
+                    sampled = sample_instance(config, name, index)
+                    for extended in (False, True):
+                        result = entry.run(sampled.space, sampled.inputs, extended=extended)
+                        for ev in result.links:
+                            fields = (ev.lhs, ev.center, ev.rhs, ev.margin_lower, ev.margin_upper,
+                                      ev.holds, ev.near_equality, ev.scale)
+                            digest.update(repr(fields).encode())
+                        digest.update(repr(result.premises_hold).encode())
+        assert digest.hexdigest() == "d3dfef1564e82aef14cfeb5ca81a43239aa1dffa01f38136772d1db5c1aba81c"
 
 
 class TestCatalogRegistry:

@@ -137,6 +137,14 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_path(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "records"
+        code, _, err = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "5", flag, str(path))
+        assert code == 1
+        assert err.startswith("ineq-forge: error:")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_small_sweep_exits_zero(self, capsys):

@@ -63,7 +63,7 @@ class TestReflectionRatio:
         cert = solve_reflection_ratio(R2, E, F, x, [1.0, 1.0])
         assert cert.attained
         assert cert.coefficients[0] == pytest.approx(2.0)
-        ev = eval_generalized(R2, E, F, x, [1.0, 1.0])
+        ev = eval_generalized(R2, E, F, x, [1.0, 1.0]).binding
         assert ev.near_equality
         assert ev.lhs == pytest.approx(2.0)
         assert ev.rhs == pytest.approx(2.0)
@@ -208,7 +208,7 @@ class TestRoundTrip:
             cert = solve_reflection_ratio(space, E, F, x, y)
             assert cert.attained
             assert abs(cert.coefficients[0] - lam) <= 1e-8 * (1 + abs(lam))
-            assert eval_generalized(space, E, F, x, y).near_equality
+            assert eval_generalized(space, E, F, x, y).binding.near_equality
 
 
 class TestScaleInvariance:

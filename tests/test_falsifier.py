@@ -319,14 +319,14 @@ class TestHistogram:
 def _always_violating(space, inputs, params, extended):
     # Schwarz turned around with a factor 2: |<x,y>| >= 2 ||x|| ||y|| fails
     # on every instance, at any precision, and its margin still varies
-    ev = eval_schwarz(space, inputs["x"], inputs["y"], extended=extended)
+    ev = eval_schwarz(space, inputs["x"], inputs["y"], extended=extended).binding
     bad = make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs)
-    return CatalogResult((bad,), bad, None)
+    return CatalogResult((bad,))
 
 
 def _nan_margin(space, inputs, params, extended):
     bad = make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan)
-    return CatalogResult((bad,), bad, None)
+    return CatalogResult((bad,))
 
 
 class TestCountInvariants:
