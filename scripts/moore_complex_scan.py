@@ -22,6 +22,7 @@ Usage:
 import argparse
 import sys
 
+from ineq_forge.cli import _dims_flag
 from ineq_forge.falsifier import (
     FieldChoice,
     SearchConfig,
@@ -38,8 +39,8 @@ def parse_args(argv=None):
     parser.add_argument("--eps-max", type=float, default=0.30)
     parser.add_argument("--steps", type=int, default=12,
                         help="grid points, spaced evenly (default 12)")
-    parser.add_argument("--dims", type=str, default="2..6",
-                        help="ambient dimension range A..B (default 2..6)")
+    parser.add_argument("--dims", type=_dims_flag, default=(2, 6),
+                        help="ambient dimension range A..B, or N for N..N (default 2..6)")
     parser.add_argument("--ascent-steps", type=int, default=0,
                         help="refinement steps on the worst candidates (default 0)")
     parser.add_argument("--seed", type=int, default=0)
@@ -48,7 +49,6 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    lo, hi = (int(p) for p in args.dims.split(".."))
     header = f"{'eps':>8}  {'first':>10}  {'second':>10}  {'min_ratio':>10}  {'slack':>10}  verdict"
     print(header)
     print("-" * len(header))
@@ -61,14 +61,18 @@ def main(argv=None) -> int:
         config = SearchConfig(
             seed=args.seed,
             trials=args.samples,
-            dims=(lo, hi),
+            dims=args.dims,
             ascent_steps=args.ascent_steps,
             field=FieldChoice.COMPLEX,
         )
         report = moore_complex_experiment(eps, config)
-        slack = report.min_observed_ratio - report.first_bound
+        if report.min_observed_ratio is None:  # no sample met the premises
+            observed = f"{'n/a':>10}  {'n/a':>10}"
+        else:
+            slack = report.min_observed_ratio - report.first_bound
+            observed = f"{report.min_observed_ratio:10.6f}  {slack:10.6f}"
         print(f"{eps:8.4f}  {report.first_bound:10.6f}  {report.second_bound:10.6f}  "
-              f"{report.min_observed_ratio:10.6f}  {slack:10.6f}  {report.verdict.value}")
+              f"{observed}  {report.verdict.value}")
         if report.verdict is Verdict.COUNTEREXAMPLE_FOUND:
             found = True
     return 3 if found else 0

@@ -18,7 +18,9 @@ import argparse
 import sys
 
 from ineq_forge.catalog import catalog_names
+from ineq_forge.cli import _dims_flag, _select_names
 from ineq_forge.falsifier import FieldChoice, GramKind, SearchConfig, falsify
+from ineq_forge.spaces import DomainError
 
 
 def parse_args(argv=None):
@@ -28,7 +30,8 @@ def parse_args(argv=None):
     parser.add_argument("--trials", type=int, default=2000)
     parser.add_argument("--ascent-steps", type=int, default=80)
     parser.add_argument("--step", type=float, default=1e-2)
-    parser.add_argument("--dims", type=str, default="2..6")
+    parser.add_argument("--dims", type=_dims_flag, default=(2, 6),
+                        help="ambient dimension range A..B, or N for N..N (default 2..6)")
     parser.add_argument("--field", choices=("real", "complex", "both"), default="both")
     parser.add_argument("--gram", choices=("identity", "random"), default="identity")
     parser.add_argument("--seed", type=int, default=0)
@@ -37,12 +40,15 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    lo, hi = (int(p) for p in args.dims.split(".."))
-    names = catalog_names() if args.names == "all" else args.names.split(",")
+    try:
+        names = _select_names(args.names, catalog_names())
+    except DomainError as exc:
+        print(f"tightness_probe: error: {exc}", file=sys.stderr)
+        return 1
     base = dict(
         seed=args.seed,
         trials=args.trials,
-        dims=(lo, hi),
+        dims=args.dims,
         step_size=args.step,
         field=FieldChoice(args.field),
         gram=GramKind(args.gram),

@@ -14,9 +14,13 @@ present margin is within NEAR_EQUALITY_REL * scale of zero; a violated record
 is therefore also near equality, which keeps tightness counters monotone.
 
 Chained statements return one link per cap; the binding link is the one
-with the smallest scale-normalized margin.  Conditional statements (the Moore
-style results) set `premises_hold`, which is None for the others; their
-conclusion is always evaluated so that vacuous instances remain inspectable.
+with the smallest scale-normalized margin (`normalized_margin`).  Conditional
+statements (the Moore style results) take a MooreParams after their vectors
+and set `premises_hold`, which is None for the others; their conclusion is
+always evaluated so that vacuous instances remain inspectable.
+
+The registry `CATALOG` maps each name to a CatalogEntry, which calls the
+statement function itself with the inputs in one argument order.
 
 Each statement validates each argument once on entry (`_vec`,
 `_family_members`, `_complexified_parts`), casting it there to the field's
@@ -25,18 +29,18 @@ through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
 compute in the dtype of their operands.
 
 Instances are fingerprinted with a 64-bit FNV-1a digest over a canonical byte
-serialization: field tag, dimension, then every vector argument in signature
-order as big-endian float64 coordinate payloads (families get a length prefix,
-complexified vectors serialize re then im).  Scalar parameters and the gram
-matrix are deliberately not digested; they are part of the run configuration,
-not of the sampled instance.
+serialization: field tag, dimension, then every argument in the registry's
+order as big-endian float64 coordinate payloads (families get a length
+prefix, complexified vectors serialize re then im).  Scalar parameters and
+the gram matrix are deliberately not digested; they are part of the run
+configuration, not of the sampled instance.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,6 +121,11 @@ class IneqEvaluation:
         margins = [m for m in (self.margin_lower, self.margin_upper) if m is not None]
         return min(margins)
 
+    @property
+    def normalized_margin(self) -> float:
+        """min_margin in units of scale (a zero scale counts as 1e-300)."""
+        return self.min_margin / max(self.scale, 1e-300)
+
 
 def make_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> IneqEvaluation:
     """Assemble a record, computing margins in the dtype of the inputs."""
@@ -155,12 +164,13 @@ class CatalogResult:
     @property
     def binding(self) -> IneqEvaluation:
         """The link with the smallest scale-normalized margin; the first on ties."""
-        return min(self.links, key=lambda ev: ev.min_margin / max(ev.scale, 1e-300))
+        return min(self.links, key=lambda ev: ev.normalized_margin)
 
 
 @dataclass(frozen=True)
 class MooreParams:
-    """Premise parameters; each statement validates the fields it uses."""
+    """Premise parameters of the conditional statements, which take one as
+    their last positional argument; each validates the fields it uses."""
 
     eps: Optional[float] = None
     eps1: Optional[float] = None
@@ -329,9 +339,10 @@ def buzano_moore_useful(eps: float) -> bool:
     return eps <= 1.0 - math.sqrt(2.0) / 2.0
 
 
-def verify_moore(space: SpaceSpec, x, y, z, eps: float, *, extended: bool = False) -> CatalogResult:
+def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bool = False) -> CatalogResult:
     """If y and z are both eps-parallel to x, bound |<y,z>| from below."""
-    if eps < 0:
+    eps = params.eps
+    if eps is None or eps < 0:
         raise DomainError("eps must be nonnegative")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
@@ -402,9 +413,10 @@ def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False) -> Catalog
     return CatalogResult((make_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
 
 
-def verify_buzano_moore(space: SpaceSpec, x, a, b, eps: float, *, extended: bool = False) -> CatalogResult:
+def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, extended: bool = False) -> CatalogResult:
     """Modulus near-parallelism to x transfers to a lower bound on |<a,b>|."""
-    if not 0 < eps <= 1:
+    eps = params.eps
+    if eps is None or not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
@@ -423,12 +435,11 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, eps: float, *, extended: bool
     return CatalogResult((conclusion,), premises)
 
 
-def verify_cosine_transfer(
-    space: SpaceSpec, a, x, y, delta1: float, delta2: float, *, extended: bool = False
-) -> CatalogResult:
+def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False) -> CatalogResult:
     """Cosine floors of x and y against a transfer to a cosine floor of (x, y)."""
     _require_field(space, (Field.REAL,), "this statement")
-    if not (0 < delta1 <= 1 and 0 < delta2 <= 1):
+    delta1, delta2 = params.delta1, params.delta2
+    if delta1 is None or delta2 is None or not (0 < delta1 <= 1 and 0 < delta2 <= 1):
         raise DomainError("delta1 and delta2 must lie in (0, 1]")
     if delta1 + delta2 < 1:
         raise DomainError("need delta1 + delta2 >= 1")
@@ -448,14 +459,12 @@ def verify_cosine_transfer(
 
 
 def verify_quotient_transfer(
-    space: SpaceSpec, a, b, x, mu1: Optional[float] = None, mu2: Optional[float] = None, *, extended: bool = False
-) -> tuple:
-    """Floors/caps on <x,a><x,b>/||x||^2 transfer to cosine bounds on (a, b).
-
-    Returns (lower, upper): the mu1 and the mu2 result, None where that
-    parameter is not given.
-    """
+    space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False
+) -> CatalogResult:
+    """A floor mu1 (or cap mu2) on <x,a><x,b>/||x||^2 transfers to a cosine
+    floor (or cap) on (a, b): the floor when mu1 is given, else the cap."""
     _require_field(space, (Field.REAL,), "this statement")
+    mu1, mu2 = params.mu1, params.mu2
     if mu1 is None and mu2 is None:
         raise DomainError("at least one of mu1, mu2 is required")
     if mu1 is not None and not 0 <= mu1 <= 1:
@@ -471,16 +480,13 @@ def verify_quotient_transfer(
     quotient = pairing(space, xx, aa) * pairing(space, xx, bb) / nx2
     cos_ab = pairing(space, aa, bb) / (na * nb)
     slack = PREMISE_SLACK * na * nb
-    lower = upper = None
     if mu1 is not None:
         premises = bool(quotient >= mu1 * na * nb - slack)
         conclusion = make_evaluation("t1.5-ii", 1.0, 2.0 * mu1 - 1.0, center=cos_ab)
-        lower = CatalogResult((conclusion,), premises)
-    if mu2 is not None:
+    else:
         premises = bool(quotient <= mu2 * na * nb + slack)
         conclusion = make_evaluation("t1.5-ii", 1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
-        upper = CatalogResult((conclusion,), premises)
-    return lower, upper
+    return CatalogResult((conclusion,), premises)
 
 
 # orthonormal-family statements -----------------------------------------------
@@ -609,154 +615,62 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) ->
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Uniform adapter from named inputs to evaluation records."""
+    """A statement and the names of its inputs after `space`, in the order
+    `run` passes them (`args`): families, vectors, complexified vectors, and
+    for a conditional entry its MooreParams (`params` or `default_params`)."""
 
     name: str
+    statement: Callable
     fields: tuple
-    vector_args: tuple
-    family_args: tuple
-    complexified_args: tuple
-    has_premises: bool
-    default_params: Optional[MooreParams]
-    runner: Callable
+    vector_args: tuple = ()
+    family_args: tuple = ()
+    complexified_args: tuple = ()
+    default_params: Optional[MooreParams] = None
+    args: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "args", self.family_args + self.vector_args + self.complexified_args)
+
+    @property
+    def has_premises(self) -> bool:
+        return self.default_params is not None
 
     def run(self, space, inputs, params=None, *, extended: bool = False) -> CatalogResult:
         if space.field not in self.fields:
             raise DomainError(f"{self.name} is not defined over {space.field.name.lower()} spaces")
-        return self.runner(space, inputs, params or self.default_params, extended)
-
-
-def _entry(name, fields, runner, vectors=(), families=(), complexified=(), params=None, premises=False):
-    return CatalogEntry(
-        name=name,
-        fields=fields,
-        vector_args=vectors,
-        family_args=families,
-        complexified_args=complexified,
-        has_premises=premises,
-        default_params=params,
-        runner=runner,
-    )
+        values = [inputs[arg] for arg in self.args]
+        if self.has_premises:
+            values.append(params or self.default_params)
+        return self.statement(space, *values, extended=extended)
 
 
 _BOTH = (Field.REAL, Field.COMPLEX)
 _REAL = (Field.REAL,)
 
 CATALOG = {
-    "schwarz": _entry(
-        "schwarz",
-        _BOTH,
-        lambda s, i, p, ext: eval_schwarz(s, i["x"], i["y"], extended=ext),
-        vectors=("x", "y"),
-    ),
-    "precupanu-1.1": _entry(
-        "precupanu-1.1",
-        _REAL,
-        lambda s, i, p, ext: eval_precupanu(s, i["a"], i["b"], i["x"], i["y"], extended=ext),
-        vectors=("a", "b", "x", "y"),
-    ),
-    "richard-1.3": _entry(
-        "richard-1.3",
-        _REAL,
-        lambda s, i, p, ext: eval_richard(s, i["a"], i["b"], i["x"], extended=ext),
-        vectors=("a", "b", "x"),
-    ),
-    "precupanu-self-1.5": _entry(
-        "precupanu-self-1.5",
-        _REAL,
-        lambda s, i, p, ext: eval_precupanu_self(s, i["a"], i["x"], i["y"], extended=ext),
-        vectors=("a", "x", "y"),
-    ),
-    "angle-1.6": _entry(
-        "angle-1.6",
-        _REAL,
-        lambda s, i, p, ext: eval_angle_bound(s, i["a"], i["x"], i["y"], extended=ext),
-        vectors=("a", "x", "y"),
-    ),
-    "moore-1.9": _entry(
-        "moore-1.9",
-        _REAL,
-        lambda s, i, p, ext: verify_moore(s, i["x"], i["y"], i["z"], p.eps, extended=ext),
-        vectors=("x", "y", "z"),
-        params=MooreParams(eps=0.05),
-        premises=True,
-    ),
-    "precupanu-moore-1.12": _entry(
-        "precupanu-moore-1.12",
-        _REAL,
-        lambda s, i, p, ext: verify_precupanu_moore(s, i["a"], i["b"], i["x"], p, extended=ext),
-        vectors=("a", "b", "x"),
-        params=MooreParams(eps1=0.8, eps2=1.0),
-        premises=True,
-    ),
-    "buzano-1.14": _entry(
-        "buzano-1.14",
-        _BOTH,
-        lambda s, i, p, ext: eval_buzano(s, i["a"], i["b"], i["x"], extended=ext),
-        vectors=("a", "b", "x"),
-    ),
-    "buzano-moore-1.16": _entry(
-        "buzano-moore-1.16",
-        _BOTH,
-        lambda s, i, p, ext: verify_buzano_moore(s, i["x"], i["a"], i["b"], p.eps, extended=ext),
-        vectors=("x", "a", "b"),
-        params=MooreParams(eps=0.1),
-        premises=True,
-    ),
-    "t1.5-i": _entry(
-        "t1.5-i",
-        _REAL,
-        lambda s, i, p, ext: verify_cosine_transfer(s, i["a"], i["x"], i["y"], p.delta1, p.delta2, extended=ext),
-        vectors=("a", "x", "y"),
-        params=MooreParams(delta1=0.7, delta2=0.7),
-        premises=True,
-    ),
-    "t1.5-ii": _entry(
-        "t1.5-ii",
-        _REAL,
-        # the mu1 lane when mu1 is set, else the mu2 lane
-        lambda s, i, p, ext: next(
-            filter(None, verify_quotient_transfer(s, i["a"], i["b"], i["x"], mu1=p.mu1, mu2=p.mu2, extended=ext))
-        ),
-        vectors=("a", "b", "x"),
-        params=MooreParams(mu1=0.6),
-        premises=True,
-    ),
-    "generalized-2.1": _entry(
-        "generalized-2.1",
-        _BOTH,
-        lambda s, i, p, ext: eval_generalized(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
-        vectors=("x", "y"),
-        families=("E", "F"),
-    ),
-    "chain-2.10": _entry(
-        "chain-2.10",
-        _BOTH,
-        lambda s, i, p, ext: eval_chain(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
-        vectors=("x", "y"),
-        families=("E", "F"),
-    ),
-    "real-double-2.14": _entry(
-        "real-double-2.14",
-        _REAL,
-        lambda s, i, p, ext: eval_real_double(s, i["E"], i["F"], i["x"], i["y"], extended=ext),
-        vectors=("x", "y"),
-        families=("E", "F"),
-    ),
-    "kurepa-3.2": _entry(
-        "kurepa-3.2",
-        _REAL,
-        lambda s, i, p, ext: eval_kurepa(s, i["a"], i["z"], extended=ext),
-        vectors=("a",),
-        complexified=("z",),
-    ),
-    "kurepa-refined-3.3": _entry(
-        "kurepa-refined-3.3",
-        _REAL,
-        lambda s, i, p, ext: eval_kurepa_refined(s, i["E"], i["F"], i["w"], extended=ext),
-        families=("E", "F"),
-        complexified=("w",),
-    ),
+    entry.name: entry
+    for entry in (
+        CatalogEntry("schwarz", eval_schwarz, _BOTH, ("x", "y")),
+        CatalogEntry("precupanu-1.1", eval_precupanu, _REAL, ("a", "b", "x", "y")),
+        CatalogEntry("richard-1.3", eval_richard, _REAL, ("a", "b", "x")),
+        CatalogEntry("precupanu-self-1.5", eval_precupanu_self, _REAL, ("a", "x", "y")),
+        CatalogEntry("angle-1.6", eval_angle_bound, _REAL, ("a", "x", "y")),
+        CatalogEntry("moore-1.9", verify_moore, _REAL, ("x", "y", "z"), default_params=MooreParams(eps=0.05)),
+        CatalogEntry("precupanu-moore-1.12", verify_precupanu_moore, _REAL, ("a", "b", "x"),
+                     default_params=MooreParams(eps1=0.8, eps2=1.0)),
+        CatalogEntry("buzano-1.14", eval_buzano, _BOTH, ("a", "b", "x")),
+        CatalogEntry("buzano-moore-1.16", verify_buzano_moore, _BOTH, ("x", "a", "b"),
+                     default_params=MooreParams(eps=0.1)),
+        CatalogEntry("t1.5-i", verify_cosine_transfer, _REAL, ("a", "x", "y"),
+                     default_params=MooreParams(delta1=0.7, delta2=0.7)),
+        CatalogEntry("t1.5-ii", verify_quotient_transfer, _REAL, ("a", "b", "x"), default_params=MooreParams(mu1=0.6)),
+        CatalogEntry("generalized-2.1", eval_generalized, _BOTH, ("x", "y"), family_args=("E", "F")),
+        CatalogEntry("chain-2.10", eval_chain, _BOTH, ("x", "y"), family_args=("E", "F")),
+        CatalogEntry("real-double-2.14", eval_real_double, _REAL, ("x", "y"), family_args=("E", "F")),
+        CatalogEntry("kurepa-3.2", eval_kurepa, _REAL, ("a",), complexified_args=("z",)),
+        CatalogEntry("kurepa-refined-3.3", eval_kurepa_refined, _REAL, family_args=("E", "F"),
+                     complexified_args=("w",)),
+    )
 }
 
 
@@ -764,23 +678,22 @@ def catalog_names():
     return list(CATALOG)
 
 
-def run_catalog(name: str, space: SpaceSpec, inputs: dict, params: Optional[MooreParams] = None, *, extended: bool = False) -> CatalogResult:
-    """Evaluate one named inequality on explicit inputs."""
+def catalog_entry(name: str) -> CatalogEntry:
+    """The registry entry of `name`; DomainError for an unknown name."""
     try:
-        entry = CATALOG[name]
+        return CATALOG[name]
     except KeyError:
         raise DomainError(f"unknown inequality {name!r}") from None
-    return entry.run(space, inputs, params, extended=extended)
+
+
+def run_catalog(name: str, space: SpaceSpec, inputs: dict, params: Optional[MooreParams] = None, *, extended: bool = False) -> CatalogResult:
+    """Evaluate one named inequality on explicit inputs."""
+    return catalog_entry(name).run(space, inputs, params, extended=extended)
 
 
 def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
-    """Digest an instance's vector data in the entry's declared argument order."""
-    entry = CATALOG[name]
-    parts = []
-    for arg in entry.family_args:
-        parts.append(inputs[arg])
-    for arg in entry.vector_args:
-        parts.append(np.asarray(inputs[arg], dtype=space.field.dtype))
-    for arg in entry.complexified_args:
-        parts.append(inputs[arg])
+    """Digest an instance's vector data in the entry's argument order."""
+    entry = catalog_entry(name)
+    parts = [np.asarray(inputs[arg], dtype=space.field.dtype) if arg in entry.vector_args else inputs[arg]
+             for arg in entry.args]
     return digest_inputs(space, *parts)

@@ -227,10 +227,11 @@ def _seed_flag(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub, *, count_flag: str, count_default: int = 10000):
+def _add_common(sub, *, count_flag: str, count_default: int = 10000, field_flag: bool = True):
     sub.add_argument(count_flag, type=int, default=count_default, metavar="N")
     sub.add_argument("--dims", type=_dims_flag, default=(2, 6), metavar="A..B")
-    sub.add_argument("--field", choices=["real", "complex", "both"], default="both")
+    if field_flag:
+        sub.add_argument("--field", choices=["real", "complex", "both"], default="both")
     sub.add_argument("--gram", choices=["identity", "random"], default="identity")
     sub.add_argument("--seed", type=_seed_flag, default=0)
     sub.add_argument("--out", metavar="PATH")
@@ -262,7 +263,8 @@ def _build_parser() -> _Parser:
 
     moore = commands.add_parser("moore-complex", help="complex-premise transfer experiment")
     moore.add_argument("--eps", type=float, required=True)
-    _add_common(moore, count_flag="--samples")
+    # the experiment always runs over complex spaces
+    _add_common(moore, count_flag="--samples", field_flag=False)
     moore.add_argument("--ascent-steps", type=int, default=0, metavar="K")
     moore.set_defaults(handler=cmd_moore_complex)
 
@@ -293,6 +295,8 @@ def _select_names(flag: str, universe) -> list:
     for name in names:
         if name not in universe:
             raise DomainError(f"unknown inequality {name!r}; valid names: {', '.join(universe)}")
+    if len(set(names)) != len(names):
+        raise DomainError(f"an inequality name is repeated in {flag!r}")
     return names
 
 

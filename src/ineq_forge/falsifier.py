@@ -58,10 +58,10 @@ import numpy as np
 from scipy import special as sps
 
 from .catalog import (
-    CATALOG,
     MooreParams,
     TOL_ABS,
     TOL_REL,
+    catalog_entry,
     digest_inputs,
     fnv1a_64,
     instance_digest,
@@ -466,10 +466,7 @@ _SAMPLERS = {
 
 def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int) -> SampledInstance:
     """Deterministic instance for one trial; see the module docstring."""
-    try:
-        entry = CATALOG[ineq_name]
-    except KeyError:
-        raise DomainError(f"unknown inequality {ineq_name!r}") from None
+    entry = catalog_entry(ineq_name)
     dim, field = _trial_cell(config, _field_plan(ineq_name, entry.fields, config.field), trial_index)
     space, whitener = _cached_space(config.seed, config.gram, ineq_name, dim, field)
     rng = _trial_rng(config.seed, ineq_name, trial_index)
@@ -490,14 +487,9 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _normalized_margin(result):
-    binding = result.binding
-    return binding.min_margin / max(binding.scale, _TINY), binding
-
-
-def _confirmed_violation(entry, space, inputs, params) -> bool:
-    result = entry.run(space, inputs, params, extended=True)
-    if entry.has_premises and result.premises_hold is False:
+def _confirmed_violation(entry, space, inputs) -> bool:
+    result = entry.run(space, inputs, extended=True)
+    if result.premises_hold is False:
         return False
     return not all(link.holds for link in result.links)
 
@@ -675,19 +667,14 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
     re-orthonormalize families, and steps that leave the premise region are
     rejected.
     """
-    try:
-        entry = CATALOG[ineq_name]
-    except KeyError:
-        raise DomainError(f"unknown inequality {ineq_name!r}") from None
-    params = params or entry.default_params
+    entry = catalog_entry(ineq_name)
 
     def objective(candidate):
         try:
             result = entry.run(space, candidate, params)
         except (DomainError, ArithmeticError):
             return math.inf, False
-        margin, _ = _normalized_margin(result)
-        return margin, not (entry.has_premises and result.premises_hold is False)
+        return result.binding.normalized_margin, result.premises_hold is not False
 
     return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
 
@@ -717,8 +704,7 @@ def _instance_record(name: str, sampled: SampledInstance, binding, holds: bool) 
 
 def _shard_worker(task):
     name, config, start, stop, with_records = task
-    entry = CATALOG[name]
-    params = entry.default_params
+    entry = catalog_entry(name)
     hist = [0] * HISTOGRAM_BUCKETS
     near = 0
     violations = 0
@@ -728,15 +714,16 @@ def _shard_worker(task):
     records = [] if with_records else None
     for index in range(start, stop):
         sampled = sample_instance(config, name, index)
-        result = entry.run(sampled.space, sampled.inputs, params)
-        if entry.has_premises and result.premises_hold is False:
+        result = entry.run(sampled.space, sampled.inputs)
+        if result.premises_hold is False:
             starved_count += 1
             continue
-        normalized, binding = _normalized_margin(result)
+        binding = result.binding
+        normalized = binding.normalized_margin
         hist[_bucket(normalized)] += 1
         near += 1 if binding.near_equality else 0
         holds = all(link.holds for link in result.links)
-        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs, params)
+        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
         violations += 1 if violated else 0
         if worst is None or (normalized, index) < (worst[0], worst[1]):
             worst = (normalized, index, float(binding.min_margin))
@@ -756,12 +743,8 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     records, in trial order, as that shard arrives and in shard order, so
     the caller holds one shard's records at a time.
     """
-    try:
-        entry = CATALOG[ineq_name]
-    except KeyError:
-        raise DomainError(f"unknown inequality {ineq_name!r}") from None
+    entry = catalog_entry(ineq_name)
     _field_plan(ineq_name, entry.fields, config.field)
-    params = entry.default_params
     tasks = [
         (ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
         for start in range(0, config.trials, SHARD_SIZE)
@@ -798,14 +781,15 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     if config.ascent_steps > 0:
         for normalized, index, sampled_near, sampled_violated in top:
             sampled = sample_instance(config, ineq_name, index)
-            refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config, params)
+            refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
             try:
-                result = entry.run(sampled.space, refined.refined_inputs, params)
+                result = entry.run(sampled.space, refined.refined_inputs)
             except (DomainError, ArithmeticError):
                 continue
-            if entry.has_premises and result.premises_hold is False:
+            if result.premises_hold is False:
                 continue
-            refined_normalized, binding = _normalized_margin(result)
+            binding = result.binding
+            refined_normalized = binding.normalized_margin
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
             # most once as a violation
@@ -815,7 +799,7 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
                 worst = (refined_normalized, index, float(binding.min_margin))
                 worst_instance = (sampled.space, refined.refined_inputs)
             if not sampled_violated and not all(link.holds for link in result.links):
-                if _confirmed_violation(entry, sampled.space, refined.refined_inputs, params):
+                if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
                     violations += 1
 
     digest = None
@@ -839,32 +823,32 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
 _MOORE_COMPLEX_KEY = "moore-complex"
 
 
-def _moore_complex_sample(config: SearchConfig, eps: float, index: int):
+def _moore_complex_sample(config: SearchConfig, params: MooreParams, index: int):
     dim, field = _trial_cell(config, (Field.COMPLEX,), index)
     space, whitener = _cached_space(config.seed, config.gram, _MOORE_COMPLEX_KEY, dim, field)
     rng = _trial_rng(config.seed, _MOORE_COMPLEX_KEY, index)
-    inputs, _ = _sample_near_parallel(CATALOG["moore-1.9"], space, whitener, rng, MooreParams(eps=eps))
+    inputs, _ = _sample_near_parallel(catalog_entry("moore-1.9"), space, whitener, rng, params)
     return space, inputs
 
 
-def _moore_ratio(space, inputs, eps: float, extended: bool = False):
-    result = verify_moore(space, inputs["x"], inputs["y"], inputs["z"], eps, extended=extended)
+def _moore_ratio(space, inputs, params: MooreParams, extended: bool = False):
+    result = verify_moore(space, inputs["x"], inputs["y"], inputs["z"], params, extended=extended)
     (conclusion,) = result.links
     return result.premises_hold, conclusion.center / max(conclusion.scale, _TINY), conclusion.scale
 
 
-def _refine_moore_candidate(space, inputs, eps: float, config: SearchConfig) -> AscentResult:
+def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchConfig) -> AscentResult:
     """Descent on the premise-conditioned ratio for the complex experiment,
     with moore-1.9's codec applied to the complex space."""
 
     def objective(values):
         try:
-            ok, ratio, _ = _moore_ratio(space, values, eps)
+            ok, ratio, _ = _moore_ratio(space, values, params)
         except DomainError:
             return math.inf, False
         return ratio, ok
 
-    return _descend(objective, _CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs, config)
+    return _descend(objective, _CoordCodec(catalog_entry("moore-1.9"), space, inputs), inputs, config)
 
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
@@ -884,6 +868,7 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
         raise DomainError("the experiment runs over complex spaces; set field accordingly")
     first_bound = 1.0 - eps - math.sqrt(2.0 * eps)
     second_bound = 1.0 - 4.0 * eps + 2.0 * eps * eps
+    params = MooreParams(eps=eps)
     satisfying = 0
     min_ratio = None
     top = []  # ascending (ratio, index)
@@ -896,26 +881,26 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
         """Fold one instance into the minimum and the witness; returns its
         ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
-        ok, ratio, scale = _moore_ratio(space, inputs, eps)
+        ok, ratio, scale = _moore_ratio(space, inputs, params)
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
-            ok_e, ratio_e, scale_e = _moore_ratio(space, inputs, eps, extended=True)
+            ok_e, ratio_e, scale_e = _moore_ratio(space, inputs, params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
         return ratio
 
     for index in range(config.trials):
-        ratio = observe(*_moore_complex_sample(config, eps, index))
+        ratio = observe(*_moore_complex_sample(config, params, index))
         if ratio is not None:
             satisfying += 1
             _keep_top(top, (ratio, index))
     if config.ascent_steps > 0:
         for _, index in top:
-            space, inputs = _moore_complex_sample(config, eps, index)
-            observe(space, _refine_moore_candidate(space, inputs, eps, config).refined_inputs)
+            space, inputs = _moore_complex_sample(config, params, index)
+            observe(space, _refine_moore_candidate(space, inputs, params, config).refined_inputs)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

@@ -8,6 +8,7 @@ covariance, route agreement), never sampled magic numbers.
 """
 
 import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -383,7 +384,7 @@ class TestMooreCoefficient:
 
 class TestVerifyMoore:
     def test_identical_vectors(self):
-        v = verify_moore(R2, x=[1.0, 2.0], y=[1.0, 2.0], z=[1.0, 2.0], eps=0.1)
+        v = verify_moore(R2, x=[1.0, 2.0], y=[1.0, 2.0], z=[1.0, 2.0], params=MooreParams(eps=0.1))
         assert v.premises_hold
         assert v.links[0].center == pytest.approx(5.0)
         assert v.links[0].lhs == pytest.approx(0.6 * 5.0)
@@ -391,25 +392,25 @@ class TestVerifyMoore:
         assert v.links[0].holds
 
     def test_vacuous_premises_conclusion_still_evaluated(self):
-        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], eps=0.05)
+        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], params=MooreParams(eps=0.05))
         assert not v.premises_hold
         assert v.links[0].center == pytest.approx(0.0, abs=1e-15)
         assert v.links[0].lhs == pytest.approx(0.8)
         assert not v.links[0].holds
 
     def test_eps_one_trivial_conclusion(self):
-        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], eps=1.0)
+        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], params=MooreParams(eps=1.0))
         assert v.premises_hold
         assert v.links[0].lhs == 0.0
         assert v.links[0].holds
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            verify_moore(R2, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], eps=0.1)
+            verify_moore(R2, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=0.1))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(DomainError):
-            verify_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], eps=-0.1)
+            verify_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=-0.1))
 
 
 class TestPrecupanuMoore:
@@ -490,7 +491,7 @@ class TestBuzano:
 
 class TestBuzanoMoore:
     def test_aligned_hand_value(self):
-        v = verify_buzano_moore(C2, x=[1.0, 0.0], a=[1.0, 0.0], b=[1.0, 0.0], eps=0.1)
+        v = verify_buzano_moore(C2, x=[1.0, 0.0], a=[1.0, 0.0], b=[1.0, 0.0], params=MooreParams(eps=0.1))
         assert v.premises_hold
         assert buzano_moore_useful(0.1)
         assert v.links[0].lhs == pytest.approx(0.62)
@@ -504,18 +505,18 @@ class TestBuzanoMoore:
 
     def test_coefficient_vanishes_at_window_edge(self):
         crit = 1 - math.sqrt(2.0) / 2
-        v = verify_buzano_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], eps=crit)
+        v = verify_buzano_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=crit))
         assert abs(v.links[0].lhs) <= 1e-12
 
     def test_eps_range(self):
         for bad in (0.0, -0.2, 1.0 + 1e-9):
             with pytest.raises(DomainError):
-                verify_buzano_moore(R2, [1, 0], [1, 0], [1, 0], eps=bad)
+                verify_buzano_moore(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(eps=bad))
 
 
 class TestCosineTransfer:
     def test_common_direction(self):
-        v = verify_cosine_transfer(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0], delta1=1.0, delta2=1.0)
+        v = verify_cosine_transfer(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0], params=MooreParams(delta1=1.0, delta2=1.0))
         assert v.premises_hold
         assert v.links[0].lhs == pytest.approx(0.5)
         assert v.links[0].center == pytest.approx(1.0)
@@ -523,16 +524,16 @@ class TestCosineTransfer:
         assert v.links[0].scale == 1.0
 
     def test_vacuous(self):
-        v = verify_cosine_transfer(R2, a=[1.0, 0.0], x=[0.0, 1.0], y=[1.0, 0.0], delta1=0.9, delta2=0.9)
+        v = verify_cosine_transfer(R2, a=[1.0, 0.0], x=[0.0, 1.0], y=[1.0, 0.0], params=MooreParams(delta1=0.9, delta2=0.9))
         assert not v.premises_hold
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], delta1=0.4, delta2=0.4)
+            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=0.4, delta2=0.4))
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], delta1=0.0, delta2=1.0)
+            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=0.0, delta2=1.0))
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], delta1=1.2, delta2=0.5)
+            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=1.2, delta2=0.5))
 
 
 class TestQuotientTransfer:
@@ -544,8 +545,7 @@ class TestQuotientTransfer:
     def test_lower_branch(self):
         a, b = self._pair_with_cosine(0.8)
         x = a / np.linalg.norm(a) + b / np.linalg.norm(b)
-        lower, upper = verify_quotient_transfer(R2, a, b, x, mu1=0.6)
-        assert upper is None
+        lower = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu1=0.6))
         assert lower.premises_hold
         assert lower.links[0].lhs == pytest.approx(0.2)
         assert lower.links[0].center == pytest.approx(0.8)
@@ -554,8 +554,7 @@ class TestQuotientTransfer:
     def test_upper_branch(self):
         a, b = self._pair_with_cosine(-0.8)
         x = a / np.linalg.norm(a) - b / np.linalg.norm(b)
-        lower, upper = verify_quotient_transfer(R2, a, b, x, mu2=-0.6)
-        assert lower is None
+        upper = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu2=-0.6))
         assert upper.premises_hold
         assert upper.links[0].lhs == pytest.approx(-0.8)
         assert upper.links[0].rhs == pytest.approx(-0.2)
@@ -563,26 +562,27 @@ class TestQuotientTransfer:
 
     def test_both_branches(self):
         a, b = self._pair_with_cosine(0.0)
-        lower, upper = verify_quotient_transfer(R2, a, b, [1.0, 1.0], mu1=0.0, mu2=0.0)
-        assert lower is not None and upper is not None
+        lower = verify_quotient_transfer(R2, a, b, [1.0, 1.0], params=MooreParams(mu1=0.0, mu2=0.0))
+        upper = verify_quotient_transfer(R2, a, b, [1.0, 1.0], params=MooreParams(mu2=0.0))
         # mu1=0 makes the lower premise hold whenever the quotient is >= 0.
         assert lower.links[0].lhs == pytest.approx(-1.0)
         assert upper.links[0].rhs == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1])
+            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams())
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], mu1=1.2)
+            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams(mu1=1.2))
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], mu2=0.3)
+            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams(mu2=0.3))
 
     def test_catalog_entry_lane(self):
         # t1.5-ii runs the mu1 lane when mu1 is set, else the mu2 lane
         a, b = self._pair_with_cosine(0.8)
         x = a + b
         inputs = {"a": a, "b": b, "x": x}
-        lower, upper = verify_quotient_transfer(R2, a, b, x, mu1=0.6, mu2=-0.6)
+        lower = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu1=0.6, mu2=-0.6))
+        upper = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu2=-0.6))
         assert lower.links[0].rhs is None and upper.links[0].center is None
         assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu1=0.6, mu2=-0.6)) == lower
         assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu2=-0.6)) == upper
@@ -934,6 +934,15 @@ class TestCatalogRegistry:
     def test_run_catalog_rejects_wrong_field(self):
         with pytest.raises(DomainError):
             run_catalog("richard-1.3", C2, {"a": [1, 0], "b": [0, 1], "x": [1, 0]})
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_statement_takes_the_entry_arguments_in_order(self, name):
+        # run passes the inputs positionally in `args` order, then params
+        entry = CATALOG[name]
+        parameters = list(inspect.signature(entry.statement).parameters.values())
+        assert parameters[0].name == "space"
+        positional = [p.name for p in parameters[1:] if p.kind is p.POSITIONAL_OR_KEYWORD]
+        assert positional == [*entry.args, *(["params"] if entry.has_premises else [])]
 
     def test_argument_layout_metadata(self):
         entry = CATALOG["generalized-2.1"]

@@ -122,6 +122,16 @@ class TestUsageErrors:
         assert code == 1
         assert "complex" in err
 
+    def test_repeated_inequality_name(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--ineq", "schwarz,schwarz", "--samples", "5")
+        assert code == 1
+        assert "repeated" in err
+
+    def test_moore_complex_has_no_field_flag(self, capsys):
+        # the experiment runs over complex spaces only, so --field is refused
+        code, _, _ = run_cli(capsys, "moore-complex", "--eps", "0.05", "--samples", "5", "--field", "real")
+        assert code == 1
+
     def test_moore_complex_eps_out_of_range(self, capsys):
         assert run_cli(capsys, "moore-complex", "--eps", "1.5", "--samples", "5")[0] == 1
         assert run_cli(capsys, "moore-complex", "--eps", "0", "--samples", "5")[0] == 1
@@ -212,13 +222,13 @@ class TestVerify:
         assert code == 2
 
 
-def _starving_every_third(runner):
-    """A runner whose premises fail on every third call, which is every
+def _starving_every_third(statement):
+    """A statement whose premises fail on every third call, which is every
     third trial when each trial is evaluated once."""
     calls = itertools.count()
 
-    def run(space, inputs, params, extended):
-        result = runner(space, inputs, params, extended)
+    def run(*args, **kwargs):
+        result = statement(*args, **kwargs)
         return dataclasses.replace(result, premises_hold=next(calls) % 3 != 2)
 
     return run
@@ -229,7 +239,7 @@ class TestInstanceLines:
         names = ("moore-1.9", "t1.5-i")
         for name in names:
             entry = CATALOG[name]
-            monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, runner=_starving_every_third(entry.runner)))
+            monkeypatch.setitem(CATALOG, name, dataclasses.replace(entry, statement=_starving_every_third(entry.statement)))
         monkeypatch.delenv("INEQ_FORGE_THREADS", raising=False)
         code, out, _ = run_cli(
             capsys, "verify", "--ineq", ",".join(names), "--samples", "30", "--dims", "2..4",

@@ -7,6 +7,7 @@ accidental reordering of draws shows up as a digest mismatch here.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -94,6 +95,22 @@ class TestGoldenStreams:
         cfg = SearchConfig(seed=42, trials=1, dims=(2, 2))
         report = falsify("generalized-2.1", cfg)
         assert report.worst_instance_digest == "18f816d9bbd29671"
+
+    def test_sampled_digests_of_every_name_field_and_gram(self):
+        # 29600 instances: every name, each field choice it allows, both
+        # grams, trials 0-399 over dims 1..8; the samplers read the entries'
+        # argument names, so this also pins the registry layout they see
+        digest = hashlib.sha256()
+        for name, entry in CATALOG.items():
+            choices = [c for c in FieldChoice if c is not FieldChoice.COMPLEX or Field.COMPLEX in entry.fields]
+            for choice in choices:
+                for gram in GramKind:
+                    cfg = SearchConfig(seed=7, trials=400, dims=(1, 8), field=choice, gram=gram)
+                    for i in range(cfg.trials):
+                        s = sample_instance(cfg, name, i)
+                        d = instance_digest(name, s.space, s.inputs)
+                        digest.update(f"{name} {choice.value} {gram.value} {i} {d} {int(s.starved)}\n".encode())
+        assert digest.hexdigest() == "2da97bf23e8602e43c641b9d0debf932078917d31a31002b14e8fe850c5eb333"
 
 
 class TestDimFieldCycling:
@@ -316,29 +333,29 @@ class TestHistogram:
         assert sum(report.margin_histogram) == 64 - report.premise_starved
 
 
-def _always_violating(space, inputs, params, extended):
+def _always_violating(space, x, y, *, extended=False):
     # Schwarz turned around with a factor 2: |<x,y>| >= 2 ||x|| ||y|| fails
     # on every instance, at any precision, and its margin still varies
-    ev = eval_schwarz(space, inputs["x"], inputs["y"], extended=extended).binding
+    ev = eval_schwarz(space, x, y, extended=extended).binding
     bad = make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs)
     return CatalogResult((bad,))
 
 
-def _nan_margin(space, inputs, params, extended):
+def _nan_margin(space, x, y, *, extended=False):
     bad = make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan)
     return CatalogResult((bad,))
 
 
 class TestCountInvariants:
     def test_refined_violation_counts_each_trial_once(self, monkeypatch):
-        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], runner=_always_violating))
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_always_violating))
         report = falsify("schwarz", SearchConfig(seed=0, trials=20, dims=(2, 4), ascent_steps=3))
         # every trial violates, and each is counted once
         assert report.violation_count == report.trials_run
         assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
 
     def test_nan_margin_is_counted_in_bucket_zero(self, monkeypatch):
-        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], runner=_nan_margin))
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_nan_margin))
         report = falsify("schwarz", SearchConfig(seed=0, trials=12, dims=(2, 4)))
         assert report.margin_histogram[0] == report.trials_run
         assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
@@ -454,16 +471,16 @@ class TestMooreComplexExperiment:
         assert moore_complex_experiment(0.2, cfg) == moore_complex_experiment(0.2, cfg)
 
     def test_refinement_keeps_norms_and_premises(self):
-        eps = 0.2
+        params = MooreParams(eps=0.2)
         cfg = SearchConfig(seed=14, trials=8, dims=(2, 4), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM,
                            ascent_steps=6)
         moved = 0
         for index in range(cfg.trials):
-            space, inputs = _moore_complex_sample(cfg, eps, index)
-            res = _refine_moore_candidate(space, inputs, eps, cfg)
+            space, inputs = _moore_complex_sample(cfg, params, index)
+            res = _refine_moore_candidate(space, inputs, params, cfg)
             for k in ("x", "y", "z"):
                 assert norm(space, res.refined_inputs[k]) == pytest.approx(norm(space, inputs[k]), rel=1e-9)
-            ok, ratio, _ = _moore_ratio(space, res.refined_inputs, eps)
+            ok, ratio, _ = _moore_ratio(space, res.refined_inputs, params)
             assert ok
             assert ratio == res.final_margin == res.trace[-1]
             assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
