@@ -360,9 +360,11 @@ class TestEntryPoint:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of the timestamp-blanked output of two small runs that
-    go through the ascent and its coordinate codec, which the instance
-    digest goldens do not cover, and of an emitting run over two shards."""
+    """Pinned sha256 of the timestamp-blanked output of small runs of every
+    subcommand: plain and emitting sweeps, falsify with and without a gram
+    through the ascent and its coordinate codec (which the instance digest
+    goldens do not cover), equality, moore-complex with and without
+    refinement, and an emitting run over two shards."""
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -372,8 +374,48 @@ class TestGoldenOutput:
                 "a34b32eb443d2588d37cdb8b1da586a3045581986cec34fe9743a979e18e199e",
             ),
             (
+                "falsify --ineq all --dims 1..6 --trials 12 --ascent-steps 4 --seed 5",
+                "75871393aa627e61645cf93278bfb39a993c253473ab431cd845d814645c58ab",
+            ),
+            (
+                "falsify --ineq all --gram random --dims 2..5 --trials 10 --ascent-steps 3 --seed 11",
+                "f7db85b25d95081d106c0e2102dff9f1f3ab5df25cbb2366624a4c6bf3736587",
+            ),
+            (
+                "falsify --ineq kurepa-3.2,buzano-1.14 --trials 200 --ascent-steps 5 --seed 3",
+                "5f3b714c7478f699ac4b0019f77fe9886f223729d5571f7dd544492ea7076a47",
+            ),
+            (
+                "verify --ineq all --samples 300 --dims 1..5 --gram random --seed 0 --emit-instances",
+                "ef8bb6024b83aa515140e79601a1244dc1de24cec5cfcd8d006f8a00872d00e5",
+            ),
+            (
+                "verify --ineq all --dims 1..8 --gram random --samples 40 --emit-instances --seed 2",
+                "63ed11542d8d56fa76344799cdbc58eb81971456a70cabcf4f2e9110a701c93d",
+            ),
+            (
+                "verify --ineq schwarz --samples 9000 --dims 1..4 --seed 5",
+                "625274bc578e016b47311ede3d8d9fd8f52e042140196ea539e9ef080d2c12b4",
+            ),
+            (
+                "equality --samples 60 --seed 5",
+                "0f13ec9e7870732f3662e70ae877bed67ef69eb9679baa9ac56579f3ad4644ab",
+            ),
+            (
+                "equality --samples 20 --seed 4",
+                "32f841b643e0ee45acc9b559cce754ad916bec1c60b37106f1c69b73b0ac8f77",
+            ),
+            (
+                "moore-complex --eps 0.05 --samples 400 --seed 7",
+                "50cfd033e6e279ab1f2d8b0f4024f18e610674dcb5e4cb96797583683c81316c",
+            ),
+            (
                 "moore-complex --eps 0.05 --samples 300 --ascent-steps 4 --seed 7",
                 "f834f1811e7342083bd7cc521b17f2c49df4b6fab565b980751f01661f809141",
+            ),
+            (
+                "moore-complex --eps 0.2 --samples 200 --ascent-steps 6 --gram random --dims 2..4 --seed 14",
+                "c1dd7353038b04f311a6c29ebefefa0fbbe8edb95c59381122669f3755d7b92b",
             ),
         ],
     )
