@@ -29,6 +29,7 @@ from ineq_forge.falsifier import (
     Verdict,
     moore_complex_experiment,
 )
+from ineq_forge.spaces import DomainError
 
 
 def parse_args(argv=None):
@@ -49,6 +50,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return _scan(args)
+    except DomainError as exc:
+        print(f"moore_complex_scan: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _scan(args) -> int:
     header = f"{'eps':>8}  {'first':>10}  {'second':>10}  {'min_ratio':>10}  {'slack':>10}  verdict"
     print(header)
     print("-" * len(header))

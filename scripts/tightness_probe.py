@@ -41,10 +41,13 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        names = _select_names(args.names, catalog_names())
+        return _probe(args, _select_names(args.names, catalog_names()))
     except DomainError as exc:
         print(f"tightness_probe: error: {exc}", file=sys.stderr)
         return 1
+
+
+def _probe(args, names) -> int:
     base = dict(
         seed=args.seed,
         trials=args.trials,

@@ -1,7 +1,15 @@
 """Evaluation records and closed forms for the inequality catalog.
 
-Every statement returns one CatalogResult: a tuple of IneqEvaluation links
-and a premises flag.  Each link follows a uniform margin convention:
+Every statement is written once, against stacked operands in their dtype:
+(n, d) vectors, (n, k, d) family members and (n, d) real and imaginary parts
+of complexified vectors.  It returns a StackedResult: a tuple of
+StackedEvaluation links, whose fields are (n,) arrays, and for conditional
+statements an (n,) premises array.  Called with Rows (a group of n instances,
+one Rows per argument, as `CatalogEntry.run` passes a group) a statement
+returns that StackedResult; called with one instance's values it is a batch
+of one and returns that instance's CatalogResult of IneqEvaluation links,
+the only place those records are built.  Each link follows a uniform margin
+convention:
 
 * two sided:      lhs <= center <= rhs   (both margins present)
 * one sided upper: lhs <= rhs            (center is None, margin_upper only)
@@ -23,21 +31,35 @@ The registry `CATALOG` maps each name to a CatalogEntry, which calls the
 statement function itself with the inputs in one argument order.
 
 Each statement validates each argument once on entry (`_vec`,
-`_family_members`, `_complexified_parts`), casting it there to the field's
-extended dtype when called with `extended=True`.  From then on it pairs
-through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
-compute in the dtype of their operands.
+`_families`, `_complexified_parts`), casting it there to the field's
+extended dtype when called with `extended=True`; a group is checked stacked,
+a single instance by the checks `spaces` applies to one vector.  From then
+on it pairs through the unvalidated `spaces.pairing` and
+`spaces.pairing_norm`, which compute in the dtype of their operands.
+
+A stacked kernel rounds every row as a batch of one rounds it: each
+reduction is a stacked matmul with its operands in the scalar order, and
+where numpy's elementwise array loops round differently from Python's
+scalar arithmetic (complex product and modulus, `x ** 2`) the kernels spell
+out the scalar operation (`_cmul`, `_abs`, `_square`).  A group may mix
+family sizes: the family statements stack the members of each size apart
+(`_family_stacks`), since a product of k-row members rounds by k.  So group
+sizes never change a result, and evaluating a group equals evaluating each
+of its members alone, bit for bit.
 
 Instances are fingerprinted with a 64-bit FNV-1a digest over a canonical byte
 serialization: field tag, dimension, then every argument in the registry's
 order as big-endian float64 coordinate payloads (families get a length
 prefix, complexified vectors serialize re then im).  Scalar parameters and
 the gram matrix are deliberately not digested; they are part of the run
-configuration, not of the sampled instance.
+configuration, not of the sampled instance.  `instance_digests` serializes
+each group of a run into one uint8 matrix and hashes every row of every
+group in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -55,6 +77,7 @@ from .spaces import (
     pairing,
     pairing_norm,
     require_nonzero,
+    zero_norm_threshold,
 )
 
 CATALOG_VERSION = "1.0.0"
@@ -68,6 +91,7 @@ PREMISE_SLACK = 1e-12
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV_COLUMNS = 256
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -77,26 +101,67 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def _coord_bytes(arr: np.ndarray) -> bytes:
-    a = np.asarray(arr)
-    if np.iscomplexobj(a):
-        return a.astype(">c16").tobytes()
-    return a.astype(">f8").tobytes()
+def fnv1a_64_rows(blocks) -> list:
+    """fnv1a_64 of every row of a list of uint8 matrices, in block and row
+    order, in one pass.
+
+    FNV-1a runs over all rows at once as uint64 states, which wrap mod 2^64
+    as _MASK64 does: with the rows sorted longest first, byte j applies one
+    xor and one multiply to the states of the rows longer than j.  The bytes
+    are copied column-major, _FNV_COLUMNS columns at a time, so the copy
+    stays small beside the blocks.  A pass costs per byte column, so one
+    lone byte string is cheaper through fnv1a_64.
+    """
+    lengths = np.array([b.shape[1] for b in blocks for _ in range(b.shape[0])], dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    width = int(lengths.max()) if lengths.size else 0
+    active = (lengths.size - np.searchsorted(np.sort(lengths), np.arange(width), side="right")).tolist()
+    states = np.full(lengths.size, _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for start in range(0, width, _FNV_COLUMNS):
+        stop = min(start + _FNV_COLUMNS, width)
+        columns = np.zeros((stop - start, active[start]), dtype=np.uint8)
+        first = 0
+        for block in blocks:
+            if block.shape[1] > start:
+                columns[: block.shape[1] - start, slot[first : first + block.shape[0]]] = block[:, start:stop].T
+            first += block.shape[0]
+        for j in range(start, stop):
+            live = states[: active[j]]
+            live ^= columns[j - start, : active[j]]
+            live *= prime
+    return states[slot].tolist()
+
+
+def _constant(n: int, data: bytes) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(data, dtype=np.uint8), (n, len(data)))
+
+
+def _serialized(space: SpaceSpec, columns) -> np.ndarray:
+    """The bytes digest_inputs hashes, for n instances at once, as the rows
+    of a uint8 matrix.  `columns` holds each argument's n values; the
+    families of one argument must share a size.  Each argument's
+    coordinates take one big-endian cast."""
+    n = len(columns[0]) if columns else 1
+    parts = [_constant(n, (b"R" if space.field is Field.REAL else b"C") + struct.pack(">Q", space.dim))]
+    for values in columns:
+        if isinstance(values[0], OrthonormalFamily):
+            parts.append(_constant(n, struct.pack(">Q", values[0].size)))
+            coords = np.array([family.members for family in values])
+        elif isinstance(values[0], ComplexifiedVector):
+            coords = np.array([(z.re, z.im) for z in values])
+        else:
+            coords = np.array(values)
+        big = coords.astype(">c16" if np.iscomplexobj(coords) else ">f8")
+        parts.append(big.reshape(n, -1).view(np.uint8))
+    return np.concatenate(parts, axis=1)
 
 
 def digest_inputs(space: SpaceSpec, *parts) -> str:
     """Canonical 16-hex-digit fingerprint of an instance's vector data."""
-    chunks = [b"R" if space.field is Field.REAL else b"C", struct.pack(">Q", space.dim)]
-    for part in parts:
-        if isinstance(part, OrthonormalFamily):
-            chunks.append(struct.pack(">Q", part.size))
-            chunks.append(_coord_bytes(part.members))
-        elif isinstance(part, ComplexifiedVector):
-            chunks.append(_coord_bytes(part.re))
-            chunks.append(_coord_bytes(part.im))
-        else:
-            chunks.append(_coord_bytes(part))
-    return format(fnv1a_64(b"".join(chunks)), "016x")
+    return format(fnv1a_64(_serialized(space, [[part] for part in parts]).tobytes()), "016x")
 
 
 # records ---------------------------------------------------------------------
@@ -128,29 +193,8 @@ class IneqEvaluation:
 
 
 def make_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> IneqEvaluation:
-    """Assemble a record, computing margins in the dtype of the inputs."""
-    margin_lower = None if center is None else center - lhs
-    if rhs is None:
-        margin_upper = None
-    else:
-        margin_upper = rhs - lhs if center is None else rhs - center
-    if margin_lower is None and margin_upper is None:
-        raise DomainError("an evaluation needs at least one margin")
-    margins = [m for m in (margin_lower, margin_upper) if m is not None]
-    tol = TOL_ABS + TOL_REL * scale
-    holds = bool(all(m >= -tol for m in margins))
-    near = bool(min(margins) <= NEAR_EQUALITY_REL * scale)
-    return IneqEvaluation(
-        ineq=ineq,
-        lhs=float(lhs),
-        center=None if center is None else float(center),
-        rhs=None if rhs is None else float(rhs),
-        margin_lower=None if margin_lower is None else float(margin_lower),
-        margin_upper=None if margin_upper is None else float(margin_upper),
-        holds=holds,
-        near_equality=near,
-        scale=float(scale),
-    )
+    """One instance's record, through the stacked rule of every statement."""
+    return stacked_evaluation(ineq, scale, np.atleast_1d(lhs), center, rhs).row(0)
 
 
 @dataclass(frozen=True)
@@ -167,6 +211,116 @@ class CatalogResult:
         return min(self.links, key=lambda ev: ev.normalized_margin)
 
 
+def _first_min(a, b):
+    """min(a, b) as Python's min picks it: b only where b < a, so a NaN in a stays."""
+    return np.where(b < a, b, a)
+
+
+@dataclass(frozen=True)
+class StackedEvaluation:
+    """One link of n instances: IneqEvaluation's fields as (n,) arrays in
+    the dtype of the evaluation (None where the link has no such field)."""
+
+    ineq: str
+    lhs: np.ndarray
+    center: Optional[np.ndarray]
+    rhs: Optional[np.ndarray]
+    margin_lower: Optional[np.ndarray]
+    margin_upper: Optional[np.ndarray]
+    holds: np.ndarray
+    near_equality: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def min_margin(self) -> np.ndarray:
+        """IneqEvaluation.min_margin of every row, in double precision."""
+        margins = [m.astype(np.float64, copy=False) for m in (self.margin_lower, self.margin_upper) if m is not None]
+        return margins[0] if len(margins) == 1 else _first_min(*margins)
+
+    @property
+    def normalized_margin(self) -> np.ndarray:
+        """IneqEvaluation.normalized_margin of every row (np.maximum keeps
+        a NaN scale and never ties with 1e-300, so it picks as max does)."""
+        return self.min_margin / np.maximum(self.scale.astype(np.float64, copy=False), 1e-300)
+
+    def row(self, i: int) -> IneqEvaluation:
+        def pick(values):
+            return None if values is None else float(values[i])
+
+        return IneqEvaluation(
+            ineq=self.ineq,
+            lhs=float(self.lhs[i]),
+            center=pick(self.center),
+            rhs=pick(self.rhs),
+            margin_lower=pick(self.margin_lower),
+            margin_upper=pick(self.margin_upper),
+            holds=bool(self.holds[i]),
+            near_equality=bool(self.near_equality[i]),
+            scale=float(self.scale[i]),
+        )
+
+
+def stacked_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> StackedEvaluation:
+    """Assemble a link of n instances, computing margins in the dtype of the
+    inputs; scalars broadcast against the (n,) arrays."""
+    margin_lower = None if center is None else center - lhs
+    if rhs is None:
+        margin_upper = None
+    else:
+        margin_upper = rhs - lhs if center is None else rhs - center
+    if margin_lower is None and margin_upper is None:
+        raise DomainError("an evaluation needs at least one margin")
+    margins = [m for m in (margin_lower, margin_upper) if m is not None]
+    tol = TOL_ABS + TOL_REL * scale
+    holds = margins[0] >= -tol
+    if len(margins) == 2:
+        holds = holds & (margins[1] >= -tol)
+    lowest = margins[0] if len(margins) == 1 else _first_min(*margins)
+    near = lowest <= NEAR_EQUALITY_REL * scale
+    shape = holds.shape
+    lhs, center, rhs, scale = (
+        v if v is None or np.shape(v) == shape else np.broadcast_to(v, shape) for v in (lhs, center, rhs, scale))
+    return StackedEvaluation(ineq, lhs, center, rhs, margin_lower, margin_upper, holds, near, scale)
+
+
+def _select(pick: np.ndarray, a: StackedEvaluation, b: StackedEvaluation) -> StackedEvaluation:
+    """Row by row, a where pick is set and b elsewhere (links of one shape)."""
+    fields = {name: None if value is None else np.where(pick, value, getattr(b, name))
+              for name, value in vars(a).items() if name != "ineq"}
+    return StackedEvaluation(a.ineq, **fields)
+
+
+@dataclass(frozen=True)
+class StackedResult:
+    """The links of one statement evaluated on n instances and, for
+    conditional statements, the (n,) premises array (None otherwise)."""
+
+    links: tuple
+    premises_hold: Optional[np.ndarray] = None
+
+    @property
+    def holds(self) -> np.ndarray:
+        """Whether every link holds, row by row."""
+        return functools.reduce(np.logical_and, (link.holds for link in self.links))
+
+    @property
+    def binding(self) -> StackedEvaluation:
+        """CatalogResult.binding of every row: the link with the smallest
+        normalized margin, the first on ties, as Python's min picks it."""
+        best = self.links[0]
+        lowest = best.normalized_margin
+        for link in self.links[1:]:
+            margin = link.normalized_margin
+            pick = margin < lowest
+            best = _select(pick, link, best)
+            lowest = np.where(pick, margin, lowest)
+        return best
+
+    def row(self, i: int) -> CatalogResult:
+        premises = None if self.premises_hold is None else bool(self.premises_hold[i])
+        return CatalogResult(tuple(link.row(i) for link in self.links), premises)
+
+
 @dataclass(frozen=True)
 class MooreParams:
     """Premise parameters of the conditional statements, which take one as
@@ -181,6 +335,24 @@ class MooreParams:
     mu2: Optional[float] = None
 
 
+class Rows(tuple):
+    """One argument of a group of instances: its n values in order, passed
+    to a statement in place of a single value."""
+
+
+def _statement(kernel):
+    """The batch-of-one boundary of a stacked kernel: with Rows arguments
+    the statement returns the kernel's StackedResult, with one instance's
+    values the CatalogResult of that batch of one."""
+
+    @functools.wraps(kernel)
+    def statement(space, *args, **kwargs):
+        result = kernel(space, *args, **kwargs)
+        return result if any(isinstance(arg, Rows) for arg in args) else result.row(0)
+
+    return statement
+
+
 # shared numeric helpers ------------------------------------------------------
 
 
@@ -190,68 +362,155 @@ def _require_field(space: SpaceSpec, allowed, what: str):
 
 
 def _vec(space, v, name, *, nonzero, extended):
-    arr = require_nonzero(space, v, name) if nonzero else as_vector(space, v)
-    if extended:
-        arr = arr.astype(space.field.extended_dtype)
-    return arr
+    """One vector argument as an (n, d) stack: Rows checked at once, a
+    single value by spaces' own checks."""
+    if isinstance(v, Rows):
+        arr = np.array(v)
+        if space.field is Field.REAL and np.iscomplexobj(arr):
+            raise DomainError("complex coordinates in a real space")
+        arr = arr.astype(space.field.dtype, copy=False)
+        if arr.shape != (len(v), space.dim):
+            raise DomainError(f"expected vectors of length {space.dim}, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError("vector has non-finite coordinates")
+        if nonzero and (pairing_norm(space, arr) < zero_norm_threshold(space)).any():
+            raise DomainError(f"{name} must be nonzero")
+    else:
+        arr = (require_nonzero(space, v, name) if nonzero else as_vector(space, v))[np.newaxis]
+    return arr.astype(space.field.extended_dtype) if extended else arr
 
 
-def _family_members(space: SpaceSpec, family, name: str, extended: bool) -> np.ndarray:
-    if not isinstance(family, OrthonormalFamily):
-        raise DomainError(f"{name} must be an OrthonormalFamily")
-    fs = family.space
-    if fs.dim != space.dim or fs.field is not space.field:
-        raise DomainError(f"family {name} belongs to a different space")
-    same_gram = (fs.gram is None and space.gram is None) or (
-        fs.gram is not None and space.gram is not None and np.array_equal(fs.gram, space.gram)
-    )
-    if not same_gram:
-        raise DomainError(f"family {name} carries a different gram weighting")
-    members = family.members
-    if extended:
-        members = members.astype(space.field.extended_dtype)
-    return members
+def _families(space: SpaceSpec, family, name: str) -> tuple:
+    """One family argument's n families, each checked against the space."""
+    families = family if isinstance(family, Rows) else (family,)
+    for member in families:
+        if not isinstance(member, OrthonormalFamily):
+            raise DomainError(f"{name} must be an OrthonormalFamily")
+        fs = member.space
+        if fs is space:
+            continue
+        if fs.dim != space.dim or fs.field is not space.field:
+            raise DomainError(f"family {name} belongs to a different space")
+        same_gram = (fs.gram is None and space.gram is None) or (
+            fs.gram is not None and space.gram is not None and np.array_equal(fs.gram, space.gram)
+        )
+        if not same_gram:
+            raise DomainError(f"family {name} carries a different gram weighting")
+    return families
+
+
+def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
+    """The family arguments E and F as stacks of one size each: a list of
+    (rows, members of E, members of F), the members (m, k, d) arrays for
+    the m instances, indexed by `rows`, whose families have those sizes.
+    A product of k-row members rounds by k, so sizes are never mixed."""
+    es, fs = _families(space, E, "E"), _families(space, F, "F")
+    sizes = {}
+    for i, (e, f) in enumerate(zip(es, fs)):
+        sizes.setdefault((e.size, f.size), []).append(i)
+    stacks = []
+    for rows in sizes.values():
+        me = np.array([es[i].members for i in rows])
+        mf = np.array([fs[i].members for i in rows])
+        if extended:
+            me, mf = me.astype(space.field.extended_dtype), mf.astype(space.field.extended_dtype)
+        stacks.append((np.array(rows), me, mf))
+    return stacks
+
+
+def _complexified_parts(space, z, name, extended):
+    values = z if isinstance(z, Rows) else (z,)
+    if not all(isinstance(value, ComplexifiedVector) for value in values):
+        raise DomainError(f"{name} must be a ComplexifiedVector")
+    if isinstance(z, Rows):
+        re, im = Rows(value.re for value in z), Rows(value.im for value in z)
+    else:
+        re, im = z.re, z.im
+    re = _vec(space, re, f"{name}.re", nonzero=False, extended=extended)
+    im = _vec(space, im, f"{name}.im", nonzero=False, extended=extended)
+    return re, im
+
+
+def _dot(a, b):
+    """a_i . b_i for every row of two (n, k) stacks, as (1, k) @ (k, 1)."""
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
+def _row_times(a, m):
+    """a_i @ m_i for every row of an (n, k) stack against (n, k, j) or (k, j)."""
+    return (a[:, np.newaxis, :] @ m)[:, 0, :]
+
+
+def _times_column(m, b):
+    """m_i @ b_i for (n, j, k) or (j, k) against every row of an (n, k) stack."""
+    return (m @ b[:, :, np.newaxis])[:, :, 0]
+
+
+def _abs(z):
+    """abs() of every entry as Python rounds it: a complex modulus through
+    hypot, which numpy's complex abs does not always match."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
+def _complex(re, im):
+    """The complex array re + i im, its parts exactly re and im."""
+    out = np.empty(re.shape, dtype=np.result_type(re, 1j))
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _cmul(p, q):
+    """p * q entry by entry as Python's complex product rounds it, with no
+    fused multiply-add as numpy's complex multiply may use."""
+    if not np.iscomplexobj(p):
+        return p * q
+    return _complex(p.real * q.real - p.imag * q.imag, p.real * q.imag + p.imag * q.real)
+
+
+def _square(x):
+    """x ** 2 entry by entry through the scalar power of Python floats (or
+    of numpy's long double scalars), which numpy's array square and array
+    power do not always match."""
+    items = x.tolist() if x.dtype == np.float64 else list(x)
+    return np.array([item ** 2 for item in items], dtype=x.dtype)
 
 
 def _pairings(space, x, members):
-    """<x, e_i> for every family member, as a 1-d array."""
-    gx = x if space.gram is None else x @ space.gram
-    return members.conj() @ gx
+    """<x, e_i> for every family member, as an (n, k) stack."""
+    gx = x if space.gram is None else _row_times(x, space.gram)
+    return _times_column(members.conj(), gx)
 
 
 def _pairings_right(space, members, y):
     """<e_i, y> for every family member."""
-    gy = np.conj(y) if space.gram is None else space.gram @ np.conj(y)
-    return members @ gy
+    gy = np.conj(y) if space.gram is None else _times_column(space.gram, np.conj(y))
+    return _times_column(members, gy)
 
 
 def _cross_matrix(space, members_e, members_f):
-    """<e_i, f_j> as a (len(E), len(F)) matrix."""
-    mf = np.conj(members_f.T) if space.gram is None else space.gram @ np.conj(members_f.T)
+    """<e_i, f_j> as an (n, len(E), len(F)) stack."""
+    mf = np.conj(members_f.swapaxes(1, 2))
+    if space.gram is not None:
+        mf = space.gram @ mf
     return members_e @ mf
-
-
-def _complexified_parts(space, z, name, extended):
-    if not isinstance(z, ComplexifiedVector):
-        raise DomainError(f"{name} must be a ComplexifiedVector")
-    re = _vec(space, z.re, f"{name}.re", nonzero=False, extended=extended)
-    im = _vec(space, z.im, f"{name}.im", nonzero=False, extended=extended)
-    return re, im
 
 
 # elementary statements -------------------------------------------------------
 
 
-def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False):
     """|<x,y>| against ||x|| ||y||; zero vectors are allowed."""
     xx = _vec(space, x, "x", nonzero=False, extended=extended)
     yy = _vec(space, y, "y", nonzero=False, extended=extended)
-    lhs = abs(pairing(space, xx, yy))
+    lhs = _abs(pairing(space, xx, yy))
     rhs = pairing_norm(space, xx) * pairing_norm(space, yy)
-    return CatalogResult((make_evaluation("schwarz", rhs, lhs, rhs=rhs),))
+    return StackedResult((stacked_evaluation("schwarz", rhs, lhs, rhs=rhs),))
 
 
-def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
     """Two-sided bound on the mixed projection sum of a and b onto x and y."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
@@ -271,10 +530,11 @@ def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False) -> C
     ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2
     rhs = (ab + na * nb) / 2
-    return CatalogResult((make_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs),))
+    return StackedResult((stacked_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs),))
 
 
-def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False):
     """Two-sided bound on <x,a><x,b> along a single direction x."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
@@ -287,10 +547,11 @@ def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False) -> Catalo
     ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2 * nx2
     rhs = (ab + na * nb) / 2 * nx2
-    return CatalogResult((make_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs),))
+    return StackedResult((stacked_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs),))
 
 
-def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
     """Nonnegative quadratic form of a against the (x, y) pair, capped by ||a||^2."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
@@ -303,11 +564,11 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False) ->
     xy = pairing(space, xx, yy)
     center = xa * xa / nx2 + ya * ya / ny2 - 2 * xa * ya * xy / (nx2 * ny2)
     na2 = pairing(space, aa, aa)
-    zero = type(center)(0.0) if not isinstance(center, float) else 0.0
-    return CatalogResult((make_evaluation("precupanu-self-1.5", na2, zero, center=center, rhs=na2),))
+    return StackedResult((stacked_evaluation("precupanu-self-1.5", na2, 0.0, center=center, rhs=na2),))
 
 
-def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False):
     """Lower bound on cos(x, y) from the cosines of x and y against a."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
@@ -318,9 +579,9 @@ def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False) -> Ca
     ny = pairing_norm(space, yy)
     ca = pairing(space, xx, aa) / (nx * na)
     cb = pairing(space, yy, aa) / (ny * na)
-    lhs = (ca + cb) ** 2 / 2 - 1.5
+    lhs = _square(ca + cb) / 2 - 1.5
     center = pairing(space, xx, yy) / (nx * ny)
-    return CatalogResult((make_evaluation("angle-1.6", 1.0, lhs, center=center),))
+    return StackedResult((stacked_evaluation("angle-1.6", 1.0, lhs, center=center),))
 
 
 # conditional statements ------------------------------------------------------
@@ -339,7 +600,8 @@ def buzano_moore_useful(eps: float) -> bool:
     return eps <= 1.0 - math.sqrt(2.0) / 2.0
 
 
-def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bool = False) -> CatalogResult:
+@_statement
+def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bool = False):
     """If y and z are both eps-parallel to x, bound |<y,z>| from below."""
     eps = params.eps
     if eps is None or eps < 0:
@@ -353,15 +615,14 @@ def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bo
     need = 1.0 - eps
     slack_y = PREMISE_SLACK * nx * ny
     slack_z = PREMISE_SLACK * nx * nz
-    premises = bool(
-        abs(pairing(space, xx, yy)) >= need * nx * ny - slack_y
-        and abs(pairing(space, xx, zz)) >= need * nx * nz - slack_z
+    premises = (_abs(pairing(space, xx, yy)) >= need * nx * ny - slack_y) & (
+        _abs(pairing(space, xx, zz)) >= need * nx * nz - slack_z
     )
     coeff = moore_coefficient(eps)
     scale = ny * nz
-    center = abs(pairing(space, yy, zz))
-    conclusion = make_evaluation("moore-1.9", scale, coeff * scale, center=center)
-    return CatalogResult((conclusion,), premises)
+    center = _abs(pairing(space, yy, zz))
+    conclusion = stacked_evaluation("moore-1.9", scale, coeff * scale, center=center)
+    return StackedResult((conclusion,), premises)
 
 
 def precupanu_moore_bounds(eps1: float):
@@ -371,9 +632,8 @@ def precupanu_moore_bounds(eps1: float):
     return 2.0 * eps1 * eps1 - 1.0, 2.0 * eps1 * eps1 + 1.0
 
 
-def verify_precupanu_moore(
-    space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False
-) -> CatalogResult:
+@_statement
+def verify_precupanu_moore(space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False):
     """Signed cosine window against x transfers to a two-sided bound on <a,b>."""
     _require_field(space, (Field.REAL,), "this statement")
     if params.eps1 is None or params.eps2 is None:
@@ -389,31 +649,32 @@ def verify_precupanu_moore(
     nx = pairing_norm(space, xx)
     ca = pairing(space, xx, aa) / (nx * na)
     cb = pairing(space, xx, bb) / (nx * nb)
-    premises = bool(
-        eps1 - PREMISE_SLACK <= ca <= eps2 + PREMISE_SLACK and eps1 - PREMISE_SLACK <= cb <= eps2 + PREMISE_SLACK
-    )
+    low, high = eps1 - PREMISE_SLACK, eps2 + PREMISE_SLACK
+    premises = (low <= ca) & (ca <= high) & (low <= cb) & (cb <= high)
     lo, hi = precupanu_moore_bounds(eps1)
     ab = pairing(space, aa, bb)
     scale = na * nb
-    conclusion = make_evaluation("precupanu-moore-1.12", scale, lo * scale, center=ab, rhs=hi * scale)
-    refinement = make_evaluation("precupanu-moore-1.12", scale, -scale, center=lo * scale, rhs=ab)
-    return CatalogResult((conclusion, refinement), premises)
+    conclusion = stacked_evaluation("precupanu-moore-1.12", scale, lo * scale, center=ab, rhs=hi * scale)
+    refinement = stacked_evaluation("precupanu-moore-1.12", scale, -scale, center=lo * scale, rhs=ab)
+    return StackedResult((conclusion, refinement), premises)
 
 
-def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False):
     """Modulus bound on <x,a><x,b> along x; valid in both fields."""
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     bb = _vec(space, b, "b", nonzero=False, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     nx2 = pairing(space, xx, xx).real
-    lhs = abs(pairing(space, xx, aa) * pairing(space, xx, bb))
+    lhs = _abs(_cmul(pairing(space, xx, aa), pairing(space, xx, bb)))
     na = pairing_norm(space, aa)
     nb = pairing_norm(space, bb)
-    rhs = (na * nb + abs(pairing(space, aa, bb))) / 2 * nx2
-    return CatalogResult((make_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
+    rhs = (na * nb + _abs(pairing(space, aa, bb))) / 2 * nx2
+    return StackedResult((stacked_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
 
 
-def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, extended: bool = False) -> CatalogResult:
+@_statement
+def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, extended: bool = False):
     """Modulus near-parallelism to x transfers to a lower bound on |<a,b>|."""
     eps = params.eps
     if eps is None or not 0 < eps <= 1:
@@ -425,17 +686,18 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, exten
     na = pairing_norm(space, aa)
     nb = pairing_norm(space, bb)
     need = 1.0 - eps
-    premises = bool(
-        abs(pairing(space, xx, aa)) >= need * nx * na - PREMISE_SLACK * nx * na
-        and abs(pairing(space, xx, bb)) >= need * nx * nb - PREMISE_SLACK * nx * nb
+    premises = (_abs(pairing(space, xx, aa)) >= need * nx * na - PREMISE_SLACK * nx * na) & (
+        _abs(pairing(space, xx, bb)) >= need * nx * nb - PREMISE_SLACK * nx * nb
     )
     coeff = 1.0 - 4.0 * eps + 2.0 * eps * eps
     scale = na * nb
-    conclusion = make_evaluation("buzano-moore-1.16", scale, coeff * scale, center=abs(pairing(space, aa, bb)))
-    return CatalogResult((conclusion,), premises)
+    center = _abs(pairing(space, aa, bb))
+    conclusion = stacked_evaluation("buzano-moore-1.16", scale, coeff * scale, center=center)
+    return StackedResult((conclusion,), premises)
 
 
-def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False) -> CatalogResult:
+@_statement
+def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False):
     """Cosine floors of x and y against a transfer to a cosine floor of (x, y)."""
     _require_field(space, (Field.REAL,), "this statement")
     delta1, delta2 = params.delta1, params.delta2
@@ -451,16 +713,15 @@ def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, ex
     ny = pairing_norm(space, yy)
     cxa = pairing(space, xx, aa) / (nx * na)
     cya = pairing(space, yy, aa) / (ny * na)
-    premises = bool(cxa >= delta1 - PREMISE_SLACK and cya >= delta2 - PREMISE_SLACK)
+    premises = (cxa >= delta1 - PREMISE_SLACK) & (cya >= delta2 - PREMISE_SLACK)
     bound = (delta1 + delta2) ** 2 / 2 - 1.5
     center = pairing(space, xx, yy) / (nx * ny)
-    conclusion = make_evaluation("t1.5-i", 1.0, bound, center=center)
-    return CatalogResult((conclusion,), premises)
+    conclusion = stacked_evaluation("t1.5-i", 1.0, bound, center=center)
+    return StackedResult((conclusion,), premises)
 
 
-def verify_quotient_transfer(
-    space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False
-) -> CatalogResult:
+@_statement
+def verify_quotient_transfer(space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False):
     """A floor mu1 (or cap mu2) on <x,a><x,b>/||x||^2 transfers to a cosine
     floor (or cap) on (a, b): the floor when mu1 is given, else the cap."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -481,12 +742,12 @@ def verify_quotient_transfer(
     cos_ab = pairing(space, aa, bb) / (na * nb)
     slack = PREMISE_SLACK * na * nb
     if mu1 is not None:
-        premises = bool(quotient >= mu1 * na * nb - slack)
-        conclusion = make_evaluation("t1.5-ii", 1.0, 2.0 * mu1 - 1.0, center=cos_ab)
+        premises = quotient >= mu1 * na * nb - slack
+        conclusion = stacked_evaluation("t1.5-ii", 1.0, 2.0 * mu1 - 1.0, center=cos_ab)
     else:
-        premises = bool(quotient <= mu2 * na * nb + slack)
-        conclusion = make_evaluation("t1.5-ii", 1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
-    return CatalogResult((conclusion,), premises)
+        premises = quotient <= mu2 * na * nb + slack
+        conclusion = stacked_evaluation("t1.5-ii", 1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
+    return StackedResult((conclusion,), premises)
 
 
 # orthonormal-family statements -----------------------------------------------
@@ -496,62 +757,73 @@ def _family_core(space, E, F, x, y, extended):
     """Shared sums for the two-family statements.
 
     Returns (S, <x,y>, ||x||, ||y||, pieces) where S is the bilinear family
-    sum and pieces holds the member pairings for reflection reuse.
+    sum of each row and pieces holds, per stack of one family size, (rows,
+    members of E, members of F, <x, e_i>, <f_j, y>) for reflection reuse.
     """
-    me = _family_members(space, E, "E", extended)
-    mf = _family_members(space, F, "F", extended)
-    ce = _pairings(space, x, me)
-    cf = _pairings(space, x, mf)
-    cey = _pairings_right(space, me, y)
-    cfy = _pairings_right(space, mf, y)
-    cross = _cross_matrix(space, me, mf)
-    s = ce @ cey + cf @ cfy - 2.0 * (ce @ cross @ cfy)
+    s = np.empty(len(x), dtype=x.dtype)
+    pieces = []
+    for rows, me, mf in _family_stacks(space, E, F, extended):
+        xs, ys = x[rows], y[rows]
+        ce = _pairings(space, xs, me)
+        cf = _pairings(space, xs, mf)
+        cey = _pairings_right(space, me, ys)
+        cfy = _pairings_right(space, mf, ys)
+        cross = _cross_matrix(space, me, mf)
+        s[rows] = _dot(ce, cey) + _dot(cf, cfy) - 2.0 * _dot(_row_times(ce, cross), cfy)
+        pieces.append((rows, me, mf, ce, cfy))
     xy = pairing(space, x, y)
     nx = pairing_norm(space, x)
     ny = pairing_norm(space, y)
-    return s, xy, nx, ny, (me, mf, ce, cfy)
+    return s, xy, nx, ny, pieces
 
 
-def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Two-family projection sum bound, cross-checked through reflections.
 
     The direct summation |S - <x,y>/2| and the reflection route
     |<R_E x, R_F y>|/2 are evaluated on every call and must agree to
-    ROUTE_AGREEMENT_REL relative to the instance scale; disagreement means a
-    coding fault, not a counterexample, and raises immediately.
+    ROUTE_AGREEMENT_REL relative to the instance scale; disagreement on any
+    row means a coding fault, not a counterexample, and raises immediately.
     """
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    s, xy, nx, ny, (me, mf, ce, cfy) = _family_core(space, E, F, xx, yy, extended)
-    direct = abs(s - 0.5 * xy)
-    u = 2.0 * (ce @ me) - xx
-    v = 2.0 * (np.conj(cfy) @ mf) - yy
+    s, xy, nx, ny, pieces = _family_core(space, E, F, xx, yy, extended)
+    direct = _abs(s - 0.5 * xy)
+    u, v = np.empty_like(xx), np.empty_like(yy)
+    for rows, me, mf, ce, cfy in pieces:
+        u[rows] = 2.0 * _row_times(ce, me) - xx[rows]
+        v[rows] = 2.0 * _row_times(np.conj(cfy), mf) - yy[rows]
     # u and v are derived rather than validated arguments: check them here,
     # in their own dtype, and pair them at the precision of the direct route
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise DomainError("reflected vectors have non-finite coordinates")
-    other = 0.5 * abs(pairing(space, u, v))
-    tol = ROUTE_AGREEMENT_REL * max(float(direct), float(other), float(nx * ny))
-    if abs(float(direct) - float(other)) > tol:
-        raise ArithmeticError(
-            f"projection-sum routes disagree: {float(direct)!r} vs {float(other)!r}"
-        )
-    return CatalogResult((make_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny),))
+    other = 0.5 * _abs(pairing(space, u, v))
+    direct_d, other_d = direct.astype(np.float64, copy=False), other.astype(np.float64, copy=False)
+    # max(direct, other, scale) where it can decide: a NaN route never raises
+    tol = ROUTE_AGREEMENT_REL * np.fmax(np.maximum(direct_d, other_d), (nx * ny).astype(np.float64, copy=False))
+    disagree = np.flatnonzero(np.abs(direct_d - other_d) > tol)
+    if disagree.size:
+        i = disagree[0]
+        raise ArithmeticError(f"projection-sum routes disagree: {float(direct_d[i])!r} vs {float(other_d[i])!r}")
+    return StackedResult((stacked_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny),))
 
 
-def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Two chained caps on |S| through the signed half-pairing midpoint."""
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
     s, xy, nx, ny, _ = _family_core(space, E, F, xx, yy, extended)
-    middle = 0.5 * abs(xy) + abs(s - 0.5 * xy)
+    middle = 0.5 * _abs(xy) + _abs(s - 0.5 * xy)
     scale = nx * ny
-    first = make_evaluation("chain-2.10", scale, abs(s), rhs=middle)
-    second = make_evaluation("chain-2.10", scale, middle, rhs=0.5 * (abs(xy) + scale))
-    return CatalogResult((first, second))
+    first = stacked_evaluation("chain-2.10", scale, _abs(s), rhs=middle)
+    second = stacked_evaluation("chain-2.10", scale, middle, rhs=0.5 * (_abs(xy) + scale))
+    return StackedResult((first, second))
 
 
-def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Signed two-sided window for the real two-family sum."""
     _require_field(space, (Field.REAL,), "this statement")
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
@@ -559,13 +831,14 @@ def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False) ->
     s, xy, nx, ny, _ = _family_core(space, E, F, xx, yy, extended)
     lhs = 0.5 * (xy - nx * ny)
     rhs = 0.5 * (xy + nx * ny)
-    return CatalogResult((make_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs),))
+    return StackedResult((stacked_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs),))
 
 
 # complexified statements -----------------------------------------------------
 
 
-def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False):
     """Quadratic cap for the pairing of a real direction with a complexified z."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
@@ -578,36 +851,38 @@ def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False) -> CatalogRes
     nim2 = pairing(space, zim, zim)
     nz2 = nre2 + nim2
     mixed = pairing(space, zre, zim)
-    self_pair = np.sqrt((nre2 - nim2) ** 2 + (2.0 * mixed) ** 2)
+    self_pair = np.sqrt(_square(nre2 - nim2) + _square(2.0 * mixed))
     middle = 0.5 * na2 * (nz2 + self_pair)
     scale = na2 * nz2
-    first = make_evaluation("kurepa-3.2", scale, lhs, rhs=middle)
-    second = make_evaluation("kurepa-3.2", scale, middle, rhs=na2 * nz2)
-    return CatalogResult((first, second))
+    first = stacked_evaluation("kurepa-3.2", scale, lhs, rhs=middle)
+    second = stacked_evaluation("kurepa-3.2", scale, middle, rhs=na2 * nz2)
+    return StackedResult((first, second))
 
 
-def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False) -> CatalogResult:
+@_statement
+def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False):
     """Three chained caps for the squared family pairings of a complexified w."""
     _require_field(space, (Field.REAL,), "this statement")
     wre, wim = _complexified_parts(space, w, "w", extended)
-    me = _family_members(space, E, "E", extended)
-    mf = _family_members(space, F, "F", extended)
-    cwe = _pairings(space, wre, me) + 1j * _pairings(space, wim, me)
-    cwf = _pairings(space, wre, mf) + 1j * _pairings(space, wim, mf)
-    cross = _cross_matrix(space, me, mf)
-    t = cwe @ cwe + cwf @ cwf - 2.0 * (cwe @ cross @ cwf)
+    t = np.empty(len(wre), dtype=np.result_type(wre, 1j))
+    for rows, me, mf in _family_stacks(space, E, F, extended):
+        re, im = wre[rows], wim[rows]
+        cwe = _pairings(space, re, me) + 1j * _pairings(space, im, me)
+        cwf = _pairings(space, re, mf) + 1j * _pairings(space, im, mf)
+        cross = _cross_matrix(space, me, mf)
+        t[rows] = _dot(cwe, cwe) + _dot(cwf, cwf) - 2.0 * _dot(_row_times(cwe, cross), cwf)
     nre2 = pairing(space, wre, wre)
     nim2 = pairing(space, wim, wim)
     nw2 = nre2 + nim2
     mixed = pairing(space, wre, wim)
-    self_pair = (nre2 - nim2) + 1j * (2.0 * mixed)
-    half_self = 0.5 * abs(self_pair)
-    middle1 = half_self + abs(t - 0.5 * self_pair)
-    middle2 = 0.5 * (nw2 + abs(self_pair))
-    first = make_evaluation("kurepa-refined-3.3", nw2, abs(t), rhs=middle1)
-    second = make_evaluation("kurepa-refined-3.3", nw2, middle1, rhs=middle2)
-    third = make_evaluation("kurepa-refined-3.3", nw2, middle2, rhs=nw2)
-    return CatalogResult((first, second, third))
+    self_pair = _complex(nre2 - nim2, 2.0 * mixed)
+    half_self = 0.5 * _abs(self_pair)
+    middle1 = half_self + _abs(t - 0.5 * self_pair)
+    middle2 = 0.5 * (nw2 + _abs(self_pair))
+    first = stacked_evaluation("kurepa-refined-3.3", nw2, _abs(t), rhs=middle1)
+    second = stacked_evaluation("kurepa-refined-3.3", nw2, middle1, rhs=middle2)
+    third = stacked_evaluation("kurepa-refined-3.3", nw2, middle2, rhs=nw2)
+    return StackedResult((first, second, third))
 
 
 # registry --------------------------------------------------------------------
@@ -635,10 +910,16 @@ class CatalogEntry:
     def has_premises(self) -> bool:
         return self.default_params is not None
 
-    def run(self, space, inputs, params=None, *, extended: bool = False) -> CatalogResult:
+    def run(self, space, inputs, params=None, *, extended: bool = False):
+        """Evaluate one instance (a dict of inputs), giving its CatalogResult,
+        or a group of instances of `space` (a sequence of such dicts),
+        giving their StackedResult in order."""
         if space.field not in self.fields:
             raise DomainError(f"{self.name} is not defined over {space.field.name.lower()} spaces")
-        values = [inputs[arg] for arg in self.args]
+        if isinstance(inputs, dict):
+            values = [inputs[arg] for arg in self.args]
+        else:
+            values = [Rows(one[arg] for one in inputs) for arg in self.args]
         if self.has_premises:
             values.append(params or self.default_params)
         return self.statement(space, *values, extended=extended)
@@ -686,14 +967,34 @@ def catalog_entry(name: str) -> CatalogEntry:
         raise DomainError(f"unknown inequality {name!r}") from None
 
 
-def run_catalog(name: str, space: SpaceSpec, inputs: dict, params: Optional[MooreParams] = None, *, extended: bool = False) -> CatalogResult:
-    """Evaluate one named inequality on explicit inputs."""
+def run_catalog(name: str, space: SpaceSpec, inputs, params: Optional[MooreParams] = None, *, extended: bool = False):
+    """Evaluate one named inequality on explicit inputs (one instance or a
+    group; see CatalogEntry.run)."""
     return catalog_entry(name).run(space, inputs, params, extended=extended)
+
+
+def _digest_columns(entry: CatalogEntry, space: SpaceSpec, group) -> list:
+    return [[np.asarray(inputs[arg], dtype=space.field.dtype) if arg in entry.vector_args else inputs[arg]
+             for inputs in group] for arg in entry.args]
 
 
 def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
     """Digest an instance's vector data in the entry's argument order."""
+    rows = _serialized(space, _digest_columns(catalog_entry(name), space, [inputs]))
+    return format(fnv1a_64(rows.tobytes()), "016x")
+
+
+def instance_digests(name: str, instances) -> list:
+    """instance_digest of each (space, inputs) pair, in order: the instances
+    of one space and family sizes are serialized into one uint8 matrix, and
+    every row of every matrix is hashed in one pass."""
     entry = catalog_entry(name)
-    parts = [np.asarray(inputs[arg], dtype=space.field.dtype) if arg in entry.vector_args else inputs[arg]
-             for arg in entry.args]
-    return digest_inputs(space, *parts)
+    groups = {}
+    for i, (space, inputs) in enumerate(instances):
+        groups.setdefault((space, *(inputs[k].size for k in entry.family_args)), []).append(i)
+    blocks = [_serialized(space, _digest_columns(entry, space, [instances[i][1] for i in rows]))
+              for (space, *_), rows in groups.items()]
+    digests = [None] * len(instances)
+    for i, h in zip((i for rows in groups.values() for i in rows), fnv1a_64_rows(blocks)):
+        digests[i] = format(h, "016x")
+    return digests

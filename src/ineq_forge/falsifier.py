@@ -28,20 +28,29 @@ probe direction of the quotient-transfer statement) is capped; trials that
 exhaust the cap are reported as premise-starved, never silently dropped.
 
 A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
-order or by a process pool, and merged in shard order.  A shard can also
-return one instance record per trial whose premises hold (its digest and
-binding margins), so a caller that writes every instance gets them from the
-same sampling and evaluation as the report, one shard at a time.
+order or by a process pool, and merged in shard order.  A shard samples its
+trials one by one, evaluates them in groups of one space (catalog
+statements are stacked kernels that give each member of a group the bits
+it gets alone), then counts them in trial order.  If a group
+raises, the shard evaluates its trials alone in trial order, so the error
+is the first faulty trial's own.  A shard can also return one instance
+record per trial whose premises hold (its digest and binding margins), so a
+caller that writes every instance gets them from the same sampling and
+evaluation as the report, one shard at a time; the digests of a shard take
+one batched FNV-1a pass.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
 roundoff, and the report only counts confirmed ones.  The worst margin is
 selected by scale-normalized margin (ties to the lower trial index) and
 reported in raw units.  Local ascent refines the most promising candidates
-by projected central-difference descent on the normalized margin.  The
-complex-premise Moore experiment refines its lowest ratios with the same
-descent routine and the same coordinate codec, so both searches share one
-implementation of the step, the projection and the premise guard.
+by projected central-difference descent on the normalized margin; the 2n
+probes of each gradient are evaluated as one group, and a probe that cannot
+be rebuilt or raises (alone, after its group raised) is left out of the
+gradient.  The complex-premise Moore experiment evaluates its samples in
+groups of one dimension, chunk by chunk, and refines its lowest ratios with
+the same descent routine and the same coordinate codec, so both searches
+share one implementation of the step, the projection and the premise guard.
 """
 
 from __future__ import annotations
@@ -59,12 +68,14 @@ from scipy import special as sps
 
 from .catalog import (
     MooreParams,
+    Rows,
     TOL_ABS,
     TOL_REL,
     catalog_entry,
     digest_inputs,
     fnv1a_64,
     instance_digest,
+    instance_digests,
     verify_moore,
 )
 from .orthonormal import OrthonormalFamily, gram_schmidt
@@ -487,6 +498,29 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
+def _group_rows(items: list, key, evaluate, alone) -> list:
+    """One row per item, in item order, from `evaluate(group)`, which takes
+    the items that share `key(item)` as one group and returns a row for each.
+
+    If a group raises, `alone(item)` runs on every item in order, so that
+    the error raised is the one the first faulty item raises by itself (and
+    the group's own error if none does).
+    """
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    rows = [None] * len(items)
+    try:
+        for members in groups.values():
+            for i, row in zip(members, evaluate([items[i] for i in members])):
+                rows[i] = row
+    except (ValueError, ArithmeticError):
+        for item in items:
+            alone(item)
+        raise
+    return rows
+
+
 def _confirmed_violation(entry, space, inputs) -> bool:
     result = entry.run(space, inputs, extended=True)
     if result.premises_hold is False:
@@ -596,45 +630,73 @@ class _CoordCodec:
 
 
 def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of fn at flat with step h.  fn maps the list of
+    all 2n probe points (flat + h, then flat - h, along each coordinate in
+    turn) to their values in one call; a coordinate with a non-finite value
+    on either side gets 0."""
+    n = flat.size
+    probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
+    coords = np.arange(n)
+    probes[2 * coords, coords] += h
+    probes[2 * coords + 1, coords] -= h
+    values = np.array(fn(list(probes)), dtype=np.float64)
+    up, down = values[0::2], values[1::2]
     grad = np.zeros_like(flat)
-    work = flat.copy()
-    for i in range(flat.size):
-        saved = work[i]
-        work[i] = saved + h
-        up = fn(work)
-        work[i] = saved - h
-        down = fn(work)
-        work[i] = saved
-        if math.isfinite(up) and math.isfinite(down):
-            grad[i] = (up - down) / (2.0 * h)
+    finite = np.isfinite(up) & np.isfinite(down)
+    grad[finite] = (up[finite] - down[finite]) / (2.0 * h)
     return grad
 
 
+def _evaluate(objective, candidates: list) -> list:
+    """(value, premises_ok) of each candidate, with (inf, False) for None
+    (a point the codec cannot rebuild).  The others are evaluated as one
+    group; if that raises, each is evaluated alone, and one that raises
+    alone gets (inf, False)."""
+    live = [c for c in candidates if c is not None]
+    try:
+        scores = iter(objective(live) if live else ())
+    except (DomainError, ArithmeticError):
+        scores = iter([_evaluate_alone(objective, c) for c in live])
+    return [(math.inf, False) if c is None else next(scores) for c in candidates]
+
+
+def _evaluate_alone(objective, candidate) -> tuple:
+    try:
+        return objective([candidate])[0]
+    except (DomainError, ArithmeticError):
+        return math.inf, False
+
+
+def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -> np.ndarray:
+    """The central-difference gradient of `objective` at flat: the 2n
+    probes, rebuilt unprojected, are evaluated as one group."""
+
+    def values(points):
+        return [value for value, _ in _evaluate(objective, [codec.rebuild(p, project=False) for p in points])]
+
+    return _central_gradient(values, flat, h)
+
+
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
-    """Projected central-difference descent on `objective(inputs) ->
-    (value, premises_ok)`.
+    """Projected central-difference descent on `objective`, which maps a
+    list of instances to their (value, premises_ok) and raises on a faulty
+    one (see `_evaluate`).
 
-    Each step evaluates the 2n unprojected probes of the gradient, then
-    projected candidates along the normalized descent direction, halving the
-    step until one lowers the value with its premises intact.  The recorded
-    trace is nonincreasing by construction.
+    Each step evaluates the 2n unprojected probes of the gradient as one
+    group, then projected candidates along the normalized descent direction,
+    halving the step until one lowers the value with its premises intact.
+    The recorded trace is nonincreasing by construction.
     """
-
-    def evaluate(candidate):
-        return (math.inf, False) if candidate is None else objective(candidate)
-
-    def raw_objective(flat):
-        return evaluate(codec.rebuild(flat, project=False))[0]
 
     flat = codec.flatten(inputs)
     current_inputs = inputs
-    current, _ = objective(inputs)
+    ((current, _),) = _evaluate(objective, [inputs])
     trace = [current]
     step = config.step_size
     if flat.size == 0:
         return AscentResult(current_inputs, current, tuple(trace))
     for _ in range(config.ascent_steps):
-        grad = _central_gradient(raw_objective, flat, config.fd_eps)
+        grad = _probe_gradient(objective, codec, flat, config.fd_eps)
         gnorm = float(np.linalg.norm(grad))
         if not math.isfinite(gnorm) or gnorm < 1e-14:
             break
@@ -644,7 +706,7 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
         trial_step = step
         for _ in range(MAX_HALVINGS + 1):
             candidate = codec.rebuild(flat - trial_step * reach * direction, project=True)
-            value, ok = evaluate(candidate)
+            ((value, ok),) = _evaluate(objective, [candidate])
             if ok and value < current:
                 accepted = True
                 break
@@ -668,15 +730,19 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
     rejected.
     """
     entry = catalog_entry(ineq_name)
+    return _descend(_catalog_objective(entry, space, params), _CoordCodec(entry, space, inputs), inputs, config)
 
-    def objective(candidate):
-        try:
-            result = entry.run(space, candidate, params)
-        except (DomainError, ArithmeticError):
-            return math.inf, False
-        return result.binding.normalized_margin, result.premises_hold is not False
 
-    return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
+def _catalog_objective(entry, space: SpaceSpec, params=None):
+    """local_ascent's objective: the binding link's normalized margin and
+    whether the premises hold, for each instance of a group in `space`."""
+
+    def objective(candidates):
+        result = entry.run(space, candidates, params)
+        premises = [True] * len(candidates) if result.premises_hold is None else result.premises_hold.tolist()
+        return list(zip(result.binding.normalized_margin.tolist(), premises))
+
+    return objective
 
 
 def _keep_top(top: list, key: tuple) -> None:
@@ -692,53 +758,70 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _instance_record(name: str, sampled: SampledInstance, binding, holds: bool) -> tuple:
-    """The plain values of one evaluated trial that an instance line needs:
-    (dim, field, instance digest, the binding link's lhs, center, rhs,
-    margin_lower and margin_upper, holds, near_equality)."""
-    space = sampled.space
-    return (space.dim, space.field.name.lower(), instance_digest(name, space, sampled.inputs),
-            binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper,
-            holds, binding.near_equality)
+def _binding_rows(entry, group: list) -> list:
+    """For each sampled instance of a group: None when its premises fail,
+    else (normalized margin, min margin, all links hold, near equality,
+    binding link fields), the fields as an instance line writes them."""
+    result = entry.run(group[0].space, [sampled.inputs for sampled in group])
+    binding = result.binding
+    n = len(group)
+    premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
+    fields = zip(*([None] * n if value is None else value.astype(np.float64, copy=False).tolist()
+                   for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)))
+    return [(normalized, low, holds, near, link) if ok else None
+            for ok, normalized, low, holds, near, link in zip(
+                premises, binding.normalized_margin.tolist(), binding.min_margin.tolist(), result.holds.tolist(),
+                binding.near_equality.tolist(), fields)]
 
 
 def _shard_worker(task):
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
+    samples = [sample_instance(config, name, index) for index in range(start, stop)]
+
+    def alone(sampled):
+        entry.run(sampled.space, sampled.inputs)
+
+    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry), alone)
     hist = [0] * HISTOGRAM_BUCKETS
     near = 0
     violations = 0
     starved_count = 0
     worst = None  # (normalized, index, raw)
     top = []  # ascending (normalized, index, near_equality, violated)
-    records = [] if with_records else None
-    for index in range(start, stop):
-        sampled = sample_instance(config, name, index)
-        result = entry.run(sampled.space, sampled.inputs)
-        if result.premises_hold is False:
+    for index, sampled, row in zip(range(start, stop), samples, rows):
+        if row is None:
             starved_count += 1
             continue
-        binding = result.binding
-        normalized = binding.normalized_margin
+        normalized, min_margin, holds, near_equality, _ = row
         hist[_bucket(normalized)] += 1
-        near += 1 if binding.near_equality else 0
-        holds = all(link.holds for link in result.links)
+        near += 1 if near_equality else 0
         violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
         violations += 1 if violated else 0
         if worst is None or (normalized, index) < (worst[0], worst[1]):
-            worst = (normalized, index, float(binding.min_margin))
+            worst = (normalized, index, min_margin)
         # (normalized, index) is unique, so the flags never decide the order
-        _keep_top(top, (normalized, index, binding.near_equality, violated))
-        if records is not None:
-            records.append(_instance_record(name, sampled, binding, holds))
+        _keep_top(top, (normalized, index, near_equality, violated))
+    records = _instance_records(name, samples, rows) if with_records else None
     return hist, near, violations, starved_count, worst, top, records
+
+
+def _instance_records(name: str, samples: list, rows: list) -> list:
+    """The plain values an instance line needs, for each trial whose
+    premises hold, in trial order: (dim, field, instance digest, the binding
+    link's lhs, center, rhs, margin_lower and margin_upper, holds,
+    near_equality).  The digests take one pass over the whole shard."""
+    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row is not None]
+    digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
+    return [(sampled.space.dim, sampled.space.field.name.lower(), digest, *row[4], row[2], row[3])
+            for (sampled, row), digest in zip(counted, digests)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
     """Run the randomized search for one inequality and aggregate a report.
 
     With `on_records`, every trial whose premises hold also yields an
-    instance record (`_instance_record`) from the same sampling and
+    instance record (`_instance_records`) from the same sampling and
     evaluation that the report counts.  `on_records` receives each shard's
     records, in trial order, as that shard arrives and in shard order, so
     the caller holds one shard's records at a time.
@@ -831,22 +914,23 @@ def _moore_complex_sample(config: SearchConfig, params: MooreParams, index: int)
     return space, inputs
 
 
-def _moore_ratio(space, inputs, params: MooreParams, extended: bool = False):
-    result = verify_moore(space, inputs["x"], inputs["y"], inputs["z"], params, extended=extended)
+def _moore_ratios(space, group: list, params: MooreParams, extended: bool = False) -> list:
+    """(premises hold, |<y,z>| / (||y|| ||z||), ||y|| ||z||) of each instance
+    of a group of moore-1.9 inputs in one space, evaluated together."""
+    result = verify_moore(space, *(Rows(inputs[k] for inputs in group) for k in ("x", "y", "z")), params,
+                          extended=extended)
     (conclusion,) = result.links
-    return result.premises_hold, conclusion.center / max(conclusion.scale, _TINY), conclusion.scale
+    center, scale = conclusion.center.astype(np.float64, copy=False), conclusion.scale.astype(np.float64, copy=False)
+    ratio = center / np.maximum(scale, _TINY)
+    return list(zip(result.premises_hold.tolist(), ratio.tolist(), scale.tolist()))
 
 
 def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchConfig) -> AscentResult:
     """Descent on the premise-conditioned ratio for the complex experiment,
     with moore-1.9's codec applied to the complex space."""
 
-    def objective(values):
-        try:
-            ok, ratio, _ = _moore_ratio(space, values, params)
-        except DomainError:
-            return math.inf, False
-        return ratio, ok
+    def objective(candidates):
+        return [(ratio, ok) for ok, ratio, _ in _moore_ratios(space, candidates, params)]
 
     return _descend(objective, _CoordCodec(catalog_entry("moore-1.9"), space, inputs), inputs, config)
 
@@ -877,30 +961,42 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(space, inputs):
-        """Fold one instance into the minimum and the witness; returns its
-        ratio, or None when its premises fail."""
+    def observe(space, inputs, ok, ratio, scale):
+        """Fold one evaluated instance into the minimum and the witness;
+        returns its ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
-        ok, ratio, scale = _moore_ratio(space, inputs, params)
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
-            ok_e, ratio_e, scale_e = _moore_ratio(space, inputs, params, extended=True)
+            ((ok_e, ratio_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
         return ratio
 
-    for index in range(config.trials):
-        ratio = observe(*_moore_complex_sample(config, params, index))
-        if ratio is not None:
-            satisfying += 1
-            _keep_top(top, (ratio, index))
+    def evaluate(samples):
+        return _moore_ratios(samples[0][0], [inputs for _, inputs in samples], params)
+
+    def alone(sample):
+        verify_moore(sample[0], sample[1]["x"], sample[1]["y"], sample[1]["z"], params)
+
+    # the samples of a chunk are evaluated in groups of one dimension each
+    for first in range(0, config.trials, SHARD_SIZE):
+        indices = range(first, min(first + SHARD_SIZE, config.trials))
+        samples = [_moore_complex_sample(config, params, index) for index in indices]
+        scores = _group_rows(samples, lambda sample: sample[0], evaluate, alone)
+        for index, (space, inputs), score in zip(indices, samples, scores):
+            ratio = observe(space, inputs, *score)
+            if ratio is not None:
+                satisfying += 1
+                _keep_top(top, (ratio, index))
     if config.ascent_steps > 0:
         for _, index in top:
             space, inputs = _moore_complex_sample(config, params, index)
-            observe(space, _refine_moore_candidate(space, inputs, params, config).refined_inputs)
+            refined = _refine_moore_candidate(space, inputs, params, config).refined_inputs
+            ((ok, ratio, scale),) = _moore_ratios(space, [refined], params)
+            observe(space, refined, ok, ratio, scale)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

@@ -18,8 +18,9 @@ Validation happens once, at the boundary.  The public `as_vector`, `inner`,
 `norm` and `require_nonzero` check their arguments (complex data in a real
 space, length, finiteness) on every call.  `pairing` and `pairing_norm` are
 the same arithmetic without the checks, for arrays that already passed
-`as_vector`: the catalog's statement kernels validate each argument once on
-entry and then pair through them.
+`as_vector`; both also take (n, d) stacks, row by row, with the same
+rounding as n separate calls.  The catalog's statement kernels validate
+each argument once on entry and then pair through it.
 """
 
 from __future__ import annotations
@@ -109,12 +110,20 @@ def as_vector(space: SpaceSpec, x) -> np.ndarray:
 
 
 def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray):
-    """The pairing u^T gram conj(v) of arrays that already passed as_vector.
+    """The pairing u^T gram conj(v) of arrays that already passed as_vector,
+    or row by row of two (n, d) stacks of them.
 
-    Validates nothing and computes in the operands' dtype.  Double operands
-    give a Python float or complex; extended ones a numpy scalar.
+    Validates nothing and computes in the operands' dtype.  Double vectors
+    give a Python float or complex, extended ones a numpy scalar, stacks an
+    (n,) array.  A stack takes one (1, d) @ (d, 1) matmul per row, which
+    rounds each row exactly as `u @ w` rounds one vector.
     """
     w = np.conj(v) if space.field is Field.COMPLEX else v
+    if u.ndim == 2:
+        w = w[:, :, np.newaxis]
+        if space.gram is not None:
+            w = space.gram @ w
+        return (u[:, np.newaxis, :] @ w)[:, 0, 0]
     if space.gram is not None:
         w = space.gram @ w
     out = u @ w
@@ -127,9 +136,18 @@ def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray):
 
 
 def pairing_norm(space: SpaceSpec, u: np.ndarray):
-    """Norm induced by `pairing`, on an array that already passed as_vector;
-    tiny negative squares clamp to zero."""
+    """Norm induced by `pairing`, on an array that already passed as_vector
+    or of every row of an (n, d) stack of them; tiny negative squares clamp
+    to zero."""
     q = pairing(space, u, u)
+    if u.ndim == 2:
+        # the same rule on arrays: fmax(|re|, 1) is max(1.0, |re|), a NaN
+        # included, and the clamp keeps a -0.0 as max(q, 0.0) does
+        if space.field is Field.COMPLEX:
+            if (np.abs(q.imag) > 1e-12 * np.fmax(np.abs(q.real), 1.0)).any():
+                raise DomainError("squared norm has a non-negligible imaginary part")
+            q = q.real
+        return np.sqrt(np.where(q < 0.0, 0.0, q))
     if space.field is Field.COMPLEX:
         re = q.real
         if abs(q.imag) > 1e-12 * max(1.0, abs(re)):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ineq_forge.catalog import (
     CATALOG,
@@ -21,6 +22,7 @@ from ineq_forge.catalog import (
     TOL_REL,
     IneqEvaluation,
     MooreParams,
+    StackedResult,
     buzano_moore_useful,
     digest_inputs,
     eval_angle_bound,
@@ -35,9 +37,11 @@ from ineq_forge.catalog import (
     eval_richard,
     eval_schwarz,
     fnv1a_64,
+    fnv1a_64_rows,
     moore_coefficient,
     precupanu_moore_bounds,
     run_catalog,
+    stacked_evaluation,
     verify_buzano_moore,
     verify_cosine_transfer,
     verify_moore,
@@ -997,3 +1001,83 @@ class TestBoundaryValidation:
             for bad in _spoiled(sampled.inputs[arg]):
                 with pytest.raises(DomainError):
                     entry.run(sampled.space, {**sampled.inputs, arg: bad}, extended=extended)
+
+
+_LINK_FIELDS = ("lhs", "center", "rhs", "margin_lower", "margin_upper", "holds", "near_equality", "scale")
+
+
+def _same_bits(a, b) -> bool:
+    """Equal arrays in value, NaN for NaN and sign of zero (long double
+    included, whose padding bytes a byte compare would read)."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype != bool) and (
+        a.dtype == bool or np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestStackedKernels:
+    """A group evaluates each of its members exactly as a batch of one does."""
+
+    @pytest.mark.parametrize(
+        "name, field, gram",
+        [pytest.param(n, f, g, id=f"{n}-{f.value}-{g.value}")
+         for n, e in CATALOG.items() for f in e.fields for g in GramKind],
+    )
+    def test_group_equals_its_batches_of_one(self, name, field, gram):
+        entry = CATALOG[name]
+        choice = FieldChoice.REAL if field is Field.REAL else FieldChoice.COMPLEX
+        # 32 trials in each dimension 1..8
+        config = SearchConfig(seed=11, trials=8 * 32, dims=(1, 8), field=choice, gram=gram)
+        # one group per space, as a shard groups them (family sizes mixed)
+        groups = {}
+        for index in range(config.trials):
+            sampled = sample_instance(config, name, index)
+            groups.setdefault(sampled.space, []).append(sampled.inputs)
+        for space, members in groups.items():
+            for extended in (False, True):
+                group = entry.run(space, members, extended=extended)
+                for i, inputs in enumerate(members):
+                    one = entry.run(space, [inputs], extended=extended)
+                    for stacked, single in zip(group.links, one.links):
+                        for name_ in _LINK_FIELDS:
+                            row = getattr(stacked, name_)
+                            assert _same_bits(None if row is None else row[i : i + 1], getattr(single, name_)), name_
+                    if one.premises_hold is not None:
+                        assert group.premises_hold[i] == one.premises_hold[0]
+                    # and the records of the group are those of the instance alone
+                    assert group.row(i) == entry.run(space, inputs, extended=extended)
+
+    def test_nan_margins_bind_as_min_picks(self):
+        nan = math.nan
+        scale = np.ones(4)
+        first = stacked_evaluation("t", scale, np.array([0.0, nan, 0.0, 0.0]), rhs=np.array([1.0, 1.0, 0.5, nan]))
+        second = stacked_evaluation("t", scale, np.array([0.0, 0.0, nan, 0.0]), rhs=np.full(4, 0.5))
+        result = StackedResult((first, second))
+        for i in range(4):
+            # the second link binds row 0 only: a NaN margin in the first
+            # link is kept, one in the second is passed over
+            assert repr(result.binding.row(i)) == repr(result.row(i).binding)
+            assert repr(result.binding.row(i)) == repr(result.links[0 if i else 1].row(i))
+
+
+def _fnv_reference(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+class TestBatchedDigest:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.binary(max_size=48), max_size=16))
+    def test_rows_hash_as_the_byte_loop(self, strings):
+        # one block per length, rows in order of appearance, plus one block per string
+        by_length = {}
+        for data in strings:
+            by_length.setdefault(len(data), []).append(data)
+        blocks = [np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), length)
+                  for length, rows in by_length.items()]
+        expected = [_fnv_reference(data) for rows in by_length.values() for data in rows]
+        assert fnv1a_64_rows(blocks) == expected
+        singles = [np.frombuffer(data, dtype=np.uint8).reshape(1, len(data)) for data in strings]
+        assert fnv1a_64_rows(singles) == [_fnv_reference(data) for data in strings] == [fnv1a_64(d) for d in strings]

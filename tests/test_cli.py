@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ineq_forge import cli
-from ineq_forge.catalog import CATALOG, catalog_names
+from ineq_forge.catalog import CATALOG, CatalogResult, catalog_names
 from ineq_forge.falsifier import SearchReport
 
 TIMESTAMP = re.compile(r'"(started_at|finished_at)":"[^"]*"')
@@ -223,13 +223,17 @@ class TestVerify:
 
 
 def _starving_every_third(statement):
-    """A statement whose premises fail on every third call, which is every
-    third trial when each trial is evaluated once."""
+    """A statement whose premises fail on every third instance it evaluates
+    (one alone, or a group's rows in order), which is every third trial of a
+    run when each trial is evaluated once."""
     calls = itertools.count()
 
     def run(*args, **kwargs):
         result = statement(*args, **kwargs)
-        return dataclasses.replace(result, premises_hold=next(calls) % 3 != 2)
+        if isinstance(result, CatalogResult):
+            return dataclasses.replace(result, premises_hold=next(calls) % 3 != 2)
+        rows = len(result.links[0].lhs)
+        return dataclasses.replace(result, premises_hold=np.array([next(calls) % 3 != 2 for _ in range(rows)]))
 
     return run
 

@@ -17,21 +17,27 @@ from ineq_forge.catalog import (
     CATALOG,
     CatalogResult,
     MooreParams,
+    Rows,
+    StackedResult,
     catalog_names,
+    eval_generalized,
     eval_schwarz,
     instance_digest,
     make_evaluation,
+    stacked_evaluation,
 )
 from ineq_forge.falsifier import (
     FieldChoice,
     GramKind,
     SearchConfig,
     Verdict,
+    _CoordCodec,
     _bucket,
+    _catalog_objective,
     _central_gradient,
     _conditioned_vector,
     _moore_complex_sample,
-    _moore_ratio,
+    _moore_ratios,
     _SAMPLERS,
     _name_key,
     _random_gram,
@@ -40,6 +46,7 @@ from ineq_forge.falsifier import (
     _sample_precupanu_moore,
     _sample_quotient_transfer,
     _norm,
+    _probe_gradient,
     _std_rows,
     _std_vector,
     _trial_rng,
@@ -335,15 +342,18 @@ class TestHistogram:
 
 def _always_violating(space, x, y, *, extended=False):
     # Schwarz turned around with a factor 2: |<x,y>| >= 2 ||x|| ||y|| fails
-    # on every instance, at any precision, and its margin still varies
+    # on every instance, at any precision, and its margin still varies; a
+    # group (Rows) gets stacked links, one instance its CatalogResult
     ev = eval_schwarz(space, x, y, extended=extended).binding
-    bad = make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs)
-    return CatalogResult((bad,))
+    if isinstance(x, Rows):
+        return StackedResult((stacked_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
+    return CatalogResult((make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
 
 
 def _nan_margin(space, x, y, *, extended=False):
-    bad = make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan)
-    return CatalogResult((bad,))
+    nan = np.full(len(x) if isinstance(x, Rows) else 1, math.nan)
+    result = StackedResult((stacked_evaluation("schwarz", 1.0, nan, rhs=nan),))
+    return result if isinstance(x, Rows) else result.row(0)
 
 
 class TestCountInvariants:
@@ -359,6 +369,120 @@ class TestCountInvariants:
         report = falsify("schwarz", SearchConfig(seed=0, trials=12, dims=(2, 4)))
         assert report.margin_histogram[0] == report.trials_run
         assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
+
+
+def _faulty_on(statement, position, keys, key):
+    """`statement`, raising DomainError on every instance whose argument at
+    `position` (after space) has its key in `keys`; a group raises if any of
+    its rows does, naming the first such row."""
+
+    def faulty(space, *args, **kwargs):
+        values = args[position]
+        for value in values if isinstance(values, Rows) else (values,):
+            if key(value) in keys:
+                raise DomainError(f"faulty instance {key(value)!r}")
+        return statement(space, *args, **kwargs)
+
+    return faulty
+
+
+class TestGroupFaults:
+    def test_error_is_the_first_faulty_trials_own(self, monkeypatch):
+        config = SearchConfig(seed=0, trials=40, dims=(2, 5))
+        # trial 9 (dimension 3, real) is in a group evaluated before that of
+        # trial 6 (dimension 4, complex), but 6 comes first in trial order
+        first, later = sample_instance(config, "schwarz", 6), sample_instance(config, "schwarz", 9)
+        assert (first.space.dim, first.space.field, later.space.dim, later.space.field) == (4, Field.COMPLEX, 3, Field.REAL)
+
+        def key(x):
+            return complex(x[0])
+
+        faulty = _faulty_on(eval_schwarz, 0, {key(first.inputs["x"]), key(later.inputs["x"])}, key)
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=faulty))
+        with pytest.raises(DomainError) as alone:
+            CATALOG["schwarz"].run(first.space, first.inputs)
+        with pytest.raises(DomainError) as grouped:
+            falsify("schwarz", config)
+        assert type(grouped.value) is type(alone.value)
+        assert str(grouped.value) == str(alone.value) == f"faulty instance {key(first.inputs['x'])!r}"
+
+    def test_nan_margin_trial_alone_lands_in_bucket_zero(self, monkeypatch):
+        config = SearchConfig(seed=0, trials=48, dims=(2, 4))
+        bad = sample_instance(config, "schwarz", 7)
+
+        def nan_for_bad_x(space, x, y, *, extended=False):
+            result = eval_schwarz(space, x, y, extended=extended)
+            if not isinstance(x, Rows):
+                if np.array_equal(x, bad.inputs["x"]):
+                    return CatalogResult((make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan),))
+                return result
+            (link,) = result.links
+            hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])
+            return StackedResult((stacked_evaluation("schwarz", link.scale, np.where(hit, math.nan, link.lhs),
+                                                     rhs=link.rhs),))
+
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=nan_for_bad_x))
+        report = falsify("schwarz", config)
+        # the trial-by-trial reference: each instance alone, in trial order
+        entry = CATALOG["schwarz"]
+        hist = [0] * len(report.margin_histogram)
+        for index in range(config.trials):
+            sampled = sample_instance(config, "schwarz", index)
+            hist[_bucket(entry.run(sampled.space, sampled.inputs).binding.normalized_margin)] += 1
+        assert hist[0] == 1
+        assert list(report.margin_histogram) == hist
+
+
+def _reference_gradient(entry, space, codec, flat, h):
+    """The per-probe loop: each probe rebuilt and evaluated alone, in order;
+    a probe the codec cannot rebuild, or whose evaluation raises, is inf."""
+
+    def value(point):
+        candidate = codec.rebuild(point, project=False)
+        if candidate is None:
+            return math.inf
+        try:
+            return entry.run(space, candidate).binding.normalized_margin
+        except (DomainError, ArithmeticError):
+            return math.inf
+
+    grad = np.zeros_like(flat)
+    work = flat.copy()
+    for i in range(flat.size):
+        saved = work[i]
+        work[i] = saved + h
+        up = value(work)
+        work[i] = saved - h
+        down = value(work)
+        work[i] = saved
+        if math.isfinite(up) and math.isfinite(down):
+            grad[i] = (up - down) / (2.0 * h)
+    return grad
+
+
+class TestBatchedGradient:
+    def test_equals_the_per_probe_loop(self, monkeypatch):
+        space = SpaceSpec(2, Field.REAL)
+        h = 1e-3
+        inputs = {"E": OrthonormalFamily(space, np.eye(2)), "F": OrthonormalFamily(space, np.zeros((0, 2))),
+                  "x": np.array([0.6, -1.3]), "y": np.array([1.1, 0.4])}
+        codec = _CoordCodec(CATALOG["generalized-2.1"], space, inputs)
+        # E's slice holds rows (1, 0) and (1, h + 5e-11): the probe that lowers
+        # the last coordinate by h leaves a dependent pair, which fails
+        # Gram-Schmidt; every other probe rebuilds
+        flat = np.concatenate([[1.0, 0.0, 1.0, h + 5e-11], inputs["x"], inputs["y"]])
+        assert codec.rebuild(flat, project=False) is not None
+        # the probes that raise x[0] by h raise inside the statement
+        faulty = _faulty_on(eval_generalized, 2, {float(flat[4] + h)}, lambda x: float(x[0]))
+        monkeypatch.setitem(CATALOG, "generalized-2.1", dataclasses.replace(CATALOG["generalized-2.1"], statement=faulty))
+        entry = CATALOG["generalized-2.1"]
+        reference = _reference_gradient(entry, space, codec, flat, h)
+        batched = _probe_gradient(_catalog_objective(entry, space), codec, flat, h)
+        assert np.array_equal(batched, reference)
+        # one coordinate each lost to Gram-Schmidt and to the raise; with E a
+        # basis of the plane the sum does not move with E, but with x and y
+        assert reference[3] == 0.0 and reference[4] == 0.0
+        assert np.all(reference[5:] != 0.0)
 
 
 class TestFullSweep:
@@ -393,7 +517,7 @@ class TestCentralGradient:
         def f(w):
             return float(w @ a @ w)
 
-        grad = _central_gradient(f, v.copy(), 1e-6)
+        grad = _central_gradient(lambda points: [f(w) for w in points], v.copy(), 1e-6)
         exact = 2.0 * a @ v
         assert np.allclose(grad, exact, rtol=1e-5)
 
@@ -401,7 +525,7 @@ class TestCentralGradient:
         def f(w):
             return math.nan if w[0] > 0.5 else float(w[1])
 
-        grad = _central_gradient(f, np.array([0.5, 1.0]), 1e-2)
+        grad = _central_gradient(lambda points: [f(w) for w in points], np.array([0.5, 1.0]), 1e-2)
         assert grad[0] == 0.0
 
 
@@ -480,7 +604,7 @@ class TestMooreComplexExperiment:
             res = _refine_moore_candidate(space, inputs, params, cfg)
             for k in ("x", "y", "z"):
                 assert norm(space, res.refined_inputs[k]) == pytest.approx(norm(space, inputs[k]), rel=1e-9)
-            ok, ratio, _ = _moore_ratio(space, res.refined_inputs, params)
+            ((ok, ratio, _),) = _moore_ratios(space, [res.refined_inputs], params)
             assert ok
             assert ratio == res.final_margin == res.trace[-1]
             assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))

@@ -25,6 +25,11 @@ class TestMooreComplexScan:
         (row,) = capsys.readouterr().out.splitlines()[2:]
         assert row.split()[3:5] == ["n/a", "n/a"]
 
+    def test_rejected_configuration_exits_one(self, capsys):
+        assert _load("moore_complex_scan").main(["--dims", "0", "--samples", "2", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("moore_complex_scan: error: dims") and err.count("\n") == 1
+
 
 class TestTightnessProbe:
     def test_tiny_probe(self, capsys):
@@ -36,3 +41,9 @@ class TestTightnessProbe:
     def test_unknown_name_exits_one(self, capsys):
         assert _load("tightness_probe").main(["--names", "nosuch"]) == 1
         assert "unknown inequality 'nosuch'" in capsys.readouterr().err
+
+    def test_real_only_name_with_complex_field_exits_one(self, capsys):
+        argv = ["--names", "richard-1.3", "--field", "complex", "--trials", "2", "--ascent-steps", "1"]
+        assert _load("tightness_probe").main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "tightness_probe: error: richard-1.3 is not defined over complex spaces\n"
