@@ -227,12 +227,14 @@ def _seed_flag(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub, *, count_flag: str, count_default: int = 10000, field_flag: bool = True):
+def _add_common(sub, *, count_flag: str, count_default: int = 10000, field_flag: bool = True,
+                gram_flag: bool = True):
     sub.add_argument(count_flag, type=int, default=count_default, metavar="N")
     sub.add_argument("--dims", type=_dims_flag, default=(2, 6), metavar="A..B")
     if field_flag:
         sub.add_argument("--field", choices=["real", "complex", "both"], default="both")
-    sub.add_argument("--gram", choices=["identity", "random"], default="identity")
+    if gram_flag:
+        sub.add_argument("--gram", choices=["identity", "random"], default="identity")
     sub.add_argument("--seed", type=_seed_flag, default=0)
     sub.add_argument("--out", metavar="PATH")
 
@@ -258,7 +260,8 @@ def _build_parser() -> _Parser:
 
     equality = commands.add_parser("equality", help="round-trip constructed equality instances")
     equality.add_argument("--ineq", default="all", metavar="NAME[,NAME...]")
-    _add_common(equality, count_flag="--samples")
+    # the builders construct their instances in identity-gram spaces
+    _add_common(equality, count_flag="--samples", gram_flag=False)
     equality.set_defaults(handler=cmd_equality)
 
     moore = commands.add_parser("moore-complex", help="complex-premise transfer experiment")
@@ -301,7 +304,7 @@ def _select_names(flag: str, universe) -> list:
 
 
 def _search_config(args, *, trials: int, ascent_steps: int = 0, step_size: float = 1e-2,
-                   field: Optional[FieldChoice] = None) -> SearchConfig:
+                   field: Optional[FieldChoice] = None, gram: Optional[GramKind] = None) -> SearchConfig:
     return SearchConfig(
         seed=args.seed,
         trials=trials,
@@ -309,7 +312,7 @@ def _search_config(args, *, trials: int, ascent_steps: int = 0, step_size: float
         ascent_steps=ascent_steps,
         step_size=step_size,
         field=field if field is not None else FieldChoice(args.field),
-        gram=GramKind(args.gram),
+        gram=gram if gram is not None else GramKind(args.gram),
     )
 
 
@@ -393,7 +396,7 @@ def cmd_falsify(args, threads: int) -> int:
 def cmd_equality(args, threads: int) -> int:
     started = _utc_now()
     names = _select_names(args.ineq, list(EQUALITY_BUILDERS))
-    config = _search_config(args, trials=args.samples)
+    config = _search_config(args, trials=args.samples, gram=GramKind.IDENTITY)
     # builder_space maps each cell to a field the builder can run in
     plan = _field_plan("equality", (Field.REAL, Field.COMPLEX), config.field)
     failures = 0
@@ -418,8 +421,9 @@ def cmd_equality(args, threads: int) -> int:
 def cmd_moore_complex(args, threads: int) -> int:
     started = _utc_now()
     config = _search_config(args, trials=args.samples, ascent_steps=args.ascent_steps, field=FieldChoice.COMPLEX)
-    report = moore_complex_experiment(args.eps, config)
+    # the sink opens first, so an unwritable --out fails before the run
     with _Sink(args.out) as sink:
+        report = moore_complex_experiment(args.eps, config)
         sink.record(
             to_json(
                 {

@@ -44,13 +44,15 @@ counted: a double-precision "violation" of a true bound is overwhelmingly
 roundoff, and the report only counts confirmed ones.  The worst margin is
 selected by scale-normalized margin (ties to the lower trial index) and
 reported in raw units.  Local ascent refines the most promising candidates
-by projected central-difference descent on the normalized margin; the 2n
-probes of each gradient are evaluated as one group, and a probe that cannot
-be rebuilt or raises (alone, after its group raised) is left out of the
-gradient.  The complex-premise Moore experiment evaluates its samples in
-groups of one dimension, chunk by chunk, and refines its lowest ratios with
-the same descent routine and the same coordinate codec, so both searches
-share one implementation of the step, the projection and the premise guard.
+by projected central-difference descent on the normalized margin.  The 2n
+probes of each gradient are rebuilt in one call, which re-orthonormalizes
+each family argument for all of them as one stacked Gram-Schmidt pass, and
+are evaluated as one group; a probe that cannot be rebuilt or raises
+(alone, after its group raised) is left out of the gradient.  The
+complex-premise Moore experiment evaluates its samples in groups of one
+dimension, chunk by chunk, and refines its lowest ratios with the same
+descent routine and the same coordinate codec, so both searches share one
+implementation of the step, the projection and the premise guard.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ from .catalog import (
     instance_digests,
     verify_moore,
 )
-from .orthonormal import OrthonormalFamily, gram_schmidt
+from .orthonormal import gram_schmidt
 from .spaces import (
     ComplexifiedVector,
     DomainError,
     Field,
     SpaceSpec,
     norm,
+    pairing_norm,
     zero_norm_threshold,
 )
 
@@ -363,8 +366,11 @@ def _sample_generic(entry, space, whitener, rng, params):
         size = int(rng.integers(0, dim + 1))
         for _ in range(16):
             rows = _std_rows(rng, size, dim, space.field)
+            if whitener is not None:
+                # one stacked product keeps each row's `whitener @ r` bits
+                rows = (whitener @ rows[:, :, np.newaxis])[:, :, 0]
             try:
-                inputs[key] = gram_schmidt(space, np.array([_ambient(whitener, r) for r in rows]).reshape(size, dim))
+                inputs[key] = gram_schmidt(space, rows)
                 break
             except DomainError:
                 continue
@@ -536,10 +542,11 @@ class _CoordCodec:
 
     Families always rebuild through gram_schmidt (the orthonormality
     manifold is the only place they make sense), vectors and complexified
-    pairs renormalize to their starting norms when `project` is set.  Each
-    family's last rebuild, or its failure, is kept with the bytes of its
-    slice and reused while that slice is unchanged, so a gradient probe
-    re-orthonormalizes only the family it perturbs.
+    pairs renormalize to their starting norms when `project` is set.
+    `rebuild` takes a stack of points: each family argument is
+    orthonormalized for all of them in one stacked gram_schmidt call, each
+    distinct slice once, so the 2n probes of a gradient re-orthonormalize a
+    family only where they perturb it.
     """
 
     def __init__(self, entry, space, inputs):
@@ -552,7 +559,6 @@ class _CoordCodec:
             k: math.hypot(norm(space, inputs[k].re), norm(space, inputs[k].im))
             for k in entry.complexified_args
         }
-        self.last_families = {}  # family name -> (slice bytes, family or None)
 
     def flatten(self, inputs) -> np.ndarray:
         parts = []
@@ -573,73 +579,85 @@ class _CoordCodec:
             return np.zeros(0)
         return np.concatenate(parts)
 
-    def _family(self, chunk: np.ndarray, size: int):
-        """Orthonormalize one family's slice; None when that fails."""
+    def _families(self, chunk: np.ndarray, size: int) -> list:
+        """Orthonormalize one family's slice of each point of an (m, w)
+        stack, None where that fails.  Each distinct slice (the slices of
+        gradient probes that leave the family alone are all the same) is
+        orthonormalized once, and the distinct ones as one stack."""
+        keys = [row.tobytes() for row in chunk]
+        first = {}  # slice bytes -> the first row holding them
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
         dim = self.space.dim
-        raw = chunk[: size * dim].reshape(size, dim)
+        distinct = chunk[list(first.values())]
+        shape = (len(distinct), size, dim)
+        raw = distinct[:, : size * dim].reshape(shape)
         if self.complex_field:
-            raw = raw + 1j * chunk[size * dim :].reshape(size, dim)
-        if size == 0:
-            return OrthonormalFamily(self.space, raw.astype(self.space.field.dtype))
-        try:
-            return gram_schmidt(self.space, raw)
-        except DomainError:
-            return None
+            raw = raw + 1j * distinct[:, size * dim :].reshape(shape)
+        family_of = dict(zip(first, gram_schmidt(self.space, raw)))
+        return [family_of[key] for key in keys]
 
-    def rebuild(self, flat: np.ndarray, project: bool):
+    def rebuild(self, points: np.ndarray, project: bool):
+        """The inputs of each flat point of an (m, n) stack, None for a
+        point that cannot be rebuilt; one (n,) point gives its inputs (or
+        None) alone.  Each argument is rebuilt for the whole stack at once."""
+        if points.ndim == 1:
+            return self.rebuild(points[np.newaxis], project)[0]
         dim = self.space.dim
+        rows = [{} for _ in points]
+        live = np.ones(len(points), dtype=bool)
         pos = 0
-        inputs = {}
         for k in self.entry.family_args:
             size = self.family_sizes[k]
             end = pos + size * dim * (2 if self.complex_field else 1)
-            key = flat[pos:end].tobytes()
-            last = self.last_families.get(k)
-            if last is None or last[0] != key:
-                last = (key, self._family(flat[pos:end], size))
-                self.last_families[k] = last
+            for i, family in enumerate(self._families(points[:, pos:end], size)):
+                if family is None:
+                    live[i] = False
+                rows[i][k] = family
             pos = end
-            if last[1] is None:
-                return None
-            inputs[k] = last[1]
         for k in self.entry.vector_args:
-            v = flat[pos : pos + dim].copy()
+            v = points[:, pos : pos + dim].copy()
             pos += dim
             if self.complex_field:
-                v = v + 1j * flat[pos : pos + dim]
+                v = v + 1j * points[:, pos : pos + dim]
                 pos += dim
             if project:
-                n = norm(self.space, v)
-                if n <= zero_norm_threshold(self.space):
-                    return None
-                v = v * (self.vector_norms[k] / n)
-            inputs[k] = v
+                n = pairing_norm(self.space, v)
+                kept = n > zero_norm_threshold(self.space)
+                live &= kept
+                v = v * (self.vector_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
+            for row, vector in zip(rows, v):
+                row[k] = vector
         for k in self.entry.complexified_args:
-            re = flat[pos : pos + dim].copy()
+            re = points[:, pos : pos + dim].copy()
             pos += dim
-            im = flat[pos : pos + dim].copy()
+            im = points[:, pos : pos + dim].copy()
             pos += dim
             if project:
-                n = math.hypot(norm(self.space, re), norm(self.space, im))
-                if n <= zero_norm_threshold(self.space):
-                    return None
-                re = re * (self.pair_norms[k] / n)
-                im = im * (self.pair_norms[k] / n)
-            inputs[k] = ComplexifiedVector(re, im)
-        return inputs
+                # math.hypot, row by row: np.hypot rounds differently
+                n = np.array([math.hypot(a, b) for a, b in zip(pairing_norm(self.space, re).tolist(),
+                                                                  pairing_norm(self.space, im).tolist())])
+                kept = n > zero_norm_threshold(self.space)
+                live &= kept
+                ratio = (self.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
+                re = re * ratio
+                im = im * ratio
+            for row, a, b in zip(rows, re, im):
+                row[k] = ComplexifiedVector(a, b)
+        return [row if ok else None for row, ok in zip(rows, live.tolist())]
 
 
 def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of fn at flat with step h.  fn maps the list of
-    all 2n probe points (flat + h, then flat - h, along each coordinate in
-    turn) to their values in one call; a coordinate with a non-finite value
-    on either side gets 0."""
+    """Central differences of fn at flat with step h.  fn maps the (2n, n)
+    stack of all probe points (flat + h, then flat - h, along each
+    coordinate in turn) to their values in one call; a coordinate with a
+    non-finite value on either side gets 0."""
     n = flat.size
     probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
     coords = np.arange(n)
     probes[2 * coords, coords] += h
     probes[2 * coords + 1, coords] -= h
-    values = np.array(fn(list(probes)), dtype=np.float64)
+    values = np.array(fn(probes), dtype=np.float64)
     up, down = values[0::2], values[1::2]
     grad = np.zeros_like(flat)
     finite = np.isfinite(up) & np.isfinite(down)
@@ -669,10 +687,11 @@ def _evaluate_alone(objective, candidate) -> tuple:
 
 def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -> np.ndarray:
     """The central-difference gradient of `objective` at flat: the 2n
-    probes, rebuilt unprojected, are evaluated as one group."""
+    probes are rebuilt unprojected in one call and evaluated as one
+    group."""
 
     def values(points):
-        return [value for value, _ in _evaluate(objective, [codec.rebuild(p, project=False) for p in points])]
+        return [value for value, _ in _evaluate(objective, codec.rebuild(points, project=False))]
 
     return _central_gradient(values, flat, h)
 

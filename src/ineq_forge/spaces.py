@@ -142,12 +142,16 @@ def pairing_norm(space: SpaceSpec, u: np.ndarray):
     q = pairing(space, u, u)
     if u.ndim == 2:
         # the same rule on arrays: fmax(|re|, 1) is max(1.0, |re|), a NaN
-        # included, and the clamp keeps a -0.0 as max(q, 0.0) does
+        # included, and the clamp keeps a -0.0 as max(q, 0.0) does; q is
+        # pairing's fresh array, so it clamps in place
         if space.field is Field.COMPLEX:
-            if (np.abs(q.imag) > 1e-12 * np.fmax(np.abs(q.real), 1.0)).any():
+            im = np.abs(q.imag)
+            # the bound is at least 1e-12, so only a row above 1e-12 can fail
+            if np.count_nonzero(im > 1e-12) and np.count_nonzero(im > 1e-12 * np.fmax(np.abs(q.real), 1.0)):
                 raise DomainError("squared norm has a non-negligible imaginary part")
             q = q.real
-        return np.sqrt(np.where(q < 0.0, 0.0, q))
+        q[q < 0.0] = 0.0
+        return np.sqrt(q, out=q)
     if space.field is Field.COMPLEX:
         re = q.real
         if abs(q.imag) > 1e-12 * max(1.0, abs(re)):

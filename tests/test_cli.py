@@ -132,6 +132,21 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "moore-complex", "--eps", "0.05", "--samples", "5", "--field", "real")
         assert code == 1
 
+    def test_equality_has_no_gram_flag(self, capsys):
+        # the builders construct identity-gram spaces, so --gram is refused
+        code, _, _ = run_cli(capsys, "equality", "--samples", "5", "--gram", "random")
+        assert code == 1
+
+    def test_moore_complex_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def experiment(eps, config):
+            pytest.fail("the experiment ran before --out was opened")
+
+        monkeypatch.setattr(cli, "moore_complex_experiment", experiment)
+        path = tmp_path / "missing" / "records"
+        code, _, err = run_cli(capsys, "moore-complex", "--eps", "0.05", "--samples", "5", "--out", str(path))
+        assert code == 1
+        assert err.startswith("ineq-forge: error:")
+
     def test_moore_complex_eps_out_of_range(self, capsys):
         assert run_cli(capsys, "moore-complex", "--eps", "1.5", "--samples", "5")[0] == 1
         assert run_cli(capsys, "moore-complex", "--eps", "0", "--samples", "5")[0] == 1

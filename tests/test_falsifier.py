@@ -55,8 +55,8 @@ from ineq_forge.falsifier import (
     moore_complex_experiment,
     sample_instance,
 )
-from ineq_forge.orthonormal import OrthonormalFamily
-from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, inner, norm
+from ineq_forge.orthonormal import OrthonormalFamily, gram_schmidt
+from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, inner, norm, zero_norm_threshold
 
 
 class TestSearchConfig:
@@ -483,6 +483,105 @@ class TestBatchedGradient:
         # basis of the plane the sum does not move with E, but with x and y
         assert reference[3] == 0.0 and reference[4] == 0.0
         assert np.all(reference[5:] != 0.0)
+
+
+def _reference_rebuild(codec, flat, project):
+    """The one-point rebuild that the stacked one replaced, kept as the
+    reference: each family through gram_schmidt alone, each vector and
+    complexified pair projected with the checking `norm`."""
+    space, dim = codec.space, codec.space.dim
+    parts = 2 if codec.complex_field else 1
+    pos = 0
+    inputs = {}
+    for k in codec.entry.family_args:
+        size = codec.family_sizes[k]
+        raw = flat[pos : pos + size * dim].reshape(size, dim)
+        if codec.complex_field:
+            raw = raw + 1j * flat[pos + size * dim : pos + 2 * size * dim].reshape(size, dim)
+        pos += parts * size * dim
+        try:
+            inputs[k] = gram_schmidt(space, raw)
+        except DomainError:
+            return None
+    for k in codec.entry.vector_args:
+        v = flat[pos : pos + dim].copy()
+        if codec.complex_field:
+            v = v + 1j * flat[pos + dim : pos + 2 * dim]
+        pos += parts * dim
+        if project:
+            n = norm(space, v)
+            if n <= zero_norm_threshold(space):
+                return None
+            v = v * (codec.vector_norms[k] / n)
+        inputs[k] = v
+    for k in codec.entry.complexified_args:
+        re, im = flat[pos : pos + dim].copy(), flat[pos + dim : pos + 2 * dim].copy()
+        pos += 2 * dim
+        if project:
+            n = math.hypot(norm(space, re), norm(space, im))
+            if n <= zero_norm_threshold(space):
+                return None
+            re, im = re * (codec.pair_norms[k] / n), im * (codec.pair_norms[k] / n)
+        inputs[k] = ComplexifiedVector(re, im)
+    return inputs
+
+
+def _codec_cases():
+    """(codec, flat) for every entry kind the codec handles: families with
+    vectors, families with a complexified pair, a vector with one, and
+    moore-1.9's vectors in a complex space."""
+    config = SearchConfig(seed=4, trials=8, dims=(2, 4), gram=GramKind.RANDOM)
+    cases = []
+    for name in ("generalized-2.1", "kurepa-refined-3.3", "kurepa-3.2"):
+        for index in range(6):
+            sampled = sample_instance(config, name, index)
+            cases.append((_CoordCodec(CATALOG[name], sampled.space, sampled.inputs), sampled.inputs))
+    moore = dataclasses.replace(config, field=FieldChoice.COMPLEX)
+    for index in range(3):
+        space, inputs = _moore_complex_sample(moore, MooreParams(eps=0.2), index)
+        cases.append((_CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs))
+    return cases
+
+
+class TestStackedRebuild:
+    @pytest.mark.parametrize("project", [False, True])
+    def test_stacked_rebuild_equals_each_point_alone(self, project):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for codec, inputs in _codec_cases():
+            flat = codec.flatten(inputs)
+            n = flat.size
+            # the 2n gradient probes, then nearby points, then one point that
+            # cannot be rebuilt: a family with a repeated row, or (projected)
+            # a zero first vector or pair
+            probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
+            probes[2 * np.arange(n), np.arange(n)] += 1e-3
+            probes[2 * np.arange(n) + 1, np.arange(n)] -= 1e-3
+            broken = flat.copy()
+            sizes = [codec.family_sizes[k] for k in codec.entry.family_args]
+            dim = codec.space.dim
+            if sizes and sizes[0] >= 2:
+                broken[dim : 2 * dim] = broken[:dim]
+                broken[sizes[0] * dim + dim : sizes[0] * dim + 2 * dim] = broken[sizes[0] * dim : sizes[0] * dim + dim]
+            elif project:
+                start = sum(sizes) * dim * (2 if codec.complex_field else 1)
+                broken[start:] = 0.0
+            points = np.vstack([flat, probes, flat + 0.1 * rng.standard_normal((3, n)), broken])
+            stacked = codec.rebuild(points, project)
+            assert len(stacked) == len(points)
+            for point, rebuilt in zip(points, stacked):
+                alone = codec.rebuild(point, project)
+                reference = _reference_rebuild(codec, point, project)
+                assert (rebuilt is None) == (alone is None) == (reference is None)
+                if rebuilt is not None:
+                    assert _input_bytes(rebuilt) == _input_bytes(alone) == _input_bytes(reference)
+            assert stacked[0] is not None
+            if sizes and sizes[0] >= 2 or project:
+                assert stacked[-1] is None
+            kinds.add((bool(sizes), bool(codec.entry.vector_args), bool(codec.entry.complexified_args),
+                       codec.complex_field))
+        assert kinds == {(True, True, False, False), (True, True, False, True), (True, False, True, False),
+                         (False, True, True, False), (False, True, False, True)}
 
 
 class TestFullSweep:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ineq_forge import orthonormal
 from ineq_forge.orthonormal import (
+    RANK_TOL,
     OrthonormalFamily,
     RankDeficientError,
     gram_schmidt,
@@ -23,6 +25,7 @@ from ineq_forge.spaces import (
     gram_from_factor,
     inner,
     norm,
+    pairing_norm,
 )
 
 
@@ -114,6 +117,117 @@ class TestGramSchmidt:
             vs = vs + 1j * rng.standard_normal((dim, dim))
         fam = gram_schmidt(s, vs)
         assert verify_orthonormal(fam, tol=1e-12).ok
+
+
+def _reference_gram_schmidt(space, vs):
+    """The one-family loop that the stacked routine replaced, kept as the
+    reference: the members, or the error it raises."""
+    out = np.zeros_like(vs)
+    for i, v in enumerate(vs):
+        scale = pairing_norm(space, v)
+        u = v
+        for _ in range(2):
+            if i:
+                a = u[np.newaxis, :] if space.gram is None else u[np.newaxis, :] @ space.gram
+                u = u - (a @ np.conjugate(out[:i]).T)[0] @ out[:i]
+        r = pairing_norm(space, u)
+        if r <= RANK_TOL * max(scale, 1e-300):
+            return RankDeficientError(i, r)
+        out[i] = u / r
+    return out
+
+
+def _draw(rng, shape, field):
+    vs = rng.standard_normal(shape)
+    return vs + 1j * rng.standard_normal(shape) if field is Field.COMPLEX else vs
+
+
+class TestStackedGramSchmidt:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_stacked_members_equal_alone_and_reference(self, field, weighted):
+        # dims 1..8, every family size, 6 families a stack; the last one
+        # repeats its first row, so each stack of k >= 2 has a failure
+        for dim in range(1, 9):
+            rng = np.random.default_rng(dim * 4 + 2 * weighted + (field is Field.COMPLEX))
+            s = weighted_space(rng, dim, field) if weighted else SpaceSpec(dim, field)
+            for k in range(dim + 1):
+                vs = _draw(rng, (6, k, dim), field)
+                if k >= 2:
+                    vs[5, 1] = 3.0 * vs[5, 0]
+                stacked = gram_schmidt(s, vs)
+                assert len(stacked) == 6
+                for family, rows in zip(stacked, vs):
+                    reference = _reference_gram_schmidt(s, rows)
+                    if isinstance(reference, RankDeficientError):
+                        assert family is None
+                        with pytest.raises(RankDeficientError):
+                            gram_schmidt(s, rows)
+                        continue
+                    alone = gram_schmidt(s, rows)
+                    assert family.members.dtype == alone.members.dtype == field.dtype
+                    assert family.members.tobytes() == alone.members.tobytes() == reference.tobytes()
+                    assert not family.members.flags.writeable
+                    assert verify_orthonormal(family, tol=1e-12).ok
+
+    def test_each_failure_is_none_in_a_stack_and_raises_alone(self):
+        s = SpaceSpec(3)
+        basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        dependent = [[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0]]
+        non_finite = [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]
+        # rounding leaves this family off orthonormality by about 1e-16,
+        # which tol 0 refuses; the basis rows come back exact
+        rounded = [[0.3, 0.7, -1.1], [0.2, -0.5, 0.9]]
+        assert _reference_gram_schmidt(s, np.array(rounded)) is not None
+        result = gram_schmidt(s, np.array([basis, dependent, non_finite, rounded, basis]), tol=0.0)
+        assert [family is None for family in result] == [False, True, True, True, False]
+        assert np.array_equal(result[0].members, basis) and np.array_equal(result[4].members, basis)
+        with pytest.raises(RankDeficientError) as exc:
+            gram_schmidt(s, np.array(dependent), tol=0.0)
+        expected = _reference_gram_schmidt(s, np.array(dependent))
+        assert (exc.value.index, exc.value.residual) == (expected.index, expected.residual) == (1, expected.residual)
+        assert type(exc.value.residual) is float
+        with pytest.raises(DomainError, match="non-finite"):
+            gram_schmidt(s, np.array(non_finite), tol=0.0)
+        with pytest.raises(DomainError, match="not orthonormal"):
+            gram_schmidt(s, np.array(rounded), tol=0.0)
+        # at the default tol the rounded family passes, alone and stacked
+        assert gram_schmidt(s, np.array(rounded)).size == 2
+        assert gram_schmidt(s, np.array([rounded]))[0] is not None
+
+    def test_a_pairing_that_raises_for_the_stack_runs_each_family_alone(self, monkeypatch):
+        s = SpaceSpec(2, Field.COMPLEX)
+
+        def pairing_norm_refusing_seven(space, u):
+            if np.any(u == 7.0):
+                raise DomainError("squared norm has a non-negligible imaginary part")
+            return pairing_norm(space, u)
+
+        monkeypatch.setattr(orthonormal, "pairing_norm", pairing_norm_refusing_seven)
+        good = np.array([[1.0, 2.0j], [0.5, -1.0]])
+        bad = np.array([[7.0, 1.0], [0.0, 1.0]])
+        result = gram_schmidt(s, np.array([good, bad, good]))
+        assert result[1] is None
+        assert result[0].members.tobytes() == result[2].members.tobytes() == gram_schmidt(s, good).members.tobytes()
+        with pytest.raises(DomainError):
+            gram_schmidt(s, bad)
+
+    def test_empty_families_and_shape_errors(self):
+        s = SpaceSpec(2)
+        assert [f.size for f in gram_schmidt(s, np.zeros((3, 0, 2)))] == [0, 0, 0]
+        assert gram_schmidt(s, np.zeros((0, 2, 2))) == []
+        with pytest.raises(DomainError):
+            gram_schmidt(s, np.zeros((2, 3, 2)))
+        with pytest.raises(DomainError):
+            gram_schmidt(s, np.zeros((2, 1, 3)))
+
+    def test_public_construction_still_checks(self):
+        s = SpaceSpec(3)
+        members = gram_schmidt(s, np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])).members
+        with pytest.raises(DomainError, match="not orthonormal"):
+            OrthonormalFamily(s, members * 1.01)
+        with pytest.raises(DomainError, match="finite"):
+            OrthonormalFamily(s, np.where(members == members[0, 0], np.inf, members))
 
 
 class TestReflection:
