@@ -8,8 +8,9 @@ compares it against the two candidate floors
     first  = 1 - eps - sqrt(2 eps)
     second = 1 - 4 eps + 2 eps^2
 
-The real-space result guarantees the first floor; whether the second one
-survives complexification at small eps is exactly what the scan probes.
+The first floor holds over real spaces (moore-1.9); whether it survives
+complexification is the open point the scan probes.  The second floor is
+proved over both fields (buzano-moore-1.16 is cataloged for both).
 A row whose min column dips below the first column would be a finding
 (exit code 3 mirrors the CLI convention); nothing of the sort has been
 observed.

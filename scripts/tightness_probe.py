@@ -17,8 +17,7 @@ Usage:
 import argparse
 import sys
 
-from ineq_forge.catalog import catalog_names
-from ineq_forge.cli import _dims_flag, _select_names
+from ineq_forge.cli import _dims_flag, _search_names
 from ineq_forge.falsifier import FieldChoice, GramKind, SearchConfig, falsify
 from ineq_forge.spaces import DomainError
 
@@ -41,7 +40,7 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     try:
-        return _probe(args, _select_names(args.names, catalog_names()))
+        return _probe(args, _search_names(args.names, FieldChoice(args.field)))
     except DomainError as exc:
         print(f"tightness_probe: error: {exc}", file=sys.stderr)
         return 1

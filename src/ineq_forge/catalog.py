@@ -192,11 +192,6 @@ class IneqEvaluation:
         return self.min_margin / max(self.scale, 1e-300)
 
 
-def make_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> IneqEvaluation:
-    """One instance's record, through the stacked rule of every statement."""
-    return stacked_evaluation(ineq, scale, np.atleast_1d(lhs), center, rhs).row(0)
-
-
 @dataclass(frozen=True)
 class CatalogResult:
     """The links of one evaluated statement and, for conditional statements,

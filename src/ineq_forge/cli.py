@@ -6,7 +6,9 @@ round-trips constructed equality instances through the certificate solvers,
 and `moore-complex` runs the complex-premise transfer experiment.
 
 Output is JSON Lines on stdout (or the --out file): record lines first, then
-exactly one run manifest as the final stdout line.  Floats are serialized
+exactly one run manifest as the final stdout line.  A summary, moore-complex
+or manifest line is its record (SearchReport, MooreComplexReport,
+RunManifest) with the fields in declaration order.  Floats are serialized
 with 17 significant digits so every value round-trips bit-exactly; the two
 timestamp fields are the only bytes that differ between identical runs.
 
@@ -23,17 +25,18 @@ finding (moore-complex only).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import functools
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from .catalog import CATALOG_VERSION, catalog_names
+from .catalog import CATALOG_VERSION, catalog_entry, catalog_names
 from .equality import EQUALITY_BUILDERS, builder_space
 from .falsifier import (
     FieldChoice,
@@ -49,7 +52,7 @@ from .falsifier import (
 from .spaces import DomainError, Field
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     command: str
     config: SearchConfig
@@ -88,6 +91,9 @@ def _member_key(key) -> str:
 
 
 def to_json(value) -> str:
+    """One JSON value, with no whitespace.  An enum is written as its value,
+    and a dataclass instance as an object of its fields in declaration
+    order, so a record's line lists exactly its dataclass's fields."""
     # exact scalar types first: bool, None, numpy scalars, subclasses and
     # sequences take the isinstance chain below
     kind = type(value)
@@ -113,48 +119,12 @@ def to_json(value) -> str:
         return _encode_str(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in value) + "]"
+    if isinstance(value, enum.Enum):
+        return to_json(value.value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return "{" + ",".join([_str_key(f.name) + to_json(getattr(value, f.name))
+                               for f in dataclasses.fields(value)]) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _config_dict(config: SearchConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "trials": config.trials,
-        "dims": list(config.dims),
-        "ascent_steps": config.ascent_steps,
-        "step_size": config.step_size,
-        "fd_eps": config.fd_eps,
-        "field": config.field.value,
-        "gram": config.gram.value,
-    }
-
-
-def _manifest_line(manifest: RunManifest) -> str:
-    return to_json(
-        {
-            "command": manifest.command,
-            "config": _config_dict(manifest.config),
-            "catalog_version": manifest.catalog_version,
-            "started_at": manifest.started_at,
-            "finished_at": manifest.finished_at,
-            "totals": manifest.totals,
-        }
-    )
-
-
-def _report_line(report) -> str:
-    return to_json(
-        {
-            "ineq": report.ineq,
-            "trials_run": report.trials_run,
-            "worst_margin": report.worst_margin,
-            "worst_instance_digest": report.worst_instance_digest,
-            "near_equality_count": report.near_equality_count,
-            "violation_count": report.violation_count,
-            "margin_histogram": list(report.margin_histogram),
-            "premise_starved": report.premise_starved,
-        }
-    )
 
 
 def _utc_now() -> str:
@@ -229,7 +199,7 @@ def _seed_flag(text: str) -> int:
 
 def _add_common(sub, *, count_flag: str, count_default: int = 10000, field_flag: bool = True,
                 gram_flag: bool = True):
-    sub.add_argument(count_flag, type=int, default=count_default, metavar="N")
+    sub.add_argument(count_flag, dest="trials", type=int, default=count_default, metavar="N")
     sub.add_argument("--dims", type=_dims_flag, default=(2, 6), metavar="A..B")
     if field_flag:
         sub.add_argument("--field", choices=["real", "complex", "both"], default="both")
@@ -248,7 +218,7 @@ def _build_parser() -> _Parser:
     _add_common(verify, count_flag="--samples")
     verify.add_argument("--emit-instances", action="store_true")
     verify.add_argument("--csv", metavar="PATH")
-    verify.set_defaults(handler=cmd_verify)
+    verify.set_defaults(handler=cmd_search, ascent_steps=0, step=1e-2)
 
     hunt = commands.add_parser("falsify", help="hunt for violations, ascent on")
     hunt.add_argument("--ineq", default="all", metavar="NAME[,NAME...]")
@@ -256,20 +226,20 @@ def _build_parser() -> _Parser:
     hunt.add_argument("--ascent-steps", type=int, default=50, metavar="K")
     hunt.add_argument("--step", type=float, default=1e-2, metavar="S")
     hunt.add_argument("--csv", metavar="PATH")
-    hunt.set_defaults(handler=cmd_falsify)
+    hunt.set_defaults(handler=cmd_search, emit_instances=False)
 
     equality = commands.add_parser("equality", help="round-trip constructed equality instances")
     equality.add_argument("--ineq", default="all", metavar="NAME[,NAME...]")
     # the builders construct their instances in identity-gram spaces
     _add_common(equality, count_flag="--samples", gram_flag=False)
-    equality.set_defaults(handler=cmd_equality)
+    equality.set_defaults(handler=cmd_equality, gram="identity", ascent_steps=0, step=1e-2)
 
     moore = commands.add_parser("moore-complex", help="complex-premise transfer experiment")
     moore.add_argument("--eps", type=float, required=True)
     # the experiment always runs over complex spaces
     _add_common(moore, count_flag="--samples", field_flag=False)
     moore.add_argument("--ascent-steps", type=int, default=0, metavar="K")
-    moore.set_defaults(handler=cmd_moore_complex)
+    moore.set_defaults(handler=cmd_moore_complex, field="complex", step=1e-2)
 
     return parser
 
@@ -303,100 +273,62 @@ def _select_names(flag: str, universe) -> list:
     return names
 
 
-def _search_config(args, *, trials: int, ascent_steps: int = 0, step_size: float = 1e-2,
-                   field: Optional[FieldChoice] = None, gram: Optional[GramKind] = None) -> SearchConfig:
+def _search_names(flag: str, choice: FieldChoice) -> list:
+    """The selected catalog names, each checked against the field choice
+    before the first run, so a rejected name leaves no partial output."""
+    names = _select_names(flag, catalog_names())
+    for name in names:
+        _field_plan(name, catalog_entry(name).fields, choice)
+    return names
+
+
+def _search_config(args) -> SearchConfig:
     return SearchConfig(
         seed=args.seed,
-        trials=trials,
+        trials=args.trials,
         dims=args.dims,
-        ascent_steps=ascent_steps,
-        step_size=step_size,
-        field=field if field is not None else FieldChoice(args.field),
-        gram=gram if gram is not None else GramKind(args.gram),
+        ascent_steps=args.ascent_steps,
+        step_size=args.step,
+        field=FieldChoice(args.field),
+        gram=GramKind(args.gram),
     )
+
+
+def _finish(sink: _Sink, args, config: SearchConfig, totals: dict, started: str) -> None:
+    manifest = RunManifest(args.command, config, CATALOG_VERSION, started, _utc_now(), totals)
+    sink.manifest(to_json(manifest))
 
 
 # command handlers ------------------------------------------------------------
 
 
-def _write_instances(sink: _Sink, name: str, seed: int, records) -> None:
-    """One JSON line per instance record of a falsify shard; trials whose
-    premises failed have no record (starvation shows in the summary
-    counter instead)."""
-    for dim, field, digest, lhs, center, rhs, margin_lower, margin_upper, holds, near in records:
-        sink.record(
-            to_json(
-                {
-                    "ineq": name,
-                    "dim": dim,
-                    "field": field,
-                    "seed": seed,
-                    "digest": digest,
-                    "lhs": lhs,
-                    "center": center,
-                    "rhs": rhs,
-                    "margin_lower": margin_lower,
-                    "margin_upper": margin_upper,
-                    "holds": holds,
-                    "near_equality": near,
-                }
-            )
-        )
-
-
-def _run_reports(names, config: SearchConfig, threads: int, sink: _Sink, emit_instances: bool):
-    reports = []
-    for name in names:
-        if emit_instances:
-            write = functools.partial(_write_instances, sink, name, config.seed)
-            report = falsify(name, config, threads=threads, on_records=write)
-        else:
-            report = falsify(name, config, threads=threads)
-        sink.record(_report_line(report))
-        reports.append(report)
-    return reports
-
-
-def _finish(sink: _Sink, command: str, config: SearchConfig, totals: dict, started: str) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        catalog_version=CATALOG_VERSION,
-        started_at=started,
-        finished_at=_utc_now(),
-        totals=totals,
-    )
-    sink.manifest(_manifest_line(manifest))
-
-
-def cmd_verify(args, threads: int) -> int:
+def cmd_search(args, threads: int) -> int:
+    """verify and falsify: one summary line per name, preceded by its
+    instance lines under --emit-instances."""
     started = _utc_now()
-    names = _select_names(args.ineq, catalog_names())
-    config = _search_config(args, trials=args.samples)
+    config = _search_config(args)
+    names = _search_names(args.ineq, config.field)
     with _Sink(args.out) as sink:
-        reports = _run_reports(names, config, threads, sink, args.emit_instances)
+
+        def write(records):
+            for record in records:
+                sink.record(to_json(record))
+
+        reports = []
+        for name in names:
+            report = falsify(name, config, threads=threads, on_records=write if args.emit_instances else None)
+            sink.record(to_json(report))
+            reports.append(report)
         if args.csv:
             _write_csv(args.csv, reports)
-        _finish(sink, "verify", config, {r.ineq: r.trials_run for r in reports}, started)
-    return 2 if any(r.violation_count for r in reports) else 0
-
-
-def cmd_falsify(args, threads: int) -> int:
-    started = _utc_now()
-    names = _select_names(args.ineq, catalog_names())
-    config = _search_config(args, trials=args.trials, ascent_steps=args.ascent_steps, step_size=args.step)
-    with _Sink(args.out) as sink:
-        reports = _run_reports(names, config, threads, sink, emit_instances=False)
-        if args.csv:
-            _write_csv(args.csv, reports)
-        _finish(sink, "falsify", config, {r.ineq: r.trials_run for r in reports}, started)
+        _finish(sink, args, config, {r.ineq: r.trials_run for r in reports}, started)
     return 2 if any(r.violation_count for r in reports) else 0
 
 
 def cmd_equality(args, threads: int) -> int:
     started = _utc_now()
     names = _select_names(args.ineq, list(EQUALITY_BUILDERS))
-    config = _search_config(args, trials=args.samples, gram=GramKind.IDENTITY)
+    config = _search_config(args)
     # builder_space maps each cell to a field the builder can run in
     plan = _field_plan("equality", (Field.REAL, Field.COMPLEX), config.field)
     failures = 0
@@ -414,31 +346,18 @@ def cmd_equality(args, threads: int) -> int:
             failures += failed
             totals[name] = config.trials
             sink.record(to_json({"ineq": name, "samples": config.trials, "passes": passes, "failures": failed}))
-        _finish(sink, "equality", config, totals, started)
+        _finish(sink, args, config, totals, started)
     return 2 if failures else 0
 
 
 def cmd_moore_complex(args, threads: int) -> int:
     started = _utc_now()
-    config = _search_config(args, trials=args.samples, ascent_steps=args.ascent_steps, field=FieldChoice.COMPLEX)
+    config = _search_config(args)
     # the sink opens first, so an unwritable --out fails before the run
     with _Sink(args.out) as sink:
         report = moore_complex_experiment(args.eps, config)
-        sink.record(
-            to_json(
-                {
-                    "eps": report.eps,
-                    "samples": report.samples,
-                    "samples_satisfying_premises": report.samples_satisfying_premises,
-                    "min_observed_ratio": report.min_observed_ratio,
-                    "first_bound": report.first_bound,
-                    "second_bound": report.second_bound,
-                    "verdict": report.verdict.value,
-                    "witness_digest": report.witness_digest,
-                }
-            )
-        )
-        _finish(sink, "moore-complex", config, {"moore-complex": report.samples}, started)
+        sink.record(to_json(report))
+        _finish(sink, args, config, {args.command: report.samples}, started)
     return 3 if report.verdict is Verdict.COUNTEREXAMPLE_FOUND else 0
 
 

@@ -821,29 +821,30 @@ def _shard_worker(task):
             worst = (normalized, index, min_margin)
         # (normalized, index) is unique, so the flags never decide the order
         _keep_top(top, (normalized, index, near_equality, violated))
-    records = _instance_records(name, samples, rows) if with_records else None
+    records = _instance_records(name, config.seed, samples, rows) if with_records else None
     return hist, near, violations, starved_count, worst, top, records
 
 
-def _instance_records(name: str, samples: list, rows: list) -> list:
-    """The plain values an instance line needs, for each trial whose
-    premises hold, in trial order: (dim, field, instance digest, the binding
-    link's lhs, center, rhs, margin_lower and margin_upper, holds,
-    near_equality).  The digests take one pass over the whole shard."""
+def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
+    """The instance line of each trial whose premises hold, in trial order,
+    as a dict in the line's key order.  The digests take one pass over the
+    whole shard."""
     counted = [(sampled, row) for sampled, row in zip(samples, rows) if row is not None]
     digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
-    return [(sampled.space.dim, sampled.space.field.name.lower(), digest, *row[4], row[2], row[3])
-            for (sampled, row), digest in zip(counted, digests)]
+    return [{"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(), "seed": seed,
+             "digest": digest, "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower,
+             "margin_upper": upper, "holds": holds, "near_equality": near}
+            for (sampled, (_, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
     """Run the randomized search for one inequality and aggregate a report.
 
-    With `on_records`, every trial whose premises hold also yields an
-    instance record (`_instance_records`) from the same sampling and
-    evaluation that the report counts.  `on_records` receives each shard's
-    records, in trial order, as that shard arrives and in shard order, so
-    the caller holds one shard's records at a time.
+    With `on_records`, every trial whose premises hold also yields its
+    instance line as a dict (`_instance_records`), from the same sampling
+    and evaluation that the report counts.  `on_records` receives each
+    shard's records, in trial order, as that shard arrives and in shard
+    order, so the caller holds one shard's records at a time.
     """
     entry = catalog_entry(ineq_name)
     _field_plan(ineq_name, entry.fields, config.field)

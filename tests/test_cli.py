@@ -2,6 +2,7 @@
 record layout, and byte determinism."""
 
 import dataclasses
+import enum
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from ineq_forge import cli
 from ineq_forge.catalog import CATALOG, CatalogResult, catalog_names
-from ineq_forge.falsifier import SearchReport
+from ineq_forge.falsifier import FieldChoice, GramKind, MooreComplexReport, SearchConfig, SearchReport, Verdict
 
 TIMESTAMP = re.compile(r'"(started_at|finished_at)":"[^"]*"')
 
@@ -61,6 +62,10 @@ def _reference_to_json(value) -> str:
         return "{" + ",".join(f"{_reference_to_json(str(k))}:{_reference_to_json(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_reference_to_json(v) for v in value) + "]"
+    if isinstance(value, enum.Enum):
+        return _reference_to_json(value.value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _reference_to_json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -83,6 +88,11 @@ class TestFastSerialization:
             {"lhs": np.float64(1.0) / 3.0, "center": None, "holds": True},
             # equal keys of different types spell differently
             [{1: "int"}, {True: "bool"}, {1.0: "float"}],
+            # records: fields in declaration order, enums as their values
+            SearchReport("schwarz", 3, np.float64(-0.0), None, 1, 0, (2, 0, 1), 0),
+            MooreComplexReport(0.05, 4, 3, None, 0.6, 0.8, Verdict.NO_COUNTEREXAMPLE_FOUND, "ab"),
+            SearchConfig(seed=2**63, dims=(1, 8), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM),
+            [GramKind.IDENTITY, {"config": SearchConfig()}],
         ],
     )
     def test_same_bytes_as_the_general_path(self, value):
@@ -90,7 +100,7 @@ class TestFastSerialization:
         # the second call reads the memoized keys
         assert cli.to_json(value) == _reference_to_json(value)
 
-    @pytest.mark.parametrize("value", [object(), np.float32(1.0), np.int64(3), {1, 2}, {"k": b"bytes"}])
+    @pytest.mark.parametrize("value", [object(), np.float32(1.0), np.int64(3), {1, 2}, {"k": b"bytes"}, SearchReport])
     def test_unsupported_type_raises(self, value):
         with pytest.raises(TypeError):
             cli.to_json(value)
@@ -121,6 +131,29 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "verify", "--ineq", "richard-1.3", "--field", "complex", "--samples", "5")
         assert code == 1
         assert "complex" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--ineq", "all", "--field", "complex", "--samples", "3", "--dims", "2"),
+            ("falsify", "--ineq", "schwarz,richard-1.3", "--field", "complex", "--trials", "2", "--ascent-steps", "1"),
+        ],
+    )
+    def test_real_only_name_is_refused_before_the_first_run(self, capsys, tmp_path, argv):
+        out = tmp_path / "records"
+        for extra in ((), ("--out", str(out))):
+            code, stdout, err = run_cli(capsys, *argv, *extra)
+            assert code == 1
+            assert stdout == ""
+            assert err.startswith("ineq-forge: error:") and err.count("\n") == 1
+            assert "not defined over complex spaces" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "falsify", "equality", "moore-complex"])
+    def test_help_exits_zero(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith("usage: ineq-forge " + command)
 
     def test_repeated_inequality_name(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--ineq", "schwarz,schwarz", "--samples", "5")
@@ -232,7 +265,7 @@ class TestVerify:
             ineq="schwarz", trials_run=1, worst_margin=-1.0, worst_instance_digest="00",
             near_equality_count=0, violation_count=1, margin_histogram=(0,) * 32, premise_starved=0,
         )
-        monkeypatch.setattr(cli, "falsify", lambda name, config, threads=1: fake)
+        monkeypatch.setattr(cli, "falsify", lambda name, config, threads=1, on_records=None: fake)
         code, _, _ = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "1")
         assert code == 2
 

@@ -15,7 +15,6 @@ import pytest
 
 from ineq_forge.catalog import (
     CATALOG,
-    CatalogResult,
     MooreParams,
     Rows,
     StackedResult,
@@ -23,7 +22,6 @@ from ineq_forge.catalog import (
     eval_generalized,
     eval_schwarz,
     instance_digest,
-    make_evaluation,
     stacked_evaluation,
 )
 from ineq_forge.falsifier import (
@@ -345,9 +343,8 @@ def _always_violating(space, x, y, *, extended=False):
     # on every instance, at any precision, and its margin still varies; a
     # group (Rows) gets stacked links, one instance its CatalogResult
     ev = eval_schwarz(space, x, y, extended=extended).binding
-    if isinstance(x, Rows):
-        return StackedResult((stacked_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
-    return CatalogResult((make_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
+    result = StackedResult((stacked_evaluation("schwarz", ev.scale, np.atleast_1d(2.0 * ev.rhs), rhs=ev.lhs),))
+    return result if isinstance(x, Rows) else result.row(0)
 
 
 def _nan_margin(space, x, y, *, extended=False):
@@ -414,7 +411,8 @@ class TestGroupFaults:
             result = eval_schwarz(space, x, y, extended=extended)
             if not isinstance(x, Rows):
                 if np.array_equal(x, bad.inputs["x"]):
-                    return CatalogResult((make_evaluation("schwarz", 1.0, math.nan, rhs=math.nan),))
+                    nan = np.array([math.nan])
+                    return StackedResult((stacked_evaluation("schwarz", 1.0, nan, rhs=nan),)).row(0)
                 return result
             (link,) = result.links
             hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])

@@ -42,6 +42,13 @@ class TestTightnessProbe:
         assert _load("tightness_probe").main(["--names", "nosuch"]) == 1
         assert "unknown inequality 'nosuch'" in capsys.readouterr().err
 
+    def test_real_only_name_is_refused_before_the_first_row(self, capsys):
+        argv = ["--names", "all", "--field", "complex", "--trials", "2", "--ascent-steps", "1"]
+        assert _load("tightness_probe").main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tightness_probe: error:") and captured.err.count("\n") == 1
+
     def test_real_only_name_with_complex_field_exits_one(self, capsys):
         argv = ["--names", "richard-1.3", "--field", "complex", "--trials", "2", "--ascent-steps", "1"]
         assert _load("tightness_probe").main(argv) == 1
