@@ -8,12 +8,13 @@ compares it against the two candidate floors
     first  = 1 - eps - sqrt(2 eps)
     second = 1 - 4 eps + 2 eps^2
 
-The first floor holds over real spaces (moore-1.9); whether it survives
-complexification is the open point the scan probes.  The second floor is
-proved over both fields (buzano-moore-1.16 is cataloged for both).
-A row whose min column dips below the first column would be a finding
-(exit code 3 mirrors the CLI convention); nothing of the sort has been
-observed.
+The first floor holds over real spaces (moore-1.9).  The second floor is
+proved over both fields (buzano-moore-1.16 is cataloged for both) and is
+never below the first: with u = sqrt(2 eps) their difference is
+(u/2)(u - 1)^2(u + 2).  So over C the first floor follows from 1.16, and
+the scan is a consistency check of 1.16 there: a row whose min column dips
+below the first column would mean 1.16 fails over C (exit code 3 mirrors
+the CLI convention); nothing of the sort has been observed.
 
 Usage:
     python3 scripts/moore_complex_scan.py --samples 20000 --eps-min 0.01 \

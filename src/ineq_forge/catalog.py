@@ -1,15 +1,13 @@
 """Evaluation records and closed forms for the inequality catalog.
 
-Every statement is written once, against stacked operands in their dtype:
-(n, d) vectors, (n, k, d) family members and (n, d) real and imaginary parts
-of complexified vectors.  It returns a StackedResult: a tuple of
-StackedEvaluation links, whose fields are (n,) arrays, and for conditional
-statements an (n,) premises array.  Called with Rows (a group of n instances,
-one Rows per argument, as `CatalogEntry.run` passes a group) a statement
-returns that StackedResult; called with one instance's values it is a batch
-of one and returns that instance's CatalogResult of IneqEvaluation links,
-the only place those records are built.  Each link follows a uniform margin
-convention:
+Every statement is written once, against stacked operands in their dtype,
+and evaluates a group of n instances: it takes each argument as a sequence
+of the n instances' values (vectors, OrthonormalFamily objects or
+ComplexifiedVector objects; a conditional statement takes one MooreParams
+after them) and returns a StackedResult, a tuple of StackedEvaluation links
+whose fields are (n,) arrays and, for conditional statements, an (n,)
+premises array.  A lone instance is a group of one, and its values are
+row 0 of each field.  Each link follows a uniform margin convention:
 
 * two sided:      lhs <= center <= rhs   (both margins present)
 * one sided upper: lhs <= rhs            (center is None, margin_upper only)
@@ -23,21 +21,22 @@ is therefore also near equality, which keeps tightness counters monotone.
 
 Chained statements return one link per cap; the binding link is the one
 with the smallest scale-normalized margin (`normalized_margin`).  Conditional
-statements (the Moore style results) take a MooreParams after their vectors
-and set `premises_hold`, which is None for the others; their conclusion is
-always evaluated so that vacuous instances remain inspectable.
+statements (the Moore style results) set `premises_hold`, which is None for
+the others; their conclusion is always evaluated so that vacuous instances
+remain inspectable.
 
 The registry `CATALOG` maps each name to a CatalogEntry, which calls the
-statement function itself with the inputs in one argument order.
+statement function itself with the inputs in one argument order; its `run`
+takes a group of instances as a sequence of dicts, and one dict as a group
+of one.
 
-Each statement validates each argument once on entry (`_vec`,
+Each statement validates each argument's stack once on entry (`_vec`,
 `_families`, `_complexified_parts`), casting it there to the field's
-extended dtype when called with `extended=True`; a group is checked stacked,
-a single instance by the checks `spaces` applies to one vector.  From then
-on it pairs through the unvalidated `spaces.pairing` and
-`spaces.pairing_norm`, which compute in the dtype of their operands.
+extended dtype when called with `extended=True`.  From then on it pairs
+through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
+compute in the dtype of their operands.
 
-A stacked kernel rounds every row as a batch of one rounds it: each
+A stacked kernel rounds every row as a group of one rounds it: each
 reduction is a stacked matmul with its operands in the scalar order, and
 where numpy's elementwise array loops round differently from Python's
 scalar arithmetic (complex product and modulus, `x ** 2`) the kernels spell
@@ -73,10 +72,8 @@ from .spaces import (
     DomainError,
     Field,
     SpaceSpec,
-    as_vector,
     pairing,
     pairing_norm,
-    require_nonzero,
     zero_norm_threshold,
 )
 
@@ -167,45 +164,6 @@ def digest_inputs(space: SpaceSpec, *parts) -> str:
 # records ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IneqEvaluation:
-    """One evaluated inequality link; see the module docstring for shapes."""
-
-    ineq: str
-    lhs: float
-    center: Optional[float]
-    rhs: Optional[float]
-    margin_lower: Optional[float]
-    margin_upper: Optional[float]
-    holds: bool
-    near_equality: bool
-    scale: float
-
-    @property
-    def min_margin(self) -> float:
-        margins = [m for m in (self.margin_lower, self.margin_upper) if m is not None]
-        return min(margins)
-
-    @property
-    def normalized_margin(self) -> float:
-        """min_margin in units of scale (a zero scale counts as 1e-300)."""
-        return self.min_margin / max(self.scale, 1e-300)
-
-
-@dataclass(frozen=True)
-class CatalogResult:
-    """The links of one evaluated statement and, for conditional statements,
-    whether the premises hold (None otherwise)."""
-
-    links: tuple
-    premises_hold: Optional[bool] = None
-
-    @property
-    def binding(self) -> IneqEvaluation:
-        """The link with the smallest scale-normalized margin; the first on ties."""
-        return min(self.links, key=lambda ev: ev.normalized_margin)
-
-
 def _first_min(a, b):
     """min(a, b) as Python's min picks it: b only where b < a, so a NaN in a stays."""
     return np.where(b < a, b, a)
@@ -213,8 +171,9 @@ def _first_min(a, b):
 
 @dataclass(frozen=True)
 class StackedEvaluation:
-    """One link of n instances: IneqEvaluation's fields as (n,) arrays in
-    the dtype of the evaluation (None where the link has no such field)."""
+    """One link evaluated on n instances: its fields are (n,) arrays in the
+    dtype of the evaluation, None where the link has no such field (see
+    the module docstring for the shapes)."""
 
     ineq: str
     lhs: np.ndarray
@@ -228,31 +187,18 @@ class StackedEvaluation:
 
     @property
     def min_margin(self) -> np.ndarray:
-        """IneqEvaluation.min_margin of every row, in double precision."""
+        """The smaller present margin of every row, in double precision;
+        the upper one only where it is below the lower, as Python's min
+        picks (a NaN lower margin stays)."""
         margins = [m.astype(np.float64, copy=False) for m in (self.margin_lower, self.margin_upper) if m is not None]
         return margins[0] if len(margins) == 1 else _first_min(*margins)
 
     @property
     def normalized_margin(self) -> np.ndarray:
-        """IneqEvaluation.normalized_margin of every row (np.maximum keeps
-        a NaN scale and never ties with 1e-300, so it picks as max does)."""
+        """min_margin in units of scale, a zero scale counting as 1e-300
+        (np.maximum keeps a NaN scale and never ties with 1e-300, so it
+        picks as Python's max does)."""
         return self.min_margin / np.maximum(self.scale.astype(np.float64, copy=False), 1e-300)
-
-    def row(self, i: int) -> IneqEvaluation:
-        def pick(values):
-            return None if values is None else float(values[i])
-
-        return IneqEvaluation(
-            ineq=self.ineq,
-            lhs=float(self.lhs[i]),
-            center=pick(self.center),
-            rhs=pick(self.rhs),
-            margin_lower=pick(self.margin_lower),
-            margin_upper=pick(self.margin_upper),
-            holds=bool(self.holds[i]),
-            near_equality=bool(self.near_equality[i]),
-            scale=float(self.scale[i]),
-        )
 
 
 def stacked_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> StackedEvaluation:
@@ -300,8 +246,10 @@ class StackedResult:
 
     @property
     def binding(self) -> StackedEvaluation:
-        """CatalogResult.binding of every row: the link with the smallest
-        normalized margin, the first on ties, as Python's min picks it."""
+        """The link with the smallest normalized margin, row by row: the
+        first on ties, and a later link only where its margin is below, as
+        Python's min picks (a NaN margin in the first link binds, one in a
+        later link is passed over)."""
         best = self.links[0]
         lowest = best.normalized_margin
         for link in self.links[1:]:
@@ -310,10 +258,6 @@ class StackedResult:
             best = _select(pick, link, best)
             lowest = np.where(pick, margin, lowest)
         return best
-
-    def row(self, i: int) -> CatalogResult:
-        premises = None if self.premises_hold is None else bool(self.premises_hold[i])
-        return CatalogResult(tuple(link.row(i) for link in self.links), premises)
 
 
 @dataclass(frozen=True)
@@ -330,24 +274,6 @@ class MooreParams:
     mu2: Optional[float] = None
 
 
-class Rows(tuple):
-    """One argument of a group of instances: its n values in order, passed
-    to a statement in place of a single value."""
-
-
-def _statement(kernel):
-    """The batch-of-one boundary of a stacked kernel: with Rows arguments
-    the statement returns the kernel's StackedResult, with one instance's
-    values the CatalogResult of that batch of one."""
-
-    @functools.wraps(kernel)
-    def statement(space, *args, **kwargs):
-        result = kernel(space, *args, **kwargs)
-        return result if any(isinstance(arg, Rows) for arg in args) else result.row(0)
-
-    return statement
-
-
 # shared numeric helpers ------------------------------------------------------
 
 
@@ -357,28 +283,24 @@ def _require_field(space: SpaceSpec, allowed, what: str):
 
 
 def _vec(space, v, name, *, nonzero, extended):
-    """One vector argument as an (n, d) stack: Rows checked at once, a
-    single value by spaces' own checks."""
-    if isinstance(v, Rows):
-        arr = np.array(v)
-        if space.field is Field.REAL and np.iscomplexobj(arr):
-            raise DomainError("complex coordinates in a real space")
-        arr = arr.astype(space.field.dtype, copy=False)
-        if arr.shape != (len(v), space.dim):
-            raise DomainError(f"expected vectors of length {space.dim}, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise DomainError("vector has non-finite coordinates")
-        if nonzero and (pairing_norm(space, arr) < zero_norm_threshold(space)).any():
-            raise DomainError(f"{name} must be nonzero")
-    else:
-        arr = (require_nonzero(space, v, name) if nonzero else as_vector(space, v))[np.newaxis]
+    """One vector argument's n values as an (n, d) stack, checked at once."""
+    arr = np.array(v)
+    if space.field is Field.REAL and np.iscomplexobj(arr):
+        raise DomainError("complex coordinates in a real space")
+    arr = arr.astype(space.field.dtype, copy=False)
+    if arr.shape != (len(v), space.dim):
+        raise DomainError(f"expected vectors of length {space.dim}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError("vector has non-finite coordinates")
+    if nonzero and (pairing_norm(space, arr) < zero_norm_threshold(space)).any():
+        raise DomainError(f"{name} must be nonzero")
     return arr.astype(space.field.extended_dtype) if extended else arr
 
 
-def _families(space: SpaceSpec, family, name: str) -> tuple:
-    """One family argument's n families, each checked against the space."""
-    families = family if isinstance(family, Rows) else (family,)
-    for member in families:
+def _families(space: SpaceSpec, family, name: str):
+    """One family argument's n families, each checked against the space,
+    returned as given."""
+    for member in family:
         if not isinstance(member, OrthonormalFamily):
             raise DomainError(f"{name} must be an OrthonormalFamily")
         fs = member.space
@@ -391,7 +313,7 @@ def _families(space: SpaceSpec, family, name: str) -> tuple:
         )
         if not same_gram:
             raise DomainError(f"family {name} carries a different gram weighting")
-    return families
+    return family
 
 
 def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
@@ -414,15 +336,12 @@ def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
 
 
 def _complexified_parts(space, z, name, extended):
-    values = z if isinstance(z, Rows) else (z,)
-    if not all(isinstance(value, ComplexifiedVector) for value in values):
+    """One complexified argument's n values as (n, d) stacks of their real
+    and imaginary parts."""
+    if not all(isinstance(value, ComplexifiedVector) for value in z):
         raise DomainError(f"{name} must be a ComplexifiedVector")
-    if isinstance(z, Rows):
-        re, im = Rows(value.re for value in z), Rows(value.im for value in z)
-    else:
-        re, im = z.re, z.im
-    re = _vec(space, re, f"{name}.re", nonzero=False, extended=extended)
-    im = _vec(space, im, f"{name}.im", nonzero=False, extended=extended)
+    re = _vec(space, [value.re for value in z], f"{name}.re", nonzero=False, extended=extended)
+    im = _vec(space, [value.im for value in z], f"{name}.im", nonzero=False, extended=extended)
     return re, im
 
 
@@ -494,7 +413,6 @@ def _cross_matrix(space, members_e, members_f):
 # elementary statements -------------------------------------------------------
 
 
-@_statement
 def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False):
     """|<x,y>| against ||x|| ||y||; zero vectors are allowed."""
     xx = _vec(space, x, "x", nonzero=False, extended=extended)
@@ -504,7 +422,6 @@ def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False):
     return StackedResult((stacked_evaluation("schwarz", rhs, lhs, rhs=rhs),))
 
 
-@_statement
 def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
     """Two-sided bound on the mixed projection sum of a and b onto x and y."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -528,7 +445,6 @@ def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
     return StackedResult((stacked_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs),))
 
 
-@_statement
 def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False):
     """Two-sided bound on <x,a><x,b> along a single direction x."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -545,7 +461,6 @@ def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False):
     return StackedResult((stacked_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs),))
 
 
-@_statement
 def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
     """Nonnegative quadratic form of a against the (x, y) pair, capped by ||a||^2."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -562,7 +477,6 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
     return StackedResult((stacked_evaluation("precupanu-self-1.5", na2, 0.0, center=center, rhs=na2),))
 
 
-@_statement
 def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False):
     """Lower bound on cos(x, y) from the cosines of x and y against a."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -595,7 +509,6 @@ def buzano_moore_useful(eps: float) -> bool:
     return eps <= 1.0 - math.sqrt(2.0) / 2.0
 
 
-@_statement
 def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bool = False):
     """If y and z are both eps-parallel to x, bound |<y,z>| from below."""
     eps = params.eps
@@ -627,7 +540,6 @@ def precupanu_moore_bounds(eps1: float):
     return 2.0 * eps1 * eps1 - 1.0, 2.0 * eps1 * eps1 + 1.0
 
 
-@_statement
 def verify_precupanu_moore(space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False):
     """Signed cosine window against x transfers to a two-sided bound on <a,b>."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -654,7 +566,6 @@ def verify_precupanu_moore(space: SpaceSpec, a, b, x, params: MooreParams, *, ex
     return StackedResult((conclusion, refinement), premises)
 
 
-@_statement
 def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False):
     """Modulus bound on <x,a><x,b> along x; valid in both fields."""
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
@@ -668,7 +579,6 @@ def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False):
     return StackedResult((stacked_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
 
 
-@_statement
 def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, extended: bool = False):
     """Modulus near-parallelism to x transfers to a lower bound on |<a,b>|."""
     eps = params.eps
@@ -691,7 +601,6 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, exten
     return StackedResult((conclusion,), premises)
 
 
-@_statement
 def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False):
     """Cosine floors of x and y against a transfer to a cosine floor of (x, y)."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -715,7 +624,6 @@ def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, ex
     return StackedResult((conclusion,), premises)
 
 
-@_statement
 def verify_quotient_transfer(space: SpaceSpec, a, b, x, params: MooreParams, *, extended: bool = False):
     """A floor mu1 (or cap mu2) on <x,a><x,b>/||x||^2 transfers to a cosine
     floor (or cap) on (a, b): the floor when mu1 is given, else the cap."""
@@ -772,7 +680,6 @@ def _family_core(space, E, F, x, y, extended):
     return s, xy, nx, ny, pieces
 
 
-@_statement
 def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Two-family projection sum bound, cross-checked through reflections.
 
@@ -804,7 +711,6 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     return StackedResult((stacked_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny),))
 
 
-@_statement
 def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Two chained caps on |S| through the signed half-pairing midpoint."""
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
@@ -817,7 +723,6 @@ def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     return StackedResult((first, second))
 
 
-@_statement
 def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Signed two-sided window for the real two-family sum."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -832,7 +737,6 @@ def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
 # complexified statements -----------------------------------------------------
 
 
-@_statement
 def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False):
     """Quadratic cap for the pairing of a real direction with a complexified z."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -854,7 +758,6 @@ def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False):
     return StackedResult((first, second))
 
 
-@_statement
 def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False):
     """Three chained caps for the squared family pairings of a complexified w."""
     _require_field(space, (Field.REAL,), "this statement")
@@ -906,15 +809,13 @@ class CatalogEntry:
         return self.default_params is not None
 
     def run(self, space, inputs, params=None, *, extended: bool = False):
-        """Evaluate one instance (a dict of inputs), giving its CatalogResult,
-        or a group of instances of `space` (a sequence of such dicts),
-        giving their StackedResult in order."""
+        """Evaluate a group of instances of `space` (a sequence of dicts of
+        inputs), giving their StackedResult in order; one dict is a group
+        of one."""
         if space.field not in self.fields:
             raise DomainError(f"{self.name} is not defined over {space.field.name.lower()} spaces")
-        if isinstance(inputs, dict):
-            values = [inputs[arg] for arg in self.args]
-        else:
-            values = [Rows(one[arg] for one in inputs) for arg in self.args]
+        group = [inputs] if isinstance(inputs, dict) else inputs
+        values = [[one[arg] for one in group] for arg in self.args]
         if self.has_premises:
             values.append(params or self.default_params)
         return self.statement(space, *values, extended=extended)
@@ -963,8 +864,8 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def run_catalog(name: str, space: SpaceSpec, inputs, params: Optional[MooreParams] = None, *, extended: bool = False):
-    """Evaluate one named inequality on explicit inputs (one instance or a
-    group; see CatalogEntry.run)."""
+    """Evaluate one named inequality on explicit inputs (a group of
+    instances, or one as a group of one; see CatalogEntry.run)."""
     return catalog_entry(name).run(space, inputs, params, extended=extended)
 
 

@@ -31,13 +31,13 @@ A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
 order or by a process pool, and merged in shard order.  A shard samples its
 trials one by one, evaluates them in groups of one space (catalog
 statements are stacked kernels that give each member of a group the bits
-it gets alone), then counts them in trial order.  If a group
-raises, the shard evaluates its trials alone in trial order, so the error
-is the first faulty trial's own.  A shard can also return one instance
-record per trial whose premises hold (its digest and binding margins), so a
-caller that writes every instance gets them from the same sampling and
-evaluation as the report, one shard at a time; the digests of a shard take
-one batched FNV-1a pass.
+it gets alone), then counts them in trial order.  If a group raises, the
+shard evaluates each of its trials as a group of one, in trial order, so
+the error is the first faulty trial's own.  A shard can also return one
+instance record per trial whose premises hold (its digest and binding
+margins), so a caller that writes every instance gets them from the same
+sampling and evaluation as the report, one shard at a time; the digests of
+a shard take one batched FNV-1a pass.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -70,7 +70,6 @@ from scipy import special as sps
 
 from .catalog import (
     MooreParams,
-    Rows,
     TOL_ABS,
     TOL_REL,
     catalog_entry,
@@ -504,13 +503,13 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _group_rows(items: list, key, evaluate, alone) -> list:
+def _group_rows(items: list, key, evaluate) -> list:
     """One row per item, in item order, from `evaluate(group)`, which takes
     the items that share `key(item)` as one group and returns a row for each.
 
-    If a group raises, `alone(item)` runs on every item in order, so that
-    the error raised is the one the first faulty item raises by itself (and
-    the group's own error if none does).
+    If a group raises, `evaluate([item])` runs on every item in order, so
+    that the error raised is the one the first faulty item raises by itself
+    (and the group's own error if none does).
     """
     groups = {}
     for i, item in enumerate(items):
@@ -522,16 +521,16 @@ def _group_rows(items: list, key, evaluate, alone) -> list:
                 rows[i] = row
     except (ValueError, ArithmeticError):
         for item in items:
-            alone(item)
+            evaluate([item])
         raise
     return rows
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
     result = entry.run(space, inputs, extended=True)
-    if result.premises_hold is False:
+    if result.premises_hold is not None and not result.premises_hold[0]:
         return False
-    return not all(link.holds for link in result.links)
+    return not result.holds[0]
 
 
 # local ascent --------------------------------------------------------------------
@@ -797,11 +796,7 @@ def _shard_worker(task):
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
     samples = [sample_instance(config, name, index) for index in range(start, stop)]
-
-    def alone(sampled):
-        entry.run(sampled.space, sampled.inputs)
-
-    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry), alone)
+    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry))
     hist = [0] * HISTOGRAM_BUCKETS
     near = 0
     violations = 0
@@ -889,19 +884,19 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
                 result = entry.run(sampled.space, refined.refined_inputs)
             except (DomainError, ArithmeticError):
                 continue
-            if result.premises_hold is False:
+            if result.premises_hold is not None and not result.premises_hold[0]:
                 continue
             binding = result.binding
-            refined_normalized = binding.normalized_margin
+            refined_normalized = binding.normalized_margin.tolist()[0]
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
             # most once as a violation
-            if binding.near_equality and not sampled_near:
+            if binding.near_equality[0] and not sampled_near:
                 near += 1
             if worst is None or refined_normalized < worst[0]:
-                worst = (refined_normalized, index, float(binding.min_margin))
+                worst = (refined_normalized, index, binding.min_margin.tolist()[0])
                 worst_instance = (sampled.space, refined.refined_inputs)
-            if not sampled_violated and not all(link.holds for link in result.links):
+            if not sampled_violated and not result.holds[0]:
                 if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
                     violations += 1
 
@@ -937,7 +932,7 @@ def _moore_complex_sample(config: SearchConfig, params: MooreParams, index: int)
 def _moore_ratios(space, group: list, params: MooreParams, extended: bool = False) -> list:
     """(premises hold, |<y,z>| / (||y|| ||z||), ||y|| ||z||) of each instance
     of a group of moore-1.9 inputs in one space, evaluated together."""
-    result = verify_moore(space, *(Rows(inputs[k] for inputs in group) for k in ("x", "y", "z")), params,
+    result = verify_moore(space, *([inputs[k] for inputs in group] for k in ("x", "y", "z")), params,
                           extended=extended)
     (conclusion,) = result.links
     center, scale = conclusion.center.astype(np.float64, copy=False), conclusion.scale.astype(np.float64, copy=False)
@@ -956,15 +951,19 @@ def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchCo
 
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
-    """Empirical probe of the near-parallelism transfer over complex spaces.
+    """Consistency check of buzano-moore-1.16 over complex spaces, through
+    the near-parallelism transfer.
 
     Reports the minimum premise-conditioned ratio |<y,z>| / (||y|| ||z||)
-    against first_bound = 1 - eps - sqrt(2 eps) (whose complex validity is
-    the open point) and second_bound = 1 - 4 eps + 2 eps^2 (which is proved
-    over both fields).  The verdict concerns the first bound only and the
-    function never asserts the open question: a confirmed sample below the
-    first bound yields CounterexampleFound, anything else
-    NoCounterexampleFound.
+    against first_bound = 1 - eps - sqrt(2 eps) and second_bound =
+    1 - 4 eps + 2 eps^2.  Under these premises (|<x,y>| and |<x,z>| at
+    least 1 - eps times the norms) buzano-moore-1.16, proved over both
+    fields, bounds the ratio below by second_bound, and second_bound is
+    never below first_bound: with u = sqrt(2 eps) their difference is
+    (u/2)(u - 1)^2(u + 2).  So a confirmed sample below the first bound
+    would mean that 1.16 itself fails over C.  The verdict concerns the
+    first bound only: such a sample yields CounterexampleFound, anything
+    else NoCounterexampleFound.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
@@ -998,14 +997,11 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     def evaluate(samples):
         return _moore_ratios(samples[0][0], [inputs for _, inputs in samples], params)
 
-    def alone(sample):
-        verify_moore(sample[0], sample[1]["x"], sample[1]["y"], sample[1]["z"], params)
-
     # the samples of a chunk are evaluated in groups of one dimension each
     for first in range(0, config.trials, SHARD_SIZE):
         indices = range(first, min(first + SHARD_SIZE, config.trials))
         samples = [_moore_complex_sample(config, params, index) for index in indices]
-        scores = _group_rows(samples, lambda sample: sample[0], evaluate, alone)
+        scores = _group_rows(samples, lambda sample: sample[0], evaluate)
         for index, (space, inputs), score in zip(indices, samples, scores):
             ratio = observe(space, inputs, *score)
             if ratio is not None:

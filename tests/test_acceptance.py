@@ -186,6 +186,7 @@ def test_criterion_4_reduction_suite():
     worst = {}
 
     def record(tag, a, b, scale):
+        b = float(b[0])  # the statement's value: row 0 of its group of one
         dev = abs(a - b) / max(abs(a), abs(b), SCALE_FLOOR * scale)
         worst[tag] = max(worst.get(tag, 0.0), dev)
 
@@ -204,10 +205,10 @@ def test_criterion_4_reduction_suite():
         for i, e in enumerate(E.members):
             for j, f in enumerate(F.members):
                 s_xx -= 2.0 * ce[i] * np.conj(cf[j]) * inner(space, e, f)
-        general = eval_generalized(space, E, F, x, x).binding
+        general = eval_generalized(space, [E], [F], [x], [x]).binding
         record("2.6 value", abs(s_xx - 0.5 * nx2), general.lhs, nx2)
         record("2.6 bound", 0.5 * nx2, general.rhs, nx2)
-        chain = eval_chain(space, E, F, x, x)
+        chain = eval_chain(space, [E], [F], [x], [x])
         record("2.11 value", abs(s_xx), chain.links[0].lhs, nx2)
         record("2.11 middle", abs(s_xx - 0.5 * nx2) + 0.5 * nx2, chain.links[0].rhs, nx2)
         record("2.11 bound", nx2, chain.links[1].rhs, nx2)
@@ -220,7 +221,7 @@ def test_criterion_4_reduction_suite():
         y = _random_vector(space, rng)
         single = sum(inner(space, x, g) * inner(space, g, y) for g in G.members)
         direct_27 = abs(single - 0.5 * inner(space, x, y))
-        general_27 = eval_generalized(space, Ea, Fa, x, y).binding
+        general_27 = eval_generalized(space, [Ea], [Fa], [x], [y]).binding
         scale_xy = norm(space, x) * norm(space, y)
         record("2.7 value", direct_27, general_27.lhs, scale_xy)
         record("2.7 bound", 0.5 * scale_xy, general_27.rhs, scale_xy)
@@ -237,9 +238,9 @@ def test_criterion_4_reduction_suite():
             + inner(space, x, f) * inner(space, f, y) / nf2
             - 2.0 * inner(space, x, e) * inner(space, f, y) * inner(space, e, f) / (ne2 * nf2)
         )
-        general_28 = eval_generalized(space, Es, Fs, x, y).binding
+        general_28 = eval_generalized(space, [Es], [Fs], [x], [y]).binding
         record("2.8 value", abs(raw - 0.5 * inner(space, x, y)), general_28.lhs, scale_xy)
-        chain_s = eval_chain(space, Es, Fs, x, y)
+        chain_s = eval_chain(space, [Es], [Fs], [x], [y])
         record("2.12 value", abs(raw), chain_s.links[0].lhs, scale_xy)
         record("2.12 bound", 0.5 * (scale_xy + abs(inner(space, x, y))), chain_s.links[1].rhs, scale_xy)
 
@@ -250,9 +251,9 @@ def test_criterion_4_reduction_suite():
             + abs(inner(space, x, f)) ** 2 / nf2
             - 2.0 * inner(space, x, e) * inner(space, f, x) * inner(space, e, f) / (ne2 * nf2)
         )
-        general_29 = eval_generalized(space, Es, Fs, x, x).binding
+        general_29 = eval_generalized(space, [Es], [Fs], [x], [x]).binding
         record("2.9 value", abs(raw_xx - 0.5 * nx2), general_29.lhs, nx2)
-        chain_xx = eval_chain(space, Es, Fs, x, x)
+        chain_xx = eval_chain(space, [Es], [Fs], [x], [x])
         record("2.13 value", abs(raw_xx), chain_xx.links[0].lhs, nx2)
         record("2.13 bound", nx2, chain_xx.links[1].rhs, nx2)
 
@@ -268,7 +269,7 @@ def test_criterion_4_reduction_suite():
         for i, e in enumerate(Er.members):
             for j, f in enumerate(Fr.members):
                 s_r -= 2.0 * ce_r[i] * cf_r[j] * inner(rspace, e, f)
-        window = eval_real_double(rspace, Er, Fr, xr, xr).binding
+        window = eval_real_double(rspace, [Er], [Fr], [xr], [xr]).binding
         record("2.15 value", s_r, window.center, nxr2)
         record("2.15 lower", 0.0, window.lhs, nxr2)
         record("2.15 bound", nxr2, window.rhs, nxr2)
@@ -281,7 +282,7 @@ def test_criterion_4_reduction_suite():
         t = sum(c * c for c in cw)
         ww = complexify_inner(rspace, w, conjugate(w))
         nw2 = complexify_norm(rspace, w) ** 2
-        refined = eval_kurepa_refined(rspace, Ew, Fw, w)
+        refined = eval_kurepa_refined(rspace, [Ew], [Fw], [w])
         record("3.5 value", abs(t), refined.links[0].lhs, nw2)
         record("3.5 middle1", 0.5 * abs(ww) + abs(t - 0.5 * ww), refined.links[0].rhs, nw2)
         record("3.5 middle2", 0.5 * (nw2 + abs(ww)), refined.links[1].rhs, nw2)
@@ -335,10 +336,11 @@ def test_criterion_6_extended_precision_mirror():
             base = entry.run(sampled.space, sampled.inputs, entry.default_params)
             mirror = entry.run(sampled.space, sampled.inputs, entry.default_params, extended=True)
             for link_d, link_e in zip(base.links, mirror.links):
-                scale = max(link_d.scale, 1e-300)
+                scale = max(float(link_d.scale[0]), 1e-300)
                 for a, b in ((link_d.lhs, link_e.lhs), (link_d.center, link_e.center), (link_d.rhs, link_e.rhs)):
                     if a is None:
                         continue
+                    a, b = float(a[0]), float(b[0])  # row 0 of each group of one
                     worst = max(worst, abs(a - b) / max(abs(a), abs(b), SCALE_FLOOR * scale))
     ok = worst <= MIRROR_REL
     _line(6, "double vs extended mirror", ok, f"max rel dev {worst:.2e}")

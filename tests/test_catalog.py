@@ -20,7 +20,6 @@ from ineq_forge.catalog import (
     NEAR_EQUALITY_REL,
     TOL_ABS,
     TOL_REL,
-    IneqEvaluation,
     MooreParams,
     StackedResult,
     buzano_moore_useful,
@@ -103,29 +102,29 @@ def random_vec(rng, space):
 
 def record_pairings(monkeypatch):
     """Record the operand dtypes of every `pairing` call outside the
-    double-precision `require_nonzero` checks, which run on validated
+    double-precision nonzero checks of `_vec`, which run on validated
     arrays before the cast to extended precision."""
     from ineq_forge import catalog, spaces
 
     seen = []
     checking = [0]
-    pairing, require_nonzero = spaces.pairing, catalog.require_nonzero
+    pairing, vec = spaces.pairing, catalog._vec
 
     def recording(sp, u, v):
         if not checking[0]:
             seen.append((u.dtype, v.dtype))
         return pairing(sp, u, v)
 
-    def counted_check(*args):
+    def counted_check(*args, **kwargs):
         checking[0] += 1
         try:
-            return require_nonzero(*args)
+            return vec(*args, **kwargs)
         finally:
             checking[0] -= 1
 
     monkeypatch.setattr(catalog, "pairing", recording)
     monkeypatch.setattr(spaces, "pairing", recording)
-    monkeypatch.setattr(catalog, "require_nonzero", counted_check)
+    monkeypatch.setattr(catalog, "_vec", counted_check)
     return seen
 
 
@@ -138,7 +137,7 @@ def random_family(rng, space, size):
 
 class TestEvaluationRecord:
     def test_two_sided_margins(self):
-        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
+        ev = eval_richard(R2, a=[[1.0, 1.0]], b=[[1.0, -1.0]], x=[[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
@@ -148,7 +147,7 @@ class TestEvaluationRecord:
         assert ev.holds and ev.near_equality
 
     def test_one_sided_upper_has_no_center(self):
-        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0]).binding
+        ev = eval_schwarz(R2, [[1.0, 1.0]], [[1.0, 0.0]]).binding
         assert ev.center is None and ev.margin_lower is None
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
@@ -156,17 +155,17 @@ class TestEvaluationRecord:
         assert ev.holds and not ev.near_equality
 
     def test_one_sided_lower_has_no_rhs(self):
-        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0]).binding
+        ev = eval_angle_bound(R2, a=[[1.0, 1.0]], x=[[1.0, 1.0]], y=[[1.0, 1.0]]).binding
         assert ev.rhs is None and ev.margin_upper is None
         assert ev.lhs == pytest.approx(0.5)
         assert ev.center == pytest.approx(1.0)
         assert ev.margin_lower == pytest.approx(0.5)
 
     def test_near_equality_is_scale_relative(self):
-        ev = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-10]).binding
+        ev = eval_schwarz(R2, [[1.0, 0.0]], [[1.0, 1e-10]]).binding
         # cos deficit ~ 5e-21 relative: far inside the near-equality band.
         assert ev.near_equality
-        ev2 = eval_schwarz(R2, [1.0, 0.0], [1.0, 1e-4]).binding
+        ev2 = eval_schwarz(R2, [[1.0, 0.0]], [[1.0, 1e-4]]).binding
         assert not ev2.near_equality
 
 
@@ -205,37 +204,37 @@ class TestDigest:
 
 class TestSchwarz:
     def test_hand_value(self):
-        ev = eval_schwarz(R2, [1.0, 1.0], [1.0, 0.0]).binding
+        ev = eval_schwarz(R2, [[1.0, 1.0]], [[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
 
     def test_collinear_equality(self):
-        ev = eval_schwarz(R2, [2.0, 0.0], [2.0, 0.0]).binding
+        ev = eval_schwarz(R2, [[2.0, 0.0]], [[2.0, 0.0]]).binding
         assert ev.margin_upper == pytest.approx(0.0, abs=1e-15)
         assert ev.near_equality
 
     def test_complex(self):
         # <x,y> = 1*conj(i) = -i, ||x|| = sqrt(2), ||y|| = 1.
-        ev = eval_schwarz(C2, [1.0, 1j], [1j, 0.0]).binding
+        ev = eval_schwarz(C2, [[1.0, 1j]], [[1j, 0.0]]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(math.sqrt(2.0))
 
     def test_zero_vector_allowed(self):
-        ev = eval_schwarz(R2, [0.0, 0.0], [1.0, 0.0]).binding
+        ev = eval_schwarz(R2, [[0.0, 0.0]], [[1.0, 0.0]]).binding
         assert ev.lhs == 0.0 and ev.rhs == 0.0
         assert ev.holds and ev.near_equality
 
     def test_weighted_gram(self):
         g = np.diag([4.0, 1.0])
         s = SpaceSpec(2, Field.REAL, g)
-        ev = eval_schwarz(s, [1.0, 0.0], [0.0, 1.0]).binding
+        ev = eval_schwarz(s, [[1.0, 0.0]], [[0.0, 1.0]]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(2.0)
 
 
 class TestPrecupanu:
     def test_hand_value_right_equality(self):
-        ev = eval_precupanu(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
+        ev = eval_precupanu(R2, a=[[1.0, 0.0]], b=[[1.0, 0.0]], x=[[1.0, 0.0]], y=[[0.0, 1.0]]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
@@ -252,8 +251,8 @@ class TestPrecupanu:
             y = y - (inner(R3, y, b) / inner(R3, b, b)) * b
             if norm(R3, y) < 1e-6:
                 continue
-            full = eval_precupanu(R3, a, b, x, y).binding
-            line = eval_richard(R3, a, b, x).binding
+            full = eval_precupanu(R3, [a], [b], [x], [y]).binding
+            line = eval_richard(R3, [a], [b], [x]).binding
             nx2 = norm(R3, x) ** 2
             assert full.center * nx2 == pytest.approx(line.center, rel=1e-12, abs=1e-12)
             assert full.lhs * nx2 == pytest.approx(line.lhs, rel=1e-12, abs=1e-12)
@@ -261,43 +260,43 @@ class TestPrecupanu:
 
     def test_requires_real_space(self):
         with pytest.raises(DomainError):
-            eval_precupanu(C2, [1, 0], [1, 0], [1, 0], [0, 1])
+            eval_precupanu(C2, [[1, 0]], [[1, 0]], [[1, 0]], [[0, 1]])
 
     def test_requires_nonzero_x_y(self):
         with pytest.raises(DomainError):
-            eval_precupanu(R2, [1, 0], [1, 0], [0, 0], [0, 1])
+            eval_precupanu(R2, [[1, 0]], [[1, 0]], [[0, 0]], [[0, 1]])
         with pytest.raises(DomainError):
-            eval_precupanu(R2, [1, 0], [1, 0], [1, 0], [0, 0])
+            eval_precupanu(R2, [[1, 0]], [[1, 0]], [[1, 0]], [[0, 0]])
 
     def test_random_soundness(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             ev = eval_precupanu(
                 R3,
-                rng.standard_normal(3),
-                rng.standard_normal(3),
-                rng.standard_normal(3),
-                rng.standard_normal(3),
+                [rng.standard_normal(3)],
+                [rng.standard_normal(3)],
+                [rng.standard_normal(3)],
+                [rng.standard_normal(3)],
             ).binding
             assert ev.holds
 
 
 class TestRichard:
     def test_hand_value_right_equality(self):
-        ev = eval_richard(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
+        ev = eval_richard(R2, a=[[1.0, 1.0]], b=[[1.0, -1.0]], x=[[1.0, 0.0]]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.lhs == pytest.approx(-1.0)
 
     def test_orthogonal_a_b_to_x(self):
-        ev = eval_richard(R2, a=[0.0, 2.0], b=[0.0, -3.0], x=[1.0, 0.0]).binding
+        ev = eval_richard(R2, a=[[0.0, 2.0]], b=[[0.0, -3.0]], x=[[1.0, 0.0]]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.lhs == pytest.approx(-6.0)
         assert ev.rhs == pytest.approx(0.0, abs=1e-15)
         assert ev.holds and ev.near_equality
 
     def test_a_b_x_identical_unit(self):
-        ev = eval_richard(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0]).binding
+        ev = eval_richard(R2, a=[[1.0, 0.0]], b=[[1.0, 0.0]], x=[[1.0, 0.0]]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
@@ -307,57 +306,57 @@ class TestRichard:
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
         x = rng.standard_normal(3)
-        base = eval_richard(R3, a, b, x).binding
+        base = eval_richard(R3, [a], [b], [x]).binding
         for t in (2.0**-20, 2.0**20):
-            ev = eval_richard(R3, t * a, b, x).binding
+            ev = eval_richard(R3, [t * a], [b], [x]).binding
             assert ev.margin_lower / ev.scale == pytest.approx(base.margin_lower / base.scale, rel=1e-12)
             assert ev.margin_upper / ev.scale == pytest.approx(base.margin_upper / base.scale, rel=1e-12)
             assert ev.holds == base.holds and ev.near_equality == base.near_equality
 
     def test_requires_nonzero_x(self):
         with pytest.raises(DomainError):
-            eval_richard(R2, [1, 0], [0, 1], [0, 0])
+            eval_richard(R2, [[1, 0]], [[0, 1]], [[0, 0]])
 
 
 class TestPrecupanuSelf:
     def test_x_equals_y_collapses_to_zero(self):
-        ev = eval_precupanu_self(R2, a=[3.0, 4.0], x=[1.0, 2.0], y=[1.0, 2.0]).binding
+        ev = eval_precupanu_self(R2, a=[[3.0, 4.0]], x=[[1.0, 2.0]], y=[[1.0, 2.0]]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-12)
         assert ev.lhs == 0.0
         assert ev.rhs == pytest.approx(25.0)
         assert ev.near_equality
 
     def test_orthogonal_frame_right_equality(self):
-        ev = eval_precupanu_self(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
+        ev = eval_precupanu_self(R2, a=[[1.0, 0.0]], x=[[1.0, 0.0]], y=[[0.0, 1.0]]).binding
         assert ev.center == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
 
     def test_a_orthogonal_to_both(self):
-        ev = eval_precupanu_self(R3, a=[0.0, 0.0, 1.0], x=[1.0, 0.0, 0.0], y=[0.0, 1.0, 0.0]).binding
+        ev = eval_precupanu_self(R3, a=[[0.0, 0.0, 1.0]], x=[[1.0, 0.0, 0.0]], y=[[0.0, 1.0, 0.0]]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.near_equality
 
 
 class TestAngleBound:
     def test_common_vector_hand_value(self):
-        ev = eval_angle_bound(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0]).binding
+        ev = eval_angle_bound(R2, a=[[1.0, 1.0]], x=[[1.0, 1.0]], y=[[1.0, 1.0]]).binding
         assert ev.lhs == pytest.approx(0.5)
         assert ev.center == pytest.approx(1.0)
 
     def test_orthogonal_pair_bound_is_slack(self):
-        ev = eval_angle_bound(R2, a=[1.0, 0.0], x=[1.0, 0.0], y=[0.0, 1.0]).binding
+        ev = eval_angle_bound(R2, a=[[1.0, 0.0]], x=[[1.0, 0.0]], y=[[0.0, 1.0]]).binding
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.center == pytest.approx(0.0, abs=1e-15)
         assert ev.scale == 1.0
 
     def test_requires_nonzero(self):
         with pytest.raises(DomainError):
-            eval_angle_bound(R2, [0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+            eval_angle_bound(R2, [[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]])
 
     def test_random_soundness(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            ev = eval_angle_bound(R3, rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3)).binding
+            ev = eval_angle_bound(R3, [rng.standard_normal(3)], [rng.standard_normal(3)], [rng.standard_normal(3)]).binding
             assert ev.holds
 
 
@@ -388,7 +387,7 @@ class TestMooreCoefficient:
 
 class TestVerifyMoore:
     def test_identical_vectors(self):
-        v = verify_moore(R2, x=[1.0, 2.0], y=[1.0, 2.0], z=[1.0, 2.0], params=MooreParams(eps=0.1))
+        v = verify_moore(R2, x=[[1.0, 2.0]], y=[[1.0, 2.0]], z=[[1.0, 2.0]], params=MooreParams(eps=0.1))
         assert v.premises_hold
         assert v.links[0].center == pytest.approx(5.0)
         assert v.links[0].lhs == pytest.approx(0.6 * 5.0)
@@ -396,25 +395,25 @@ class TestVerifyMoore:
         assert v.links[0].holds
 
     def test_vacuous_premises_conclusion_still_evaluated(self):
-        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], params=MooreParams(eps=0.05))
+        v = verify_moore(R2, x=[[1.0, 0.0]], y=[[0.0, 1.0]], z=[[1.0, 0.0]], params=MooreParams(eps=0.05))
         assert not v.premises_hold
         assert v.links[0].center == pytest.approx(0.0, abs=1e-15)
         assert v.links[0].lhs == pytest.approx(0.8)
         assert not v.links[0].holds
 
     def test_eps_one_trivial_conclusion(self):
-        v = verify_moore(R2, x=[1.0, 0.0], y=[0.0, 1.0], z=[1.0, 0.0], params=MooreParams(eps=1.0))
+        v = verify_moore(R2, x=[[1.0, 0.0]], y=[[0.0, 1.0]], z=[[1.0, 0.0]], params=MooreParams(eps=1.0))
         assert v.premises_hold
         assert v.links[0].lhs == 0.0
         assert v.links[0].holds
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            verify_moore(R2, [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=0.1))
+            verify_moore(R2, [[0.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]], params=MooreParams(eps=0.1))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(DomainError):
-            verify_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=-0.1))
+            verify_moore(R2, [[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]], params=MooreParams(eps=-0.1))
 
 
 class TestPrecupanuMoore:
@@ -432,7 +431,7 @@ class TestPrecupanuMoore:
             precupanu_moore_bounds(0.0)
 
     def test_aligned_instance(self):
-        v = verify_precupanu_moore(R2, a=[1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], params=MooreParams(eps1=0.9, eps2=1.0))
+        v = verify_precupanu_moore(R2, a=[[1.0, 0.0]], b=[[1.0, 0.0]], x=[[1.0, 0.0]], params=MooreParams(eps1=0.9, eps2=1.0))
         assert v.premises_hold
         c = v.links[0]
         assert c.center == pytest.approx(1.0)
@@ -446,39 +445,39 @@ class TestPrecupanuMoore:
         assert r.holds
 
     def test_vacuous_when_a_perp_x(self):
-        v = verify_precupanu_moore(R2, a=[0.0, 1.0], b=[1.0, 0.0], x=[1.0, 0.0], params=MooreParams(eps1=0.5, eps2=0.9))
+        v = verify_precupanu_moore(R2, a=[[0.0, 1.0]], b=[[1.0, 0.0]], x=[[1.0, 0.0]], params=MooreParams(eps1=0.5, eps2=0.9))
         assert not v.premises_hold
         assert len(v.links) == 2
 
     def test_signed_premises(self):
         # Anti-aligned a fails the signed window even though |cos| = 1.
-        v = verify_precupanu_moore(R2, a=[-1.0, 0.0], b=[1.0, 0.0], x=[1.0, 0.0], params=MooreParams(eps1=0.5, eps2=1.0))
+        v = verify_precupanu_moore(R2, a=[[-1.0, 0.0]], b=[[1.0, 0.0]], x=[[1.0, 0.0]], params=MooreParams(eps1=0.5, eps2=1.0))
         assert not v.premises_hold
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
-            verify_precupanu_moore(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(eps1=0.9, eps2=0.5))
+            verify_precupanu_moore(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(eps1=0.9, eps2=0.5))
         with pytest.raises(DomainError):
-            verify_precupanu_moore(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(eps1=-0.1, eps2=0.5))
+            verify_precupanu_moore(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(eps1=-0.1, eps2=0.5))
         with pytest.raises(DomainError):
-            verify_precupanu_moore(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(eps2=0.5))
+            verify_precupanu_moore(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(eps2=0.5))
 
 
 class TestBuzano:
     def test_real_hand_equality(self):
-        ev = eval_buzano(R2, a=[1.0, 1.0], b=[1.0, -1.0], x=[1.0, 0.0]).binding
+        ev = eval_buzano(R2, a=[[1.0, 1.0]], b=[[1.0, -1.0]], x=[[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.near_equality
 
     def test_complex_hand_equality(self):
-        ev = eval_buzano(C1, a=[1j], b=[1.0], x=[1.0]).binding
+        ev = eval_buzano(C1, a=[[1j]], b=[[1.0]], x=[[1.0]]).binding
         assert ev.lhs == pytest.approx(1.0)
         assert ev.rhs == pytest.approx(1.0)
         assert ev.near_equality
 
     def test_x_aligned_with_a_orthogonal_b(self):
-        ev = eval_buzano(R2, a=[1.0, 0.0], b=[0.0, 1.0], x=[1.0, 0.0]).binding
+        ev = eval_buzano(R2, a=[[1.0, 0.0]], b=[[0.0, 1.0]], x=[[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(0.5)
 
@@ -488,14 +487,14 @@ class TestBuzano:
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s = SpaceSpec(3, Field.COMPLEX)
-        base = eval_buzano(s, a, b, x).binding
-        scaled = eval_buzano(s, a, b, 2.0**12 * x).binding
+        base = eval_buzano(s, [a], [b], [x]).binding
+        scaled = eval_buzano(s, [a], [b], [2.0**12 * x]).binding
         assert scaled.margin_upper / scaled.scale == pytest.approx(base.margin_upper / base.scale, rel=1e-12)
 
 
 class TestBuzanoMoore:
     def test_aligned_hand_value(self):
-        v = verify_buzano_moore(C2, x=[1.0, 0.0], a=[1.0, 0.0], b=[1.0, 0.0], params=MooreParams(eps=0.1))
+        v = verify_buzano_moore(C2, x=[[1.0, 0.0]], a=[[1.0, 0.0]], b=[[1.0, 0.0]], params=MooreParams(eps=0.1))
         assert v.premises_hold
         assert buzano_moore_useful(0.1)
         assert v.links[0].lhs == pytest.approx(0.62)
@@ -509,18 +508,18 @@ class TestBuzanoMoore:
 
     def test_coefficient_vanishes_at_window_edge(self):
         crit = 1 - math.sqrt(2.0) / 2
-        v = verify_buzano_moore(R2, [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], params=MooreParams(eps=crit))
+        v = verify_buzano_moore(R2, [[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]], params=MooreParams(eps=crit))
         assert abs(v.links[0].lhs) <= 1e-12
 
     def test_eps_range(self):
         for bad in (0.0, -0.2, 1.0 + 1e-9):
             with pytest.raises(DomainError):
-                verify_buzano_moore(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(eps=bad))
+                verify_buzano_moore(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(eps=bad))
 
 
 class TestCosineTransfer:
     def test_common_direction(self):
-        v = verify_cosine_transfer(R2, a=[1.0, 1.0], x=[1.0, 1.0], y=[1.0, 1.0], params=MooreParams(delta1=1.0, delta2=1.0))
+        v = verify_cosine_transfer(R2, a=[[1.0, 1.0]], x=[[1.0, 1.0]], y=[[1.0, 1.0]], params=MooreParams(delta1=1.0, delta2=1.0))
         assert v.premises_hold
         assert v.links[0].lhs == pytest.approx(0.5)
         assert v.links[0].center == pytest.approx(1.0)
@@ -528,16 +527,16 @@ class TestCosineTransfer:
         assert v.links[0].scale == 1.0
 
     def test_vacuous(self):
-        v = verify_cosine_transfer(R2, a=[1.0, 0.0], x=[0.0, 1.0], y=[1.0, 0.0], params=MooreParams(delta1=0.9, delta2=0.9))
+        v = verify_cosine_transfer(R2, a=[[1.0, 0.0]], x=[[0.0, 1.0]], y=[[1.0, 0.0]], params=MooreParams(delta1=0.9, delta2=0.9))
         assert not v.premises_hold
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=0.4, delta2=0.4))
+            verify_cosine_transfer(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(delta1=0.4, delta2=0.4))
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=0.0, delta2=1.0))
+            verify_cosine_transfer(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(delta1=0.0, delta2=1.0))
         with pytest.raises(DomainError):
-            verify_cosine_transfer(R2, [1, 0], [1, 0], [1, 0], params=MooreParams(delta1=1.2, delta2=0.5))
+            verify_cosine_transfer(R2, [[1, 0]], [[1, 0]], [[1, 0]], params=MooreParams(delta1=1.2, delta2=0.5))
 
 
 class TestQuotientTransfer:
@@ -549,7 +548,7 @@ class TestQuotientTransfer:
     def test_lower_branch(self):
         a, b = self._pair_with_cosine(0.8)
         x = a / np.linalg.norm(a) + b / np.linalg.norm(b)
-        lower = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu1=0.6))
+        lower = verify_quotient_transfer(R2, [a], [b], [x], params=MooreParams(mu1=0.6))
         assert lower.premises_hold
         assert lower.links[0].lhs == pytest.approx(0.2)
         assert lower.links[0].center == pytest.approx(0.8)
@@ -558,7 +557,7 @@ class TestQuotientTransfer:
     def test_upper_branch(self):
         a, b = self._pair_with_cosine(-0.8)
         x = a / np.linalg.norm(a) - b / np.linalg.norm(b)
-        upper = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu2=-0.6))
+        upper = verify_quotient_transfer(R2, [a], [b], [x], params=MooreParams(mu2=-0.6))
         assert upper.premises_hold
         assert upper.links[0].lhs == pytest.approx(-0.8)
         assert upper.links[0].rhs == pytest.approx(-0.2)
@@ -566,27 +565,27 @@ class TestQuotientTransfer:
 
     def test_both_branches(self):
         a, b = self._pair_with_cosine(0.0)
-        lower = verify_quotient_transfer(R2, a, b, [1.0, 1.0], params=MooreParams(mu1=0.0, mu2=0.0))
-        upper = verify_quotient_transfer(R2, a, b, [1.0, 1.0], params=MooreParams(mu2=0.0))
+        lower = verify_quotient_transfer(R2, [a], [b], [[1.0, 1.0]], params=MooreParams(mu1=0.0, mu2=0.0))
+        upper = verify_quotient_transfer(R2, [a], [b], [[1.0, 1.0]], params=MooreParams(mu2=0.0))
         # mu1=0 makes the lower premise hold whenever the quotient is >= 0.
         assert lower.links[0].lhs == pytest.approx(-1.0)
         assert upper.links[0].rhs == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams())
+            verify_quotient_transfer(R2, [[1, 0]], [[0, 1]], [[1, 1]], params=MooreParams())
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams(mu1=1.2))
+            verify_quotient_transfer(R2, [[1, 0]], [[0, 1]], [[1, 1]], params=MooreParams(mu1=1.2))
         with pytest.raises(DomainError):
-            verify_quotient_transfer(R2, [1, 0], [0, 1], [1, 1], params=MooreParams(mu2=0.3))
+            verify_quotient_transfer(R2, [[1, 0]], [[0, 1]], [[1, 1]], params=MooreParams(mu2=0.3))
 
     def test_catalog_entry_lane(self):
         # t1.5-ii runs the mu1 lane when mu1 is set, else the mu2 lane
         a, b = self._pair_with_cosine(0.8)
         x = a + b
         inputs = {"a": a, "b": b, "x": x}
-        lower = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu1=0.6, mu2=-0.6))
-        upper = verify_quotient_transfer(R2, a, b, x, params=MooreParams(mu2=-0.6))
+        lower = verify_quotient_transfer(R2, [a], [b], [x], params=MooreParams(mu1=0.6, mu2=-0.6))
+        upper = verify_quotient_transfer(R2, [a], [b], [x], params=MooreParams(mu2=-0.6))
         assert lower.links[0].rhs is None and upper.links[0].center is None
         assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu1=0.6, mu2=-0.6)) == lower
         assert run_catalog("t1.5-ii", R2, inputs, MooreParams(mu2=-0.6)) == upper
@@ -596,7 +595,7 @@ class TestQuotientTransfer:
 
 class TestGeneralized:
     def test_hand_value_single_member(self):
-        ev = eval_generalized(R2, fam(R2, [1.0, 0.0]), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0]).binding
+        ev = eval_generalized(R2, [fam(R2, [1.0, 0.0])], [empty_fam(R2)], x=[[1.0, 1.0]], y=[[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(0.5)
         assert ev.rhs == pytest.approx(math.sqrt(2.0) / 2)
         assert ev.holds and not ev.near_equality
@@ -611,20 +610,20 @@ class TestGeneralized:
                 F = random_family(rng, space, int(rng.integers(0, 4)))
                 x = random_vec(rng, space)
                 y = random_vec(rng, space)
-                ev = eval_generalized(space, E, F, x, y).binding
+                ev = eval_generalized(space, [E], [F], [x], [y]).binding
                 u = reflection(E, np.asarray(x, dtype=space.field.dtype))
                 v = reflection(F, np.asarray(y, dtype=space.field.dtype))
                 other = 0.5 * abs(inner(space, u, v))
-                assert ev.lhs == pytest.approx(other, rel=1e-10, abs=1e-10 * ev.scale)
+                assert ev.lhs == pytest.approx(other, rel=1e-10, abs=1e-10 * ev.scale[0])
 
     def test_identical_families_halve_schwarz(self):
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
-        ev = eval_generalized(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0]).binding
+        ev = eval_generalized(R2, [E], [E], x=[[1.0, 2.0]], y=[[3.0, -1.0]]).binding
         assert ev.lhs == pytest.approx(0.5 * abs(1 * 3 + 2 * -1))
         assert ev.rhs == pytest.approx(0.5 * math.sqrt(5) * math.sqrt(10))
 
     def test_empty_families(self):
-        ev = eval_generalized(R2, empty_fam(R2), empty_fam(R2), x=[1.0, 1.0], y=[1.0, 0.0]).binding
+        ev = eval_generalized(R2, [empty_fam(R2)], [empty_fam(R2)], x=[[1.0, 1.0]], y=[[1.0, 0.0]]).binding
         assert ev.lhs == pytest.approx(0.5 * 1.0)
         assert ev.rhs == pytest.approx(0.5 * math.sqrt(2.0))
 
@@ -636,13 +635,13 @@ class TestGeneralized:
             F = OrthonormalFamily(R3, big.members[2:])
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            split = eval_generalized(R3, E, F, x, y).binding
-            joined = eval_generalized(R3, OrthonormalFamily(R3, big.members), empty_fam(R3), x, y).binding
-            assert split.lhs == pytest.approx(joined.lhs, rel=1e-11, abs=1e-11 * split.scale)
+            split = eval_generalized(R3, [E], [F], [x], [y]).binding
+            joined = eval_generalized(R3, [OrthonormalFamily(R3, big.members)], [empty_fam(R3)], [x], [y]).binding
+            assert split.lhs == pytest.approx(joined.lhs, rel=1e-11, abs=1e-11 * split.scale[0])
 
     def test_requires_nonzero_x_y(self):
         with pytest.raises(DomainError):
-            eval_generalized(R2, empty_fam(R2), empty_fam(R2), [0.0, 0.0], [1.0, 0.0])
+            eval_generalized(R2, [empty_fam(R2)], [empty_fam(R2)], [[0.0, 0.0]], [[1.0, 0.0]])
 
     @pytest.mark.parametrize("space", [R3, SpaceSpec(3, Field.COMPLEX)])
     def test_extended_reflection_route_pairs_extended_vectors(self, space, monkeypatch):
@@ -650,7 +649,7 @@ class TestGeneralized:
         E, F = random_family(rng, space, 2), random_family(rng, space, 1)
         x, y = random_vec(rng, space), random_vec(rng, space)
         seen = record_pairings(monkeypatch)
-        eval_generalized(space, E, F, x, y, extended=True)
+        eval_generalized(space, [E], [F], [x], [y], extended=True)
         # the last pairing is the reflection route's; none may get vectors
         # rounded to double first
         ext = space.field.extended_dtype
@@ -660,11 +659,11 @@ class TestGeneralized:
     def test_non_finite_reflection_raises(self):
         # finite inputs whose doubled projection overflows
         with np.errstate(over="ignore"), pytest.raises(DomainError):
-            eval_generalized(R2, fam(R2, [1.0, 0.0]), empty_fam(R2), [1e308, 1.0], [1.0, 1.0])
+            eval_generalized(R2, [fam(R2, [1.0, 0.0])], [empty_fam(R2)], [[1e308, 1.0]], [[1.0, 1.0]])
 
     def test_family_space_mismatch(self):
         with pytest.raises(DomainError):
-            eval_generalized(R3, fam(R2, [1.0, 0.0]), empty_fam(R3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+            eval_generalized(R3, [fam(R2, [1.0, 0.0])], [empty_fam(R3)], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
 
 
 class TestChain:
@@ -672,7 +671,7 @@ class TestChain:
         # x = e, y = -e: S = -1, <x,y> = -1; the middle term must use the
         # signed inner product.  Both links are tight here.
         E = fam(R1, [1.0])
-        ch = eval_chain(R1, E, empty_fam(R1), x=[1.0], y=[-1.0])
+        ch = eval_chain(R1, [E], [empty_fam(R1)], x=[[1.0]], y=[[-1.0]])
         assert ch.links[0].lhs == pytest.approx(1.0)
         assert ch.links[0].rhs == pytest.approx(1.0)
         assert ch.links[1].lhs == pytest.approx(1.0)
@@ -687,22 +686,22 @@ class TestChain:
             F = random_family(rng, R3, int(rng.integers(0, 4)))
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            ch = eval_chain(R3, E, F, x, y)
+            ch = eval_chain(R3, [E], [F], [x], [y])
             assert ch.links[0].rhs == pytest.approx(ch.links[1].lhs, rel=1e-12)
             assert ch.links[0].holds and ch.links[1].holds
-            gen = eval_generalized(R3, E, F, x, y).binding
+            gen = eval_generalized(R3, [E], [F], [x], [y]).binding
             half = 0.5 * abs(inner(R3, x, y))
-            assert ch.links[1].lhs == pytest.approx(half + gen.lhs, rel=1e-11, abs=1e-11 * gen.scale)
+            assert ch.links[1].lhs == pytest.approx(half + gen.lhs, rel=1e-11, abs=1e-11 * gen.scale[0])
 
     def test_complex_allowed(self):
         s = SpaceSpec(2, Field.COMPLEX)
-        ch = eval_chain(s, fam(s, [1.0, 0.0]), empty_fam(s), x=[1j, 1.0], y=[1.0, 1j])
+        ch = eval_chain(s, [fam(s, [1.0, 0.0])], [empty_fam(s)], x=[[1j, 1.0]], y=[[1.0, 1j]])
         assert ch.links[0].holds and ch.links[1].holds
 
 
 class TestRealDouble:
     def test_hand_value_right_equality(self):
-        ev = eval_real_double(R2, fam(R2, [1.0, 0.0]), fam(R2, [0.0, 1.0]), x=[1.0, 1.0], y=[1.0, 1.0]).binding
+        ev = eval_real_double(R2, [fam(R2, [1.0, 0.0])], [fam(R2, [0.0, 1.0])], x=[[1.0, 1.0]], y=[[1.0, 1.0]]).binding
         assert ev.center == pytest.approx(2.0)
         assert ev.lhs == pytest.approx(0.0, abs=1e-15)
         assert ev.rhs == pytest.approx(2.0)
@@ -710,14 +709,14 @@ class TestRealDouble:
 
     def test_identical_families_zero_center(self):
         E = fam(R2, [1.0, 0.0])
-        ev = eval_real_double(R2, E, E, x=[1.0, 2.0], y=[3.0, -1.0]).binding
+        ev = eval_real_double(R2, [E], [E], x=[[1.0, 2.0]], y=[[3.0, -1.0]]).binding
         assert ev.center == pytest.approx(0.0, abs=1e-12)
 
     def test_signed_lower_bound_tight_on_antiparallel(self):
         # x = e, y = -e: center = -1 and the signed lower bound equals -1.
         # A lower bound written with |<x,y>| would be 0 and would be violated.
         E = fam(R1, [1.0])
-        ev = eval_real_double(R1, E, empty_fam(R1), x=[1.0], y=[-1.0]).binding
+        ev = eval_real_double(R1, [E], [empty_fam(R1)], x=[[1.0]], y=[[-1.0]]).binding
         assert ev.center == pytest.approx(-1.0)
         assert ev.lhs == pytest.approx(-1.0)
         assert ev.rhs == pytest.approx(0.0, abs=1e-15)
@@ -729,21 +728,21 @@ class TestRealDouble:
             E = random_family(rng, R3, int(rng.integers(0, 4)))
             F = random_family(rng, R3, int(rng.integers(0, 4)))
             x = rng.standard_normal(3)
-            ev = eval_real_double(R3, E, F, x, x).binding
-            assert ev.lhs == pytest.approx(0.0, abs=1e-12 * ev.scale)
+            ev = eval_real_double(R3, [E], [F], [x], [x]).binding
+            assert ev.lhs == pytest.approx(0.0, abs=1e-12 * ev.scale[0])
             assert ev.rhs == pytest.approx(norm(R3, x) ** 2, rel=1e-12)
             assert ev.holds
 
     def test_requires_real(self):
         s = SpaceSpec(2, Field.COMPLEX)
         with pytest.raises(DomainError):
-            eval_real_double(s, fam(s, [1.0, 0.0]), empty_fam(s), [1.0, 0.0], [0.0, 1.0])
+            eval_real_double(s, [fam(s, [1.0, 0.0])], [empty_fam(s)], [[1.0, 0.0]], [[0.0, 1.0]])
 
 
 class TestKurepa:
     def test_dim1_double_equality(self):
         z = ComplexifiedVector(np.array([3.0]), np.array([4.0]))
-        ch = eval_kurepa(R1, a=[1.0], z=z)
+        ch = eval_kurepa(R1, a=[[1.0]], z=[z])
         assert ch.links[0].lhs == pytest.approx(25.0)
         assert ch.links[0].rhs == pytest.approx(25.0)
         assert ch.links[1].lhs == pytest.approx(25.0)
@@ -752,14 +751,14 @@ class TestKurepa:
 
     def test_real_part_only_reduces_to_schwarz(self):
         z = ComplexifiedVector(np.array([1.0, 2.0]), np.zeros(2))
-        ch = eval_kurepa(R2, a=[3.0, 1.0], z=z)
+        ch = eval_kurepa(R2, a=[[3.0, 1.0]], z=[z])
         # <z, conj z> = ||z||^2, so the second link is tight.
         assert ch.links[1].margin_upper == pytest.approx(0.0, abs=1e-12)
         assert ch.links[0].lhs == pytest.approx((3.0 * 1 + 1.0 * 2) ** 2)
 
     def test_orthogonal_equal_norm_parts_halve_the_cap(self):
         z = ComplexifiedVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        ch = eval_kurepa(R2, a=[5.0, 0.0], z=z)
+        ch = eval_kurepa(R2, a=[[5.0, 0.0]], z=[z])
         # <z, conj z> = 0 so the middle is half of ||a||^2 ||z||^2.
         assert ch.links[0].rhs == pytest.approx(0.5 * 25.0 * 2.0)
         assert ch.links[1].rhs == pytest.approx(25.0 * 2.0)
@@ -768,13 +767,13 @@ class TestKurepa:
     def test_zero_a_rejected(self):
         z = ComplexifiedVector(np.array([1.0]), np.array([0.0]))
         with pytest.raises(DomainError):
-            eval_kurepa(R1, a=[0.0], z=z)
+            eval_kurepa(R1, a=[[0.0]], z=[z])
 
     def test_random_soundness(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             z = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
-            ch = eval_kurepa(R3, rng.standard_normal(3), z)
+            ch = eval_kurepa(R3, [rng.standard_normal(3)], [z])
             assert ch.links[0].holds and ch.links[1].holds
 
 
@@ -782,7 +781,7 @@ class TestKurepaRefined:
     def test_real_w_identical_families(self):
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
         w = ComplexifiedVector(np.array([1.0, 2.0]), np.zeros(2))
-        ch = eval_kurepa_refined(R2, E, E, w)
+        ch = eval_kurepa_refined(R2, [E], [E], [w])
         # The two family sums cancel (T = 0) while <w, conj w> = ||w||^2 = 5,
         # so the first link is slack by 5 and the last two are tight.
         assert ch.links[0].lhs == pytest.approx(0.0, abs=1e-12)
@@ -796,7 +795,7 @@ class TestKurepaRefined:
         # equals ||w||^2, which makes all three links equalities at once.
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
         w = ComplexifiedVector(np.array([1.0, 2.0]), np.zeros(2))
-        ch = eval_kurepa_refined(R2, E, empty_fam(R2), w)
+        ch = eval_kurepa_refined(R2, [E], [empty_fam(R2)], [w])
         for ev in ch.links:
             assert ev.margin_upper == pytest.approx(0.0, abs=1e-12)
         assert ch.binding.near_equality
@@ -804,7 +803,7 @@ class TestKurepaRefined:
     def test_standard_basis_hand_values(self):
         E = fam(R2, [1.0, 0.0], [0.0, 1.0])
         w = ComplexifiedVector(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        ch = eval_kurepa_refined(R2, E, empty_fam(R2), w)
+        ch = eval_kurepa_refined(R2, [E], [empty_fam(R2)], [w])
         assert ch.links[0].lhs == pytest.approx(0.0, abs=1e-15)
         assert ch.links[0].rhs == pytest.approx(0.0, abs=1e-15)
         assert ch.links[1].lhs == pytest.approx(0.0, abs=1e-15)
@@ -822,8 +821,8 @@ class TestKurepaRefined:
                 continue
             E = fam(R3, *(a / na,))
             z = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
-            refined = eval_kurepa_refined(R3, E, empty_fam(R3), z)
-            base = eval_kurepa(R3, a, z)
+            refined = eval_kurepa_refined(R3, [E], [empty_fam(R3)], [z])
+            base = eval_kurepa(R3, [a], [z])
             assert refined.links[0].lhs * na**2 == pytest.approx(base.links[0].lhs, rel=1e-11, abs=1e-11)
             assert refined.links[2].rhs * na**2 == pytest.approx(base.links[1].rhs, rel=1e-11)
 
@@ -833,7 +832,7 @@ class TestKurepaRefined:
             E = random_family(rng, R3, int(rng.integers(0, 4)))
             F = random_family(rng, R3, int(rng.integers(0, 4)))
             w = ComplexifiedVector(rng.standard_normal(3), rng.standard_normal(3))
-            ch = eval_kurepa_refined(R3, E, F, w)
+            ch = eval_kurepa_refined(R3, [E], [F], [w])
             assert all(ev.holds for ev in ch.links)
             assert ch.links[0].rhs == pytest.approx(ch.links[1].lhs, rel=1e-12)
             assert ch.links[1].rhs == pytest.approx(ch.links[2].lhs, rel=1e-12)
@@ -846,18 +845,18 @@ class TestExtendedPrecision:
             a = rng.standard_normal(3)
             b = rng.standard_normal(3)
             x = rng.standard_normal(3)
-            d = eval_richard(R3, a, b, x).binding
-            e = eval_richard(R3, a, b, x, extended=True).binding
-            assert e.center == pytest.approx(d.center, rel=1e-8, abs=1e-8 * d.scale)
-            assert e.lhs == pytest.approx(d.lhs, rel=1e-8, abs=1e-8 * d.scale)
-            assert e.rhs == pytest.approx(d.rhs, rel=1e-8, abs=1e-8 * d.scale)
+            d = eval_richard(R3, [a], [b], [x]).binding
+            e = eval_richard(R3, [a], [b], [x], extended=True).binding
+            assert e.center == pytest.approx(d.center, rel=1e-8, abs=1e-8 * d.scale[0])
+            assert e.lhs == pytest.approx(d.lhs, rel=1e-8, abs=1e-8 * d.scale[0])
+            assert e.rhs == pytest.approx(d.rhs, rel=1e-8, abs=1e-8 * d.scale[0])
 
     def test_extended_resolves_cancellation(self):
         # x and y nearly parallel: the schwarz margin is dominated by
         # cancellation; extended mode must keep it nonnegative.
         x = np.array([1.0, 1e-9])
         y = np.array([1.0, 0.0])
-        ev = eval_schwarz(R2, x, y, extended=True).binding
+        ev = eval_schwarz(R2, [x], [y], extended=True).binding
         assert ev.margin_upper >= 0.0
 
     @pytest.mark.parametrize(
@@ -885,11 +884,14 @@ class TestExtendedPrecision:
                     sampled = sample_instance(config, name, index)
                     for extended in (False, True):
                         result = entry.run(sampled.space, sampled.inputs, extended=extended)
+                        # each field of the group of one as its row 0
                         for ev in result.links:
-                            fields = (ev.lhs, ev.center, ev.rhs, ev.margin_lower, ev.margin_upper,
-                                      ev.holds, ev.near_equality, ev.scale)
+                            fields = (*(None if v is None else float(v[0])
+                                        for v in (ev.lhs, ev.center, ev.rhs, ev.margin_lower, ev.margin_upper)),
+                                      bool(ev.holds[0]), bool(ev.near_equality[0]), float(ev.scale[0]))
                             digest.update(repr(fields).encode())
-                        digest.update(repr(result.premises_hold).encode())
+                        premises = None if result.premises_hold is None else bool(result.premises_hold[0])
+                        digest.update(repr(premises).encode())
         assert digest.hexdigest() == "d3dfef1564e82aef14cfeb5ca81a43239aa1dffa01f38136772d1db5c1aba81c"
 
 
@@ -931,7 +933,7 @@ class TestCatalogRegistry:
             assert all(ev.holds for ev in result.links), name
             entry = CATALOG[name]
             if entry.has_premises:
-                assert result.premises_hold is True
+                assert result.premises_hold.tolist() == [True]
             else:
                 assert result.premises_hold is None
 
@@ -1016,7 +1018,7 @@ def _same_bits(a, b) -> bool:
 
 
 class TestStackedKernels:
-    """A group evaluates each of its members exactly as a batch of one does."""
+    """A group evaluates each of its members exactly as a group of one does."""
 
     @pytest.mark.parametrize(
         "name, field, gram",
@@ -1044,20 +1046,69 @@ class TestStackedKernels:
                             assert _same_bits(None if row is None else row[i : i + 1], getattr(single, name_)), name_
                     if one.premises_hold is not None:
                         assert group.premises_hold[i] == one.premises_hold[0]
-                    # and the records of the group are those of the instance alone
-                    assert group.row(i) == entry.run(space, inputs, extended=extended)
 
-    def test_nan_margins_bind_as_min_picks(self):
-        nan = math.nan
-        scale = np.ones(4)
-        first = stacked_evaluation("t", scale, np.array([0.0, nan, 0.0, 0.0]), rhs=np.array([1.0, 1.0, 0.5, nan]))
-        second = stacked_evaluation("t", scale, np.array([0.0, 0.0, nan, 0.0]), rhs=np.full(4, 0.5))
-        result = StackedResult((first, second))
-        for i in range(4):
-            # the second link binds row 0 only: a NaN margin in the first
-            # link is kept, one in the second is passed over
-            assert repr(result.binding.row(i)) == repr(result.row(i).binding)
-            assert repr(result.binding.row(i)) == repr(result.links[0 if i else 1].row(i))
+
+_MARGIN_VALUES = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 0.5, -0.5, 1.0]), st.floats(-2.0, 2.0))
+_SCALES = st.sampled_from([1.0, 2.0, 0.0, 1e-310, math.nan])
+
+
+@st.composite
+def _link_stacks(draw):
+    """A StackedResult of 1-3 links of one kind (two sided, one sided upper
+    or one sided lower) on 1-4 rows, from values that make NaN, signed zero
+    and tied margins common."""
+    n = draw(st.integers(1, 4))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+
+    kind = draw(st.sampled_from(["two", "upper", "lower"]))
+    scale = column(_SCALES)
+    links = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = None if kind == "upper" else column(_MARGIN_VALUES)
+        rhs = None if kind == "lower" else column(_MARGIN_VALUES)
+        links.append(stacked_evaluation("t", scale, column(_MARGIN_VALUES), center=center, rhs=rhs))
+    return StackedResult(tuple(links))
+
+
+def _same_scalar(a, b) -> bool:
+    """Equal as Python values, NaN for NaN and sign of zero."""
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestBindingRule:
+    """StackedResult picks each row's binding link as Python's min and max
+    pick on that row's floats."""
+
+    @staticmethod
+    def _min_margin(link, i) -> float:
+        return min(float(m[i]) for m in (link.margin_lower, link.margin_upper) if m is not None)
+
+    def _normalized(self, link, i) -> float:
+        return self._min_margin(link, i) / max(float(link.scale[i]), 1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_link_stacks())
+    def test_binding_and_margins_pick_as_min_and_max(self, result):
+        binding = result.binding
+        for i in range(len(result.links[0].lhs)):
+            for link in result.links:
+                assert _same_scalar(link.min_margin[i].item(), self._min_margin(link, i))
+                assert _same_scalar(link.normalized_margin[i].item(), self._normalized(link, i))
+            # the first link with the smallest key; a NaN key binds only first
+            chosen = min(result.links, key=lambda link: self._normalized(link, i))
+            for name in _LINK_FIELDS:
+                mine, theirs = getattr(binding, name), getattr(chosen, name)
+                assert _same_scalar(None if mine is None else mine[i].item(),
+                                    None if theirs is None else theirs[i].item()), name
+            assert _same_scalar(binding.min_margin[i].item(), self._min_margin(chosen, i))
+            assert _same_scalar(binding.normalized_margin[i].item(), self._normalized(chosen, i))
+            assert result.holds[i].item() is all(bool(link.holds[i]) for link in result.links)
 
 
 def _fnv_reference(data: bytes) -> int:

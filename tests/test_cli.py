@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ineq_forge import cli
-from ineq_forge.catalog import CATALOG, CatalogResult, catalog_names
+from ineq_forge.catalog import CATALOG, catalog_names
 from ineq_forge.falsifier import FieldChoice, GramKind, MooreComplexReport, SearchConfig, SearchReport, Verdict
 
 TIMESTAMP = re.compile(r'"(started_at|finished_at)":"[^"]*"')
@@ -272,14 +272,12 @@ class TestVerify:
 
 def _starving_every_third(statement):
     """A statement whose premises fail on every third instance it evaluates
-    (one alone, or a group's rows in order), which is every third trial of a
-    run when each trial is evaluated once."""
+    (a group's rows in order), which is every third trial of a run when each
+    trial is evaluated once."""
     calls = itertools.count()
 
     def run(*args, **kwargs):
         result = statement(*args, **kwargs)
-        if isinstance(result, CatalogResult):
-            return dataclasses.replace(result, premises_hold=next(calls) % 3 != 2)
         rows = len(result.links[0].lhs)
         return dataclasses.replace(result, premises_hold=np.array([next(calls) % 3 != 2 for _ in range(rows)]))
 
@@ -409,6 +407,22 @@ class TestEntryPoint:
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "ineq_forge"], capture_output=True, text=True)
         assert proc.returncode == 1
+
+    def test_closed_stdout_pipe_exits_1_silently(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ineq_forge", "verify", "--ineq", "schwarz", "--samples", "3000",
+             "--emit-instances"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b'{"ineq":"schwarz"')
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert stderr == b""
 
 
 class TestGoldenOutput:
