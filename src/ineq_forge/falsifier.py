@@ -6,53 +6,45 @@ Search design
 Every trial is a pure function of (seed, inequality name, trial index): the
 per-trial generator is Philox keyed on (seed, fnv1a(name)) with the trial
 index in the counter, so runs partition arbitrarily across workers without
-changing a single sampled byte.  A Philox stream depends only on its key and
-counter, so one generator per (seed, name) serves every trial: its counter
-and output buffers are reset for each trial, which reproduces a freshly
-built generator draw for draw.  Trials sweep the configured dimension range
-cyclically and alternate fields blockwise for field-agnostic statements.
+changing a single sampled byte.  One generator per (seed, name) serves
+every trial: its counter and buffers are reset for each trial, which
+reproduces a freshly built generator draw for draw.  Trials sweep the
+configured dimension range cyclically and alternate fields blockwise for
+field-agnostic statements.
 
-Vectors are sampled with independent standard normal coordinates (real and
-imaginary parts independently over C).  Under a non-identity gram matrix the
-base law is made isotropic for the weighted pairing by drawing in whitened
-coordinates and mapping through inv(L^T), L the Cholesky factor.
+Vectors have independent standard normal coordinates (real and imaginary
+parts independently over C) in whitened coordinates, mapped through
+inv(L^T), L the gram's Cholesky factor, so the law is isotropic.  Conditional statements are sampled
+inside their premise regions exactly rather than by rejection: for a
+standard normal vector the squared cosine against a fixed direction is
+Beta(1/2, (d-1)/2) over R and Beta(1, d-1) over C, so a premise window on
+the cosine is an interval of a Beta variable, inverted through the
+regularized incomplete beta function in constant time at any eps.  The
+one remaining rejection loop (the t1.5-ii cap lane) is capped; trials that
+exhaust it are reported as premise-starved, never silently dropped.
 
-Conditional statements are sampled inside their premise regions exactly
-rather than by rejection: for a standard normal vector the squared cosine
-against a fixed direction is Beta(1/2, (d-1)/2) over R and Beta(1, d-1) over
-C, so a premise window on the cosine is an interval condition on a Beta
-variable, invertible through the regularized incomplete beta function.  The
-construction is distributionally identical to rejection sampling but runs in
-constant time per sample at any eps.  The one remaining rejection loop (the
-probe direction of the quotient-transfer statement) is capped; trials that
-exhaust the cap are reported as premise-starved, never silently dropped.
-
-A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
-order or by a process pool, and merged in shard order.  A shard samples its
-trials one by one, evaluates them in groups of one space (catalog
-statements are stacked kernels that give each member of a group the bits
-it gets alone), then counts them in trial order.  If a group raises, the
-shard evaluates each of its trials as a group of one, in trial order, so
-the error is the first faulty trial's own.  A shard can also return one
-instance record per trial whose premises hold (its digest and binding
-margins), so a caller that writes every instance gets them from the same
-sampling and evaluation as the report, one shard at a time; the digests of
-a shard take one batched FNV-1a pass.
+A run is split into shards of SHARD_SIZE consecutive trials, run in order
+or by a process pool and merged in shard order.  A shard samples in two
+phases: phase A resets each trial's stream and makes its draw calls into
+the trial's row of its space's tape; phase B builds a space's trials from
+their tape in stacked operations that give each the bits it gets alone,
+with one Gram-Schmidt call per family argument.  A trial off phase A's path
+(a retry, a cosine of exactly 1) is sampled again by phase B on a group of
+one, which draws as it goes (`sample_instance`).  Each space's trials are
+evaluated as one group and counted in trial order; if a group raises, each
+trial is evaluated alone in trial order, so the error is the first faulty
+trial's own.  A shard can return an instance record per trial whose
+premises hold, and returns the inputs of its lowest trials.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
-roundoff, and the report only counts confirmed ones.  The worst margin is
-selected by scale-normalized margin (ties to the lower trial index) and
-reported in raw units.  Local ascent refines the most promising candidates
-by projected central-difference descent on the normalized margin.  The 2n
-probes of each gradient are rebuilt in one call, which re-orthonormalizes
-each family argument for all of them as one stacked Gram-Schmidt pass, and
-are evaluated as one group; a probe that cannot be rebuilt or raises
-(alone, after its group raised) is left out of the gradient.  The
-complex-premise Moore experiment evaluates its samples in groups of one
-dimension, chunk by chunk, and refines its lowest ratios with the same
-descent routine and the same coordinate codec, so both searches share one
-implementation of the step, the projection and the premise guard.
+roundoff.  The worst margin is selected by scale-normalized margin (ties to
+the lower trial index) and reported in raw units.  Local ascent refines the
+lowest trials by projected central-difference descent on the normalized
+margin, the 2n probes of a gradient rebuilt in one call and evaluated as
+one group (a probe that cannot be rebuilt or raises alone is left out).
+The complex-premise Moore experiment samples and evaluates chunk by chunk
+the same way and refines its lowest ratios with the same descent routine.
 """
 
 from __future__ import annotations
@@ -68,27 +60,10 @@ from typing import Optional
 import numpy as np
 from scipy import special as sps
 
-from .catalog import (
-    MooreParams,
-    TOL_ABS,
-    TOL_REL,
-    catalog_entry,
-    digest_inputs,
-    fnv1a_64,
-    instance_digest,
-    instance_digests,
-    verify_moore,
-)
+from .catalog import (MooreParams, TOL_ABS, TOL_REL, catalog_entry, digest_inputs, fnv1a_64, instance_digest,
+                      instance_digests, verify_moore)
 from .orthonormal import gram_schmidt
-from .spaces import (
-    ComplexifiedVector,
-    DomainError,
-    Field,
-    SpaceSpec,
-    norm,
-    pairing_norm,
-    zero_norm_threshold,
-)
+from .spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, norm, pairing_norm, zero_norm_threshold
 
 SHARD_SIZE = 4096
 TOP_K = 8
@@ -195,11 +170,9 @@ def _stream(seed: int, name: str):
 
 def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
     """The generator of one trial: Philox keyed on (seed, fnv1a(name)) at
-    counter [0, 0, 0, index], drawing exactly as a freshly built one.
-
-    The generator is shared by every trial of (seed, name): it is reset here,
-    so it stays valid only until the next call with the same seed and name.
-    """
+    counter [0, 0, 0, index], drawing exactly as a freshly built one.  It is
+    shared by every trial of (seed, name) and reset here, so it stays valid
+    only until the next call with the same seed and name."""
     bits, rng, initial = _stream(seed, name)
     state = dict(initial)
     state["state"] = {"counter": np.array([0, 0, 0, index], dtype=np.uint64), "key": initial["state"]["key"]}
@@ -207,16 +180,10 @@ def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
     return rng
 
 
-def _gram_rng(seed: int, name: str, dim: int, field: Field) -> np.random.Generator:
-    """Reserved substream (counter word 2 set) so gram draws never collide
-    with trial draws."""
-    word = dim * 2 + (1 if field is Field.COMPLEX else 0)
-    bits = np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 1, word])
-    return np.random.Generator(bits)
-
-
 def _random_gram(seed: int, name: str, dim: int, field: Field) -> np.ndarray:
-    rng = _gram_rng(seed, name, dim, field)
+    # a reserved substream (counter word 2 set): gram draws never collide with trial draws
+    word = dim * 2 + (1 if field is Field.COMPLEX else 0)
+    rng = np.random.Generator(np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 1, word]))
     a = rng.standard_normal((dim, dim))
     if field is Field.COMPLEX:
         a = a + 1j * rng.standard_normal((dim, dim))
@@ -245,9 +212,8 @@ def _trial_cell(config: SearchConfig, plan: tuple, index: int):
 
 @functools.lru_cache(maxsize=None)
 def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Field):
-    """The gram draw is a pure function of its key, so every trial of a run
-    shares one space object and one whitener (at most names x dims x fields
-    entries live at once)."""
+    """The space and whitener of a run's (name, dim, field): the gram draw is
+    a pure function of its key, so every trial shares them."""
     if gram_kind is GramKind.IDENTITY:
         return SpaceSpec(dim, field), None
     space = SpaceSpec(dim, field, _random_gram(seed, name, dim, field))
@@ -256,239 +222,352 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
     return space, whitener
 
 
-# sampling primitives (all in whitened coordinates) -----------------------------
+# sampling: phase A draws, phase B builds (in whitened coordinates) --------------
 
 
-def _std_vector(rng, dim: int, field: Field):
-    v = rng.standard_normal(dim)
-    if field is Field.COMPLEX:
-        v = v + 1j * rng.standard_normal(dim)
-    return v
+class _Live:
+    """The draws of one trial, made from its stream as phase B asks for
+    them: phase B on a group of one, which takes every branch."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.uniforms = rng, rng.standard_normal, rng.random
+
+    def sizes(self, dim):
+        return int(self.rng.integers(0, dim + 1))
+
+    def rows(self, size, dim, width):
+        return self.rng.standard_normal((size, width))
+
+    def families(self, space, rows, size):
+        try:
+            return gram_schmidt(space, rows), True
+        except DomainError:
+            return None, False
+
+    def each(self, fn, *values):
+        return fn(*values)
+
+    common = staticmethod(bool)  # whether the trial takes the branch that phase A draws for
 
 
-def _std_rows(rng, size: int, dim: int, field: Field):
-    """`size` draws of _std_vector in one call, same stream order: each
-    row's real part, then its imaginary part."""
-    if field is Field.COMPLEX:
-        parts = rng.standard_normal((size, 2, dim))
-        return parts[:, 0] + 1j * parts[:, 1]
-    return rng.standard_normal((size, dim))
+class _Tape:
+    """Phase A's draws of a group, a row per trial, read back as phase B
+    asks for them; a trial off phase A's path is marked in `redo`.  `calls`
+    logs the reads: on a dry run (no tape) they are phase A's program."""
+
+    def __init__(self, tape=None):
+        self.tape, self.calls, self.redo = tape, [], np.zeros(1 if tape is None else len(tape), dtype=bool)
+
+    def _read(self, kind, count, width=0):
+        start = self.calls[-1][2] if self.calls else 0
+        if kind == "n" and self.calls and self.calls[-1][0] == "n":
+            self.calls[-1] = ("n", self.calls[-1][1], start + count, 0)
+        else:
+            self.calls.append((kind, start, start + count, width))
+        return np.zeros((1, count)) if self.tape is None else self.tape[:, start : start + count]
+
+    def normals(self, count):
+        return self._read("n", count)
+
+    def uniforms(self):
+        return self._read("u", 1)[:, 0]
+
+    def sizes(self, dim):
+        return self._read("s", 1)[:, 0].astype(np.intp)
+
+    def rows(self, sizes, dim, width):
+        return self._read("r", dim * width, width).reshape(len(self.redo), dim, width)
+
+    def families(self, space, rows, sizes):
+        families = [None] if self.tape is None else gram_schmidt(space, rows, sizes=sizes)
+        return families, np.array([family is not None for family in families])
+
+    def each(self, fn, *stacks):
+        return [fn(*values) for values in zip(*stacks)]
+
+    def common(self, ok) -> bool:
+        self.redo |= ~ok
+        return True
 
 
-def _norm(w) -> float:
-    """np.linalg.norm of a 1-d draw, by the same dot products and sqrt
-    without its dispatch."""
-    if np.iscomplexobj(w):
-        re, im = w.real, w.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(w.dot(w))
+@functools.lru_cache(maxsize=None)
+def _program(entry, params, dim: int, field: Field):
+    """Phase A's draw calls for a trial of `entry` in (dim, field), as a
+    dry run of phase B logs them, and the width of a trial's tape row."""
+    dry = _Tape()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _SAMPLERS.get(entry.name, _sample_generic)(entry, SpaceSpec(dim, field), None, dry, params)
+    return tuple(dry.calls), dry.calls[-1][2] if dry.calls else 0
+
+
+def _draw(rng, program, dim: int, row) -> None:
+    """Phase A for one trial: its draw calls, in order, into its tape row."""
+    for kind, start, stop, width in program:
+        if kind == "n":
+            rng.standard_normal(out=row[start:stop])
+        elif kind == "u":
+            row[start] = rng.random()
+        elif kind == "s":
+            row[start] = size = rng.integers(0, dim + 1)
+        else:  # the rows of the family sized just before
+            rng.standard_normal(out=row[start : start + size * width])
+
+
+def _complexify(parts, field: Field):
+    """Over C, draws whose last axis holds real parts, then imaginary ones."""
+    half = parts.shape[-1] // 2
+    return parts if field is Field.REAL else parts[..., :half] + 1j * parts[..., half:]
+
+
+def _vectors(draws, space: SpaceSpec):
+    """A standard normal vector per trial, over C its real part first."""
+    if space.field is Field.REAL:
+        return draws.normals(space.dim)
+    return _complexify(draws.normals(2 * space.dim), space.field)
+
+
+def _dot(a, b):
+    """a @ b of real vectors, row by row (np.vecdot keeps a 1-d dot's bits)."""
+    return a.dot(b) if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _norms(w):
+    squares = _dot(w.real, w.real) + _dot(w.imag, w.imag) if w.dtype.kind == "c" else _dot(w, w)
+    return math.sqrt(squares) if w.ndim == 1 else np.sqrt(squares)
+
+
+def _col(x):
+    """x with a trailing axis, to scale each row of a stack."""
+    return x[..., np.newaxis] if isinstance(x, np.ndarray) and x.ndim else x
+
+
+def _unit(w):
+    return w / _col(_norms(w))
 
 
 def _ambient(whitener, w):
-    return w if whitener is None else whitener @ w
+    # a stack's one product keeps each row's `whitener @ r` bits
+    return w if whitener is None else whitener @ w if w.ndim == 1 else (whitener @ w[..., np.newaxis])[..., 0]
 
 
-def _nonzero_std(rng, space: SpaceSpec):
+def _nonzero(draws, space: SpaceSpec):
     threshold = zero_norm_threshold(space)
     for _ in range(64):
-        w = _std_vector(rng, space.dim, space.field)
-        if _norm(w) > threshold:
+        w = _vectors(draws, space)
+        if draws.common(_norms(w) > threshold):
             return w
     raise RuntimeError("could not sample a nonzero vector")
 
 
+def _clip(t, lo, hi):
+    """min(max(t, lo), hi), elementwise on an array (the same picks)."""
+    return np.minimum(np.maximum(t, lo), hi) if isinstance(t, np.ndarray) else min(max(t, lo), hi)
+
+
+def _beta_law(x, d: int, field: Field, inverse: bool = False):
+    """The squared cosine's Beta cdf, or its inverse, at a number or at each
+    x of an array; over C by Python's ** (numpy's array power rounds
+    differently)."""
+    if field is Field.REAL:
+        return (sps.betaincinv if inverse else sps.betainc)(0.5, (d - 1) / 2.0, x)
+    power = 1.0 / (d - 1) if inverse else d - 1
+    if isinstance(x, np.ndarray):
+        return np.array([1.0 - (1.0 - v) ** power for v in x.tolist()])
+    return 1.0 - (1.0 - float(x)) ** power
+
+
 @functools.lru_cache(maxsize=1024)
 def _beta_cdf(t: float, d: int, field: Field) -> float:
-    if field is Field.COMPLEX:
-        return 1.0 - (1.0 - t) ** (d - 1)
-    return float(sps.betainc(0.5, (d - 1) / 2.0, t))
+    return float(_beta_law(t, d, field))
 
 
-def _beta_ppf(u: float, d: int, field: Field) -> float:
-    if field is Field.COMPLEX:
-        return 1.0 - (1.0 - u) ** (1.0 / (d - 1))
-    return float(sps.betaincinv(0.5, (d - 1) / 2.0, u))
-
-
-def _orth_unit(rng, xhat):
-    """A uniform unit direction orthogonal to the unit vector xhat
+def _orth_unit(draws, space: SpaceSpec, xhat):
+    """A uniform unit direction orthogonal to each unit row of xhat
     (standard pairing); requires dimension at least 2."""
-    d = xhat.shape[0]
-    field = Field.COMPLEX if np.iscomplexobj(xhat) else Field.REAL
     for _ in range(64):
-        p = _std_vector(rng, d, field)
-        p = p - (p @ np.conj(xhat)) * xhat
-        n = _norm(p)
-        if n > 1e-12:
-            return p / n
+        p = _vectors(draws, space)
+        p = p - _col(np.vecdot(xhat, p)) * xhat  # p @ conj(xhat), row by row
+        n = _norms(p)
+        if draws.common(n > 1e-12):
+            return p / _col(n)
     raise RuntimeError("could not sample an orthogonal direction")
 
 
-def _conditioned_vector(rng, space: SpaceSpec, xhat, t_lo: float, t_hi: float, signed: bool):
-    """Standard normal vector conditioned on its cosine against xhat.
-
-    The squared cosine is sampled from the conditional Beta law on
-    [t_lo, t_hi]; `signed` pins the cosine sign to +, otherwise the sign
-    (phase over C) is uniform.  Draw order is fixed: window variate, sign or
-    phase, orthogonal direction, magnitude.
+def _conditioned(draws, space: SpaceSpec, xhat, t_lo, t_hi, signed: bool):
+    """Standard normal vectors conditioned on their cosines against the
+    unit rows of xhat: each squared cosine from the conditional Beta law on
+    [t_lo, t_hi] (t_lo a number or one per row), its sign (phase over C)
+    pinned to + when `signed`, else uniform.  Draw order: window variate (a
+    raw uniform, above dimension 1), sign or phase, orthogonal direction,
+    magnitude.  The direction is drawn only where the clipped squared
+    cosine is below 1, so a trial whose cosine is 1 leaves phase A's path.
     """
-    d = space.dim
-    field = space.field
-    t_lo = min(max(t_lo, 0.0), 1.0)
-    t_hi = min(max(t_hi, 0.0), 1.0)
+    d, field = space.dim, space.field
+    t_lo, t_hi = _clip(t_lo, 0.0, 1.0), _clip(t_hi, 0.0, 1.0)
     if d == 1:
-        t = 1.0
+        t = np.ones(xhat.shape[:-1])
     else:
-        u = rng.uniform(_beta_cdf(t_lo, d, field), _beta_cdf(t_hi, d, field))
-        t = min(max(_beta_ppf(u, d, field), t_lo), t_hi)
-    c = math.sqrt(t)
+        lo = _beta_law(t_lo, d, field) if isinstance(t_lo, np.ndarray) else _beta_cdf(t_lo, d, field)
+        hi = _beta_cdf(t_hi, d, field)
+        t = _clip(_beta_law(lo + (hi - lo) * draws.uniforms(), d, field, inverse=True), t_lo, t_hi)
+    c = np.sqrt(t)
     if not signed:
-        if field is Field.COMPLEX:
-            c = c * np.exp(2j * np.pi * rng.uniform())
-        elif rng.uniform() < 0.5:
-            c = -c
-    tail = math.sqrt(max(1.0 - t, 0.0))
-    direction = c * xhat
-    if d > 1 and tail > 0.0:
-        direction = direction + tail * _orth_unit(rng, xhat)
-    magnitude = _norm(_std_vector(rng, d, field))
-    return magnitude * direction
+        turn = draws.uniforms()
+        # over R, c times -1.0 below 0.5 and 1.0 above: -c and c exactly
+        c = c * (np.exp(2j * np.pi * turn) if field is Field.COMPLEX else (turn >= 0.5) * 2.0 - 1.0)
+    tail = np.sqrt(_clip(1.0 - t, 0.0, 1.0))
+    direction = _col(c) * xhat
+    if d > 1 and draws.common(tail > 0.0):
+        direction = direction + _col(tail) * _orth_unit(draws, space, xhat)
+    return _col(_norms(_vectors(draws, space))) * direction
 
 
-# per-name samplers --------------------------------------------------------------
+# per-name samplers: (entry, space, whitener, draws, params) -> (inputs, starved)
 
 
-def _sample_generic(entry, space, whitener, rng, params):
-    inputs = {}
-    dim = space.dim
+def _sample_generic(entry, space, whitener, draws, params):
+    inputs, dim = {}, space.dim
     for key in entry.family_args:
-        size = int(rng.integers(0, dim + 1))
+        sizes = draws.sizes(dim)
         for _ in range(16):
-            rows = _std_rows(rng, size, dim, space.field)
-            if whitener is not None:
-                # one stacked product keeps each row's `whitener @ r` bits
-                rows = (whitener @ rows[:, :, np.newaxis])[:, :, 0]
-            try:
-                inputs[key] = gram_schmidt(space, rows)
+            rows = draws.rows(sizes, dim, dim * (2 if space.field is Field.COMPLEX else 1))
+            families, ok = draws.families(space, _ambient(whitener, _complexify(rows, space.field)), sizes)
+            if draws.common(ok):
+                inputs[key] = families
                 break
-            except DomainError:
-                continue
         else:
             raise RuntimeError("could not sample an orthonormal family")
     for key in entry.vector_args:
-        inputs[key] = _ambient(whitener, _nonzero_std(rng, space))
+        inputs[key] = _ambient(whitener, _nonzero(draws, space))
     for key in entry.complexified_args:
         for _ in range(64):
-            re = _std_vector(rng, dim, Field.REAL)
-            im = _std_vector(rng, dim, Field.REAL)
-            if math.hypot(_norm(re), _norm(im)) > zero_norm_threshold(space):
+            re, im = draws.normals(dim), draws.normals(dim)
+            # math.hypot, row by row: np.hypot rounds differently
+            if draws.common(np.asarray(draws.each(math.hypot, _norms(re), _norms(im))) > zero_norm_threshold(space)):
                 break
-        inputs[key] = ComplexifiedVector(_ambient(whitener, re), _ambient(whitener, im))
+        inputs[key] = draws.each(ComplexifiedVector, _ambient(whitener, re), _ambient(whitener, im))
     return inputs, False
 
 
-def _sample_near_parallel(entry, space, whitener, rng, params):
-    """Probe vector plus two vectors whose cosine modulus against it is at
-    least 1 - eps (sign or phase uniform), keyed by the entry's vector
-    arguments in order: x, y, z for moore-1.9 and x, a, b for
-    buzano-moore-1.16."""
-    need = max(1.0 - params.eps, 0.0)
-    probe = _nonzero_std(rng, space)
-    phat = probe / _norm(probe)
-    first = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
-    second = _conditioned_vector(rng, space, phat, need * need, 1.0, False)
-    vectors = (probe, first, second)
-    return {k: _ambient(whitener, v) for k, v in zip(entry.vector_args, vectors)}, False
+def _sample_anchored(entry, space, whitener, draws, params):
+    """An anchor and two vectors conditioned on their cosines against it, in
+    the entry's vector arguments: moore-1.9 (x, y, z) and buzano-moore-1.16
+    (x, a, b) anchor x, cosine moduli at least 1 - eps, signs or phases
+    uniform; precupanu-moore-1.12 (a, b, x) cosines in [eps1, min(eps2, 1)]
+    (starved where dimension 1 has none); t1.5-i (a, x, y) at least delta."""
+    signed, starved = True, False
+    if entry.name == "precupanu-moore-1.12":
+        eps1, eps2 = params.eps1, params.eps2
+        starved = eps1 > 1.0 + 1e-12 or (space.dim == 1 and not eps1 - 1e-12 <= 1.0 <= eps2 + 1e-12)
+        hi = min(eps2, 1.0)
+        at, windows = 2, [(eps1 * eps1, hi * hi)] * 2
+    elif entry.name == "t1.5-i":
+        at, windows = 0, [(params.delta1 ** 2, 1.0), (params.delta2 ** 2, 1.0)]
+    else:
+        need = max(1.0 - params.eps, 0.0)
+        at, windows, signed = 0, [(need * need, 1.0)] * 2, False
+    anchor = _nonzero(draws, space)
+    ahat = _unit(anchor)
+    vectors = [_conditioned(draws, space, ahat, lo, hi, signed) for lo, hi in windows]
+    vectors.insert(at, anchor)
+    return {k: _ambient(whitener, v) for k, v in zip(entry.vector_args, vectors)}, starved
 
 
-def _sample_precupanu_moore(entry, space, whitener, rng, params):
-    eps1, eps2 = params.eps1, params.eps2
-    starved = eps1 > 1.0 + 1e-12 or (space.dim == 1 and not eps1 - 1e-12 <= 1.0 <= eps2 + 1e-12)
-    x = _nonzero_std(rng, space)
-    xhat = x / _norm(x)
-    hi = min(eps2, 1.0)
-    a = _conditioned_vector(rng, space, xhat, eps1 * eps1, hi * hi, True)
-    b = _conditioned_vector(rng, space, xhat, eps1 * eps1, hi * hi, True)
-    inputs = {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}
-    return inputs, starved
-
-
-def _sample_cosine_transfer(entry, space, whitener, rng, params):
-    anchor = _nonzero_std(rng, space)
-    ahat = anchor / _norm(anchor)
-    x = _conditioned_vector(rng, space, ahat, params.delta1 ** 2, 1.0, True)
-    y = _conditioned_vector(rng, space, ahat, params.delta2 ** 2, 1.0, True)
-    inputs = {"a": _ambient(whitener, anchor), "x": _ambient(whitener, x), "y": _ambient(whitener, y)}
-    return inputs, False
-
-
-def _sample_quotient_transfer(entry, space, whitener, rng, params):
+def _sample_quotient_transfer(entry, space, whitener, draws, params):
     """Sampling for the quotient-transfer premises.
 
     Floor lane (mu1 set): the floor on <x,a><x,b>/(||x||^2 ||a|| ||b||) is
     attainable only when cos(a, b) >= 2 mu1 - 1, so b is drawn with its
     cosine against a at least max(2 mu1 - 1, 0).  For unit anchors with
     cosine c and a unit probe with component p along their bisector, the
-    quotient is at least p^2 - (1 - c)/2 whatever the orthogonal part does,
-    so conditioning p^2 >= mu1 + (1 - c)/2 satisfies the premise without any
-    rejection.  This covers a subregion of the premise set (probes near the
-    bisector), which is the tradeoff for constant-time sampling; ascent
-    refinement is free to leave it.
+    quotient is at least p^2 - (1 - c)/2, so conditioning p^2 >= mu1 +
+    (1 - c)/2 satisfies the premise without rejection, on a subregion of
+    the premise set (probes near the bisector) that ascent is free to leave.
 
-    Cap lane (mu2 only): the acceptance region depends on the anchor pair in
-    a way with no comparable closed form, so the probe is rejection-sampled
-    with a hard cap and exhaustion is reported as starvation.
+    Cap lane (mu2 only): the region has no comparable closed form, so the
+    probe is rejection-sampled with a hard cap, exhaustion reported as
+    starvation (phase A draws one probe; a trial rejecting it goes alone).
     """
     mu1, mu2 = params.mu1, params.mu2
     if mu1 is None and mu2 is None:
         raise DomainError("quotient-transfer sampling needs mu1 or mu2")
-    if mu1 is not None:
-        gamma = max(2.0 * mu1 - 1.0, 0.0)
-        a = _nonzero_std(rng, space)
-        ahat = a / _norm(a)
-        b = _conditioned_vector(rng, space, ahat, gamma * gamma, 1.0, True)
-        bhat = b / _norm(b)
-        c = float(np.clip(ahat @ bhat, -1.0, 1.0))
-        bisector = ahat + bhat
-        bisector = bisector / _norm(bisector)
-        t_min = min(max(mu1 + (1.0 - c) / 2.0, 0.0), 1.0)
-        x = _conditioned_vector(rng, space, bisector, t_min, 1.0, True)
-        inputs = {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}
-        return inputs, False
-    a = _nonzero_std(rng, space)
-    b = _nonzero_std(rng, space)
-    na = _norm(a)
-    nb = _norm(b)
+    a = _nonzero(draws, space)
     starved = True
-    x = None
-    for _ in range(REJECTION_CAP):
-        x = _nonzero_std(rng, space)
-        xhat = x / _norm(x)
-        if float(xhat @ a) * float(xhat @ b) <= mu2 * na * nb:
-            starved = False
-            break
-    inputs = {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}
-    return inputs, starved
+    if mu1 is not None:
+        ahat, gamma = _unit(a), max(2.0 * mu1 - 1.0, 0.0)
+        b = _conditioned(draws, space, ahat, gamma * gamma, 1.0, True)
+        bhat = _unit(b)
+        t_min = _clip(mu1 + (1.0 - np.clip(_dot(ahat, bhat), -1.0, 1.0)) / 2.0, 0.0, 1.0)
+        x, starved = _conditioned(draws, space, _unit(ahat + bhat), t_min, 1.0, True), False
+    else:
+        b = _nonzero(draws, space)
+        na, nb = _norms(a), _norms(b)
+        for _ in range(REJECTION_CAP):
+            x = _nonzero(draws, space)
+            xhat = _unit(x)
+            if draws.common(_dot(xhat, a) * _dot(xhat, b) <= mu2 * na * nb):
+                starved = False
+                break
+    return {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}, starved
 
 
-_SAMPLERS = {
-    "moore-1.9": _sample_near_parallel,
-    "buzano-moore-1.16": _sample_near_parallel,
-    "precupanu-moore-1.12": _sample_precupanu_moore,
-    "t1.5-i": _sample_cosine_transfer,
-    "t1.5-ii": _sample_quotient_transfer,
-}
+_SAMPLERS = {**dict.fromkeys(("moore-1.9", "buzano-moore-1.16", "precupanu-moore-1.12", "t1.5-i"), _sample_anchored),
+             "t1.5-ii": _sample_quotient_transfer}
+
+
+def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, index: int):
+    """Phase B on a group of one, drawing as it goes: (space, inputs, starved)."""
+    space, whitener = _cached_space(config.seed, config.gram, key, *_trial_cell(config, fields, index))
+    draws = _Live(_trial_rng(config.seed, key, index))
+    return (space, *_SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params))
+
+
+def _sample_groups(config: SearchConfig, key: str, entry, params, fields: tuple, indices) -> list:
+    """The trials `indices` of the streams of (config.seed, key), sampled
+    by `entry`'s sampler at `params` (see the module docstring) in groups of
+    one space: a list of (space, trial indices, inputs, starved flags), the
+    inputs a stack per argument.  Trials off phase A's path are sampled
+    again alone in trial order, so an error raised is the first one's own."""
+    cells, slots = {}, []  # (dim, field) -> its trials; (index, cell, row) of each trial
+    for index in indices:
+        cell = _trial_cell(config, fields, index)
+        slots.append((index, cell, len(cells.setdefault(cell, []))))
+        cells[cell].append(index)
+    programs = {cell: _program(entry, params, *cell) for cell in cells}
+    tapes = {cell: np.zeros((len(members), programs[cell][1])) for cell, members in cells.items()}
+    for index, cell, row in slots:
+        _draw(_trial_rng(config.seed, key, index), programs[cell][0], cell[0], tapes[cell][row])
+    groups, redo = [], []
+    for (dim, field), members in cells.items():
+        space, whitener = _cached_space(config.seed, config.gram, key, dim, field)
+        draws = _Tape(tapes[(dim, field)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inputs, starved = _SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params)
+        groups.append((space, members, inputs, [starved] * len(members)))
+        redo += [(members[row], row, groups[-1]) for row in np.flatnonzero(draws.redo).tolist()]
+    for index, row, (_, _, inputs, starved) in sorted(redo, key=lambda item: item[0]):
+        _, alone, starved[row] = _sample_alone(config, key, entry, params, fields, index)
+        for k, value in alone.items():
+            inputs[k][row] = value
+    return groups
+
+
+def _instance(slot) -> tuple:
+    """(space, inputs) of one trial, from its (space, stacks, row)."""
+    space, inputs, row = slot
+    return space, {k: stack[row] for k, stack in inputs.items()}
+
+
+def _slots(groups) -> dict:
+    """Each trial's (space, stacks, row) in `groups`, by trial index."""
+    return {index: (space, inputs, row) for space, indices, inputs, _ in groups for row, index in enumerate(indices)}
 
 
 def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int) -> SampledInstance:
     """Deterministic instance for one trial; see the module docstring."""
     entry = catalog_entry(ineq_name)
-    dim, field = _trial_cell(config, _field_plan(ineq_name, entry.fields, config.field), trial_index)
-    space, whitener = _cached_space(config.seed, config.gram, ineq_name, dim, field)
-    rng = _trial_rng(config.seed, ineq_name, trial_index)
-    sampler = _SAMPLERS.get(ineq_name, _sample_generic)
-    inputs, starved = sampler(entry, space, whitener, rng, entry.default_params)
-    return SampledInstance(space, inputs, starved)
+    fields = _field_plan(ineq_name, entry.fields, config.field)
+    return SampledInstance(*_sample_alone(config, ineq_name, entry, entry.default_params, fields, trial_index))
 
 
 # margins, buckets, arbitration --------------------------------------------------
@@ -503,25 +582,20 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _group_rows(items: list, key, evaluate) -> list:
-    """One row per item, in item order, from `evaluate(group)`, which takes
-    the items that share `key(item)` as one group and returns a row for each.
-
-    If a group raises, `evaluate([item])` runs on every item in order, so
-    that the error raised is the one the first faulty item raises by itself
-    (and the group's own error if none does).
-    """
-    groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(key(item), []).append(i)
-    rows = [None] * len(items)
+def _group_rows(groups: list, evaluate) -> dict:
+    """Each trial's row, by trial index, from `evaluate(space, instances)`
+    on the instances of each group.  If a group raises, `evaluate` runs on
+    each trial alone in trial order, so the error raised is the first faulty
+    trial's own (and the group's if none raises alone)."""
+    rows = {}
     try:
-        for members in groups.values():
-            for i, row in zip(members, evaluate([items[i] for i in members])):
-                rows[i] = row
+        for space, indices, inputs, _ in groups:
+            rows.update(zip(indices, evaluate(space, [dict(zip(inputs, row)) for row in zip(*inputs.values())])))
     except (ValueError, ArithmeticError):
-        for item in items:
-            evaluate([item])
+        slots = _slots(groups)
+        for index in sorted(slots):
+            space, instance = _instance(slots[index])
+            evaluate(space, [instance])
         raise
     return rows
 
@@ -537,16 +611,11 @@ def _confirmed_violation(entry, space, inputs) -> bool:
 
 
 class _CoordCodec:
-    """Flatten instance inputs to one real vector and back.
-
-    Families always rebuild through gram_schmidt (the orthonormality
-    manifold is the only place they make sense), vectors and complexified
-    pairs renormalize to their starting norms when `project` is set.
-    `rebuild` takes a stack of points: each family argument is
-    orthonormalized for all of them in one stacked gram_schmidt call, each
-    distinct slice once, so the 2n probes of a gradient re-orthonormalize a
-    family only where they perturb it.
-    """
+    """Flatten instance inputs to one real vector and back.  Families always
+    rebuild through gram_schmidt (the orthonormality manifold is the only
+    place they make sense), for a stack of points in one call, each distinct
+    slice once; vectors and complexified pairs renormalize to their starting
+    norms when `project` is set."""
 
     def __init__(self, entry, space, inputs):
         self.entry = entry
@@ -560,29 +629,15 @@ class _CoordCodec:
         }
 
     def flatten(self, inputs) -> np.ndarray:
-        parts = []
-        for k in self.entry.family_args:
-            m = inputs[k].members
-            parts.append(np.asarray(m.real, dtype=np.float64).ravel())
-            if self.complex_field:
-                parts.append(np.asarray(m.imag, dtype=np.float64).ravel())
-        for k in self.entry.vector_args:
-            v = np.asarray(inputs[k], dtype=self.space.field.dtype)
-            parts.append(np.asarray(v.real, dtype=np.float64))
-            if self.complex_field:
-                parts.append(np.asarray(v.imag, dtype=np.float64))
-        for k in self.entry.complexified_args:
-            parts.append(np.asarray(inputs[k].re, dtype=np.float64))
-            parts.append(np.asarray(inputs[k].im, dtype=np.float64))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        values = [inputs[k].members.ravel() for k in self.entry.family_args]
+        values += [np.asarray(inputs[k], dtype=self.space.field.dtype) for k in self.entry.vector_args]
+        parts = [part for v in values for part in ((v.real, v.imag) if self.complex_field else (v.real,))]
+        parts += [part for k in self.entry.complexified_args for part in (inputs[k].re, inputs[k].im)]
+        return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts]) if parts else np.zeros(0)
 
     def _families(self, chunk: np.ndarray, size: int) -> list:
         """Orthonormalize one family's slice of each point of an (m, w)
-        stack, None where that fails.  Each distinct slice (the slices of
-        gradient probes that leave the family alone are all the same) is
-        orthonormalized once, and the distinct ones as one stack."""
+        stack, None where that fails: the distinct slices as one stack."""
         keys = [row.tobytes() for row in chunk]
         first = {}  # slice bytes -> the first row holding them
         for i, key in enumerate(keys):
@@ -597,9 +652,8 @@ class _CoordCodec:
         return [family_of[key] for key in keys]
 
     def rebuild(self, points: np.ndarray, project: bool):
-        """The inputs of each flat point of an (m, n) stack, None for a
-        point that cannot be rebuilt; one (n,) point gives its inputs (or
-        None) alone.  Each argument is rebuilt for the whole stack at once."""
+        """The inputs of each flat point of an (m, n) stack (of one (n,) point
+        alone), None for a point that cannot be rebuilt."""
         if points.ndim == 1:
             return self.rebuild(points[np.newaxis], project)[0]
         dim = self.space.dim
@@ -648,9 +702,8 @@ class _CoordCodec:
 
 def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
     """Central differences of fn at flat with step h.  fn maps the (2n, n)
-    stack of all probe points (flat + h, then flat - h, along each
-    coordinate in turn) to their values in one call; a coordinate with a
-    non-finite value on either side gets 0."""
+    stack of probe points (flat + h, then flat - h, along each coordinate)
+    to their values in one call; a non-finite side gives its coordinate 0."""
     n = flat.size
     probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
     coords = np.arange(n)
@@ -673,21 +726,13 @@ def _evaluate(objective, candidates: list) -> list:
     try:
         scores = iter(objective(live) if live else ())
     except (DomainError, ArithmeticError):
-        scores = iter([_evaluate_alone(objective, c) for c in live])
+        scores = iter([_evaluate(objective, [c])[0] if len(live) > 1 else (math.inf, False) for c in live])
     return [(math.inf, False) if c is None else next(scores) for c in candidates]
 
 
-def _evaluate_alone(objective, candidate) -> tuple:
-    try:
-        return objective([candidate])[0]
-    except (DomainError, ArithmeticError):
-        return math.inf, False
-
-
 def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -> np.ndarray:
-    """The central-difference gradient of `objective` at flat: the 2n
-    probes are rebuilt unprojected in one call and evaluated as one
-    group."""
+    """The central-difference gradient of `objective` at flat, its 2n probes
+    rebuilt unprojected in one call and evaluated as one group."""
 
     def values(points):
         return [value for value, _ in _evaluate(objective, codec.rebuild(points, project=False))]
@@ -697,13 +742,10 @@ def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -
 
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
     """Projected central-difference descent on `objective`, which maps a
-    list of instances to their (value, premises_ok) and raises on a faulty
-    one (see `_evaluate`).
-
-    Each step evaluates the 2n unprojected probes of the gradient as one
-    group, then projected candidates along the normalized descent direction,
-    halving the step until one lowers the value with its premises intact.
-    The recorded trace is nonincreasing by construction.
+    list of instances to their (value, premises_ok) (see `_evaluate`).  Each
+    step evaluates the 2n unprojected gradient probes as one group, then
+    projected candidates along the descent direction, halving the step until
+    one lowers the value with its premises intact, so the trace never rises.
     """
 
     flat = codec.flatten(inputs)
@@ -740,13 +782,8 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
 
 
 def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
-    """Drive the instance toward equality or violation.
-
-    Descent on the scale-normalized binding margin: accepted steps
-    renormalize nonzero-required vectors to their starting norms and
-    re-orthonormalize families, and steps that leave the premise region are
-    rejected.
-    """
+    """Drive the instance toward equality or violation by descent on the
+    scale-normalized binding margin (see `_descend` and `_CoordCodec`)."""
     entry = catalog_entry(ineq_name)
     return _descend(_catalog_objective(entry, space, params), _CoordCodec(entry, space, inputs), inputs, config)
 
@@ -776,11 +813,11 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _binding_rows(entry, group: list) -> list:
-    """For each sampled instance of a group: None when its premises fail,
+def _binding_rows(entry, space, group: list) -> list:
+    """For each instance of a group in `space`: None when its premises fail,
     else (normalized margin, min margin, all links hold, near equality,
     binding link fields), the fields as an instance line writes them."""
-    result = entry.run(group[0].space, [sampled.inputs for sampled in group])
+    result = entry.run(space, group)
     binding = result.binding
     n = len(group)
     premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
@@ -793,67 +830,62 @@ def _binding_rows(entry, group: list) -> list:
 
 
 def _shard_worker(task):
+    """Sample, evaluate and count the trials [start, stop) of one name; with
+    the counts come its worst trial (normalized, index, raw margin, instance)
+    and TOP_K lowest (normalized, index, near, violated, instance), which
+    share one instance per trial (the worst is almost always the lowest)."""
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
-    samples = [sample_instance(config, name, index) for index in range(start, stop)]
-    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry))
-    hist = [0] * HISTOGRAM_BUCKETS
-    near = 0
-    violations = 0
-    starved_count = 0
-    worst = None  # (normalized, index, raw)
-    top = []  # ascending (normalized, index, near_equality, violated)
-    for index, sampled, row in zip(range(start, stop), samples, rows):
+    fields = _field_plan(name, entry.fields, config.field)
+    groups = _sample_groups(config, name, entry, entry.default_params, fields, range(start, stop))
+    rows = _group_rows(groups, functools.partial(_binding_rows, entry))
+    slots = _slots(groups)
+    hist, near, violations, starved_count = [0] * HISTOGRAM_BUCKETS, 0, 0, 0
+    worst, top = None, []  # (normalized, index, raw); ascending (normalized, index, near_equality, violated)
+    for index in range(start, stop):
+        row = rows[index]
         if row is None:
             starved_count += 1
             continue
         normalized, min_margin, holds, near_equality, _ = row
         hist[_bucket(normalized)] += 1
         near += 1 if near_equality else 0
-        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
+        violated = not holds and _confirmed_violation(entry, *_instance(slots[index]))
         violations += 1 if violated else 0
         if worst is None or (normalized, index) < (worst[0], worst[1]):
             worst = (normalized, index, min_margin)
         # (normalized, index) is unique, so the flags never decide the order
         _keep_top(top, (normalized, index, near_equality, violated))
-    records = _instance_records(name, config.seed, samples, rows) if with_records else None
-    return hist, near, violations, starved_count, worst, top, records
+    records = _instance_records(name, config.seed, slots, rows) if with_records else None
+    chosen = {i: _instance(slots[i]) for i in [key[1] for key in top] + [worst[1]] * (worst is not None)}
+    worst = None if worst is None else (*worst, chosen[worst[1]])
+    return hist, near, violations, starved_count, worst, [(*key, chosen[key[1]]) for key in top], records
 
 
-def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
+def _instance_records(name: str, seed: int, slots: dict, rows: dict) -> list:
     """The instance line of each trial whose premises hold, in trial order,
-    as a dict in the line's key order.  The digests take one pass over the
-    whole shard."""
-    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row is not None]
-    digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
-    return [{"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(), "seed": seed,
+    as a dict in the line's key order.  The digests take one pass, over
+    instances that are dropped before the lines are built."""
+    counted = [index for index in sorted(rows) if rows[index] is not None]
+    digests = instance_digests(name, [_instance(slots[index]) for index in counted])
+    return [{"ineq": name, "dim": slots[index][0].dim, "field": slots[index][0].field.name.lower(), "seed": seed,
              "digest": digest, "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower,
              "margin_upper": upper, "holds": holds, "near_equality": near}
-            for (sampled, (_, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
+            for index, digest in zip(counted, digests)
+            for _, _, holds, near, (lhs, center, rhs, lower, upper) in [rows[index]]]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
     """Run the randomized search for one inequality and aggregate a report.
-
     With `on_records`, every trial whose premises hold also yields its
-    instance line as a dict (`_instance_records`), from the same sampling
-    and evaluation that the report counts.  `on_records` receives each
-    shard's records, in trial order, as that shard arrives and in shard
-    order, so the caller holds one shard's records at a time.
-    """
+    instance line as a dict (`_instance_records`): `on_records` receives
+    each shard's records in trial order, shard by shard as they arrive."""
     entry = catalog_entry(ineq_name)
     _field_plan(ineq_name, entry.fields, config.field)
-    tasks = [
-        (ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
-        for start in range(0, config.trials, SHARD_SIZE)
-    ]
+    tasks = [(ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
+             for start in range(0, config.trials, SHARD_SIZE)]
 
-    hist = [0] * HISTOGRAM_BUCKETS
-    near = 0
-    violations = 0
-    starved = 0
-    worst = None
-    top = []
+    hist, near, violations, starved, worst, top = [0] * HISTOGRAM_BUCKETS, 0, 0, 0, None, []
     use_pool = threads > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=threads) if use_pool else contextlib.nullcontext() as pool:
         # both maps yield the shards in order; the pool's as each finishes
@@ -871,62 +903,41 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     top.sort()
     top = top[:TOP_K]
 
-    worst_instance = None
-    if worst is not None:
-        sampled = sample_instance(config, ineq_name, worst[1])
-        worst_instance = (sampled.space, sampled.inputs)
-
+    worst_instance = None if worst is None else worst[3]
     if config.ascent_steps > 0:
-        for normalized, index, sampled_near, sampled_violated in top:
-            sampled = sample_instance(config, ineq_name, index)
-            refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
+        for normalized, index, sampled_near, sampled_violated, (space, inputs) in top:
+            refined = local_ascent(ineq_name, space, inputs, config)
             try:
-                result = entry.run(sampled.space, refined.refined_inputs)
+                result = entry.run(space, refined.refined_inputs)
             except (DomainError, ArithmeticError):
                 continue
             if result.premises_hold is not None and not result.premises_hold[0]:
                 continue
             binding = result.binding
             refined_normalized = binding.normalized_margin.tolist()[0]
-            # the refined instance replaces its trial's contribution, so
-            # each trial still counts at most once as near-equality and at
-            # most once as a violation
+            # the refined instance replaces its trial's contribution, so each
+            # trial counts at most once as near-equality and as a violation
             if binding.near_equality[0] and not sampled_near:
                 near += 1
             if worst is None or refined_normalized < worst[0]:
                 worst = (refined_normalized, index, binding.min_margin.tolist()[0])
-                worst_instance = (sampled.space, refined.refined_inputs)
+                worst_instance = (space, refined.refined_inputs)
             if not sampled_violated and not result.holds[0]:
-                if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
+                if _confirmed_violation(entry, space, refined.refined_inputs):
                     violations += 1
 
     digest = None
     if worst_instance is not None:
         digest = instance_digest(ineq_name, worst_instance[0], worst_instance[1])
-    return SearchReport(
-        ineq=ineq_name,
-        trials_run=config.trials,
-        worst_margin=None if worst is None else worst[2],
-        worst_instance_digest=digest,
-        near_equality_count=near,
-        violation_count=violations,
-        margin_histogram=tuple(hist),
-        premise_starved=starved,
-    )
+    return SearchReport(ineq=ineq_name, trials_run=config.trials, worst_margin=None if worst is None else worst[2],
+                        worst_instance_digest=digest, near_equality_count=near, violation_count=violations,
+                        margin_histogram=tuple(hist), premise_starved=starved)
 
 
 # the complex-premise experiment ---------------------------------------------------
 
 
 _MOORE_COMPLEX_KEY = "moore-complex"
-
-
-def _moore_complex_sample(config: SearchConfig, params: MooreParams, index: int):
-    dim, field = _trial_cell(config, (Field.COMPLEX,), index)
-    space, whitener = _cached_space(config.seed, config.gram, _MOORE_COMPLEX_KEY, dim, field)
-    rng = _trial_rng(config.seed, _MOORE_COMPLEX_KEY, index)
-    inputs, _ = _sample_near_parallel(catalog_entry("moore-1.9"), space, whitener, rng, params)
-    return space, inputs
 
 
 def _moore_ratios(space, group: list, params: MooreParams, extended: bool = False) -> list:
@@ -952,18 +963,14 @@ def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchCo
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
     """Consistency check of buzano-moore-1.16 over complex spaces, through
-    the near-parallelism transfer.
-
-    Reports the minimum premise-conditioned ratio |<y,z>| / (||y|| ||z||)
-    against first_bound = 1 - eps - sqrt(2 eps) and second_bound =
-    1 - 4 eps + 2 eps^2.  Under these premises (|<x,y>| and |<x,z>| at
-    least 1 - eps times the norms) buzano-moore-1.16, proved over both
-    fields, bounds the ratio below by second_bound, and second_bound is
-    never below first_bound: with u = sqrt(2 eps) their difference is
-    (u/2)(u - 1)^2(u + 2).  So a confirmed sample below the first bound
-    would mean that 1.16 itself fails over C.  The verdict concerns the
-    first bound only: such a sample yields CounterexampleFound, anything
-    else NoCounterexampleFound.
+    the near-parallelism transfer: the minimum premise-conditioned ratio
+    |<y,z>| / (||y|| ||z||) against first_bound = 1 - eps - sqrt(2 eps) and
+    second_bound = 1 - 4 eps + 2 eps^2.  Under these premises (|<x,y>|,
+    |<x,z>| at least 1 - eps times the norms) buzano-moore-1.16, proved
+    over both fields, bounds the ratio by second_bound, never below
+    first_bound (with u = sqrt(2 eps) they differ by (u/2)(u - 1)^2(u + 2)),
+    so a confirmed sample below the first bound, the only one to yield
+    CounterexampleFound, would mean that 1.16 itself fails over C.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
@@ -974,53 +981,46 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     params = MooreParams(eps=eps)
     satisfying = 0
     min_ratio = None
-    top = []  # ascending (ratio, index)
+    top = []  # ascending (ratio, index, slot)
     witness = None
 
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(space, inputs, ok, ratio, scale):
-        """Fold one evaluated instance into the minimum and the witness;
-        returns its ratio, or None when its premises fail."""
+    def observe(ok, ratio, scale, instance):
+        """Fold an instance (`instance()` gives its space and inputs) into
+        the minimum and the witness: its ratio, None if premises fail."""
         nonlocal min_ratio, witness
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
+            space, inputs = instance()
             ((ok_e, ratio_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
         return ratio
 
-    def evaluate(samples):
-        return _moore_ratios(samples[0][0], [inputs for _, inputs in samples], params)
-
     # the samples of a chunk are evaluated in groups of one dimension each
     for first in range(0, config.trials, SHARD_SIZE):
         indices = range(first, min(first + SHARD_SIZE, config.trials))
-        samples = [_moore_complex_sample(config, params, index) for index in indices]
-        scores = _group_rows(samples, lambda sample: sample[0], evaluate)
-        for index, (space, inputs), score in zip(indices, samples, scores):
-            ratio = observe(space, inputs, *score)
+        groups = _sample_groups(config, _MOORE_COMPLEX_KEY, catalog_entry("moore-1.9"), params, (Field.COMPLEX,), indices)
+        scores = _group_rows(groups, lambda space, group: _moore_ratios(space, group, params))
+        slots = _slots(groups)
+        for index in indices:
+            ratio = observe(*scores[index], functools.partial(_instance, slots[index]))
             if ratio is not None:
                 satisfying += 1
-                _keep_top(top, (ratio, index))
+                # (ratio, index) is unique, so the slot never decides the order
+                _keep_top(top, (ratio, index, slots[index]))
     if config.ascent_steps > 0:
-        for _, index in top:
-            space, inputs = _moore_complex_sample(config, params, index)
+        for _, index, slot in top:
+            space, inputs = _instance(slot)
             refined = _refine_moore_candidate(space, inputs, params, config).refined_inputs
             ((ok, ratio, scale),) = _moore_ratios(space, [refined], params)
-            observe(space, refined, ok, ratio, scale)
+            observe(ok, ratio, scale, lambda: (space, refined))
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
-    return MooreComplexReport(
-        eps=eps,
-        samples=config.trials,
-        samples_satisfying_premises=satisfying,
-        min_observed_ratio=min_ratio,
-        first_bound=first_bound,
-        second_bound=second_bound,
-        verdict=verdict,
-        witness_digest=witness,
-    )
+    return MooreComplexReport(eps=eps, samples=config.trials, samples_satisfying_premises=satisfying,
+                              min_observed_ratio=min_ratio, first_bound=first_bound, second_bound=second_bound,
+                              verdict=verdict, witness_digest=witness)

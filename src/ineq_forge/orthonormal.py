@@ -117,16 +117,20 @@ def verify_orthonormal(family, tol=DEFAULT_FAMILY_TOL):
     return OrthonormalityCheck(deviation, deviation <= tol)
 
 
-def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL):
+def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
     """Orthonormalize the rows of `vectors` under the space's pairing: one
-    (k, d) family, or every family of an (m, k, d) stack at once.
+    (k, d) family, or every family of an (m, k, d) stack at once.  With
+    `sizes`, family j of the stack is its first sizes[j] rows, and the rows
+    past them are ignored.
 
     Uses classical Gram-Schmidt with a second reorthogonalization pass,
     which keeps the result orthonormal to working precision even for
     ill-conditioned inputs.  The loop runs once over the whole stack, in
-    stacked matmuls that give each family the bits it gets alone, and the
-    result is checked against `tol` once, with one stacked pairing matrix,
-    so the families come back without OrthonormalFamily's second check.
+    stacked matmuls that give each family the bits it gets alone (row i of
+    a step is orthonormalized for the families longer than i), and the
+    result is checked against `tol` once per family size, with one stacked
+    pairing matrix, so the families come back without OrthonormalFamily's
+    second check.
 
     One family raises DomainError on a non-finite row or a result that is
     not orthonormal within `tol`, and RankDeficientError naming the first
@@ -149,19 +153,36 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL):
         return OrthonormalFamily._checked(space, out[0], tol)
     if not len(vs):
         return []
+    m, k, _ = vs.shape
+    order = None
+    if sizes is not None:
+        listed = np.asarray(sizes).tolist()
+        if min(listed) == max(listed):
+            vs, sizes = vs[:, : listed[0]], None
+        else:
+            # longest first, so the families that have a row i are a prefix
+            order = np.argsort(np.negative(listed), kind="stable")
+            sizes = np.asarray(listed, dtype=np.intp)[order]
+            vs = np.where(np.arange(k)[:, np.newaxis] < sizes[:, np.newaxis, np.newaxis], vs[order], 0.0)
     finite = np.isfinite(vs).all(axis=(1, 2))
     failed = None if finite.all() else ~finite
     try:
         # a non-finite family runs as zeros and is refused
         out, errors = _orthonormalize(space, vs if failed is None else np.where(failed[:, None, None], 0.0, vs),
-                                      tol, failed)
+                                      tol, failed, sizes)
     except DomainError:
         # a pairing that raises for the stack (a complex squared norm with
         # an imaginary part) raises for some family alone: run each alone
-        return [_alone(space, family, tol) for family in vs]
-    return [None if j in errors or (failed is not None and failed[j])
-            else OrthonormalFamily._checked(space, members, tol)
-            for j, members in enumerate(out)]
+        families = [_alone(space, family if sizes is None else family[:sizes[j]], tol) for j, family in enumerate(vs)]
+    else:
+        families = [None if j in errors or (failed is not None and failed[j])
+                    else OrthonormalFamily._checked(space, members, tol) for j, members in enumerate(out)]
+    if order is None:
+        return families
+    result = [None] * m
+    for j, family in zip(order.tolist(), families):
+        result[j] = family
+    return result
 
 
 def _alone(space, vectors, tol):
@@ -171,57 +192,77 @@ def _alone(space, vectors, tol):
         return None
 
 
-def _orthonormalize(space, vs, tol, failed=None):
+def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     """The Gram-Schmidt loop over an (m, k, d) stack of finite rows, of
-    which `failed` (a mask, or None) marks families already refused: the
-    (m, k, d) result, read-only, and {family index: the error it raises
-    alone} for the families that fail here.  A family that fails runs on
-    as zeros, so it stays finite and inert."""
+    which `failed` (a mask, or None) marks families already refused and
+    `sizes` (descending, or None for k each) gives the rows of each family:
+    each family's read-only (size, d) result, and {family index: the error
+    it raises alone} for the families that fail here.  A family that fails
+    runs on as zeros, so it stays finite and inert."""
     m, k, d = vs.shape
     out = np.zeros(vs.shape, vs.dtype)
     errors = {}
+    # running[i]: the families that have a row i, a prefix of the stack;
+    # blocks: (size, start, stop) of each size, longest first
+    running, blocks = [m] * k, [(k, 0, m)]
+    if sizes is not None:
+        running = np.count_nonzero(sizes[:, np.newaxis] > np.arange(k), axis=0).tolist()
+        listed, blocks = sizes.tolist(), []
+        for size in sorted(set(listed), reverse=True):
+            start = blocks[-1][2] if blocks else 0
+            blocks.append((size, start, start + listed.count(size)))
     if k:
         # the norm of every row at once: each row keeps its bits
         floors = RANK_TOL * np.maximum(pairing_norm(space, vs.reshape(m * k, d)).reshape(m, k), 1e-300)
     for i in range(k):
-        u = vs[:, i : i + 1]  # (m, 1, d): each family's row i
+        c = running[i]
+        if not c:
+            break
+        u = vs[:c, i : i + 1]  # (c, 1, d): each running family's row i
         if i:
             # _pair_matrix's product, with the basis adjoint formed once
-            basis = out[:, :i]
+            basis = out[:c, :i]
             adjoint = (np.conjugate(basis) if space.field is Field.COMPLEX else basis).swapaxes(-1, -2)
             for _ in range(2):
                 coeffs = (u if space.gram is None else u @ space.gram) @ adjoint
                 u = u - coeffs @ basis
         u = u[:, 0]
         r = pairing_norm(space, u)
-        dependent = r <= floors[:, i]
+        dependent = r <= floors[:c, i]
         if failed is not None:
-            dependent &= ~failed
+            dependent &= ~failed[:c]
         if np.count_nonzero(dependent):
             for j in np.flatnonzero(dependent).tolist():
                 errors[j] = RankDeficientError(i, float(r[j]))
+            dependent = np.concatenate([dependent, np.zeros(m - c, dtype=bool)])
             failed = dependent if failed is None else failed | dependent
             if failed.all():
                 break
             vs = np.where(failed[:, np.newaxis, np.newaxis], 0.0, vs)
         if failed is not None:
-            u = np.where(failed[:, np.newaxis], 0.0, u)
-            r = np.where(failed, 1.0, r)
-        out[:, i] = u / r[:, np.newaxis]
-    if k and (failed is None or not failed.all()):
-        # `not <=` also refuses a NaN deviation, i.e. non-finite members
-        deviation = _max_deviation(space, out)
-        refused = ~(deviation <= tol)
-        if failed is not None:
-            refused &= ~failed
-        if np.count_nonzero(refused):
-            for j in np.flatnonzero(refused).tolist():
-                errors[j] = DomainError(
-                    f"family is not orthonormal: max pairing deviation "
-                    f"{deviation[j]:.3e} exceeds tol {tol:.1e}"
-                )
-    out.setflags(write=False)
-    return out, errors
+            u = np.where(failed[:c, np.newaxis], 0.0, u)
+            r = np.where(failed[:c], 1.0, r)
+        out[:c, i] = u / r[:, np.newaxis]
+    # each size on its own stack (a padded product rounds differently), its
+    # families' rows and no padding
+    members = []
+    for size, start, stop in blocks:
+        block = out if stop - start == m else out[start:stop, :size].copy()
+        block.setflags(write=False)
+        members += list(block)
+        if size and (failed is None or not failed[start:stop].all()):
+            # `not <=` also refuses a NaN deviation, i.e. non-finite members
+            deviation = _max_deviation(space, block)
+            refused = ~(deviation <= tol)
+            if failed is not None:
+                refused &= ~failed[start:stop]
+            if np.count_nonzero(refused):
+                for j in np.flatnonzero(refused).tolist():
+                    errors[start + j] = DomainError(
+                        f"family is not orthonormal: max pairing deviation "
+                        f"{deviation[j]:.3e} exceeds tol {tol:.1e}"
+                    )
+    return members, errors
 
 
 def projection(family, x):

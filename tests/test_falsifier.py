@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from ineq_forge import falsifier
 from ineq_forge.catalog import (
     CATALOG,
     MooreParams,
@@ -32,21 +33,24 @@ from ineq_forge.falsifier import (
     _bucket,
     _catalog_objective,
     _central_gradient,
-    _conditioned_vector,
-    _moore_complex_sample,
+    _complexify,
+    _conditioned,
+    _Live,
     _moore_ratios,
     _SAMPLERS,
     _name_key,
     _random_gram,
     _refine_moore_candidate,
+    _sample_alone,
+    _sample_anchored,
     _sample_generic,
-    _sample_precupanu_moore,
+    _sample_groups,
     _sample_quotient_transfer,
-    _norm,
+    _shard_worker,
+    _norms,
     _probe_gradient,
-    _std_rows,
-    _std_vector,
     _trial_rng,
+    _vectors,
     falsify,
     local_ascent,
     moore_complex_experiment,
@@ -153,6 +157,12 @@ class TestDeterminism:
         assert not np.allclose(a, b)
 
 
+def _moore_complex_sample(config, params, index):
+    """One sample of the complex-premise experiment, alone."""
+    space, inputs, _ = _sample_alone(config, "moore-complex", CATALOG["moore-1.9"], params, (Field.COMPLEX,), index)
+    return space, inputs
+
+
 def _fresh_rng(seed, name, index):
     return np.random.Generator(np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 0, index]))
 
@@ -189,7 +199,7 @@ class TestStreamReuse:
             sampled = sample_instance(cfg, name, index)
             sampler = _SAMPLERS.get(name, _sample_generic)
             rng = _fresh_rng(cfg.seed, name, index)
-            expected, starved = sampler(entry, sampled.space, None, rng, entry.default_params)
+            expected, starved = sampler(entry, sampled.space, None, _Live(rng), entry.default_params)
             assert _input_bytes(sampled.inputs) == _input_bytes(expected)
             assert sampled.starved == starved
 
@@ -229,7 +239,7 @@ class TestConditionedSampling:
         xhat = np.zeros(5, dtype=field.dtype)
         xhat[0] = 1.0
         for _ in range(300):
-            v = _conditioned_vector(rng, space, xhat, 0.81, 1.0, False)
+            v = _conditioned(_Live(rng), space, xhat, 0.81, 1.0, False)
             cos = abs(v[0]) / np.linalg.norm(v)
             assert cos >= 0.9 - 1e-12
 
@@ -239,14 +249,14 @@ class TestConditionedSampling:
         xhat = np.zeros(4)
         xhat[1] = 1.0
         for _ in range(200):
-            v = _conditioned_vector(rng, space, xhat, 0.25, 0.64, True)
+            v = _conditioned(_Live(rng), space, xhat, 0.25, 0.64, True)
             cos = v[1] / np.linalg.norm(v)
             assert 0.5 - 1e-12 <= cos <= 0.8 + 1e-12
 
     def test_dimension_one_is_fully_aligned(self):
         space = SpaceSpec(1, Field.REAL)
         rng = _trial_rng(9, "window", 2)
-        v = _conditioned_vector(rng, space, np.array([1.0]), 0.5, 1.0, True)
+        v = _conditioned(_Live(rng), space, np.array([1.0]), 0.5, 1.0, True)
         assert v[0] > 0
 
 
@@ -263,7 +273,7 @@ class TestPerNameSamplers:
         rng = _trial_rng(0, "precupanu-moore-1.12", 0)
         params = MooreParams(eps1=0.3, eps2=0.5)
         entry = CATALOG["precupanu-moore-1.12"]
-        _, starved = _sample_precupanu_moore(entry, space, None, rng, params)
+        _, starved = _sample_anchored(entry, space, None, _Live(rng), params)
         assert starved
 
     def test_quotient_floor_lane_hits_premise_exactly(self):
@@ -272,7 +282,7 @@ class TestPerNameSamplers:
         params = entry.default_params
         for trial in range(50):
             rng = _trial_rng(8, "t1.5-ii", trial)
-            inputs, starved = _sample_quotient_transfer(entry, space, None, rng, params)
+            inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), params)
             assert not starved
             x, a, b = inputs["x"], inputs["a"], inputs["b"]
             q = float(x @ a) * float(x @ b) / float(x @ x)
@@ -282,7 +292,7 @@ class TestPerNameSamplers:
         entry = CATALOG["t1.5-ii"]
         space = SpaceSpec(3, Field.REAL)
         rng = _trial_rng(1, "t1.5-ii", 0)
-        inputs, starved = _sample_quotient_transfer(entry, space, None, rng, MooreParams(mu2=0.0))
+        inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), MooreParams(mu2=0.0))
         assert not starved
         x, a, b = inputs["x"], inputs["a"], inputs["b"]
         assert float(x @ a) * float(x @ b) <= 1e-12
@@ -294,7 +304,7 @@ class TestPerNameSamplers:
         space = SpaceSpec(1, Field.REAL)
         for trial in range(20):
             rng = _trial_rng(2, "t1.5-ii", trial)
-            inputs, starved = _sample_quotient_transfer(entry, space, None, rng, MooreParams(mu2=-0.5))
+            inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), MooreParams(mu2=-0.5))
             a, b = float(inputs["a"][0]), float(inputs["b"][0])
             assert starved == (a * b > -0.5 * abs(a) * abs(b))
 
@@ -302,10 +312,12 @@ class TestPerNameSamplers:
 class TestSamplingPrimitives:
     @pytest.mark.parametrize("field", list(Field))
     def test_family_rows_draw_as_one_vector_per_row(self, field):
+        space = SpaceSpec(4, field)
         for size in (0, 1, 3):
-            rows = _std_rows(np.random.default_rng(5), size, 4, field)
-            rng = np.random.default_rng(5)
-            one_by_one = [_std_vector(rng, 4, field) for _ in range(size)]
+            width = 4 * (2 if field is Field.COMPLEX else 1)
+            rows = _complexify(_Live(np.random.default_rng(5)).rows(size, 4, width), field)
+            draws = _Live(np.random.default_rng(5))
+            one_by_one = [_vectors(draws, space) for _ in range(size)]
             assert rows.shape == (size, 4)
             assert rows.tobytes() == np.array(one_by_one, dtype=field.dtype).reshape(size, 4).tobytes()
 
@@ -314,8 +326,166 @@ class TestSamplingPrimitives:
         rng = np.random.default_rng(8)
         for dim in range(1, 9):
             for _ in range(50):
-                w = _std_vector(rng, dim, field) * 10.0 ** rng.integers(-150, 150)
-                assert _norm(w) == np.linalg.norm(w)
+                w = _vectors(_Live(rng), SpaceSpec(dim, field)) * 10.0 ** rng.integers(-150, 150)
+                assert _norms(w) == np.linalg.norm(w)
+
+
+def _stacked_and_alone(config, key, entry, params, fields):
+    """(stacked, alone): each trial's (digest, starved) from one stacked
+    pass over the config's trials and from phase B on a group of one."""
+    groups = _sample_groups(config, key, entry, params, fields, range(config.trials))
+    stacked = {}
+    for space, indices, inputs, starved in groups:
+        for row, index in enumerate(indices):
+            instance = {k: stack[row] for k, stack in inputs.items()}
+            stacked[index] = (instance_digest(entry.name, space, instance), bool(starved[row]))
+    alone = {}
+    for index in range(config.trials):
+        space, inputs, starved = _sample_alone(config, key, entry, params, fields, index)
+        alone[index] = (instance_digest(entry.name, space, inputs), bool(starved))
+    return stacked, alone
+
+
+@pytest.fixture
+def lone_count(monkeypatch):
+    """Counts the trials that a stacked pass samples again alone."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _sample_alone(*args)
+
+    monkeypatch.setattr(falsifier, "_sample_alone", counted)
+    return count
+
+
+class TestStackedSampler:
+    """A shard samples its trials in two phases (draws into a tape, then
+    stacked operations per space); each trial must come out as it does
+    alone, in digest and starved flag, on the common path and on every
+    branch that phase A does not draw for."""
+
+    def test_every_name_field_and_gram_matches_the_lone_sampler(self):
+        for name, entry in CATALOG.items():
+            choices = [c for c in FieldChoice if c is not FieldChoice.COMPLEX or Field.COMPLEX in entry.fields]
+            for choice in choices:
+                for gram in GramKind:
+                    cfg = SearchConfig(seed=7, trials=400, dims=(1, 8), field=choice, gram=gram)
+                    fields = falsifier._field_plan(name, entry.fields, choice)
+                    stacked, alone = _stacked_and_alone(cfg, name, entry, entry.default_params, fields)
+                    assert stacked == alone, (name, choice, gram)
+
+    def test_moore_complex_stream_matches_the_lone_sampler(self):
+        cfg = SearchConfig(seed=7, trials=400, dims=(1, 8), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM)
+        stacked, alone = _stacked_and_alone(cfg, "moore-complex", CATALOG["moore-1.9"], MooreParams(eps=0.05),
+                                            (Field.COMPLEX,))
+        assert stacked == alone
+
+    def test_family_retry(self, monkeypatch, lone_count):
+        # gram_schmidt refuses the first rows drawn for E in trial 9, so
+        # that trial draws E again
+        cfg = SearchConfig(seed=3, trials=40, dims=(2, 5), gram=GramKind.RANDOM)
+        entry = CATALOG["generalized-2.1"]
+        fields = (Field.REAL, Field.COMPLEX)
+        seen = []
+        original = falsifier.gram_schmidt
+
+        def recording(space, vectors, *args, **kwargs):
+            seen.append(np.array(vectors))
+            return original(space, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(falsifier, "gram_schmidt", recording)
+        before = _sample_alone(cfg, "generalized-2.1", entry, entry.default_params, fields, 9)
+        assert before[1]["E"].size > 0
+        refused = seen[0][0].tobytes()  # row 0 of trial 9's first E
+
+        def refusing(space, vectors, tol=1e-10, sizes=None):
+            vectors = np.asarray(vectors)
+            if vectors.ndim == 2:
+                if len(vectors) and vectors[0].tobytes() == refused:
+                    raise DomainError("refused")
+                return original(space, vectors, tol)
+            families = original(space, vectors, tol, sizes=sizes)
+            return [None if len(rows) and rows[0].tobytes() == refused else family
+                    for rows, family in zip(vectors, families)]
+
+        monkeypatch.setattr(falsifier, "gram_schmidt", refusing)
+        stacked, alone = _stacked_and_alone(cfg, "generalized-2.1", entry, entry.default_params, fields)
+        assert stacked == alone
+        assert lone_count[0] == 1  # trial 9 went alone
+        after = _sample_alone(cfg, "generalized-2.1", entry, entry.default_params, fields, 9)
+        assert instance_digest("generalized-2.1", *after[:2]) != instance_digest("generalized-2.1", *before[:2])
+
+    @pytest.mark.parametrize("name", ["schwarz", "kurepa-3.2", "moore-1.9", "kurepa-refined-3.3"])
+    def test_nonzero_and_complexified_retries(self, monkeypatch, lone_count, name):
+        # a threshold near the typical norm sends many draws back
+        monkeypatch.setattr(falsifier, "zero_norm_threshold", lambda space: 0.9 * math.sqrt(space.dim))
+        entry = CATALOG[name]
+        cfg = SearchConfig(seed=5, trials=64, dims=(1, 4), field=FieldChoice.REAL)
+        stacked, alone = _stacked_and_alone(cfg, name, entry, entry.default_params, (Field.REAL,))
+        assert stacked == alone
+        assert lone_count[0] > 0  # trials that the stacked pass sampled again alone
+
+    @pytest.mark.parametrize("name, params", [
+        ("precupanu-moore-1.12", MooreParams(eps1=1.0, eps2=1.0)),
+        ("t1.5-i", MooreParams(delta1=1.0, delta2=0.5)),
+    ])
+    def test_window_pinned_at_one_skips_the_direction(self, lone_count, name, params):
+        entry = CATALOG[name]
+        cfg = SearchConfig(seed=2, trials=48, dims=(1, 6), field=FieldChoice.REAL, gram=GramKind.RANDOM)
+        stacked, alone = _stacked_and_alone(cfg, name, entry, params, (Field.REAL,))
+        assert stacked == alone
+        # every trial above dimension 1 has a cosine of 1 and goes alone
+        assert lone_count[0] == 40
+
+    def test_quotient_cap_lane(self, lone_count):
+        entry = CATALOG["t1.5-ii"]
+        cfg = SearchConfig(seed=4, trials=120, dims=(1, 6), field=FieldChoice.REAL, gram=GramKind.RANDOM)
+        for mu2 in (0.0, -0.5, 0.3):
+            stacked, alone = _stacked_and_alone(cfg, "t1.5-ii", entry, MooreParams(mu2=mu2), (Field.REAL,))
+            assert stacked == alone, mu2
+        assert lone_count[0] > 0  # trials that rejected their first probe went alone
+
+    def test_a_rare_branch_error_is_the_first_trials_own(self, monkeypatch):
+        # every nonzero draw fails: the stacked pass raises what trial 0 raises alone
+        monkeypatch.setattr(falsifier, "zero_norm_threshold", lambda space: math.inf)
+        cfg = SearchConfig(seed=0, trials=12, dims=(2, 4))
+        with pytest.raises(RuntimeError, match="could not sample a nonzero vector"):
+            _shard_worker(("schwarz", cfg, 0, 12, False))
+
+
+class TestSamplingCost:
+    def test_one_gram_schmidt_call_per_space_and_family_argument(self, monkeypatch, lone_count):
+        calls = []
+        original = falsifier.gram_schmidt
+
+        def counting(space, vectors, *args, **kwargs):
+            calls.append(np.ndim(vectors))
+            return original(space, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(falsifier, "gram_schmidt", counting)
+        cfg = SearchConfig(seed=0, trials=400, dims=(1, 8), gram=GramKind.RANDOM)
+        _shard_worker(("generalized-2.1", cfg, 0, 400, False))
+        spaces = 8 * 2
+        # the stacked pass: one call per space and family argument; a trial
+        # sampled again alone calls once per family argument and retry
+        assert calls.count(3) == 2 * spaces
+        assert len(calls) <= 2 * spaces + 2 * 16 * lone_count[0]
+        assert len(calls) < 100  # one call per trial and argument would be 800
+
+    def test_no_trial_is_sampled_twice(self, monkeypatch):
+        # falsify refines the inputs its shards return, and moore-complex
+        # those of its chunks, without sampling any trial again
+        def refuse(*args):
+            raise AssertionError("sampled twice")
+
+        monkeypatch.setattr(falsifier, "sample_instance", refuse)
+        monkeypatch.setattr(falsifier, "_sample_alone", refuse)
+        report = falsify("generalized-2.1", SearchConfig(seed=1, trials=16, dims=(2, 4), ascent_steps=2))
+        assert report.worst_instance_digest is not None
+        moore = moore_complex_experiment(0.2, SearchConfig(seed=1, trials=16, dims=(2, 4), field=FieldChoice.COMPLEX,
+                                                           ascent_steps=1))
+        assert moore.min_observed_ratio is not None
 
 
 class TestHistogram:
