@@ -6,45 +6,62 @@ Search design
 Every trial is a pure function of (seed, inequality name, trial index): the
 per-trial generator is Philox keyed on (seed, fnv1a(name)) with the trial
 index in the counter, so runs partition arbitrarily across workers without
-changing a single sampled byte.  One generator per (seed, name) serves
-every trial: its counter and buffers are reset for each trial, which
-reproduces a freshly built generator draw for draw.  Trials sweep the
-configured dimension range cyclically and alternate fields blockwise for
-field-agnostic statements.
+changing a single sampled byte.  A Philox stream depends only on its key and
+counter, so one generator per (seed, name) serves every trial: its counter
+and output buffers are reset for each trial, which reproduces a freshly
+built generator draw for draw.  Trials sweep the configured dimension range
+cyclically and alternate fields blockwise for field-agnostic statements.
 
-Vectors have independent standard normal coordinates (real and imaginary
-parts independently over C) in whitened coordinates, mapped through
-inv(L^T), L the gram's Cholesky factor, so the law is isotropic.  Conditional statements are sampled
-inside their premise regions exactly rather than by rejection: for a
-standard normal vector the squared cosine against a fixed direction is
-Beta(1/2, (d-1)/2) over R and Beta(1, d-1) over C, so a premise window on
-the cosine is an interval of a Beta variable, inverted through the
-regularized incomplete beta function in constant time at any eps.  The
-one remaining rejection loop (the t1.5-ii cap lane) is capped; trials that
-exhaust it are reported as premise-starved, never silently dropped.
+Vectors are sampled with independent standard normal coordinates (real and
+imaginary parts independently over C).  Under a non-identity gram matrix the
+base law is made isotropic for the weighted pairing by drawing in whitened
+coordinates and mapping through inv(L^T), L the Cholesky factor.
 
-A run is split into shards of SHARD_SIZE consecutive trials, run in order
-or by a process pool and merged in shard order.  A shard samples in two
-phases: phase A resets each trial's stream and makes its draw calls into
-the trial's row of its space's tape; phase B builds a space's trials from
-their tape in stacked operations that give each the bits it gets alone,
-with one Gram-Schmidt call per family argument.  A trial off phase A's path
-(a retry, a cosine of exactly 1) is sampled again by phase B on a group of
-one, which draws as it goes (`sample_instance`).  Each space's trials are
-evaluated as one group and counted in trial order; if a group raises, each
-trial is evaluated alone in trial order, so the error is the first faulty
-trial's own.  A shard can return an instance record per trial whose
-premises hold, and returns the inputs of its lowest trials.
+Conditional statements are sampled inside their premise regions exactly
+rather than by rejection: for a standard normal vector the squared cosine
+against a fixed direction is Beta(1/2, (d-1)/2) over R and Beta(1, d-1) over
+C, so a premise window on the cosine is an interval condition on a Beta
+variable, invertible through the regularized incomplete beta function.  The
+construction is distributionally identical to rejection sampling but runs in
+constant time per sample at any eps.  The one remaining rejection loop (the
+probe direction of the quotient-transfer statement) is capped; trials that
+exhaust the cap are reported as premise-starved, never silently dropped.
+
+A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
+order or by a process pool, and merged in shard order.  A shard samples its
+trials in two phases, space by space: phase A resets each trial's stream
+and makes its draw calls into the trial's row of the space's tape, phase B
+builds the space's trials from the tape in stacked operations that give
+each trial the bits it gets alone, with one Gram-Schmidt call per family
+argument.  A trial whose draws leave phase A's path (a retry, a rejected
+probe, a cosine of exactly 1) is sampled again alone by the same sampler
+drawing as it goes, which is how `sample_instance` samples one trial.  The
+shard evaluates its trials in groups of one space (catalog statements are
+stacked kernels that give each member of a group the bits it gets alone),
+then counts them in trial order.  If a group raises, the shard evaluates
+each of its trials as a group of one, in trial order, so the error is the
+first faulty trial's own.  A shard can also return one
+instance record per trial whose premises hold (its digest and binding
+margins), so a caller that writes every instance gets them from the same
+sampling and evaluation as the report, one shard at a time; the digests of
+a shard take one batched FNV-1a pass.  It returns the inputs of its worst
+and lowest trials with their counts, so no trial is sampled twice.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
-roundoff.  The worst margin is selected by scale-normalized margin (ties to
-the lower trial index) and reported in raw units.  Local ascent refines the
-lowest trials by projected central-difference descent on the normalized
-margin, the 2n probes of a gradient rebuilt in one call and evaluated as
-one group (a probe that cannot be rebuilt or raises alone is left out).
-The complex-premise Moore experiment samples and evaluates chunk by chunk
-the same way and refines its lowest ratios with the same descent routine.
+roundoff, and the report only counts confirmed ones.  The worst margin is
+selected by scale-normalized margin (ties to the lower trial index) and
+reported in raw units.  Local ascent refines the most promising candidates
+by projected central-difference descent on the normalized margin.  The 2n
+probes of each gradient are rebuilt in one call, which re-orthonormalizes
+each family argument for all of them as one stacked Gram-Schmidt pass, and
+are evaluated as one group; a probe that cannot be rebuilt or raises
+(alone, after its group raised) is left out of the gradient.  The
+complex-premise Moore experiment samples and evaluates its samples in
+groups of one dimension, chunk by chunk, as a shard does, and refines the
+inputs of its lowest ratios with the same
+descent routine and the same coordinate codec, so both searches share one
+implementation of the step, the projection and the premise guard.
 """
 
 from __future__ import annotations
@@ -54,16 +71,33 @@ import enum
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy import special as sps
 
-from .catalog import (MooreParams, TOL_ABS, TOL_REL, catalog_entry, digest_inputs, fnv1a_64, instance_digest,
-                      instance_digests, verify_moore)
-from .orthonormal import gram_schmidt
-from .spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, norm, pairing_norm, zero_norm_threshold
+from .catalog import (
+    MooreParams,
+    TOL_ABS,
+    TOL_REL,
+    catalog_entry,
+    digest_inputs,
+    fnv1a_64,
+    instance_digest,
+    instance_digests,
+    verify_moore,
+)
+from .orthonormal import OrthonormalFamily, gram_schmidt
+from .spaces import (
+    ComplexifiedVector,
+    DomainError,
+    Field,
+    SpaceSpec,
+    norm,
+    pairing_norm,
+    zero_norm_threshold,
+)
 
 SHARD_SIZE = 4096
 TOP_K = 8
@@ -163,27 +197,36 @@ def _name_key(name: str) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _stream(seed: int, name: str):
-    """The one Philox generator of (seed, name), with its initial state."""
+    """The one Philox generator of (seed, name), with its initial state,
+    whose counter `_trial_rng` sets."""
     bits = np.random.Philox(key=[seed, _name_key(name)])
     return bits, np.random.Generator(bits), bits.state
 
 
 def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
     """The generator of one trial: Philox keyed on (seed, fnv1a(name)) at
-    counter [0, 0, 0, index], drawing exactly as a freshly built one.  It is
-    shared by every trial of (seed, name) and reset here, so it stays valid
-    only until the next call with the same seed and name."""
-    bits, rng, initial = _stream(seed, name)
-    state = dict(initial)
-    state["state"] = {"counter": np.array([0, 0, 0, index], dtype=np.uint64), "key": initial["state"]["key"]}
+    counter [0, 0, 0, index], drawing exactly as a freshly built one.
+
+    The generator is shared by every trial of (seed, name): it is reset here,
+    so it stays valid only until the next call with the same seed and name.
+    """
+    bits, rng, state = _stream(seed, name)
+    # setting a state copies it, buffer included, so the one dict serves every trial
+    state["state"]["counter"][3] = index
     bits.state = state
     return rng
 
 
-def _random_gram(seed: int, name: str, dim: int, field: Field) -> np.ndarray:
-    # a reserved substream (counter word 2 set): gram draws never collide with trial draws
+def _gram_rng(seed: int, name: str, dim: int, field: Field) -> np.random.Generator:
+    """Reserved substream (counter word 2 set) so gram draws never collide
+    with trial draws."""
     word = dim * 2 + (1 if field is Field.COMPLEX else 0)
-    rng = np.random.Generator(np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 1, word]))
+    bits = np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 1, word])
+    return np.random.Generator(bits)
+
+
+def _random_gram(seed: int, name: str, dim: int, field: Field) -> np.ndarray:
+    rng = _gram_rng(seed, name, dim, field)
     a = rng.standard_normal((dim, dim))
     if field is Field.COMPLEX:
         a = a + 1j * rng.standard_normal((dim, dim))
@@ -212,8 +255,9 @@ def _trial_cell(config: SearchConfig, plan: tuple, index: int):
 
 @functools.lru_cache(maxsize=None)
 def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Field):
-    """The space and whitener of a run's (name, dim, field): the gram draw is
-    a pure function of its key, so every trial shares them."""
+    """The gram draw is a pure function of its key, so every trial of a run
+    shares one space object and one whitener (at most names x dims x fields
+    entries live at once)."""
     if gram_kind is GramKind.IDENTITY:
         return SpaceSpec(dim, field), None
     space = SpaceSpec(dim, field, _random_gram(seed, name, dim, field))
@@ -223,6 +267,43 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
 
 
 # sampling: phase A draws, phase B builds (in whitened coordinates) --------------
+#
+# Each sampler is written once against a draw source, which also supplies
+# the arithmetic whose bits depend on the shape: `_Live` draws one trial as
+# it goes and computes on Python floats and 1-d arrays; `_Tape` reads a
+# group's draws back from phase A and computes on stacks, a row per trial,
+# in operations that give each row the bits `_Live` gives its trial.
+
+
+def _norm(w) -> float:
+    """np.linalg.norm of a 1-d draw, by the same dot products and sqrt
+    without its dispatch."""
+    if w.dtype.kind == "c":
+        re, im = w.real, w.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(w.dot(w))
+
+
+def _beta_law(x, d: int, field: Field, inverse: bool = False):
+    """The squared cosine's Beta cdf, or its inverse, at each x of an array;
+    over C by Python's ** (numpy's array power rounds differently)."""
+    if field is Field.REAL:
+        return (sps.betaincinv if inverse else sps.betainc)(0.5, (d - 1) / 2.0, x)
+    power = 1.0 / (d - 1) if inverse else d - 1
+    return np.array([1.0 - (1.0 - v) ** power for v in x.tolist()])
+
+
+@functools.lru_cache(maxsize=1024)
+def _beta_cdf(t: float, d: int, field: Field) -> float:
+    if field is Field.COMPLEX:
+        return 1.0 - (1.0 - t) ** (d - 1)
+    return float(sps.betainc(0.5, (d - 1) / 2.0, t))
+
+
+def _beta_ppf(u: float, d: int, field: Field) -> float:
+    if field is Field.COMPLEX:
+        return 1.0 - (1.0 - u) ** (1.0 / (d - 1))
+    return float(sps.betaincinv(0.5, (d - 1) / 2.0, u))
 
 
 class _Live:
@@ -248,6 +329,23 @@ class _Live:
         return fn(*values)
 
     common = staticmethod(bool)  # whether the trial takes the branch that phase A draws for
+    sqrt, hypot, norms = staticmethod(math.sqrt), staticmethod(math.hypot), staticmethod(_norm)
+    copysign = staticmethod(math.copysign)
+    beta_cdf, beta_ppf = staticmethod(_beta_cdf), staticmethod(_beta_ppf)
+
+    @staticmethod
+    def col(x):
+        """x as a factor of each row: a number scales a vector as it is."""
+        return x
+
+    @staticmethod
+    def clip(t, lo, hi):
+        return min(max(t, lo), hi)
+
+    @staticmethod
+    def dot(a, b):
+        """<b, a> of the standard pairing, conj(a) @ b."""
+        return a.conj().dot(b)
 
 
 class _Tape:
@@ -289,6 +387,44 @@ class _Tape:
         self.redo |= ~ok
         return True
 
+    sqrt, copysign = staticmethod(np.sqrt), staticmethod(np.copysign)
+
+    @staticmethod
+    def hypot(a, b):
+        # math.hypot, row by row: np.hypot rounds differently
+        return np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+
+    @staticmethod
+    def col(x):
+        """x as a factor of each row: a value per row gets a trailing axis."""
+        return np.asarray(x)[..., np.newaxis]
+
+    @staticmethod
+    def clip(t, lo, hi):
+        """min(max(t, lo), hi) elementwise, with the same picks."""
+        return np.minimum(np.maximum(t, lo), hi)
+
+    @staticmethod
+    def dot(a, b):
+        """<b, a> of the standard pairing, row by row (np.vecdot keeps a 1-d
+        dot's bits)."""
+        return np.vecdot(a, b)
+
+    @staticmethod
+    def norms(w):
+        squares = np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag) if w.dtype.kind == "c" else np.vecdot(w, w)
+        return np.sqrt(squares)
+
+    @staticmethod
+    def beta_cdf(t, d: int, field: Field):
+        # a bound shared by the group as a Python float, as the lone path
+        # passes it: Python's ** over C, and one cache entry per value
+        return _beta_cdf(float(t), d, field) if np.ndim(t) == 0 else _beta_law(t, d, field)
+
+    @staticmethod
+    def beta_ppf(u, d: int, field: Field):
+        return _beta_law(u, d, field, inverse=True)
+
 
 @functools.lru_cache(maxsize=None)
 def _program(entry, params, dim: int, field: Field):
@@ -308,7 +444,7 @@ def _draw(rng, program, dim: int, row) -> None:
         elif kind == "u":
             row[start] = rng.random()
         elif kind == "s":
-            row[start] = size = rng.integers(0, dim + 1)
+            row[start] = size = int(rng.integers(0, dim + 1))
         else:  # the rows of the family sized just before
             rng.standard_normal(out=row[start : start + size * width])
 
@@ -326,23 +462,8 @@ def _vectors(draws, space: SpaceSpec):
     return _complexify(draws.normals(2 * space.dim), space.field)
 
 
-def _dot(a, b):
-    """a @ b of real vectors, row by row (np.vecdot keeps a 1-d dot's bits)."""
-    return a.dot(b) if a.ndim == 1 else np.vecdot(a, b)
-
-
-def _norms(w):
-    squares = _dot(w.real, w.real) + _dot(w.imag, w.imag) if w.dtype.kind == "c" else _dot(w, w)
-    return math.sqrt(squares) if w.ndim == 1 else np.sqrt(squares)
-
-
-def _col(x):
-    """x with a trailing axis, to scale each row of a stack."""
-    return x[..., np.newaxis] if isinstance(x, np.ndarray) and x.ndim else x
-
-
-def _unit(w):
-    return w / _col(_norms(w))
+def _unit(draws, w):
+    return w / draws.col(draws.norms(w))
 
 
 def _ambient(whitener, w):
@@ -354,31 +475,9 @@ def _nonzero(draws, space: SpaceSpec):
     threshold = zero_norm_threshold(space)
     for _ in range(64):
         w = _vectors(draws, space)
-        if draws.common(_norms(w) > threshold):
+        if draws.common(draws.norms(w) > threshold):
             return w
     raise RuntimeError("could not sample a nonzero vector")
-
-
-def _clip(t, lo, hi):
-    """min(max(t, lo), hi), elementwise on an array (the same picks)."""
-    return np.minimum(np.maximum(t, lo), hi) if isinstance(t, np.ndarray) else min(max(t, lo), hi)
-
-
-def _beta_law(x, d: int, field: Field, inverse: bool = False):
-    """The squared cosine's Beta cdf, or its inverse, at a number or at each
-    x of an array; over C by Python's ** (numpy's array power rounds
-    differently)."""
-    if field is Field.REAL:
-        return (sps.betaincinv if inverse else sps.betainc)(0.5, (d - 1) / 2.0, x)
-    power = 1.0 / (d - 1) if inverse else d - 1
-    if isinstance(x, np.ndarray):
-        return np.array([1.0 - (1.0 - v) ** power for v in x.tolist()])
-    return 1.0 - (1.0 - float(x)) ** power
-
-
-@functools.lru_cache(maxsize=1024)
-def _beta_cdf(t: float, d: int, field: Field) -> float:
-    return float(_beta_law(t, d, field))
 
 
 def _orth_unit(draws, space: SpaceSpec, xhat):
@@ -386,40 +485,42 @@ def _orth_unit(draws, space: SpaceSpec, xhat):
     (standard pairing); requires dimension at least 2."""
     for _ in range(64):
         p = _vectors(draws, space)
-        p = p - _col(np.vecdot(xhat, p)) * xhat  # p @ conj(xhat), row by row
-        n = _norms(p)
+        p = p - draws.col(draws.dot(xhat, p)) * xhat
+        n = draws.norms(p)
         if draws.common(n > 1e-12):
-            return p / _col(n)
+            return p / draws.col(n)
     raise RuntimeError("could not sample an orthogonal direction")
 
 
-def _conditioned(draws, space: SpaceSpec, xhat, t_lo, t_hi, signed: bool):
+def _conditioned(draws, space: SpaceSpec, xhat, t_lo, t_hi: float, signed: bool):
     """Standard normal vectors conditioned on their cosines against the
     unit rows of xhat: each squared cosine from the conditional Beta law on
     [t_lo, t_hi] (t_lo a number or one per row), its sign (phase over C)
-    pinned to + when `signed`, else uniform.  Draw order: window variate (a
-    raw uniform, above dimension 1), sign or phase, orthogonal direction,
-    magnitude.  The direction is drawn only where the clipped squared
-    cosine is below 1, so a trial whose cosine is 1 leaves phase A's path.
+    pinned to + when `signed`, else uniform.
+
+    Draw order: the window variate (a raw uniform, above dimension 1), the
+    sign or phase, the orthogonal direction, the magnitude.  The direction
+    is drawn only where the clipped squared cosine is below 1 (its tail
+    sqrt(1 - t) is positive); phase A always draws it, so a trial whose
+    cosine is 1 leaves phase A's path.
     """
     d, field = space.dim, space.field
-    t_lo, t_hi = _clip(t_lo, 0.0, 1.0), _clip(t_hi, 0.0, 1.0)
+    t_lo, t_hi = draws.clip(t_lo, 0.0, 1.0), min(max(t_hi, 0.0), 1.0)
     if d == 1:
-        t = np.ones(xhat.shape[:-1])
+        t = 1.0
     else:
-        lo = _beta_law(t_lo, d, field) if isinstance(t_lo, np.ndarray) else _beta_cdf(t_lo, d, field)
-        hi = _beta_cdf(t_hi, d, field)
-        t = _clip(_beta_law(lo + (hi - lo) * draws.uniforms(), d, field, inverse=True), t_lo, t_hi)
-    c = np.sqrt(t)
+        lo, hi = draws.beta_cdf(t_lo, d, field), _beta_cdf(t_hi, d, field)
+        t = draws.clip(draws.beta_ppf(lo + (hi - lo) * draws.uniforms(), d, field), t_lo, t_hi)
+    c = draws.sqrt(t)
     if not signed:
         turn = draws.uniforms()
-        # over R, c times -1.0 below 0.5 and 1.0 above: -c and c exactly
-        c = c * (np.exp(2j * np.pi * turn) if field is Field.COMPLEX else (turn >= 0.5) * 2.0 - 1.0)
-    tail = np.sqrt(_clip(1.0 - t, 0.0, 1.0))
-    direction = _col(c) * xhat
+        # over R, c times -1.0 below 0.5 and 1.0 from 0.5 up: -c and c exactly
+        c = c * (np.exp(2j * np.pi * turn) if field is Field.COMPLEX else draws.copysign(1.0, turn - 0.5))
+    tail = draws.sqrt(draws.clip(1.0 - t, 0.0, 1.0))
+    direction = draws.col(c) * xhat
     if d > 1 and draws.common(tail > 0.0):
-        direction = direction + _col(tail) * _orth_unit(draws, space, xhat)
-    return _col(_norms(_vectors(draws, space))) * direction
+        direction = direction + draws.col(tail) * _orth_unit(draws, space, xhat)
+    return draws.col(draws.norms(_vectors(draws, space))) * direction
 
 
 # per-name samplers: (entry, space, whitener, draws, params) -> (inputs, starved)
@@ -442,8 +543,7 @@ def _sample_generic(entry, space, whitener, draws, params):
     for key in entry.complexified_args:
         for _ in range(64):
             re, im = draws.normals(dim), draws.normals(dim)
-            # math.hypot, row by row: np.hypot rounds differently
-            if draws.common(np.asarray(draws.each(math.hypot, _norms(re), _norms(im))) > zero_norm_threshold(space)):
+            if draws.common(draws.hypot(draws.norms(re), draws.norms(im)) > zero_norm_threshold(space)):
                 break
         inputs[key] = draws.each(ComplexifiedVector, _ambient(whitener, re), _ambient(whitener, im))
     return inputs, False
@@ -467,7 +567,7 @@ def _sample_anchored(entry, space, whitener, draws, params):
         need = max(1.0 - params.eps, 0.0)
         at, windows, signed = 0, [(need * need, 1.0)] * 2, False
     anchor = _nonzero(draws, space)
-    ahat = _unit(anchor)
+    ahat = _unit(draws, anchor)
     vectors = [_conditioned(draws, space, ahat, lo, hi, signed) for lo, hi in windows]
     vectors.insert(at, anchor)
     return {k: _ambient(whitener, v) for k, v in zip(entry.vector_args, vectors)}, starved
@@ -480,13 +580,16 @@ def _sample_quotient_transfer(entry, space, whitener, draws, params):
     attainable only when cos(a, b) >= 2 mu1 - 1, so b is drawn with its
     cosine against a at least max(2 mu1 - 1, 0).  For unit anchors with
     cosine c and a unit probe with component p along their bisector, the
-    quotient is at least p^2 - (1 - c)/2, so conditioning p^2 >= mu1 +
-    (1 - c)/2 satisfies the premise without rejection, on a subregion of
-    the premise set (probes near the bisector) that ascent is free to leave.
+    quotient is at least p^2 - (1 - c)/2 whatever the orthogonal part does,
+    so conditioning p^2 >= mu1 + (1 - c)/2 satisfies the premise without any
+    rejection.  This covers a subregion of the premise set (probes near the
+    bisector), which is the tradeoff for constant-time sampling; ascent
+    refinement is free to leave it.
 
-    Cap lane (mu2 only): the region has no comparable closed form, so the
-    probe is rejection-sampled with a hard cap, exhaustion reported as
-    starvation (phase A draws one probe; a trial rejecting it goes alone).
+    Cap lane (mu2 only): the acceptance region depends on the anchor pair in
+    a way with no comparable closed form, so the probe is rejection-sampled
+    with a hard cap and exhaustion is reported as starvation.  Phase A draws
+    one probe; a trial that rejects it is sampled again alone.
     """
     mu1, mu2 = params.mu1, params.mu2
     if mu1 is None and mu2 is None:
@@ -494,25 +597,31 @@ def _sample_quotient_transfer(entry, space, whitener, draws, params):
     a = _nonzero(draws, space)
     starved = True
     if mu1 is not None:
-        ahat, gamma = _unit(a), max(2.0 * mu1 - 1.0, 0.0)
+        ahat, gamma = _unit(draws, a), max(2.0 * mu1 - 1.0, 0.0)
         b = _conditioned(draws, space, ahat, gamma * gamma, 1.0, True)
-        bhat = _unit(b)
-        t_min = _clip(mu1 + (1.0 - np.clip(_dot(ahat, bhat), -1.0, 1.0)) / 2.0, 0.0, 1.0)
-        x, starved = _conditioned(draws, space, _unit(ahat + bhat), t_min, 1.0, True), False
+        bhat = _unit(draws, b)
+        c = draws.clip(draws.dot(ahat, bhat), -1.0, 1.0)
+        t_min = draws.clip(mu1 + (1.0 - c) / 2.0, 0.0, 1.0)
+        x, starved = _conditioned(draws, space, _unit(draws, ahat + bhat), t_min, 1.0, True), False
     else:
         b = _nonzero(draws, space)
-        na, nb = _norms(a), _norms(b)
+        na, nb = draws.norms(a), draws.norms(b)
         for _ in range(REJECTION_CAP):
             x = _nonzero(draws, space)
-            xhat = _unit(x)
-            if draws.common(_dot(xhat, a) * _dot(xhat, b) <= mu2 * na * nb):
+            xhat = _unit(draws, x)
+            if draws.common(draws.dot(xhat, a) * draws.dot(xhat, b) <= mu2 * na * nb):
                 starved = False
                 break
     return {"a": _ambient(whitener, a), "b": _ambient(whitener, b), "x": _ambient(whitener, x)}, starved
 
 
-_SAMPLERS = {**dict.fromkeys(("moore-1.9", "buzano-moore-1.16", "precupanu-moore-1.12", "t1.5-i"), _sample_anchored),
-             "t1.5-ii": _sample_quotient_transfer}
+_SAMPLERS = {
+    "moore-1.9": _sample_anchored,
+    "buzano-moore-1.16": _sample_anchored,
+    "precupanu-moore-1.12": _sample_anchored,
+    "t1.5-i": _sample_anchored,
+    "t1.5-ii": _sample_quotient_transfer,
+}
 
 
 def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, index: int):
@@ -522,51 +631,42 @@ def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, 
     return (space, *_SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params))
 
 
-def _sample_groups(config: SearchConfig, key: str, entry, params, fields: tuple, indices) -> list:
-    """The trials `indices` of the streams of (config.seed, key), sampled
-    by `entry`'s sampler at `params` (see the module docstring) in groups of
-    one space: a list of (space, trial indices, inputs, starved flags), the
-    inputs a stack per argument.  Trials off phase A's path are sampled
-    again alone in trial order, so an error raised is the first one's own."""
-    cells, slots = {}, []  # (dim, field) -> its trials; (index, cell, row) of each trial
+def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple, indices: list) -> list:
+    """The SampledInstance of each trial of `indices`, in that order, from
+    the streams of (config.seed, key) by `entry`'s sampler at `params`, in
+    two phases per space (see the module docstring).  Phase A raises
+    nothing, and the trials off its path are sampled again alone in trial
+    order, so an error raised is the first such trial's own."""
+    cells = {}  # (dim, field) -> its trials, in order
     for index in indices:
-        cell = _trial_cell(config, fields, index)
-        slots.append((index, cell, len(cells.setdefault(cell, []))))
-        cells[cell].append(index)
-    programs = {cell: _program(entry, params, *cell) for cell in cells}
-    tapes = {cell: np.zeros((len(members), programs[cell][1])) for cell, members in cells.items()}
-    for index, cell, row in slots:
-        _draw(_trial_rng(config.seed, key, index), programs[cell][0], cell[0], tapes[cell][row])
-    groups, redo = [], []
+        cells.setdefault(_trial_cell(config, fields, index), []).append(index)
+    sampler = _SAMPLERS.get(entry.name, _sample_generic)
+    sampled, redo = {}, []
     for (dim, field), members in cells.items():
+        program, width = _program(entry, params, dim, field)
+        tape = np.zeros((len(members), width))
+        for index, row in zip(members, tape):
+            _draw(_trial_rng(config.seed, key, index), program, dim, row)
         space, whitener = _cached_space(config.seed, config.gram, key, dim, field)
-        draws = _Tape(tapes[(dim, field)])
+        draws = _Tape(tape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inputs, starved = _SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params)
-        groups.append((space, members, inputs, [starved] * len(members)))
-        redo += [(members[row], row, groups[-1]) for row in np.flatnonzero(draws.redo).tolist()]
-    for index, row, (_, _, inputs, starved) in sorted(redo, key=lambda item: item[0]):
-        _, alone, starved[row] = _sample_alone(config, key, entry, params, fields, index)
-        for k, value in alone.items():
-            inputs[k][row] = value
-    return groups
+            inputs, starved = sampler(entry, space, whitener, draws, params)
+        for row, index in enumerate(members):
+            sampled[index] = SampledInstance(space, {k: stack[row] for k, stack in inputs.items()}, starved)
+        redo += [members[row] for row in np.flatnonzero(draws.redo).tolist()]
+    for index in sorted(redo):
+        sampled[index] = SampledInstance(*_sample_alone(config, key, entry, params, fields, index))
+    return [sampled[index] for index in indices]
 
 
-def _instance(slot) -> tuple:
-    """(space, inputs) of one trial, from its (space, stacks, row)."""
-    space, inputs, row = slot
-    return space, {k: stack[row] for k, stack in inputs.items()}
-
-
-def _slots(groups) -> dict:
-    """Each trial's (space, stacks, row) in `groups`, by trial index."""
-    return {index: (space, inputs, row) for space, indices, inputs, _ in groups for row, index in enumerate(indices)}
-
-
-def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int) -> SampledInstance:
-    """Deterministic instance for one trial; see the module docstring."""
+def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int | list) -> SampledInstance | list:
+    """Deterministic instance for one trial; see the module docstring.  A
+    list of trial indices gives the list of their instances, sampled as a
+    shard samples its trials (`_sample_trials`), with the same bits."""
     entry = catalog_entry(ineq_name)
     fields = _field_plan(ineq_name, entry.fields, config.field)
+    if isinstance(trial_index, list):
+        return _sample_trials(config, ineq_name, entry, entry.default_params, fields, trial_index)
     return SampledInstance(*_sample_alone(config, ineq_name, entry, entry.default_params, fields, trial_index))
 
 
@@ -582,20 +682,25 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _group_rows(groups: list, evaluate) -> dict:
-    """Each trial's row, by trial index, from `evaluate(space, instances)`
-    on the instances of each group.  If a group raises, `evaluate` runs on
-    each trial alone in trial order, so the error raised is the first faulty
-    trial's own (and the group's if none raises alone)."""
-    rows = {}
+def _group_rows(items: list, key, evaluate) -> list:
+    """One row per item, in item order, from `evaluate(group)`, which takes
+    the items that share `key(item)` as one group and returns a row for each.
+
+    If a group raises, `evaluate([item])` runs on every item in order, so
+    that the error raised is the one the first faulty item raises by itself
+    (and the group's own error if none does).
+    """
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    rows = [None] * len(items)
     try:
-        for space, indices, inputs, _ in groups:
-            rows.update(zip(indices, evaluate(space, [dict(zip(inputs, row)) for row in zip(*inputs.values())])))
+        for members in groups.values():
+            for i, row in zip(members, evaluate([items[i] for i in members])):
+                rows[i] = row
     except (ValueError, ArithmeticError):
-        slots = _slots(groups)
-        for index in sorted(slots):
-            space, instance = _instance(slots[index])
-            evaluate(space, [instance])
+        for item in items:
+            evaluate([item])
         raise
     return rows
 
@@ -611,11 +716,16 @@ def _confirmed_violation(entry, space, inputs) -> bool:
 
 
 class _CoordCodec:
-    """Flatten instance inputs to one real vector and back.  Families always
-    rebuild through gram_schmidt (the orthonormality manifold is the only
-    place they make sense), for a stack of points in one call, each distinct
-    slice once; vectors and complexified pairs renormalize to their starting
-    norms when `project` is set."""
+    """Flatten instance inputs to one real vector and back.
+
+    Families always rebuild through gram_schmidt (the orthonormality
+    manifold is the only place they make sense), vectors and complexified
+    pairs renormalize to their starting norms when `project` is set.
+    `rebuild` takes a stack of points: each family argument is
+    orthonormalized for all of them in one stacked gram_schmidt call, each
+    distinct slice once, so the 2n probes of a gradient re-orthonormalize a
+    family only where they perturb it.
+    """
 
     def __init__(self, entry, space, inputs):
         self.entry = entry
@@ -629,15 +739,29 @@ class _CoordCodec:
         }
 
     def flatten(self, inputs) -> np.ndarray:
-        values = [inputs[k].members.ravel() for k in self.entry.family_args]
-        values += [np.asarray(inputs[k], dtype=self.space.field.dtype) for k in self.entry.vector_args]
-        parts = [part for v in values for part in ((v.real, v.imag) if self.complex_field else (v.real,))]
-        parts += [part for k in self.entry.complexified_args for part in (inputs[k].re, inputs[k].im)]
-        return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts]) if parts else np.zeros(0)
+        parts = []
+        for k in self.entry.family_args:
+            m = inputs[k].members
+            parts.append(np.asarray(m.real, dtype=np.float64).ravel())
+            if self.complex_field:
+                parts.append(np.asarray(m.imag, dtype=np.float64).ravel())
+        for k in self.entry.vector_args:
+            v = np.asarray(inputs[k], dtype=self.space.field.dtype)
+            parts.append(np.asarray(v.real, dtype=np.float64))
+            if self.complex_field:
+                parts.append(np.asarray(v.imag, dtype=np.float64))
+        for k in self.entry.complexified_args:
+            parts.append(np.asarray(inputs[k].re, dtype=np.float64))
+            parts.append(np.asarray(inputs[k].im, dtype=np.float64))
+        if not parts:
+            return np.zeros(0)
+        return np.concatenate(parts)
 
     def _families(self, chunk: np.ndarray, size: int) -> list:
         """Orthonormalize one family's slice of each point of an (m, w)
-        stack, None where that fails: the distinct slices as one stack."""
+        stack, None where that fails.  Each distinct slice (the slices of
+        gradient probes that leave the family alone are all the same) is
+        orthonormalized once, and the distinct ones as one stack."""
         keys = [row.tobytes() for row in chunk]
         first = {}  # slice bytes -> the first row holding them
         for i, key in enumerate(keys):
@@ -652,8 +776,9 @@ class _CoordCodec:
         return [family_of[key] for key in keys]
 
     def rebuild(self, points: np.ndarray, project: bool):
-        """The inputs of each flat point of an (m, n) stack (of one (n,) point
-        alone), None for a point that cannot be rebuilt."""
+        """The inputs of each flat point of an (m, n) stack, None for a
+        point that cannot be rebuilt; one (n,) point gives its inputs (or
+        None) alone.  Each argument is rebuilt for the whole stack at once."""
         if points.ndim == 1:
             return self.rebuild(points[np.newaxis], project)[0]
         dim = self.space.dim
@@ -702,8 +827,9 @@ class _CoordCodec:
 
 def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
     """Central differences of fn at flat with step h.  fn maps the (2n, n)
-    stack of probe points (flat + h, then flat - h, along each coordinate)
-    to their values in one call; a non-finite side gives its coordinate 0."""
+    stack of all probe points (flat + h, then flat - h, along each
+    coordinate in turn) to their values in one call; a coordinate with a
+    non-finite value on either side gets 0."""
     n = flat.size
     probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
     coords = np.arange(n)
@@ -726,13 +852,21 @@ def _evaluate(objective, candidates: list) -> list:
     try:
         scores = iter(objective(live) if live else ())
     except (DomainError, ArithmeticError):
-        scores = iter([_evaluate(objective, [c])[0] if len(live) > 1 else (math.inf, False) for c in live])
+        scores = iter([_evaluate_alone(objective, c) for c in live])
     return [(math.inf, False) if c is None else next(scores) for c in candidates]
 
 
+def _evaluate_alone(objective, candidate) -> tuple:
+    try:
+        return objective([candidate])[0]
+    except (DomainError, ArithmeticError):
+        return math.inf, False
+
+
 def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -> np.ndarray:
-    """The central-difference gradient of `objective` at flat, its 2n probes
-    rebuilt unprojected in one call and evaluated as one group."""
+    """The central-difference gradient of `objective` at flat: the 2n
+    probes are rebuilt unprojected in one call and evaluated as one
+    group."""
 
     def values(points):
         return [value for value, _ in _evaluate(objective, codec.rebuild(points, project=False))]
@@ -742,10 +876,13 @@ def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -
 
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
     """Projected central-difference descent on `objective`, which maps a
-    list of instances to their (value, premises_ok) (see `_evaluate`).  Each
-    step evaluates the 2n unprojected gradient probes as one group, then
-    projected candidates along the descent direction, halving the step until
-    one lowers the value with its premises intact, so the trace never rises.
+    list of instances to their (value, premises_ok) and raises on a faulty
+    one (see `_evaluate`).
+
+    Each step evaluates the 2n unprojected probes of the gradient as one
+    group, then projected candidates along the normalized descent direction,
+    halving the step until one lowers the value with its premises intact.
+    The recorded trace is nonincreasing by construction.
     """
 
     flat = codec.flatten(inputs)
@@ -782,8 +919,13 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
 
 
 def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
-    """Drive the instance toward equality or violation by descent on the
-    scale-normalized binding margin (see `_descend` and `_CoordCodec`)."""
+    """Drive the instance toward equality or violation.
+
+    Descent on the scale-normalized binding margin: accepted steps
+    renormalize nonzero-required vectors to their starting norms and
+    re-orthonormalize families, and steps that leave the premise region are
+    rejected.
+    """
     entry = catalog_entry(ineq_name)
     return _descend(_catalog_objective(entry, space, params), _CoordCodec(entry, space, inputs), inputs, config)
 
@@ -813,11 +955,11 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _binding_rows(entry, space, group: list) -> list:
-    """For each instance of a group in `space`: None when its premises fail,
+def _binding_rows(entry, group: list) -> list:
+    """For each sampled instance of a group: None when its premises fail,
     else (normalized margin, min margin, all links hold, near equality,
     binding link fields), the fields as an instance line writes them."""
-    result = entry.run(space, group)
+    result = entry.run(group[0].space, [sampled.inputs for sampled in group])
     binding = result.binding
     n = len(group)
     premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
@@ -830,62 +972,87 @@ def _binding_rows(entry, space, group: list) -> list:
 
 
 def _shard_worker(task):
-    """Sample, evaluate and count the trials [start, stop) of one name; with
-    the counts come its worst trial (normalized, index, raw margin, instance)
-    and TOP_K lowest (normalized, index, near, violated, instance), which
-    share one instance per trial (the worst is almost always the lowest)."""
+    """Sample, evaluate and count the trials [start, stop) of one name.
+    With the counts come its worst trial (normalized, index, raw margin)
+    and its TOP_K lowest (normalized, index, near equality, violated), each
+    followed by its SampledInstance copied out of the shard's stacks."""
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
-    fields = _field_plan(name, entry.fields, config.field)
-    groups = _sample_groups(config, name, entry, entry.default_params, fields, range(start, stop))
-    rows = _group_rows(groups, functools.partial(_binding_rows, entry))
-    slots = _slots(groups)
-    hist, near, violations, starved_count = [0] * HISTOGRAM_BUCKETS, 0, 0, 0
-    worst, top = None, []  # (normalized, index, raw); ascending (normalized, index, near_equality, violated)
-    for index in range(start, stop):
-        row = rows[index]
+    samples = sample_instance(config, name, list(range(start, stop)))
+    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry))
+    hist = [0] * HISTOGRAM_BUCKETS
+    near = 0
+    violations = 0
+    starved_count = 0
+    worst = None  # (normalized, index, raw)
+    top = []  # ascending (normalized, index, near_equality, violated)
+    for index, sampled, row in zip(range(start, stop), samples, rows):
         if row is None:
             starved_count += 1
             continue
         normalized, min_margin, holds, near_equality, _ = row
         hist[_bucket(normalized)] += 1
         near += 1 if near_equality else 0
-        violated = not holds and _confirmed_violation(entry, *_instance(slots[index]))
+        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
         violations += 1 if violated else 0
         if worst is None or (normalized, index) < (worst[0], worst[1]):
             worst = (normalized, index, min_margin)
         # (normalized, index) is unique, so the flags never decide the order
         _keep_top(top, (normalized, index, near_equality, violated))
-    records = _instance_records(name, config.seed, slots, rows) if with_records else None
-    chosen = {i: _instance(slots[i]) for i in [key[1] for key in top] + [worst[1]] * (worst is not None)}
+    records = _instance_records(name, config.seed, samples, rows) if with_records else None
+    chosen = {key[1]: _detached(samples[key[1] - start]) for key in top + [worst] * (worst is not None)}
     worst = None if worst is None else (*worst, chosen[worst[1]])
     return hist, near, violations, starved_count, worst, [(*key, chosen[key[1]]) for key in top], records
 
 
-def _instance_records(name: str, seed: int, slots: dict, rows: dict) -> list:
+def _detached(sampled: SampledInstance) -> SampledInstance:
+    """A trial's instance with its inputs copied out of its group's stacks,
+    so that keeping it keeps no other trial's draws alive."""
+
+    def copied(value):
+        if isinstance(value, OrthonormalFamily):
+            return replace(value)  # its __post_init__ copies the members
+        if isinstance(value, ComplexifiedVector):
+            return ComplexifiedVector(value.re.copy(), value.im.copy())
+        return value.copy()
+
+    return replace(sampled, inputs={k: copied(v) for k, v in sampled.inputs.items()})
+
+
+def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
     """The instance line of each trial whose premises hold, in trial order,
-    as a dict in the line's key order.  The digests take one pass, over
-    instances that are dropped before the lines are built."""
-    counted = [index for index in sorted(rows) if rows[index] is not None]
-    digests = instance_digests(name, [_instance(slots[index]) for index in counted])
-    return [{"ineq": name, "dim": slots[index][0].dim, "field": slots[index][0].field.name.lower(), "seed": seed,
+    as a dict in the line's key order.  The digests take one pass over the
+    whole shard."""
+    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row is not None]
+    digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
+    return [{"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(), "seed": seed,
              "digest": digest, "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower,
              "margin_upper": upper, "holds": holds, "near_equality": near}
-            for index, digest in zip(counted, digests)
-            for _, _, holds, near, (lhs, center, rhs, lower, upper) in [rows[index]]]
+            for (sampled, (_, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
     """Run the randomized search for one inequality and aggregate a report.
+
     With `on_records`, every trial whose premises hold also yields its
-    instance line as a dict (`_instance_records`): `on_records` receives
-    each shard's records in trial order, shard by shard as they arrive."""
+    instance line as a dict (`_instance_records`), from the same sampling
+    and evaluation that the report counts.  `on_records` receives each
+    shard's records, in trial order, as that shard arrives and in shard
+    order, so the caller holds one shard's records at a time.
+    """
     entry = catalog_entry(ineq_name)
     _field_plan(ineq_name, entry.fields, config.field)
-    tasks = [(ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
-             for start in range(0, config.trials, SHARD_SIZE)]
+    tasks = [
+        (ineq_name, config, start, min(start + SHARD_SIZE, config.trials), on_records is not None)
+        for start in range(0, config.trials, SHARD_SIZE)
+    ]
 
-    hist, near, violations, starved, worst, top = [0] * HISTOGRAM_BUCKETS, 0, 0, 0, None, []
+    hist = [0] * HISTOGRAM_BUCKETS
+    near = 0
+    violations = 0
+    starved = 0
+    worst = None
+    top = []
     use_pool = threads > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=threads) if use_pool else contextlib.nullcontext() as pool:
         # both maps yield the shards in order; the pool's as each finishes
@@ -903,35 +1070,44 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     top.sort()
     top = top[:TOP_K]
 
-    worst_instance = None if worst is None else worst[3]
+    # the shards return their chosen trials' inputs, so no trial is sampled again
+    worst_instance = None if worst is None else (worst[3].space, worst[3].inputs)
     if config.ascent_steps > 0:
-        for normalized, index, sampled_near, sampled_violated, (space, inputs) in top:
-            refined = local_ascent(ineq_name, space, inputs, config)
+        for normalized, index, sampled_near, sampled_violated, sampled in top:
+            refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
             try:
-                result = entry.run(space, refined.refined_inputs)
+                result = entry.run(sampled.space, refined.refined_inputs)
             except (DomainError, ArithmeticError):
                 continue
             if result.premises_hold is not None and not result.premises_hold[0]:
                 continue
             binding = result.binding
             refined_normalized = binding.normalized_margin.tolist()[0]
-            # the refined instance replaces its trial's contribution, so each
-            # trial counts at most once as near-equality and as a violation
+            # the refined instance replaces its trial's contribution, so
+            # each trial still counts at most once as near-equality and at
+            # most once as a violation
             if binding.near_equality[0] and not sampled_near:
                 near += 1
             if worst is None or refined_normalized < worst[0]:
                 worst = (refined_normalized, index, binding.min_margin.tolist()[0])
-                worst_instance = (space, refined.refined_inputs)
+                worst_instance = (sampled.space, refined.refined_inputs)
             if not sampled_violated and not result.holds[0]:
-                if _confirmed_violation(entry, space, refined.refined_inputs):
+                if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
                     violations += 1
 
     digest = None
     if worst_instance is not None:
         digest = instance_digest(ineq_name, worst_instance[0], worst_instance[1])
-    return SearchReport(ineq=ineq_name, trials_run=config.trials, worst_margin=None if worst is None else worst[2],
-                        worst_instance_digest=digest, near_equality_count=near, violation_count=violations,
-                        margin_histogram=tuple(hist), premise_starved=starved)
+    return SearchReport(
+        ineq=ineq_name,
+        trials_run=config.trials,
+        worst_margin=None if worst is None else worst[2],
+        worst_instance_digest=digest,
+        near_equality_count=near,
+        violation_count=violations,
+        margin_histogram=tuple(hist),
+        premise_starved=starved,
+    )
 
 
 # the complex-premise experiment ---------------------------------------------------
@@ -963,14 +1139,18 @@ def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchCo
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
     """Consistency check of buzano-moore-1.16 over complex spaces, through
-    the near-parallelism transfer: the minimum premise-conditioned ratio
-    |<y,z>| / (||y|| ||z||) against first_bound = 1 - eps - sqrt(2 eps) and
-    second_bound = 1 - 4 eps + 2 eps^2.  Under these premises (|<x,y>|,
-    |<x,z>| at least 1 - eps times the norms) buzano-moore-1.16, proved
-    over both fields, bounds the ratio by second_bound, never below
-    first_bound (with u = sqrt(2 eps) they differ by (u/2)(u - 1)^2(u + 2)),
-    so a confirmed sample below the first bound, the only one to yield
-    CounterexampleFound, would mean that 1.16 itself fails over C.
+    the near-parallelism transfer.
+
+    Reports the minimum premise-conditioned ratio |<y,z>| / (||y|| ||z||)
+    against first_bound = 1 - eps - sqrt(2 eps) and second_bound =
+    1 - 4 eps + 2 eps^2.  Under these premises (|<x,y>| and |<x,z>| at
+    least 1 - eps times the norms) buzano-moore-1.16, proved over both
+    fields, bounds the ratio below by second_bound, and second_bound is
+    never below first_bound: with u = sqrt(2 eps) their difference is
+    (u/2)(u - 1)^2(u + 2).  So a confirmed sample below the first bound
+    would mean that 1.16 itself fails over C.  The verdict concerns the
+    first bound only: such a sample yields CounterexampleFound, anything
+    else NoCounterexampleFound.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
@@ -981,46 +1161,57 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     params = MooreParams(eps=eps)
     satisfying = 0
     min_ratio = None
-    top = []  # ascending (ratio, index, slot)
+    top = []  # ascending (ratio, index, sampled)
     witness = None
 
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(ok, ratio, scale, instance):
-        """Fold an instance (`instance()` gives its space and inputs) into
-        the minimum and the witness: its ratio, None if premises fail."""
+    def observe(space, inputs, ok, ratio, scale):
+        """Fold one evaluated instance into the minimum and the witness;
+        returns its ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
-            space, inputs = instance()
             ((ok_e, ratio_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
         return ratio
 
-    # the samples of a chunk are evaluated in groups of one dimension each
+    def evaluate(samples):
+        return _moore_ratios(samples[0].space, [sampled.inputs for sampled in samples], params)
+
+    # the samples of a chunk are sampled and evaluated in groups of one dimension each
+    entry = catalog_entry("moore-1.9")
     for first in range(0, config.trials, SHARD_SIZE):
-        indices = range(first, min(first + SHARD_SIZE, config.trials))
-        groups = _sample_groups(config, _MOORE_COMPLEX_KEY, catalog_entry("moore-1.9"), params, (Field.COMPLEX,), indices)
-        scores = _group_rows(groups, lambda space, group: _moore_ratios(space, group, params))
-        slots = _slots(groups)
-        for index in indices:
-            ratio = observe(*scores[index], functools.partial(_instance, slots[index]))
+        indices = list(range(first, min(first + SHARD_SIZE, config.trials)))
+        samples = _sample_trials(config, _MOORE_COMPLEX_KEY, entry, params, (Field.COMPLEX,), indices)
+        scores = _group_rows(samples, lambda sampled: sampled.space, evaluate)
+        for index, sampled, score in zip(indices, samples, scores):
+            ratio = observe(sampled.space, sampled.inputs, *score)
             if ratio is not None:
                 satisfying += 1
-                # (ratio, index) is unique, so the slot never decides the order
-                _keep_top(top, (ratio, index, slots[index]))
+                # (ratio, index) is unique, so the instance never decides the order
+                _keep_top(top, (ratio, index, sampled))
+        # the chunk's stacks die with it: its trials in the top K keep copies
+        top = [(ratio, index, _detached(sampled) if index >= first else sampled) for ratio, index, sampled in top]
     if config.ascent_steps > 0:
-        for _, index, slot in top:
-            space, inputs = _instance(slot)
+        for _, index, sampled in top:
+            space, inputs = sampled.space, sampled.inputs
             refined = _refine_moore_candidate(space, inputs, params, config).refined_inputs
             ((ok, ratio, scale),) = _moore_ratios(space, [refined], params)
-            observe(ok, ratio, scale, lambda: (space, refined))
+            observe(space, refined, ok, ratio, scale)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
-    return MooreComplexReport(eps=eps, samples=config.trials, samples_satisfying_premises=satisfying,
-                              min_observed_ratio=min_ratio, first_bound=first_bound, second_bound=second_bound,
-                              verdict=verdict, witness_digest=witness)
+    return MooreComplexReport(
+        eps=eps,
+        samples=config.trials,
+        samples_satisfying_premises=satisfying,
+        min_observed_ratio=min_ratio,
+        first_bound=first_bound,
+        second_bound=second_bound,
+        verdict=verdict,
+        witness_digest=witness,
+    )

@@ -160,10 +160,14 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
         if min(listed) == max(listed):
             vs, sizes = vs[:, : listed[0]], None
         else:
-            # longest first, so the families that have a row i are a prefix
-            order = np.argsort(np.negative(listed), kind="stable")
-            sizes = np.asarray(listed, dtype=np.intp)[order]
-            vs = np.where(np.arange(k)[:, np.newaxis] < sizes[:, np.newaxis, np.newaxis], vs[order], 0.0)
+            # longest first (a stable sort), so the families that have a row
+            # i are a prefix; in plain Python, because numpy's sorts and axis
+            # reductions would page in code that nothing else here runs
+            order = sorted(range(m), key=lambda j: -listed[j])
+            sizes = [listed[j] for j in order]
+            vs = vs[order]
+            for j, size in enumerate(sizes):
+                vs[j, size:] = 0.0
     finite = np.isfinite(vs).all(axis=(1, 2))
     failed = None if finite.all() else ~finite
     try:
@@ -180,7 +184,7 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
     if order is None:
         return families
     result = [None] * m
-    for j, family in zip(order.tolist(), families):
+    for j, family in zip(order, families):
         result[j] = family
     return result
 
@@ -195,27 +199,21 @@ def _alone(space, vectors, tol):
 def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     """The Gram-Schmidt loop over an (m, k, d) stack of finite rows, of
     which `failed` (a mask, or None) marks families already refused and
-    `sizes` (descending, or None for k each) gives the rows of each family:
-    each family's read-only (size, d) result, and {family index: the error
-    it raises alone} for the families that fail here.  A family that fails
+    `sizes` (a descending list, or None for k each) gives the rows of each
+    family: the read-only result (the (m, k, d) stack, or with `sizes` a
+    list of each family's (size, d) rows), and {family index: the error it
+    raises alone} for the families that fail here.  A family that fails
     runs on as zeros, so it stays finite and inert."""
     m, k, d = vs.shape
     out = np.zeros(vs.shape, vs.dtype)
     errors = {}
-    # running[i]: the families that have a row i, a prefix of the stack;
-    # blocks: (size, start, stop) of each size, longest first
-    running, blocks = [m] * k, [(k, 0, m)]
-    if sizes is not None:
-        running = np.count_nonzero(sizes[:, np.newaxis] > np.arange(k), axis=0).tolist()
-        listed, blocks = sizes.tolist(), []
-        for size in sorted(set(listed), reverse=True):
-            start = blocks[-1][2] if blocks else 0
-            blocks.append((size, start, start + listed.count(size)))
+    # running[i]: the families that have a row i, a prefix of the stack
+    running = None if sizes is None else [sum(1 for size in sizes if size > i) for i in range(k)]
     if k:
         # the norm of every row at once: each row keeps its bits
         floors = RANK_TOL * np.maximum(pairing_norm(space, vs.reshape(m * k, d)).reshape(m, k), 1e-300)
     for i in range(k):
-        c = running[i]
+        c = m if running is None else running[i]
         if not c:
             break
         u = vs[:c, i : i + 1]  # (c, 1, d): each running family's row i
@@ -243,26 +241,39 @@ def _orthonormalize(space, vs, tol, failed=None, sizes=None):
             u = np.where(failed[:c, np.newaxis], 0.0, u)
             r = np.where(failed[:c], 1.0, r)
         out[:c, i] = u / r[:, np.newaxis]
+    if sizes is None:
+        _refuse_deviant(space, out, tol, failed, errors)
+        out.setflags(write=False)
+        return out, errors
     # each size on its own stack (a padded product rounds differently), its
     # families' rows and no padding
-    members = []
-    for size, start, stop in blocks:
-        block = out if stop - start == m else out[start:stop, :size].copy()
+    members, start = [], 0
+    for size in sorted(set(sizes), reverse=True):
+        stop = start + sizes.count(size)
+        block = out[start:stop, :size].copy()
         block.setflags(write=False)
         members += list(block)
-        if size and (failed is None or not failed[start:stop].all()):
-            # `not <=` also refuses a NaN deviation, i.e. non-finite members
-            deviation = _max_deviation(space, block)
-            refused = ~(deviation <= tol)
-            if failed is not None:
-                refused &= ~failed[start:stop]
-            if np.count_nonzero(refused):
-                for j in np.flatnonzero(refused).tolist():
-                    errors[start + j] = DomainError(
-                        f"family is not orthonormal: max pairing deviation "
-                        f"{deviation[j]:.3e} exceeds tol {tol:.1e}"
-                    )
+        if size:
+            _refuse_deviant(space, block, tol, None if failed is None else failed[start:stop], errors, start)
+        start = stop
     return members, errors
+
+
+def _refuse_deviant(space, block, tol, failed, errors, start=0):
+    """Add to `errors` (keyed from `start`) each family of a stack that is
+    not orthonormal within `tol` and not already `failed`."""
+    if block.shape[1] and (failed is None or not failed.all()):
+        # `not <=` also refuses a NaN deviation, i.e. non-finite members
+        deviation = _max_deviation(space, block)
+        refused = ~(deviation <= tol)
+        if failed is not None:
+            refused &= ~failed
+        if np.count_nonzero(refused):
+            for j in np.flatnonzero(refused).tolist():
+                errors[start + j] = DomainError(
+                    f"family is not orthonormal: max pairing deviation "
+                    f"{deviation[j]:.3e} exceeds tol {tol:.1e}"
+                )
 
 
 def projection(family, x):

@@ -39,15 +39,15 @@ from ineq_forge.falsifier import (
     _moore_ratios,
     _SAMPLERS,
     _name_key,
+    _norm,
     _random_gram,
     _refine_moore_candidate,
     _sample_alone,
     _sample_anchored,
     _sample_generic,
-    _sample_groups,
+    _sample_trials,
     _sample_quotient_transfer,
     _shard_worker,
-    _norms,
     _probe_gradient,
     _trial_rng,
     _vectors,
@@ -327,18 +327,16 @@ class TestSamplingPrimitives:
         for dim in range(1, 9):
             for _ in range(50):
                 w = _vectors(_Live(rng), SpaceSpec(dim, field)) * 10.0 ** rng.integers(-150, 150)
-                assert _norms(w) == np.linalg.norm(w)
+                assert _norm(w) == np.linalg.norm(w)
 
 
 def _stacked_and_alone(config, key, entry, params, fields):
     """(stacked, alone): each trial's (digest, starved) from one stacked
     pass over the config's trials and from phase B on a group of one."""
-    groups = _sample_groups(config, key, entry, params, fields, range(config.trials))
+    samples = _sample_trials(config, key, entry, params, fields, list(range(config.trials)))
     stacked = {}
-    for space, indices, inputs, starved in groups:
-        for row, index in enumerate(indices):
-            instance = {k: stack[row] for k, stack in inputs.items()}
-            stacked[index] = (instance_digest(entry.name, space, instance), bool(starved[row]))
+    for index, sampled in enumerate(samples):
+        stacked[index] = (instance_digest(entry.name, sampled.space, sampled.inputs), bool(sampled.starved))
     alone = {}
     for index in range(config.trials):
         space, inputs, starved = _sample_alone(config, key, entry, params, fields, index)
@@ -479,7 +477,11 @@ class TestSamplingCost:
         def refuse(*args):
             raise AssertionError("sampled twice")
 
-        monkeypatch.setattr(falsifier, "sample_instance", refuse)
+        def shards_only(config, name, trial_index):
+            assert isinstance(trial_index, list), "a lone trial sampled"
+            return sample_instance(config, name, trial_index)
+
+        monkeypatch.setattr(falsifier, "sample_instance", shards_only)
         monkeypatch.setattr(falsifier, "_sample_alone", refuse)
         report = falsify("generalized-2.1", SearchConfig(seed=1, trials=16, dims=(2, 4), ascent_steps=2))
         assert report.worst_instance_digest is not None

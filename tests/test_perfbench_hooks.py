@@ -4,11 +4,8 @@
 `CatalogEntry.run` with its signature, so a rename or a new call shape in
 `src/` can leave a span silently empty.  A subprocess installs the tracer,
 runs a tiny `verify`, `falsify` with ascent and `moore-complex` through
-`cli.main`, then the probe's `sample_instance` and extended
-`run_catalog(name, space, dict)` calls for every name, and reports which
-spans were recorded.  Shards sample in groups, not through
-`sample_instance`, so as in perfbench's probe the lone samples are what
-the `falsifier.sample` span covers.  It writes no
+`cli.main`, then the probe's extended `run_catalog(name, space, dict)` call
+for every name, and reports which spans were recorded.  It writes no
 bytecode, so nothing under `perfbench/` changes.
 """
 
@@ -24,9 +21,9 @@ _SCRIPT = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracing
-from ineq_forge import cli, falsifier
+from ineq_forge import cli
 from ineq_forge.catalog import CATALOG, run_catalog
-from ineq_forge.falsifier import FieldChoice, GramKind, SearchConfig
+from ineq_forge.falsifier import FieldChoice, GramKind, SearchConfig, sample_instance
 
 tracer = tracing.install()
 runs = (
@@ -40,7 +37,7 @@ config = SearchConfig(seed=1, trials=2, dims=(2, 2), field=FieldChoice.BOTH, gra
 probed = 0
 for name, entry in CATALOG.items():
     for index in range(len(entry.fields)):
-        sampled = falsifier.sample_instance(config, name, index)
+        sampled = sample_instance(config, name, index)
         run_catalog(name, sampled.space, sampled.inputs, extended=True)
         probed += 1
 names = sorted({span[0] for span in tracer.spans})
