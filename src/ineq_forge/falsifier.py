@@ -61,7 +61,9 @@ complex-premise Moore experiment samples and evaluates its samples in
 groups of one dimension, chunk by chunk, as a shard does, and refines the
 inputs of its lowest ratios with the same
 descent routine and the same coordinate codec, so both searches share one
-implementation of the step, the projection and the premise guard.
+implementation of the step, the projection and the premise guard.  The
+descent returns the row it evaluated for its final instance, and both
+searches fold that row, so a refined instance is not evaluated again.
 """
 
 from __future__ import annotations
@@ -172,8 +174,12 @@ class SampledInstance:
 @dataclass(frozen=True)
 class AscentResult:
     refined_inputs: dict
-    final_margin: float
+    row: tuple
     trace: tuple
+
+    @property
+    def final_margin(self) -> float:
+        return self.row[0]
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,11 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
 # it goes and computes on Python floats and 1-d arrays; `_Tape` reads a
 # group's draws back from phase A and computes on stacks, a row per trial,
 # in operations that give each row the bits `_Live` gives its trial.
+
+
+def _hypot_rows(a, b) -> np.ndarray:
+    """math.hypot, row by row: np.hypot rounds differently."""
+    return np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
 
 
 def _norm(w) -> float:
@@ -387,12 +398,7 @@ class _Tape:
         self.redo |= ~ok
         return True
 
-    sqrt, copysign = staticmethod(np.sqrt), staticmethod(np.copysign)
-
-    @staticmethod
-    def hypot(a, b):
-        # math.hypot, row by row: np.hypot rounds differently
-        return np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    sqrt, hypot, copysign = staticmethod(np.sqrt), staticmethod(_hypot_rows), staticmethod(np.copysign)
 
     @staticmethod
     def col(x):
@@ -682,34 +688,33 @@ def _bucket(normalized_margin: float) -> int:
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _group_rows(items: list, key, evaluate) -> list:
-    """One row per item, in item order, from `evaluate(group)`, which takes
-    the items that share `key(item)` as one group and returns a row for each.
+def _group_rows(samples: list, evaluate) -> list:
+    """One row per SampledInstance, in order, from `evaluate(space, group)`,
+    which takes the inputs of the samples in one space as one group and
+    returns a row for each.
 
-    If a group raises, `evaluate([item])` runs on every item in order, so
-    that the error raised is the one the first faulty item raises by itself
-    (and the group's own error if none does).
+    If a group raises, each sample is evaluated as a group of one, in
+    order, so that the error raised is the one the first faulty sample
+    raises by itself (and the group's own error if none does).
     """
     groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(key(item), []).append(i)
-    rows = [None] * len(items)
+    for i, sampled in enumerate(samples):
+        groups.setdefault(sampled.space, []).append(i)
+    rows = [None] * len(samples)
     try:
-        for members in groups.values():
-            for i, row in zip(members, evaluate([items[i] for i in members])):
+        for space, members in groups.items():
+            for i, row in zip(members, evaluate(space, [samples[i].inputs for i in members])):
                 rows[i] = row
     except (ValueError, ArithmeticError):
-        for item in items:
-            evaluate([item])
+        for sampled in samples:
+            evaluate(sampled.space, [sampled.inputs])
         raise
     return rows
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
-    result = entry.run(space, inputs, extended=True)
-    if result.premises_hold is not None and not result.premises_hold[0]:
-        return False
-    return not result.holds[0]
+    ((_, premises_ok, _, holds, _, _),) = _binding_rows(entry, space, [inputs], extended=True)
+    return premises_ok and not holds
 
 
 # local ascent --------------------------------------------------------------------
@@ -812,9 +817,7 @@ class _CoordCodec:
             im = points[:, pos : pos + dim].copy()
             pos += dim
             if project:
-                # math.hypot, row by row: np.hypot rounds differently
-                n = np.array([math.hypot(a, b) for a, b in zip(pairing_norm(self.space, re).tolist(),
-                                                                  pairing_norm(self.space, im).tolist())])
+                n = _hypot_rows(pairing_norm(self.space, re), pairing_norm(self.space, im))
                 kept = n > zero_norm_threshold(self.space)
                 live &= kept
                 ratio = (self.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
@@ -844,16 +847,16 @@ def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
 
 
 def _evaluate(objective, candidates: list) -> list:
-    """(value, premises_ok) of each candidate, with (inf, False) for None
-    (a point the codec cannot rebuild).  The others are evaluated as one
-    group; if that raises, each is evaluated alone, and one that raises
-    alone gets (inf, False)."""
+    """The objective row (value, premises_ok, ...) of each candidate, with
+    (inf, False), a row every fold skips, for None (a point the codec cannot
+    rebuild).  The others are evaluated as one group; if that raises, each
+    is evaluated alone, and one that raises alone gets (inf, False)."""
     live = [c for c in candidates if c is not None]
     try:
-        scores = iter(objective(live) if live else ())
+        rows = iter(objective(live) if live else ())
     except (DomainError, ArithmeticError):
-        scores = iter([_evaluate_alone(objective, c) for c in live])
-    return [(math.inf, False) if c is None else next(scores) for c in candidates]
+        rows = iter([_evaluate_alone(objective, c) for c in live])
+    return [(math.inf, False) if c is None else next(rows) for c in candidates]
 
 
 def _evaluate_alone(objective, candidate) -> tuple:
@@ -869,29 +872,30 @@ def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -
     group."""
 
     def values(points):
-        return [value for value, _ in _evaluate(objective, codec.rebuild(points, project=False))]
+        return [row[0] for row in _evaluate(objective, codec.rebuild(points, project=False))]
 
     return _central_gradient(values, flat, h)
 
 
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
     """Projected central-difference descent on `objective`, which maps a
-    list of instances to their (value, premises_ok) and raises on a faulty
-    one (see `_evaluate`).
+    list of instances to their rows, each (value, premises_ok, ...), and
+    raises on a faulty one (see `_evaluate`).
 
     Each step evaluates the 2n unprojected probes of the gradient as one
     group, then projected candidates along the normalized descent direction,
     halving the step until one lowers the value with its premises intact.
-    The recorded trace is nonincreasing by construction.
+    The recorded trace is nonincreasing by construction.  The result holds
+    the row of the final instance, evaluated alone.
     """
 
     flat = codec.flatten(inputs)
     current_inputs = inputs
-    ((current, _),) = _evaluate(objective, [inputs])
-    trace = [current]
+    (row,) = _evaluate(objective, [inputs])
+    trace = [row[0]]
     step = config.step_size
     if flat.size == 0:
-        return AscentResult(current_inputs, current, tuple(trace))
+        return AscentResult(current_inputs, row, tuple(trace))
     for _ in range(config.ascent_steps):
         grad = _probe_gradient(objective, codec, flat, config.fd_eps)
         gnorm = float(np.linalg.norm(grad))
@@ -903,19 +907,18 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
         trial_step = step
         for _ in range(MAX_HALVINGS + 1):
             candidate = codec.rebuild(flat - trial_step * reach * direction, project=True)
-            ((value, ok),) = _evaluate(objective, [candidate])
-            if ok and value < current:
+            (candidate_row,) = _evaluate(objective, [candidate])
+            if candidate_row[1] and candidate_row[0] < row[0]:
                 accepted = True
                 break
             trial_step /= 2.0
         if not accepted:
             break
-        current_inputs = candidate
+        current_inputs, row = candidate, candidate_row
         flat = codec.flatten(candidate)
-        current = value
-        trace.append(current)
+        trace.append(row[0])
         step = min(trial_step * 1.5, 1.0)
-    return AscentResult(current_inputs, current, tuple(trace))
+    return AscentResult(current_inputs, row, tuple(trace))
 
 
 def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
@@ -924,22 +927,12 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
     Descent on the scale-normalized binding margin: accepted steps
     renormalize nonzero-required vectors to their starting norms and
     re-orthonormalize families, and steps that leave the premise region are
-    rejected.
+    rejected.  The objective is `_binding_rows`, so the result's row is the
+    final instance's binding row.
     """
     entry = catalog_entry(ineq_name)
-    return _descend(_catalog_objective(entry, space, params), _CoordCodec(entry, space, inputs), inputs, config)
-
-
-def _catalog_objective(entry, space: SpaceSpec, params=None):
-    """local_ascent's objective: the binding link's normalized margin and
-    whether the premises hold, for each instance of a group in `space`."""
-
-    def objective(candidates):
-        result = entry.run(space, candidates, params)
-        premises = [True] * len(candidates) if result.premises_hold is None else result.premises_hold.tolist()
-        return list(zip(result.binding.normalized_margin.tolist(), premises))
-
-    return objective
+    objective = functools.partial(_binding_rows, entry, space, params=params)
+    return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
 
 
 def _keep_top(top: list, key: tuple) -> None:
@@ -955,20 +948,19 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _binding_rows(entry, group: list) -> list:
-    """For each sampled instance of a group: None when its premises fail,
-    else (normalized margin, min margin, all links hold, near equality,
+def _binding_rows(entry, space: SpaceSpec, group: list, params=None, extended: bool = False) -> list:
+    """The one reading of a catalog result in this module: for each
+    instance (a dict of inputs) of a group in `space`, the row (normalized
+    margin, premises hold, min margin, all links hold, near equality,
     binding link fields), the fields as an instance line writes them."""
-    result = entry.run(group[0].space, [sampled.inputs for sampled in group])
+    result = entry.run(space, group, params, extended=extended)
     binding = result.binding
     n = len(group)
     premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
     fields = zip(*([None] * n if value is None else value.astype(np.float64, copy=False).tolist()
                    for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)))
-    return [(normalized, low, holds, near, link) if ok else None
-            for ok, normalized, low, holds, near, link in zip(
-                premises, binding.normalized_margin.tolist(), binding.min_margin.tolist(), result.holds.tolist(),
-                binding.near_equality.tolist(), fields)]
+    return list(zip(binding.normalized_margin.tolist(), premises, binding.min_margin.tolist(), result.holds.tolist(),
+                    binding.near_equality.tolist(), fields))
 
 
 def _shard_worker(task):
@@ -979,7 +971,7 @@ def _shard_worker(task):
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
     samples = sample_instance(config, name, list(range(start, stop)))
-    rows = _group_rows(samples, lambda sampled: sampled.space, functools.partial(_binding_rows, entry))
+    rows = _group_rows(samples, functools.partial(_binding_rows, entry))
     hist = [0] * HISTOGRAM_BUCKETS
     near = 0
     violations = 0
@@ -987,10 +979,10 @@ def _shard_worker(task):
     worst = None  # (normalized, index, raw)
     top = []  # ascending (normalized, index, near_equality, violated)
     for index, sampled, row in zip(range(start, stop), samples, rows):
-        if row is None:
+        normalized, premises_ok, min_margin, holds, near_equality, _ = row
+        if not premises_ok:
             starved_count += 1
             continue
-        normalized, min_margin, holds, near_equality, _ = row
         hist[_bucket(normalized)] += 1
         near += 1 if near_equality else 0
         violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
@@ -1023,12 +1015,12 @@ def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
     """The instance line of each trial whose premises hold, in trial order,
     as a dict in the line's key order.  The digests take one pass over the
     whole shard."""
-    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row is not None]
+    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row[1]]
     digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
     return [{"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(), "seed": seed,
              "digest": digest, "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower,
              "margin_upper": upper, "holds": holds, "near_equality": near}
-            for (sampled, (_, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
+            for (sampled, (_, _, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
@@ -1053,8 +1045,9 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     starved = 0
     worst = None
     top = []
-    use_pool = threads > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=threads) if use_pool else contextlib.nullcontext() as pool:
+    workers = min(threads, len(tasks))
+    use_pool = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if use_pool else contextlib.nullcontext() as pool:
         # both maps yield the shards in order; the pool's as each finishes
         partials = pool.map(_shard_worker, tasks) if use_pool else map(_shard_worker, tasks)
         for p_hist, p_near, p_viol, p_starved, p_worst, p_top, p_records in partials:
@@ -1074,24 +1067,20 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     worst_instance = None if worst is None else (worst[3].space, worst[3].inputs)
     if config.ascent_steps > 0:
         for normalized, index, sampled_near, sampled_violated, sampled in top:
+            # the descent evaluated its final instance, so its row is folded as is
             refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
-            try:
-                result = entry.run(sampled.space, refined.refined_inputs)
-            except (DomainError, ArithmeticError):
+            if not refined.row[1]:  # premises fail: the fallback row (inf, False) has no more fields
                 continue
-            if result.premises_hold is not None and not result.premises_hold[0]:
-                continue
-            binding = result.binding
-            refined_normalized = binding.normalized_margin.tolist()[0]
+            refined_normalized, _, min_margin, holds, near_equality, _ = refined.row
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
             # most once as a violation
-            if binding.near_equality[0] and not sampled_near:
+            if near_equality and not sampled_near:
                 near += 1
             if worst is None or refined_normalized < worst[0]:
-                worst = (refined_normalized, index, binding.min_margin.tolist()[0])
+                worst = (refined_normalized, index, min_margin)
                 worst_instance = (sampled.space, refined.refined_inputs)
-            if not sampled_violated and not result.holds[0]:
+            if not sampled_violated and not holds:
                 if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
                     violations += 1
 
@@ -1117,23 +1106,21 @@ _MOORE_COMPLEX_KEY = "moore-complex"
 
 
 def _moore_ratios(space, group: list, params: MooreParams, extended: bool = False) -> list:
-    """(premises hold, |<y,z>| / (||y|| ||z||), ||y|| ||z||) of each instance
-    of a group of moore-1.9 inputs in one space, evaluated together."""
+    """(|<y,z>| / (||y|| ||z||), premises hold, ||y|| ||z||) of each instance
+    of a group of moore-1.9 inputs in one space, evaluated together: the
+    one reading of a verify_moore result, and a descent objective as is."""
     result = verify_moore(space, *([inputs[k] for inputs in group] for k in ("x", "y", "z")), params,
                           extended=extended)
     (conclusion,) = result.links
     center, scale = conclusion.center.astype(np.float64, copy=False), conclusion.scale.astype(np.float64, copy=False)
     ratio = center / np.maximum(scale, _TINY)
-    return list(zip(result.premises_hold.tolist(), ratio.tolist(), scale.tolist()))
+    return list(zip(ratio.tolist(), result.premises_hold.tolist(), scale.tolist()))
 
 
 def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchConfig) -> AscentResult:
     """Descent on the premise-conditioned ratio for the complex experiment,
     with moore-1.9's codec applied to the complex space."""
-
-    def objective(candidates):
-        return [(ratio, ok) for ok, ratio, _ in _moore_ratios(space, candidates, params)]
-
+    objective = functools.partial(_moore_ratios, space, params=params)
     return _descend(objective, _CoordCodec(catalog_entry("moore-1.9"), space, inputs), inputs, config)
 
 
@@ -1167,31 +1154,28 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(space, inputs, ok, ratio, scale):
-        """Fold one evaluated instance into the minimum and the witness;
-        returns its ratio, or None when its premises fail."""
+    def observe(space, inputs, ratio, ok, scale=None):
+        """Fold one `_moore_ratios` row (or the fallback (inf, False)) into the
+        minimum and the witness; returns its ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
-            ((ok_e, ratio_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
+            ((ratio_e, ok_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
         return ratio
-
-    def evaluate(samples):
-        return _moore_ratios(samples[0].space, [sampled.inputs for sampled in samples], params)
 
     # the samples of a chunk are sampled and evaluated in groups of one dimension each
     entry = catalog_entry("moore-1.9")
     for first in range(0, config.trials, SHARD_SIZE):
         indices = list(range(first, min(first + SHARD_SIZE, config.trials)))
         samples = _sample_trials(config, _MOORE_COMPLEX_KEY, entry, params, (Field.COMPLEX,), indices)
-        scores = _group_rows(samples, lambda sampled: sampled.space, evaluate)
-        for index, sampled, score in zip(indices, samples, scores):
-            ratio = observe(sampled.space, sampled.inputs, *score)
+        rows = _group_rows(samples, functools.partial(_moore_ratios, params=params))
+        for index, sampled, row in zip(indices, samples, rows):
+            ratio = observe(sampled.space, sampled.inputs, *row)
             if ratio is not None:
                 satisfying += 1
                 # (ratio, index) is unique, so the instance never decides the order
@@ -1200,10 +1184,9 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
         top = [(ratio, index, _detached(sampled) if index >= first else sampled) for ratio, index, sampled in top]
     if config.ascent_steps > 0:
         for _, index, sampled in top:
-            space, inputs = sampled.space, sampled.inputs
-            refined = _refine_moore_candidate(space, inputs, params, config).refined_inputs
-            ((ok, ratio, scale),) = _moore_ratios(space, [refined], params)
-            observe(space, refined, ok, ratio, scale)
+            # the descent evaluated its final instance, so its row is folded as is
+            refined = _refine_moore_candidate(sampled.space, sampled.inputs, params, config)
+            observe(sampled.space, refined.refined_inputs, *refined.row)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

@@ -16,6 +16,7 @@ import pytest
 from ineq_forge import falsifier
 from ineq_forge.catalog import (
     CATALOG,
+    CatalogEntry,
     MooreParams,
     StackedResult,
     catalog_names,
@@ -30,8 +31,8 @@ from ineq_forge.falsifier import (
     SearchConfig,
     Verdict,
     _CoordCodec,
+    _binding_rows,
     _bucket,
-    _catalog_objective,
     _central_gradient,
     _complexify,
     _conditioned,
@@ -150,6 +151,29 @@ class TestDeterminism:
     def test_thread_count_does_not_change_results(self):
         cfg = SearchConfig(seed=5, trials=8200, dims=(2, 3))
         assert falsify("schwarz", cfg, threads=1) == falsify("schwarz", cfg, threads=2)
+
+    def test_pool_has_at_most_one_worker_per_shard(self, monkeypatch):
+        # an in-process stand-in for the pool: it records its size and maps
+        # the shards in order, so no process starts however large the count
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        cfg = SearchConfig(seed=5, trials=2 * falsifier.SHARD_SIZE + 1, dims=(2, 3))
+        monkeypatch.setattr(falsifier, "ProcessPoolExecutor", InProcessPool)
+        assert falsify("schwarz", cfg, threads=10**6) == falsify("schwarz", cfg, threads=1)
+        assert sizes == [3]  # one pool, opened by the first run only
 
     def test_trial_rng_streams_are_disjoint_across_names(self):
         a = _trial_rng(0, "schwarz", 0).standard_normal(4)
@@ -636,7 +660,7 @@ class TestBatchedGradient:
         monkeypatch.setitem(CATALOG, "generalized-2.1", dataclasses.replace(CATALOG["generalized-2.1"], statement=faulty))
         entry = CATALOG["generalized-2.1"]
         reference = _reference_gradient(entry, space, codec, flat, h)
-        batched = _probe_gradient(_catalog_objective(entry, space), codec, flat, h)
+        batched = _probe_gradient(lambda group: _binding_rows(entry, space, group), codec, flat, h)
         assert np.array_equal(batched, reference)
         # one coordinate each lost to Gram-Schmidt and to the raise; with E a
         # basis of the plane the sum does not move with E, but with x and y
@@ -827,6 +851,68 @@ class TestLocalAscent:
         assert refined.violation_count == 0
 
 
+class TestRefinementFold:
+    """A refined instance is folded from the row its descent computed and
+    is not evaluated again."""
+
+    @staticmethod
+    def _lone_receivers(monkeypatch, refine_name, run_owner, run_name, received):
+        """Wraps the refinement `refine_name` and the evaluator `run_name` of
+        `run_owner`; returns the list of refined instances that a later lone,
+        non-extended evaluation received (by identity, through `received`)."""
+        refined, hits = [], []
+        refine = getattr(falsifier, refine_name)
+        evaluate = getattr(run_owner, run_name)
+
+        def recording_refine(*args, **kwargs):
+            result = refine(*args, **kwargs)
+            refined.append(result.refined_inputs)
+            return result
+
+        def recording_evaluate(*args, extended=False, **kwargs):
+            if not extended:
+                hits.extend(inputs for inputs in refined if received(args, inputs))
+            return evaluate(*args, extended=extended, **kwargs)
+
+        monkeypatch.setattr(falsifier, refine_name, recording_refine)
+        monkeypatch.setattr(run_owner, run_name, recording_evaluate)
+        return refined, hits
+
+    def test_falsify_does_not_evaluate_a_refined_instance_again(self, monkeypatch):
+        def received(args, inputs):
+            group = args[2]  # (self, space, inputs, ...)
+            return group is inputs or (isinstance(group, list) and len(group) == 1 and group[0] is inputs)
+
+        refined, hits = self._lone_receivers(monkeypatch, "local_ascent", CatalogEntry, "run", received)
+        config = SearchConfig(seed=4, trials=8, dims=(2, 6), ascent_steps=2)
+        for name in CATALOG:
+            falsify(name, config)
+        assert len(refined) == 8 * len(CATALOG)
+        assert hits == []
+
+    def test_moore_complex_does_not_evaluate_a_refined_instance_again(self, monkeypatch):
+        def received(args, inputs):
+            x = args[1]  # (space, x, y, z, params), each argument a list over the group
+            return len(x) == 1 and x[0] is inputs["x"]
+
+        refined, hits = self._lone_receivers(monkeypatch, "_refine_moore_candidate", falsifier, "verify_moore", received)
+        moore_complex_experiment(0.05, SearchConfig(seed=1, trials=400, ascent_steps=2, field=FieldChoice.COMPLEX))
+        assert len(refined) == 8
+        assert hits == []
+
+    def test_ascent_row_is_the_refined_instances_binding_row(self):
+        # trials 0..2 are dimensions 2..4 over the first field, 3..5 over C
+        config = SearchConfig(seed=2, trials=6, dims=(2, 4), ascent_steps=2)
+        moved = 0
+        for name, entry in CATALOG.items():
+            for sampled in sample_instance(config, name, list(range(3 * len(entry.fields)))):
+                res = local_ascent(name, sampled.space, sampled.inputs, config)
+                assert res.row == _binding_rows(entry, sampled.space, [res.refined_inputs])[0], name
+                assert res.final_margin == res.row[0] == res.trace[-1]
+                moved += len(res.trace) > 1
+        assert moved > 0
+
+
 class TestMooreComplexExperiment:
     def test_domain_checks(self):
         good = SearchConfig(field=FieldChoice.COMPLEX, trials=10)
@@ -870,7 +956,7 @@ class TestMooreComplexExperiment:
             res = _refine_moore_candidate(space, inputs, params, cfg)
             for k in ("x", "y", "z"):
                 assert norm(space, res.refined_inputs[k]) == pytest.approx(norm(space, inputs[k]), rel=1e-9)
-            ((ok, ratio, _),) = _moore_ratios(space, [res.refined_inputs], params)
+            ((ratio, ok, _),) = _moore_ratios(space, [res.refined_inputs], params)
             assert ok
             assert ratio == res.final_margin == res.trace[-1]
             assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
