@@ -34,7 +34,8 @@ Each statement validates each argument's stack once on entry (`_vec`,
 `_families`, `_complexified_parts`), casting it there to the field's
 extended dtype when called with `extended=True`.  From then on it pairs
 through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
-compute in the dtype of their operands.
+compute in the dtype of their operands.  Statements that evaluate the same
+quantity share one kernel for it, which validates the arguments it reads.
 
 A stacked kernel rounds every row as a group of one rounds it: each
 reduction is a stacked matmul with its operands in the scalar order, and
@@ -422,11 +423,9 @@ def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False):
     return StackedResult((stacked_evaluation("schwarz", rhs, lhs, rhs=rhs),))
 
 
-def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
-    """Two-sided bound on the mixed projection sum of a and b onto x and y."""
-    _require_field(space, (Field.REAL,), "this statement")
-    aa = _vec(space, a, "a", nonzero=False, extended=extended)
-    bb = _vec(space, b, "b", nonzero=False, extended=extended)
+def _mixed_projection_sum(space, aa, bb, x, y, extended):
+    """The mixed projection sum of validated a and b onto x and y, which must
+    be nonzero: the center of (1.1), and of (1.5) with b = a."""
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
     nx2 = pairing(space, xx, xx)
@@ -436,7 +435,15 @@ def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
     ya = pairing(space, yy, aa)
     yb = pairing(space, yy, bb)
     xy = pairing(space, xx, yy)
-    center = xa * xb / nx2 + ya * yb / ny2 - 2 * xa * yb * xy / (nx2 * ny2)
+    return xa * xb / nx2 + ya * yb / ny2 - 2 * xa * yb * xy / (nx2 * ny2)
+
+
+def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
+    """Two-sided bound on the mixed projection sum of a and b onto x and y."""
+    _require_field(space, (Field.REAL,), "this statement")
+    aa = _vec(space, a, "a", nonzero=False, extended=extended)
+    bb = _vec(space, b, "b", nonzero=False, extended=extended)
+    center = _mixed_projection_sum(space, aa, bb, x, y, extended)
     na = pairing_norm(space, aa)
     nb = pairing_norm(space, bb)
     ab = pairing(space, aa, bb)
@@ -465,31 +472,30 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
     """Nonnegative quadratic form of a against the (x, y) pair, capped by ||a||^2."""
     _require_field(space, (Field.REAL,), "this statement")
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    nx2 = pairing(space, xx, xx)
-    ny2 = pairing(space, yy, yy)
-    xa = pairing(space, xx, aa)
-    ya = pairing(space, yy, aa)
-    xy = pairing(space, xx, yy)
-    center = xa * xa / nx2 + ya * ya / ny2 - 2 * xa * ya * xy / (nx2 * ny2)
+    center = _mixed_projection_sum(space, aa, aa, x, y, extended)
     na2 = pairing(space, aa, aa)
     return StackedResult((stacked_evaluation("precupanu-self-1.5", na2, 0.0, center=center, rhs=na2),))
 
 
-def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False):
-    """Lower bound on cos(x, y) from the cosines of x and y against a."""
-    _require_field(space, (Field.REAL,), "this statement")
+def _anchor_cosines(space, a, x, y, extended):
+    """cos(x, a), cos(y, a) and cos(x, y) of nonzero a, x and y, as (1.6) and T1.5(i) read them."""
     aa = _vec(space, a, "a", nonzero=True, extended=extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
     yy = _vec(space, y, "y", nonzero=True, extended=extended)
     na = pairing_norm(space, aa)
     nx = pairing_norm(space, xx)
     ny = pairing_norm(space, yy)
-    ca = pairing(space, xx, aa) / (nx * na)
-    cb = pairing(space, yy, aa) / (ny * na)
+    cxa = pairing(space, xx, aa) / (nx * na)
+    cya = pairing(space, yy, aa) / (ny * na)
+    cxy = pairing(space, xx, yy) / (nx * ny)
+    return cxa, cya, cxy
+
+
+def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False):
+    """Lower bound on cos(x, y) from the cosines of x and y against a."""
+    _require_field(space, (Field.REAL,), "this statement")
+    ca, cb, center = _anchor_cosines(space, a, x, y, extended)
     lhs = _square(ca + cb) / 2 - 1.5
-    center = pairing(space, xx, yy) / (nx * ny)
     return StackedResult((stacked_evaluation("angle-1.6", 1.0, lhs, center=center),))
 
 
@@ -509,28 +515,31 @@ def buzano_moore_useful(eps: float) -> bool:
     return eps <= 1.0 - math.sqrt(2.0) / 2.0
 
 
+def _near_parallel_transfer(space, ineq, names, x, u, v, eps, coeff, extended):
+    """(1.9) and (1.16): if u and v are eps-parallel to x in modulus (all
+    nonzero, and named `names`), then |<u,v>| >= coeff ||u|| ||v||."""
+    xx = _vec(space, x, names[0], nonzero=True, extended=extended)
+    uu = _vec(space, u, names[1], nonzero=True, extended=extended)
+    vv = _vec(space, v, names[2], nonzero=True, extended=extended)
+    nx = pairing_norm(space, xx)
+    nu = pairing_norm(space, uu)
+    nv = pairing_norm(space, vv)
+    need = 1.0 - eps
+    premises = (_abs(pairing(space, xx, uu)) >= need * nx * nu - PREMISE_SLACK * nx * nu) & (
+        _abs(pairing(space, xx, vv)) >= need * nx * nv - PREMISE_SLACK * nx * nv
+    )
+    scale = nu * nv
+    center = _abs(pairing(space, uu, vv))
+    conclusion = stacked_evaluation(ineq, scale, coeff * scale, center=center)
+    return StackedResult((conclusion,), premises)
+
+
 def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bool = False):
     """If y and z are both eps-parallel to x, bound |<y,z>| from below."""
     eps = params.eps
     if eps is None or eps < 0:
         raise DomainError("eps must be nonnegative")
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    zz = _vec(space, z, "z", nonzero=True, extended=extended)
-    nx = pairing_norm(space, xx)
-    ny = pairing_norm(space, yy)
-    nz = pairing_norm(space, zz)
-    need = 1.0 - eps
-    slack_y = PREMISE_SLACK * nx * ny
-    slack_z = PREMISE_SLACK * nx * nz
-    premises = (_abs(pairing(space, xx, yy)) >= need * nx * ny - slack_y) & (
-        _abs(pairing(space, xx, zz)) >= need * nx * nz - slack_z
-    )
-    coeff = moore_coefficient(eps)
-    scale = ny * nz
-    center = _abs(pairing(space, yy, zz))
-    conclusion = stacked_evaluation("moore-1.9", scale, coeff * scale, center=center)
-    return StackedResult((conclusion,), premises)
+    return _near_parallel_transfer(space, "moore-1.9", ("x", "y", "z"), x, y, z, eps, moore_coefficient(eps), extended)
 
 
 def precupanu_moore_bounds(eps1: float):
@@ -584,21 +593,8 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, exten
     eps = params.eps
     if eps is None or not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    aa = _vec(space, a, "a", nonzero=True, extended=extended)
-    bb = _vec(space, b, "b", nonzero=True, extended=extended)
-    nx = pairing_norm(space, xx)
-    na = pairing_norm(space, aa)
-    nb = pairing_norm(space, bb)
-    need = 1.0 - eps
-    premises = (_abs(pairing(space, xx, aa)) >= need * nx * na - PREMISE_SLACK * nx * na) & (
-        _abs(pairing(space, xx, bb)) >= need * nx * nb - PREMISE_SLACK * nx * nb
-    )
     coeff = 1.0 - 4.0 * eps + 2.0 * eps * eps
-    scale = na * nb
-    center = _abs(pairing(space, aa, bb))
-    conclusion = stacked_evaluation("buzano-moore-1.16", scale, coeff * scale, center=center)
-    return StackedResult((conclusion,), premises)
+    return _near_parallel_transfer(space, "buzano-moore-1.16", ("x", "a", "b"), x, a, b, eps, coeff, extended)
 
 
 def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False):
@@ -609,17 +605,9 @@ def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, ex
         raise DomainError("delta1 and delta2 must lie in (0, 1]")
     if delta1 + delta2 < 1:
         raise DomainError("need delta1 + delta2 >= 1")
-    aa = _vec(space, a, "a", nonzero=True, extended=extended)
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa)
-    nx = pairing_norm(space, xx)
-    ny = pairing_norm(space, yy)
-    cxa = pairing(space, xx, aa) / (nx * na)
-    cya = pairing(space, yy, aa) / (ny * na)
+    cxa, cya, center = _anchor_cosines(space, a, x, y, extended)
     premises = (cxa >= delta1 - PREMISE_SLACK) & (cya >= delta2 - PREMISE_SLACK)
     bound = (delta1 + delta2) ** 2 / 2 - 1.5
-    center = pairing(space, xx, yy) / (nx * ny)
     conclusion = stacked_evaluation("t1.5-i", 1.0, bound, center=center)
     return StackedResult((conclusion,), premises)
 
@@ -657,12 +645,14 @@ def verify_quotient_transfer(space: SpaceSpec, a, b, x, params: MooreParams, *, 
 
 
 def _family_core(space, E, F, x, y, extended):
-    """Shared sums for the two-family statements.
+    """Nonzero x and y, validated, and the sums the two-family statements share.
 
-    Returns (S, <x,y>, ||x||, ||y||, pieces) where S is the bilinear family
-    sum of each row and pieces holds, per stack of one family size, (rows,
-    members of E, members of F, <x, e_i>, <f_j, y>) for reflection reuse.
+    Returns (x, y, S, <x,y>, ||x||, ||y||, pieces) where S is the bilinear
+    family sum of each row and pieces holds, per stack of one family size,
+    (rows, members of E, members of F, <x, e_i>, <f_j, y>) for reflection reuse.
     """
+    x = _vec(space, x, "x", nonzero=True, extended=extended)
+    y = _vec(space, y, "y", nonzero=True, extended=extended)
     s = np.empty(len(x), dtype=x.dtype)
     pieces = []
     for rows, me, mf in _family_stacks(space, E, F, extended):
@@ -677,7 +667,7 @@ def _family_core(space, E, F, x, y, extended):
     xy = pairing(space, x, y)
     nx = pairing_norm(space, x)
     ny = pairing_norm(space, y)
-    return s, xy, nx, ny, pieces
+    return x, y, s, xy, nx, ny, pieces
 
 
 def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
@@ -688,9 +678,7 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     ROUTE_AGREEMENT_REL relative to the instance scale; disagreement on any
     row means a coding fault, not a counterexample, and raises immediately.
     """
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    s, xy, nx, ny, pieces = _family_core(space, E, F, xx, yy, extended)
+    xx, yy, s, xy, nx, ny, pieces = _family_core(space, E, F, x, y, extended)
     direct = _abs(s - 0.5 * xy)
     u, v = np.empty_like(xx), np.empty_like(yy)
     for rows, me, mf, ce, cfy in pieces:
@@ -713,9 +701,7 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
 
 def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Two chained caps on |S| through the signed half-pairing midpoint."""
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    s, xy, nx, ny, _ = _family_core(space, E, F, xx, yy, extended)
+    _, _, s, xy, nx, ny, _ = _family_core(space, E, F, x, y, extended)
     middle = 0.5 * _abs(xy) + _abs(s - 0.5 * xy)
     scale = nx * ny
     first = stacked_evaluation("chain-2.10", scale, _abs(s), rhs=middle)
@@ -726,9 +712,7 @@ def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
 def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     """Signed two-sided window for the real two-family sum."""
     _require_field(space, (Field.REAL,), "this statement")
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    s, xy, nx, ny, _ = _family_core(space, E, F, xx, yy, extended)
+    _, _, s, xy, nx, ny, _ = _family_core(space, E, F, x, y, extended)
     lhs = 0.5 * (xy - nx * ny)
     rhs = 0.5 * (xy + nx * ny)
     return StackedResult((stacked_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs),))

@@ -34,6 +34,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -159,15 +160,14 @@ class _Sink:
         sys.stdout.write(line + "\n")
 
 
-def _write_csv(path: str, reports):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("ineq,trials,violations,near_equality,worst_margin\n")
-        for report in reports:
-            worst = "" if report.worst_margin is None else format_float(report.worst_margin)
-            handle.write(
-                f"{report.ineq},{report.trials_run},{report.violation_count},"
-                f"{report.near_equality_count},{worst}\n"
-            )
+def _write_csv(handle, reports):
+    handle.write("ineq,trials,violations,near_equality,worst_margin\n")
+    for report in reports:
+        worst = "" if report.worst_margin is None else format_float(report.worst_margin)
+        handle.write(
+            f"{report.ineq},{report.trials_run},{report.violation_count},"
+            f"{report.near_equality_count},{worst}\n"
+        )
 
 
 # flag plumbing --------------------------------------------------------------
@@ -309,7 +309,8 @@ def cmd_search(args, threads: int) -> int:
     started = _utc_now()
     config = _search_config(args)
     names = _search_names(args.ineq, config.field)
-    with _Sink(args.out) as sink:
+    # both outputs open first, so an unwritable --out or --csv fails before the run
+    with _Sink(args.out) as sink, open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as csv:
 
         def write(records):
             for record in records:
@@ -320,8 +321,8 @@ def cmd_search(args, threads: int) -> int:
             report = falsify(name, config, threads=threads, on_records=write if args.emit_instances else None)
             sink.record(to_json(report))
             reports.append(report)
-        if args.csv:
-            _write_csv(args.csv, reports)
+        if csv is not None:
+            _write_csv(csv, reports)
         _finish(sink, args, config, {r.ineq: r.trials_run for r in reports}, started)
     return 2 if any(r.violation_count for r in reports) else 0
 

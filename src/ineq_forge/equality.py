@@ -35,6 +35,7 @@ import numpy as np
 
 from .catalog import (
     StackedEvaluation,
+    catalog_entry,
     eval_buzano,
     eval_generalized,
     eval_kurepa,
@@ -359,6 +360,4 @@ def builder_space(name: str, dim: int, field: Field) -> SpaceSpec:
         raise DomainError(f"no equality builder for {name!r}")
     if name == "kurepa-3.2":
         return SpaceSpec(1, Field.REAL)
-    if name in ("richard-1.3",) or field is Field.REAL:
-        return SpaceSpec(dim, Field.REAL)
-    return SpaceSpec(dim, field)
+    return SpaceSpec(dim, field if field in catalog_entry(name).fields else Field.REAL)

@@ -758,8 +758,6 @@ class _CoordCodec:
         for k in self.entry.complexified_args:
             parts.append(np.asarray(inputs[k].re, dtype=np.float64))
             parts.append(np.asarray(inputs[k].im, dtype=np.float64))
-        if not parts:
-            return np.zeros(0)
         return np.concatenate(parts)
 
     def _families(self, chunk: np.ndarray, size: int) -> list:
@@ -894,8 +892,6 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
     (row,) = _evaluate(objective, [inputs])
     trace = [row[0]]
     step = config.step_size
-    if flat.size == 0:
-        return AscentResult(current_inputs, row, tuple(trace))
     for _ in range(config.ascent_steps):
         grad = _probe_gradient(objective, codec, flat, config.fd_eps)
         gnorm = float(np.linalg.norm(grad))

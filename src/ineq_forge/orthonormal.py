@@ -73,13 +73,10 @@ class OrthonormalFamily:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
-        if self.size:
-            deviation = float(_max_deviation(self.space, m))
-            if deviation > self.tol:
-                raise DomainError(
-                    f"family is not orthonormal: max pairing deviation "
-                    f"{deviation:.3e} exceeds tol {self.tol:.1e}"
-                )
+        errors = {}
+        _refuse_deviant(self.space, m[np.newaxis], self.tol, None, errors)
+        if errors:
+            raise errors[0]
 
     @property
     def size(self):

@@ -11,8 +11,8 @@ which coincides with the plain complex space on coordinates re + i*im and
 the same gram.  Precision follows the operands' dtype: float64/complex128
 coordinates pair in double precision, long double ones (x86 80-bit) in
 extended precision, which serves as an independent numerical oracle.  The
-gram stays double and numpy promotes it exactly.  `inner`, `norm` and the
-complexified pairings take `extended=True` and cast once after validation.
+gram stays double and numpy promotes it exactly.  Only `inner` and `norm`
+take `extended=True`, and cast once after validation.
 
 Validation happens once, at the boundary.  The public `as_vector`, `inner`,
 `norm` and `require_nonzero` check their arguments (complex data in a real
@@ -225,23 +225,19 @@ class ComplexifiedVector:
         return self.re + 1j * self.im
 
 
-def complexify_inner(space: SpaceSpec, z: ComplexifiedVector, w: ComplexifiedVector, *, extended: bool = False):
+def complexify_inner(space: SpaceSpec, z: ComplexifiedVector, w: ComplexifiedVector):
     """Pairing of the complexification, built from four real pairings."""
     if space.field is not Field.REAL:
         raise DomainError("complexification is defined over a real space")
-    rr = inner(space, z.re, w.re, extended=extended)
-    ii = inner(space, z.im, w.im, extended=extended)
-    cross1 = inner(space, w.re, z.im, extended=extended)
-    cross2 = inner(space, z.re, w.im, extended=extended)
-    if extended:
-        return np.clongdouble(rr + ii) + 1j * np.clongdouble(cross1 - cross2)
+    rr = inner(space, z.re, w.re)
+    ii = inner(space, z.im, w.im)
+    cross1 = inner(space, w.re, z.im)
+    cross2 = inner(space, z.re, w.im)
     return complex(rr + ii, cross1 - cross2)
 
 
-def complexify_norm(space: SpaceSpec, z: ComplexifiedVector, *, extended: bool = False):
-    q = complexify_inner(space, z, z, extended=extended)
-    if extended:
-        return np.sqrt(np.real(q))
+def complexify_norm(space: SpaceSpec, z: ComplexifiedVector):
+    q = complexify_inner(space, z, z)
     return float(np.sqrt(max(q.real, 0.0)))
 
 

@@ -665,6 +665,24 @@ class TestGeneralized:
         with pytest.raises(DomainError):
             eval_generalized(R3, [fam(R2, [1.0, 0.0])], [empty_fam(R3)], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("space", [R3, SpaceSpec(3, Field.COMPLEX)])
+    def test_route_disagreement_raises(self, space, monkeypatch):
+        # a fault in the direct route: doubling <e_i, f_j> moves S when both
+        # families are nonempty, and leaves the reflection route alone
+        from ineq_forge import catalog
+
+        rng = np.random.default_rng(41)
+        E, F = random_family(rng, space, 1), random_family(rng, space, 2)
+        x, y = random_vec(rng, space), random_vec(rng, space)
+        reflected = eval_generalized(space, [E], [F], [x], [y]).binding.lhs[0]
+        cross = catalog._cross_matrix
+        monkeypatch.setattr(catalog, "_cross_matrix", lambda *args: 2.0 * cross(*args))
+        with pytest.raises(ArithmeticError, match=r"^projection-sum routes disagree: \S+ vs \S+$") as raised:
+            eval_generalized(space, [E], [F], [x], [y])
+        direct, other = (float(v) for v in str(raised.value).split(": ")[1].split(" vs "))
+        assert other == pytest.approx(reflected, rel=1e-10)
+        assert abs(direct - other) > 1e-6 * other
+
 
 class TestChain:
     def test_signed_middle_equality_instance(self):
@@ -838,6 +856,71 @@ class TestKurepaRefined:
             assert ch.links[1].rhs == pytest.approx(ch.links[2].lhs, rel=1e-12)
 
 
+class TestOneMemberFamilyReductions:
+    """The classical statements are the one-member-family cases of the
+    generalized ones.  With x^ = x/||x|| and y^ = y/||y|| as families,
+    (1.1) is (2.14) with E = {x^}, F = {y^} and the vectors a, b, and (1.5)
+    its center with b = a; (1.3) and (1.14) are ||x||^2 times (2.14) and
+    (2.10) with E = {x^} and F empty.  The family statements are coded
+    apart from the classical ones, so each side checks the other."""
+
+    REL = 1e-12
+
+    @staticmethod
+    def _groups(field, n=40):
+        """(space, a, b, x, y) groups of n instances over dims 1..8, identity
+        and random grams, each vector's norm spread over six decades."""
+        rng = np.random.default_rng(2005)
+        for dim in range(1, 9):
+            for weighted in (False, True):
+                gram = None
+                if weighted:
+                    factor = rng.standard_normal((dim, dim))
+                    if field is Field.COMPLEX:
+                        factor = factor + 1j * rng.standard_normal((dim, dim))
+                    gram = gram_from_factor(factor, 0.5)
+                space = SpaceSpec(dim, field, gram)
+                yield space, *([random_vec(rng, space) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
+                               for _ in range(4))
+
+    @staticmethod
+    def _unit(space, vectors):
+        return [OrthonormalFamily(space, (v / norm(space, v))[np.newaxis]) for v in vectors]
+
+    def _close(self, got, want, scale):
+        assert np.all(np.abs(got - want) <= self.REL * scale)
+
+    def test_precupanu_is_real_double_of_two_unit_families(self):
+        for space, a, b, x, y in self._groups(Field.REAL):
+            E, F = self._unit(space, x), self._unit(space, y)
+            (classical,) = eval_precupanu(space, a, b, x, y).links
+            (family,) = eval_real_double(space, E, F, a, b).links
+            for part in ("lhs", "center", "rhs"):
+                self._close(getattr(classical, part), getattr(family, part), classical.scale)
+            (self_form,) = eval_precupanu_self(space, a, x, y).links
+            (family,) = eval_real_double(space, E, F, a, a).links
+            self._close(self_form.center, family.center, self_form.scale)
+
+    def test_richard_is_real_double_of_one_unit_family(self):
+        for space, a, b, x, _ in self._groups(Field.REAL):
+            nx2 = np.array([norm(space, v) ** 2 for v in x])
+            empty = [empty_fam(space)] * len(x)
+            (classical,) = eval_richard(space, a, b, x).links
+            (family,) = eval_real_double(space, self._unit(space, x), empty, a, b).links
+            for part in ("lhs", "center", "rhs"):
+                self._close(getattr(classical, part), nx2 * getattr(family, part), classical.scale)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_buzano_is_chain_of_one_unit_family(self, field):
+        for space, a, b, x, _ in self._groups(field):
+            nx2 = np.array([norm(space, v) ** 2 for v in x])
+            empty = [empty_fam(space)] * len(x)
+            (classical,) = eval_buzano(space, a, b, x).links
+            first, second = eval_chain(space, self._unit(space, x), empty, a, b).links
+            self._close(classical.lhs, nx2 * first.lhs, classical.scale)
+            self._close(classical.rhs, nx2 * second.rhs, classical.scale)
+
+
 class TestExtendedPrecision:
     def test_double_and_extended_mirror(self):
         rng = np.random.default_rng(53)
@@ -950,6 +1033,10 @@ class TestCatalogRegistry:
         positional = [p.name for p in parameters[1:] if p.kind is p.POSITIONAL_OR_KEYWORD]
         assert positional == [*entry.args, *(["params"] if entry.has_premises else [])]
 
+    def test_every_entry_has_a_vector_or_complexified_argument(self):
+        # so the descent's flat coordinates of an instance are never empty
+        assert all(entry.vector_args or entry.complexified_args for entry in CATALOG.values())
+
     def test_argument_layout_metadata(self):
         entry = CATALOG["generalized-2.1"]
         assert entry.family_args == ("E", "F")
@@ -975,15 +1062,17 @@ class TestCatalogRegistry:
                 assert all(ev.holds for ev in result.links)
 
 
-def _spoiled(value):
-    """Copies of a vector argument with a NaN coordinate and with one
-    coordinate too many."""
+def _spoiled(space, value):
+    """Copies of a vector argument with a NaN coordinate, with one
+    coordinate too many and, in a real space, with complex coordinates; of
+    a complexified argument, one too long and a plain vector."""
     if isinstance(value, ComplexifiedVector):
-        # the type refuses NaN itself, so only the length can be wrong
-        return [ComplexifiedVector(np.append(value.re, 1.0), np.append(value.im, 1.0))]
+        # the type refuses NaN itself
+        return [ComplexifiedVector(np.append(value.re, 1.0), np.append(value.im, 1.0)), value.re]
     with_nan = np.array(value, copy=True)
     with_nan[0] = np.nan
-    return [with_nan, np.append(value, value[0])]
+    complex_coordinates = [value + 1j] if space.field is Field.REAL else []
+    return [with_nan, np.append(value, value[0]), *complex_coordinates]
 
 
 class TestBoundaryValidation:
@@ -1000,9 +1089,53 @@ class TestBoundaryValidation:
         config = SearchConfig(seed=0, trials=len(entry.fields), dims=(3, 3))
         for index in range(len(entry.fields)):  # one trial per field
             sampled = sample_instance(config, name, index)
-            for bad in _spoiled(sampled.inputs[arg]):
+            for bad in _spoiled(sampled.space, sampled.inputs[arg]):
                 with pytest.raises(DomainError):
                     entry.run(sampled.space, {**sampled.inputs, arg: bad}, extended=extended)
+
+    # the arguments each statement requires nonzero; the statements that
+    # share a kernel pass it their own argument names
+    NONZERO = {
+        "precupanu-1.1": "xy", "richard-1.3": "x", "precupanu-self-1.5": "xy", "angle-1.6": "axy",
+        "moore-1.9": "xyz", "precupanu-moore-1.12": "abx", "buzano-1.14": "x", "buzano-moore-1.16": "xab",
+        "t1.5-i": "axy", "t1.5-ii": "abx", "generalized-2.1": "xy", "chain-2.10": "xy", "real-double-2.14": "xy",
+        "kurepa-3.2": "a",
+    }
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("name, arg", [(n, a) for n, e in CATALOG.items() for a in e.vector_args])
+    def test_zero_vector_argument(self, name, arg, extended):
+        entry = CATALOG[name]
+        config = SearchConfig(seed=0, trials=len(entry.fields), dims=(3, 3))
+        for index in range(len(entry.fields)):  # one trial per field
+            sampled = sample_instance(config, name, index)
+            zeroed = {**sampled.inputs, arg: np.zeros_like(sampled.inputs[arg])}
+            if arg in self.NONZERO.get(name, ""):
+                with pytest.raises(DomainError, match=f"^{arg} must be nonzero$"):
+                    entry.run(sampled.space, zeroed, extended=extended)
+            else:
+                assert entry.run(sampled.space, zeroed, extended=extended).holds.all()
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("name, arg", [(n, a) for n, e in CATALOG.items() for a in e.family_args])
+    def test_bad_family_argument_raises(self, name, arg, extended):
+        entry = CATALOG[name]
+        config = SearchConfig(seed=0, trials=len(entry.fields), dims=(3, 3), gram=GramKind.RANDOM)
+        for index in range(len(entry.fields)):  # one trial per field
+            sampled = sample_instance(config, name, index)
+            space, family = sampled.space, sampled.inputs[arg]
+            with pytest.raises(DomainError, match=f"^{arg} must be an OrthonormalFamily$"):
+                entry.run(space, {**sampled.inputs, arg: family.members}, extended=extended)
+            plain = SpaceSpec(space.dim, space.field)
+            other = gram_schmidt(plain, family.members) if family.size else empty_fam(plain)
+            with pytest.raises(DomainError, match=f"^family {arg} carries a different gram weighting$"):
+                entry.run(space, {**sampled.inputs, arg: other}, extended=extended)
+            # an equal gram held by another SpaceSpec object is the same weighting
+            twin = OrthonormalFamily(SpaceSpec(space.dim, space.field, space.gram.copy()), family.members)
+            same = entry.run(space, {**sampled.inputs, arg: twin}, extended=extended)
+            expected = entry.run(space, sampled.inputs, extended=extended)
+            for got, want in zip(same.links, expected.links):
+                assert all(_same_bits(getattr(got, f), getattr(want, f)) for f in _LINK_FIELDS)
 
 
 _LINK_FIELDS = ("lhs", "center", "rhs", "margin_lower", "margin_upper", "holds", "near_equality", "scale")

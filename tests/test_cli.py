@@ -195,11 +195,15 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "5")
         assert code == 0
 
+    @pytest.mark.parametrize("command, count_flag", [("verify", "--samples"), ("falsify", "--trials")])
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
-    def test_unwritable_output_path(self, capsys, tmp_path, flag):
+    def test_unwritable_output_path(self, capsys, tmp_path, flag, command, count_flag):
+        # the manifest is the final stdout line of every run, so a run that
+        # cannot write an output fails before it prints anything
         path = tmp_path / "missing" / "records"
-        code, _, err = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "5", flag, str(path))
+        code, out, err = run_cli(capsys, command, "--ineq", "schwarz", count_flag, "3", flag, str(path))
         assert code == 1
+        assert out == ""
         assert err.startswith("ineq-forge: error:")
         assert err.count("\n") == 1
 
