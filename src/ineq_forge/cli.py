@@ -33,10 +33,10 @@ import json
 import math
 import os
 import re
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, contextmanager
 from datetime import datetime, timezone
-from typing import Optional
 
 from .catalog import CATALOG_VERSION, catalog_entry, catalog_names
 from .equality import EQUALITY_BUILDERS, builder_space
@@ -133,22 +133,34 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
+@contextmanager
+def _outputs(*paths):
+    """Open each path (None: no file) for writing, all or none: every path
+    is opened before any is truncated, and if one cannot be opened the
+    others are left as they were (a file created here is removed)."""
+    absent = [path is not None and not os.path.exists(path) for path in paths]
+    with ExitStack() as stack:
+        try:
+            handles = [None if path is None else stack.enter_context(open(path, "a", encoding="utf-8"))
+                       for path in paths]
+        except OSError:
+            stack.close()
+            for path, made in zip(paths, absent):
+                if made and os.path.exists(path):
+                    os.unlink(path)
+            raise
+        for handle in handles:
+            if handle is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate(0)
+        yield handles
+
+
 class _Sink:
-    """Record lines go to --out when given, stdout otherwise; the manifest
-    always ends up as the final stdout line."""
+    """Record lines go to the --out handle when given, stdout otherwise;
+    the manifest always ends up as the final stdout line."""
 
-    def __init__(self, out_path: Optional[str]):
-        self._path = out_path
-        self._handle = None
-
-    def __enter__(self):
-        if self._path is not None:
-            self._handle = open(self._path, "w", encoding="utf-8")
-        return self
-
-    def __exit__(self, *exc):
-        if self._handle is not None:
-            self._handle.close()
+    def __init__(self, handle):
+        self._handle = handle
 
     def record(self, line: str):
         if self._handle is not None:
@@ -310,7 +322,8 @@ def cmd_search(args, threads: int) -> int:
     config = _search_config(args)
     names = _search_names(args.ineq, config.field)
     # both outputs open first, so an unwritable --out or --csv fails before the run
-    with _Sink(args.out) as sink, open(args.csv, "w", encoding="utf-8") if args.csv else nullcontext() as csv:
+    with _outputs(args.out, args.csv) as (out, csv):
+        sink = _Sink(out)
 
         def write(records):
             for record in records:
@@ -335,7 +348,8 @@ def cmd_equality(args, threads: int) -> int:
     plan = _field_plan("equality", (Field.REAL, Field.COMPLEX), config.field)
     failures = 0
     totals = {}
-    with _Sink(args.out) as sink:
+    with _outputs(args.out) as (out,):
+        sink = _Sink(out)
         for name in names:
             build = EQUALITY_BUILDERS[name]
             passes = 0
@@ -355,8 +369,9 @@ def cmd_equality(args, threads: int) -> int:
 def cmd_moore_complex(args, threads: int) -> int:
     started = _utc_now()
     config = _search_config(args)
-    # the sink opens first, so an unwritable --out fails before the run
-    with _Sink(args.out) as sink:
+    # --out opens first, so an unwritable one fails before the run
+    with _outputs(args.out) as (out,):
+        sink = _Sink(out)
         report = moore_complex_experiment(args.eps, config)
         sink.record(to_json(report))
         _finish(sink, args, config, {args.command: report.samples}, started)

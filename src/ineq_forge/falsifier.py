@@ -55,15 +55,20 @@ reported in raw units.  Local ascent refines the most promising candidates
 by projected central-difference descent on the normalized margin.  The 2n
 probes of each gradient are rebuilt in one call, which re-orthonormalizes
 each family argument for all of them as one stacked Gram-Schmidt pass, and
-are evaluated as one group; a probe that cannot be rebuilt or raises
-(alone, after its group raised) is left out of the gradient.  The
-complex-premise Moore experiment samples and evaluates its samples in
-groups of one dimension, chunk by chunk, as a shard does, and refines the
-inputs of its lowest ratios with the same
-descent routine and the same coordinate codec, so both searches share one
-implementation of the step, the projection and the premise guard.  The
-descent returns the row it evaluated for its final instance, and both
-searches fold that row, so a refined instance is not evaluated again.
+are evaluated as one group together with the point they probe: the start
+instance, or a step's first, full-length candidate when a step remains
+after it and the step before accepted its own first candidate, so an
+accepted first candidate brings the next gradient along (halved
+candidates, the last step's and those after a halving step are evaluated
+alone).  A probe that cannot be rebuilt or raises (alone, after its group
+raised) is left out of the gradient.  The complex-premise Moore experiment
+samples and evaluates its samples in groups of one dimension, chunk by
+chunk, as a shard does, and refines the inputs of its lowest ratios with
+the same descent routine and the same coordinate codec, so both searches
+share one implementation of the step, the projection and the premise
+guard.  The descent returns the row it evaluated for its final instance,
+and both searches fold that row, so a refined instance is not evaluated
+again.
 """
 
 from __future__ import annotations
@@ -822,23 +827,28 @@ class _CoordCodec:
                 re = re * ratio
                 im = im * ratio
             for row, a, b in zip(rows, re, im):
-                row[k] = ComplexifiedVector(a, b)
+                row[k] = ComplexifiedVector._checked(a, b)
         return [row if ok else None for row, ok in zip(rows, live.tolist())]
 
 
-def _central_gradient(fn, flat: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of fn at flat with step h.  fn maps the (2n, n)
-    stack of all probe points (flat + h, then flat - h, along each
-    coordinate in turn) to their values in one call; a coordinate with a
-    non-finite value on either side gets 0."""
+def _probe_points(flat: np.ndarray, h: float) -> np.ndarray:
+    """The (2n, n) stack of central-difference probes around flat: flat + h,
+    then flat - h, along each coordinate in turn."""
     n = flat.size
     probes = np.repeat(flat[np.newaxis], 2 * n, axis=0)
     coords = np.arange(n)
     probes[2 * coords, coords] += h
     probes[2 * coords + 1, coords] -= h
-    values = np.array(fn(probes), dtype=np.float64)
+    return probes
+
+
+def _central_gradient(values, h: float) -> np.ndarray:
+    """Central differences with step h from the values at the probes of
+    `_probe_points`, in its order; a coordinate with a non-finite value on
+    either side gets 0."""
+    values = np.array(values, dtype=np.float64)
     up, down = values[0::2], values[1::2]
-    grad = np.zeros_like(flat)
+    grad = np.zeros_like(up)
     finite = np.isfinite(up) & np.isfinite(down)
     grad[finite] = (up[finite] - down[finite]) / (2.0 * h)
     return grad
@@ -864,15 +874,15 @@ def _evaluate_alone(objective, candidate) -> tuple:
         return math.inf, False
 
 
-def _probe_gradient(objective, codec: _CoordCodec, flat: np.ndarray, h: float) -> np.ndarray:
-    """The central-difference gradient of `objective` at flat: the 2n
-    probes are rebuilt unprojected in one call and evaluated as one
-    group."""
-
-    def values(points):
-        return [row[0] for row in _evaluate(objective, codec.rebuild(points, project=False))]
-
-    return _central_gradient(values, flat, h)
+def _probed(objective, codec: _CoordCodec, head: list, flat: Optional[np.ndarray], h: float) -> tuple:
+    """The rows of the instances in `head` and the central-difference
+    gradient of `objective` at flat (None when flat is None), from one
+    group: the head, then the 2n probes around flat, rebuilt unprojected in
+    one call.  Each member gets the row it gets alone."""
+    probes = [] if flat is None else codec.rebuild(_probe_points(flat, h), project=False)
+    rows = _evaluate(objective, head + probes)
+    grad = None if flat is None else _central_gradient([row[0] for row in rows[len(head):]], h)
+    return rows[: len(head)], grad
 
 
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
@@ -880,40 +890,54 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
     list of instances to their rows, each (value, premises_ok, ...), and
     raises on a faulty one (see `_evaluate`).
 
-    Each step evaluates the 2n unprojected probes of the gradient as one
-    group, then projected candidates along the normalized descent direction,
-    halving the step until one lowers the value with its premises intact.
-    The recorded trace is nonincreasing by construction.  The result holds
-    the row of the final instance, evaluated alone.
+    Each step takes the gradient from the 2n unprojected probes around the
+    current point, then tries projected candidates along the normalized
+    descent direction, halving the step until one lowers the value with its
+    premises intact.  The start instance is evaluated in one group with
+    the first gradient's probes.  A step's first, full-length candidate is
+    evaluated with the probes around its own flat when a step remains after
+    it and the step before accepted its first candidate (the first step
+    counts as such), so an accepted first candidate brings the next
+    gradient along.  Once a step halves, its successor's first candidate
+    goes alone: probes built around a rejected candidate are wasted, and in
+    a long descent most steps halve.  Halved candidates and the last step's
+    candidate are evaluated alone, and a point whose gradient did not come
+    with it gets its probes as a group of their own.  The recorded trace is
+    nonincreasing by construction.  The result holds the row of the final
+    instance.
     """
 
+    h = config.fd_eps
     flat = codec.flatten(inputs)
     current_inputs = inputs
-    (row,) = _evaluate(objective, [inputs])
+    (row,), grad = _probed(objective, codec, [inputs], flat if config.ascent_steps else None, h)
     trace = [row[0]]
     step = config.step_size
-    for _ in range(config.ascent_steps):
-        grad = _probe_gradient(objective, codec, flat, config.fd_eps)
+    first_accepted = True  # the step before accepted its first candidate
+    for left in reversed(range(config.ascent_steps)):  # the steps after this one
+        if grad is None:
+            _, grad = _probed(objective, codec, [], flat, h)
         gnorm = float(np.linalg.norm(grad))
         if not math.isfinite(gnorm) or gnorm < 1e-14:
             break
         direction = grad / gnorm
         reach = max(float(np.linalg.norm(flat)), 1e-12)
-        accepted = False
         trial_step = step
-        for _ in range(MAX_HALVINGS + 1):
+        for halving in range(MAX_HALVINGS + 1):
             candidate = codec.rebuild(flat - trial_step * reach * direction, project=True)
-            (candidate_row,) = _evaluate(objective, [candidate])
+            merged = first_accepted and left and not halving and candidate is not None
+            candidate_flat = codec.flatten(candidate) if merged else None
+            (candidate_row,), grad = _probed(objective, codec, [candidate], candidate_flat, h)
             if candidate_row[1] and candidate_row[0] < row[0]:
-                accepted = True
                 break
             trial_step /= 2.0
-        if not accepted:
+        else:
             break
         current_inputs, row = candidate, candidate_row
-        flat = codec.flatten(candidate)
+        flat = codec.flatten(candidate) if candidate_flat is None else candidate_flat
         trace.append(row[0])
         step = min(trial_step * 1.5, 1.0)
+        first_accepted = not halving
     return AscentResult(current_inputs, row, tuple(trace))
 
 

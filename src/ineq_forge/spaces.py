@@ -221,6 +221,16 @@ class ComplexifiedVector:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
+    @classmethod
+    def _checked(cls, re, im):
+        """The pair of two 1-d float64 vectors, built without
+        __post_init__'s checks, for pairs that go straight to a statement
+        (each statement checks every complexified argument on entry)."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
     def as_complex(self) -> np.ndarray:
         return self.re + 1j * self.im
 

@@ -1065,10 +1065,14 @@ class TestCatalogRegistry:
 def _spoiled(space, value):
     """Copies of a vector argument with a NaN coordinate, with one
     coordinate too many and, in a real space, with complex coordinates; of
-    a complexified argument, one too long and a plain vector."""
+    a complexified argument, one too long, a plain vector and, built
+    unchecked as the ascent codec builds its pairs, one with a NaN
+    coordinate in either part (public construction refuses NaN itself)."""
     if isinstance(value, ComplexifiedVector):
-        # the type refuses NaN itself
-        return [ComplexifiedVector(np.append(value.re, 1.0), np.append(value.im, 1.0)), value.re]
+        nan = np.array(value.re, copy=True)
+        nan[0] = np.nan
+        return [ComplexifiedVector(np.append(value.re, 1.0), np.append(value.im, 1.0)), value.re,
+                ComplexifiedVector._checked(nan, value.im), ComplexifiedVector._checked(value.re, nan)]
     with_nan = np.array(value, copy=True)
     with_nan[0] = np.nan
     complex_coordinates = [value + 1j] if space.field is Field.REAL else []

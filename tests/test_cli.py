@@ -207,6 +207,32 @@ class TestUsageErrors:
         assert err.startswith("ineq-forge: error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("good, bad", [("--out", "--csv"), ("--csv", "--out")])
+    def test_unwritable_output_leaves_the_other_as_it_was(self, capsys, tmp_path, good, bad, existing):
+        kept = tmp_path / "kept"
+        if existing:
+            kept.write_text("earlier run\n")
+        code, out, _ = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "3",
+                               good, str(kept), bad, str(tmp_path / "missing" / "file"))
+        assert code == 1 and out == ""
+        if existing:
+            assert kept.read_text() == "earlier run\n"
+        else:
+            assert not kept.exists()
+
+    def test_outputs_that_open_are_rewritten(self, capsys, tmp_path):
+        out_path, csv_path = tmp_path / "records", tmp_path / "summary.csv"
+        for path in (out_path, csv_path):
+            path.write_text("x" * 10_000 + "\n")
+        argv = ("verify", "--ineq", "schwarz", "--samples", "3", "--seed", "2")
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(out_path), "--csv", str(csv_path))[0] == 0
+        assert out_path.read_text() == expected.splitlines(keepends=True)[0]
+        assert csv_path.read_text().splitlines()[0] == "ineq,trials,violations,near_equality,worst_margin"
+        assert "x" not in csv_path.read_text()
+
 
 class TestVerify:
     def test_small_sweep_exits_zero(self, capsys):

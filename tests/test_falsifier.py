@@ -7,6 +7,7 @@ accidental reordering of draws shows up as a digest mismatch here.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -49,7 +50,8 @@ from ineq_forge.falsifier import (
     _sample_trials,
     _sample_quotient_transfer,
     _shard_worker,
-    _probe_gradient,
+    _probe_points,
+    _probed,
     _trial_rng,
     _vectors,
     falsify,
@@ -660,7 +662,7 @@ class TestBatchedGradient:
         monkeypatch.setitem(CATALOG, "generalized-2.1", dataclasses.replace(CATALOG["generalized-2.1"], statement=faulty))
         entry = CATALOG["generalized-2.1"]
         reference = _reference_gradient(entry, space, codec, flat, h)
-        batched = _probe_gradient(lambda group: _binding_rows(entry, space, group), codec, flat, h)
+        _, batched = _probed(lambda group: _binding_rows(entry, space, group), codec, [], flat, h)
         assert np.array_equal(batched, reference)
         # one coordinate each lost to Gram-Schmidt and to the raise; with E a
         # basis of the plane the sum does not move with E, but with x and y
@@ -758,6 +760,10 @@ class TestStackedRebuild:
                 assert (rebuilt is None) == (alone is None) == (reference is None)
                 if rebuilt is not None:
                     assert _input_bytes(rebuilt) == _input_bytes(alone) == _input_bytes(reference)
+                    # the pairs skip ComplexifiedVector's checks, so hold what they would ensure
+                    for k in codec.entry.complexified_args:
+                        z = rebuilt[k]
+                        assert z.re.dtype == z.im.dtype == np.float64 and z.re.shape == z.im.shape == (dim,)
             assert stacked[0] is not None
             if sizes and sizes[0] >= 2 or project:
                 assert stacked[-1] is None
@@ -799,7 +805,7 @@ class TestCentralGradient:
         def f(w):
             return float(w @ a @ w)
 
-        grad = _central_gradient(lambda points: [f(w) for w in points], v.copy(), 1e-6)
+        grad = _central_gradient([f(w) for w in _probe_points(v, 1e-6)], 1e-6)
         exact = 2.0 * a @ v
         assert np.allclose(grad, exact, rtol=1e-5)
 
@@ -807,7 +813,7 @@ class TestCentralGradient:
         def f(w):
             return math.nan if w[0] > 0.5 else float(w[1])
 
-        grad = _central_gradient(lambda points: [f(w) for w in points], np.array([0.5, 1.0]), 1e-2)
+        grad = _central_gradient([f(w) for w in _probe_points(np.array([0.5, 1.0]), 1e-2)], 1e-2)
         assert grad[0] == 0.0
 
 
@@ -849,6 +855,225 @@ class TestLocalAscent:
         refined = falsify("schwarz", SearchConfig(seed=9, trials=60, dims=(2, 4), ascent_steps=10))
         assert refined.worst_margin <= plain.worst_margin + 1e-15
         assert refined.violation_count == 0
+
+
+def _reference_rows(objective, group):
+    """The rows of a group evaluated by itself: (inf, False) for None, and
+    each member alone, (inf, False) if it raises, when the group raises."""
+
+    def alone(instance):
+        try:
+            return objective([instance])[0]
+        except (DomainError, ArithmeticError):
+            return math.inf, False
+
+    live = [instance for instance in group if instance is not None]
+    try:
+        rows = iter(objective(live) if live else ())
+    except (DomainError, ArithmeticError):
+        rows = iter([alone(instance) for instance in live])
+    return [(math.inf, False) if instance is None else next(rows) for instance in group]
+
+
+def _reference_descent(objective, codec, inputs, config, tried=None):
+    """The descent with every evaluation in a group of its own: the start
+    point, each gradient's 2n probes and each line-search candidate.
+    `tried` collects the number of candidates each step tried."""
+    h = config.fd_eps
+    flat = codec.flatten(inputs)
+    (row,) = _reference_rows(objective, [inputs])
+    current, trace, step = inputs, [row[0]], config.step_size
+    for _ in range(config.ascent_steps):
+        probes = np.repeat(flat[np.newaxis], 2 * flat.size, axis=0)
+        for i in range(flat.size):
+            probes[2 * i, i] += h
+            probes[2 * i + 1, i] -= h
+        values = [value for value, *_ in _reference_rows(objective, codec.rebuild(probes, project=False))]
+        grad = np.zeros_like(flat)
+        for i in range(flat.size):
+            up, down = values[2 * i], values[2 * i + 1]
+            if math.isfinite(up) and math.isfinite(down):
+                grad[i] = (up - down) / (2.0 * h)
+        gnorm = float(np.linalg.norm(grad))
+        if not math.isfinite(gnorm) or gnorm < 1e-14:
+            break
+        reach = max(float(np.linalg.norm(flat)), 1e-12)
+        trial_step = step
+        for count in range(1, falsifier.MAX_HALVINGS + 2):
+            candidate = codec.rebuild(flat - trial_step * reach * (grad / gnorm), project=True)
+            (candidate_row,) = _reference_rows(objective, [candidate])
+            if candidate_row[1] and candidate_row[0] < row[0]:
+                break
+            trial_step /= 2.0
+        else:
+            break
+        if tried is not None:
+            tried.append(count)
+        current, row, flat = candidate, candidate_row, codec.flatten(candidate)
+        trace.append(row[0])
+        step = min(trial_step * 1.5, 1.0)
+    return falsifier.AscentResult(current, row, tuple(trace))
+
+
+def _merged_group_sizes(tried, n) -> list:
+    """The group sizes `local_ascent` evaluates in a descent of len(tried)
+    steps over n coordinates, step i accepting its tried[i]-th candidate:
+    the start with its probes; a first candidate with the probes around it
+    when a step follows and the step before accepted its first; others
+    alone; a gradient that did not come with its point as 2n probes."""
+    sizes = [2 * n + 1] if tried else [1]
+    with_gradient = first_accepted = True
+    for i, count in enumerate(tried):
+        if not with_gradient:
+            sizes.append(2 * n)
+        merged = first_accepted and i < len(tried) - 1
+        sizes += [2 * n + 1 if merged else 1] + [1] * (count - 1)
+        with_gradient = merged and count == 1
+        first_accepted = count == 1
+    return sizes
+
+
+def _same_ascent(a, b) -> bool:
+    return _input_bytes(a.refined_inputs) == _input_bytes(b.refined_inputs) and repr((a.row, a.trace)) == repr(
+        (b.row, b.trace))
+
+
+class TestMergedDescent:
+    """Each point the descent moves to shares one group with its gradient's
+    probes; every result equals that of the descent that evaluates each
+    point, probe group and candidate as a group of its own."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_local_ascent_equals_the_reference_descent(self, steps):
+        descents = []  # the candidates each step of each descent tried
+        for step_size in (1e-2, 0.5):  # 0.5 overshoots, so some first candidates are rejected
+            config = SearchConfig(seed=2, trials=6, dims=(2, 4), gram=GramKind.RANDOM, ascent_steps=steps,
+                                  step_size=step_size)
+            for name, entry in CATALOG.items():
+                for sampled in sample_instance(config, name, list(range(3 * len(entry.fields)))):
+                    objective = functools.partial(_binding_rows, entry, sampled.space, params=None)
+                    codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+                    descents.append([])
+                    reference = _reference_descent(objective, codec, sampled.inputs, config, descents[-1])
+                    merged = local_ascent(name, sampled.space, sampled.inputs, config)
+                    assert _same_ascent(merged, reference), (name, sampled.space)
+        if steps:
+            # some steps accepted their first candidate, some a halved one
+            assert any(1 in tried for tried in descents) and any(max(tried, default=1) > 1 for tried in descents)
+        if steps > 1:
+            # a step followed an accepted first candidate (its gradient came
+            # with the candidate), and one followed a halved candidate
+            assert any(1 in tried[:-1] for tried in descents)
+            assert any(max(tried[:-1], default=1) > 1 for tried in descents)
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_moore_refinement_equals_the_reference_descent(self, steps):
+        params = MooreParams(eps=0.2)
+        config = SearchConfig(seed=14, trials=8, dims=(2, 4), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM,
+                              ascent_steps=steps)
+        moved = 0
+        for index in range(config.trials):
+            space, inputs = _moore_complex_sample(config, params, index)
+            objective = functools.partial(_moore_ratios, space, params=params)
+            reference = _reference_descent(objective, _CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs,
+                                           config)
+            merged = _refine_moore_candidate(space, inputs, params, config)
+            assert _same_ascent(merged, reference), index
+            moved += len(merged.trace) > 1
+        assert moved > 0 or steps == 0
+
+    def test_a_probe_that_raises_inside_a_merged_group(self, monkeypatch):
+        config = SearchConfig(seed=3, trials=1, dims=(3, 3), ascent_steps=3)
+        sampled = sample_instance(config, "schwarz", 0)
+        space, inputs = sampled.space, sampled.inputs
+        entry = CATALOG["schwarz"]
+        codec = _CoordCodec(entry, space, inputs)
+        h = config.fd_eps
+        # x[0] is flat coordinate 0: one probe of the start point raises, and
+        # then one of the first accepted candidate, each in a merged group
+        keys = {float(inputs["x"][0] + h)}
+        faulty = _faulty_on(eval_schwarz, 0, keys, lambda x: float(x[0]))
+        raised = []
+
+        def recording(space, x, *args, **kwargs):
+            try:
+                return faulty(space, x, *args, **kwargs)
+            except DomainError:
+                raised.append(len(x))
+                raise
+
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(entry, statement=recording))
+        objective = functools.partial(_binding_rows, CATALOG["schwarz"], space)
+        first = _reference_descent(objective, codec, inputs, dataclasses.replace(config, ascent_steps=1))
+        keys.add(float(first.refined_inputs["x"][0] - h))
+        tried = []
+        reference = _reference_descent(objective, codec, inputs, config, tried)
+        assert tried[:2] == [1, 1]
+        raised.clear()
+        merged = local_ascent("schwarz", space, inputs, config)
+        assert _same_ascent(merged, reference)
+        n = codec.flatten(inputs).size
+        # each merged group raised, then its faulty probe raised alone
+        assert raised == [2 * n + 1, 1, 2 * n + 1, 1]
+        assert len(merged.trace) == 4
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_k_first_candidate_steps_make_k_plus_one_calls(self, monkeypatch, steps):
+        config = SearchConfig(seed=3, trials=1, dims=(3, 3), ascent_steps=steps)
+        sampled = sample_instance(config, "schwarz", 0)
+        tried = []
+        entry = CATALOG["schwarz"]
+        codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+        _reference_descent(functools.partial(_binding_rows, entry, sampled.space), codec, sampled.inputs, config,
+                           tried)
+        assert tried == [1] * steps
+        sizes = []
+        run = CatalogEntry.run
+
+        def counted(self, space, group, *args, **kwargs):
+            sizes.append(len(group))
+            return run(self, space, group, *args, **kwargs)
+
+        monkeypatch.setattr(CatalogEntry, "run", counted)
+        result = local_ascent("schwarz", sampled.space, sampled.inputs, config)
+        assert len(result.trace) == steps + 1
+        # the start and each first candidate but the last with their probes,
+        # then the last candidate alone; one gradient group and one lone
+        # candidate a step, after the lone start, made 2K + 1
+        n = codec.flatten(sampled.inputs).size
+        assert sizes == [2 * n + 1] * steps + [1]
+        assert sizes == _merged_group_sizes(tried, n)
+
+    # every step halves; step 0 halves, step 1 accepts its lone first
+    # candidate and step 2's merged one is rejected; step 2 halves, step 3
+    # accepts its lone first candidate and step 4 merges again
+    @pytest.mark.parametrize("name, step_size, seed, steps", [("schwarz", 0.5, 3, 2), ("buzano-1.14", 0.5, 4, 4),
+                                                              ("buzano-1.14", 0.2, 3, 6)])
+    def test_after_a_halving_step_the_first_candidate_goes_alone(self, monkeypatch, name, step_size, seed, steps):
+        config = SearchConfig(seed=seed, trials=1, dims=(3, 3), ascent_steps=steps, step_size=step_size)
+        sampled = sample_instance(config, name, 0)
+        tried = []
+        entry = CATALOG[name]
+        codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+        _reference_descent(functools.partial(_binding_rows, entry, sampled.space), codec, sampled.inputs, config,
+                           tried)
+        assert len(tried) == steps and max(tried[:-1]) > 1
+        sizes = []
+        run = CatalogEntry.run
+
+        def counted(self, space, group, *args, **kwargs):
+            sizes.append(len(group))
+            return run(self, space, group, *args, **kwargs)
+
+        monkeypatch.setattr(CatalogEntry, "run", counted)
+        local_ascent(name, sampled.space, sampled.inputs, config)
+        n = codec.flatten(sampled.inputs).size
+        assert sizes == _merged_group_sizes(tried, n)
+        if tried[0] > 1:
+            # the first step's merged candidate was rejected, its probes
+            # built for nothing; the halved ones went alone, then the
+            # accepted one's probes
+            assert sizes[:tried[0] + 2] == [2 * n + 1, 2 * n + 1] + [1] * (tried[0] - 1) + [2 * n]
 
 
 class TestRefinementFold:
