@@ -176,7 +176,6 @@ class StackedEvaluation:
     dtype of the evaluation, None where the link has no such field (see
     the module docstring for the shapes)."""
 
-    ineq: str
     lhs: np.ndarray
     center: Optional[np.ndarray]
     rhs: Optional[np.ndarray]
@@ -202,7 +201,7 @@ class StackedEvaluation:
         return self.min_margin / np.maximum(self.scale.astype(np.float64, copy=False), 1e-300)
 
 
-def stacked_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> StackedEvaluation:
+def stacked_evaluation(scale, lhs, center=None, rhs=None) -> StackedEvaluation:
     """Assemble a link of n instances, computing margins in the dtype of the
     inputs; scalars broadcast against the (n,) arrays."""
     margin_lower = None if center is None else center - lhs
@@ -222,14 +221,14 @@ def stacked_evaluation(ineq: str, scale, lhs, center=None, rhs=None) -> StackedE
     shape = holds.shape
     lhs, center, rhs, scale = (
         v if v is None or np.shape(v) == shape else np.broadcast_to(v, shape) for v in (lhs, center, rhs, scale))
-    return StackedEvaluation(ineq, lhs, center, rhs, margin_lower, margin_upper, holds, near, scale)
+    return StackedEvaluation(lhs, center, rhs, margin_lower, margin_upper, holds, near, scale)
 
 
 def _select(pick: np.ndarray, a: StackedEvaluation, b: StackedEvaluation) -> StackedEvaluation:
     """Row by row, a where pick is set and b elsewhere (links of one shape)."""
     fields = {name: None if value is None else np.where(pick, value, getattr(b, name))
-              for name, value in vars(a).items() if name != "ineq"}
-    return StackedEvaluation(a.ineq, **fields)
+              for name, value in vars(a).items()}
+    return StackedEvaluation(**fields)
 
 
 @dataclass(frozen=True)
@@ -420,7 +419,7 @@ def eval_schwarz(space: SpaceSpec, x, y, *, extended: bool = False):
     yy = _vec(space, y, "y", nonzero=False, extended=extended)
     lhs = _abs(pairing(space, xx, yy))
     rhs = pairing_norm(space, xx) * pairing_norm(space, yy)
-    return StackedResult((stacked_evaluation("schwarz", rhs, lhs, rhs=rhs),))
+    return StackedResult((stacked_evaluation(rhs, lhs, rhs=rhs),))
 
 
 def _mixed_projection_sum(space, aa, bb, x, y, extended):
@@ -449,7 +448,7 @@ def eval_precupanu(space: SpaceSpec, a, b, x, y, *, extended: bool = False):
     ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2
     rhs = (ab + na * nb) / 2
-    return StackedResult((stacked_evaluation("precupanu-1.1", na * nb, lhs, center=center, rhs=rhs),))
+    return StackedResult((stacked_evaluation(na * nb, lhs, center=center, rhs=rhs),))
 
 
 def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False):
@@ -465,7 +464,7 @@ def eval_richard(space: SpaceSpec, a, b, x, *, extended: bool = False):
     ab = pairing(space, aa, bb)
     lhs = (ab - na * nb) / 2 * nx2
     rhs = (ab + na * nb) / 2 * nx2
-    return StackedResult((stacked_evaluation("richard-1.3", na * nb * nx2, lhs, center=center, rhs=rhs),))
+    return StackedResult((stacked_evaluation(na * nb * nx2, lhs, center=center, rhs=rhs),))
 
 
 def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
@@ -474,7 +473,7 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
     aa = _vec(space, a, "a", nonzero=False, extended=extended)
     center = _mixed_projection_sum(space, aa, aa, x, y, extended)
     na2 = pairing(space, aa, aa)
-    return StackedResult((stacked_evaluation("precupanu-self-1.5", na2, 0.0, center=center, rhs=na2),))
+    return StackedResult((stacked_evaluation(na2, 0.0, center=center, rhs=na2),))
 
 
 def _anchor_cosines(space, a, x, y, extended):
@@ -496,7 +495,7 @@ def eval_angle_bound(space: SpaceSpec, a, x, y, *, extended: bool = False):
     _require_field(space, (Field.REAL,), "this statement")
     ca, cb, center = _anchor_cosines(space, a, x, y, extended)
     lhs = _square(ca + cb) / 2 - 1.5
-    return StackedResult((stacked_evaluation("angle-1.6", 1.0, lhs, center=center),))
+    return StackedResult((stacked_evaluation(1.0, lhs, center=center),))
 
 
 # conditional statements ------------------------------------------------------
@@ -515,7 +514,7 @@ def buzano_moore_useful(eps: float) -> bool:
     return eps <= 1.0 - math.sqrt(2.0) / 2.0
 
 
-def _near_parallel_transfer(space, ineq, names, x, u, v, eps, coeff, extended):
+def _near_parallel_transfer(space, names, x, u, v, eps, coeff, extended):
     """(1.9) and (1.16): if u and v are eps-parallel to x in modulus (all
     nonzero, and named `names`), then |<u,v>| >= coeff ||u|| ||v||."""
     xx = _vec(space, x, names[0], nonzero=True, extended=extended)
@@ -530,7 +529,7 @@ def _near_parallel_transfer(space, ineq, names, x, u, v, eps, coeff, extended):
     )
     scale = nu * nv
     center = _abs(pairing(space, uu, vv))
-    conclusion = stacked_evaluation(ineq, scale, coeff * scale, center=center)
+    conclusion = stacked_evaluation(scale, coeff * scale, center=center)
     return StackedResult((conclusion,), premises)
 
 
@@ -539,7 +538,7 @@ def verify_moore(space: SpaceSpec, x, y, z, params: MooreParams, *, extended: bo
     eps = params.eps
     if eps is None or eps < 0:
         raise DomainError("eps must be nonnegative")
-    return _near_parallel_transfer(space, "moore-1.9", ("x", "y", "z"), x, y, z, eps, moore_coefficient(eps), extended)
+    return _near_parallel_transfer(space, ("x", "y", "z"), x, y, z, eps, moore_coefficient(eps), extended)
 
 
 def precupanu_moore_bounds(eps1: float):
@@ -570,8 +569,8 @@ def verify_precupanu_moore(space: SpaceSpec, a, b, x, params: MooreParams, *, ex
     lo, hi = precupanu_moore_bounds(eps1)
     ab = pairing(space, aa, bb)
     scale = na * nb
-    conclusion = stacked_evaluation("precupanu-moore-1.12", scale, lo * scale, center=ab, rhs=hi * scale)
-    refinement = stacked_evaluation("precupanu-moore-1.12", scale, -scale, center=lo * scale, rhs=ab)
+    conclusion = stacked_evaluation(scale, lo * scale, center=ab, rhs=hi * scale)
+    refinement = stacked_evaluation(scale, -scale, center=lo * scale, rhs=ab)
     return StackedResult((conclusion, refinement), premises)
 
 
@@ -585,7 +584,7 @@ def eval_buzano(space: SpaceSpec, a, b, x, *, extended: bool = False):
     na = pairing_norm(space, aa)
     nb = pairing_norm(space, bb)
     rhs = (na * nb + _abs(pairing(space, aa, bb))) / 2 * nx2
-    return StackedResult((stacked_evaluation("buzano-1.14", na * nb * nx2, lhs, rhs=rhs),))
+    return StackedResult((stacked_evaluation(na * nb * nx2, lhs, rhs=rhs),))
 
 
 def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, extended: bool = False):
@@ -594,7 +593,7 @@ def verify_buzano_moore(space: SpaceSpec, x, a, b, params: MooreParams, *, exten
     if eps is None or not 0 < eps <= 1:
         raise DomainError("eps must lie in (0, 1]")
     coeff = 1.0 - 4.0 * eps + 2.0 * eps * eps
-    return _near_parallel_transfer(space, "buzano-moore-1.16", ("x", "a", "b"), x, a, b, eps, coeff, extended)
+    return _near_parallel_transfer(space, ("x", "a", "b"), x, a, b, eps, coeff, extended)
 
 
 def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, extended: bool = False):
@@ -608,7 +607,7 @@ def verify_cosine_transfer(space: SpaceSpec, a, x, y, params: MooreParams, *, ex
     cxa, cya, center = _anchor_cosines(space, a, x, y, extended)
     premises = (cxa >= delta1 - PREMISE_SLACK) & (cya >= delta2 - PREMISE_SLACK)
     bound = (delta1 + delta2) ** 2 / 2 - 1.5
-    conclusion = stacked_evaluation("t1.5-i", 1.0, bound, center=center)
+    conclusion = stacked_evaluation(1.0, bound, center=center)
     return StackedResult((conclusion,), premises)
 
 
@@ -634,10 +633,10 @@ def verify_quotient_transfer(space: SpaceSpec, a, b, x, params: MooreParams, *, 
     slack = PREMISE_SLACK * na * nb
     if mu1 is not None:
         premises = quotient >= mu1 * na * nb - slack
-        conclusion = stacked_evaluation("t1.5-ii", 1.0, 2.0 * mu1 - 1.0, center=cos_ab)
+        conclusion = stacked_evaluation(1.0, 2.0 * mu1 - 1.0, center=cos_ab)
     else:
         premises = quotient <= mu2 * na * nb + slack
-        conclusion = stacked_evaluation("t1.5-ii", 1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
+        conclusion = stacked_evaluation(1.0, cos_ab, rhs=2.0 * mu2 + 1.0)
     return StackedResult((conclusion,), premises)
 
 
@@ -696,7 +695,7 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     if disagree.size:
         i = disagree[0]
         raise ArithmeticError(f"projection-sum routes disagree: {float(direct_d[i])!r} vs {float(other_d[i])!r}")
-    return StackedResult((stacked_evaluation("generalized-2.1", nx * ny, direct, rhs=0.5 * nx * ny),))
+    return StackedResult((stacked_evaluation(nx * ny, direct, rhs=0.5 * nx * ny),))
 
 
 def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
@@ -704,8 +703,8 @@ def eval_chain(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     _, _, s, xy, nx, ny, _ = _family_core(space, E, F, x, y, extended)
     middle = 0.5 * _abs(xy) + _abs(s - 0.5 * xy)
     scale = nx * ny
-    first = stacked_evaluation("chain-2.10", scale, _abs(s), rhs=middle)
-    second = stacked_evaluation("chain-2.10", scale, middle, rhs=0.5 * (_abs(xy) + scale))
+    first = stacked_evaluation(scale, _abs(s), rhs=middle)
+    second = stacked_evaluation(scale, middle, rhs=0.5 * (_abs(xy) + scale))
     return StackedResult((first, second))
 
 
@@ -715,7 +714,7 @@ def eval_real_double(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     _, _, s, xy, nx, ny, _ = _family_core(space, E, F, x, y, extended)
     lhs = 0.5 * (xy - nx * ny)
     rhs = 0.5 * (xy + nx * ny)
-    return StackedResult((stacked_evaluation("real-double-2.14", nx * ny, lhs, center=s, rhs=rhs),))
+    return StackedResult((stacked_evaluation(nx * ny, lhs, center=s, rhs=rhs),))
 
 
 # complexified statements -----------------------------------------------------
@@ -737,8 +736,8 @@ def eval_kurepa(space: SpaceSpec, a, z, *, extended: bool = False):
     self_pair = np.sqrt(_square(nre2 - nim2) + _square(2.0 * mixed))
     middle = 0.5 * na2 * (nz2 + self_pair)
     scale = na2 * nz2
-    first = stacked_evaluation("kurepa-3.2", scale, lhs, rhs=middle)
-    second = stacked_evaluation("kurepa-3.2", scale, middle, rhs=na2 * nz2)
+    first = stacked_evaluation(scale, lhs, rhs=middle)
+    second = stacked_evaluation(scale, middle, rhs=na2 * nz2)
     return StackedResult((first, second))
 
 
@@ -761,9 +760,9 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False):
     half_self = 0.5 * _abs(self_pair)
     middle1 = half_self + _abs(t - 0.5 * self_pair)
     middle2 = 0.5 * (nw2 + _abs(self_pair))
-    first = stacked_evaluation("kurepa-refined-3.3", nw2, _abs(t), rhs=middle1)
-    second = stacked_evaluation("kurepa-refined-3.3", nw2, middle1, rhs=middle2)
-    third = stacked_evaluation("kurepa-refined-3.3", nw2, middle2, rhs=nw2)
+    first = stacked_evaluation(nw2, _abs(t), rhs=middle1)
+    second = stacked_evaluation(nw2, middle1, rhs=middle2)
+    third = stacked_evaluation(nw2, middle2, rhs=nw2)
     return StackedResult((first, second, third))
 
 

@@ -17,10 +17,10 @@ hold.  Those lines come from the falsify shard pass that fills the summary,
 so each instance is sampled, evaluated and digested once; they are written
 shard by shard in trial order, before the name's summary line.
 
-Exit codes: 0 pass, 1 usage error, unwritable output path or a stdout pipe
-closed by its reader (which prints nothing), 2 confirmed violation or failed
-equality round-trip, 3 experimental counterexample finding (moore-complex
-only).
+Exit codes: 0 pass, 1 usage error (--out and --csv naming one file
+included), unwritable output path or a stdout pipe closed by its reader
+(which prints nothing), 2 confirmed violation or failed equality
+round-trip, 3 experimental counterexample finding (moore-complex only).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import math
 import os
@@ -96,8 +97,8 @@ def to_json(value) -> str:
     """One JSON value, with no whitespace.  An enum is written as its value,
     and a dataclass instance as an object of its fields in declaration
     order, so a record's line lists exactly its dataclass's fields."""
-    # exact scalar types first: bool, None, numpy scalars, subclasses and
-    # sequences take the isinstance chain below
+    # exact scalar types first: bool, None, numpy floats and sequences take
+    # the isinstance chain below
     kind = type(value)
     if kind is float:
         return format_float(value)
@@ -115,10 +116,6 @@ def to_json(value) -> str:
         return "false"
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return _encode_str(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in value) + "]"
     if isinstance(value, enum.Enum):
@@ -136,40 +133,29 @@ def _utc_now() -> str:
 @contextmanager
 def _outputs(*paths):
     """Open each path (None: no file) for writing, all or none: every path
-    is opened before any is truncated, and if one cannot be opened the
-    others are left as they were (a file created here is removed)."""
+    is opened before any is truncated, and if one cannot be opened, or two
+    name one file, the others are left as they were (a file created here is
+    removed)."""
     absent = [path is not None and not os.path.exists(path) for path in paths]
     with ExitStack() as stack:
         try:
             handles = [None if path is None else stack.enter_context(open(path, "a", encoding="utf-8"))
                        for path in paths]
-        except OSError:
+            opened = [(path, handle, os.fstat(handle.fileno())) for path, handle in zip(paths, handles)
+                      if handle is not None]
+            for (path, _, status), (other, _, other_status) in itertools.combinations(opened, 2):
+                if os.path.samestat(status, other_status):
+                    raise DomainError(f"{path!r} and {other!r} name the same file")
+        except (OSError, DomainError):
             stack.close()
             for path, made in zip(paths, absent):
                 if made and os.path.exists(path):
                     os.unlink(path)
             raise
-        for handle in handles:
-            if handle is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        for _, handle, status in opened:
+            if stat.S_ISREG(status.st_mode):
                 handle.truncate(0)
         yield handles
-
-
-class _Sink:
-    """Record lines go to the --out handle when given, stdout otherwise;
-    the manifest always ends up as the final stdout line."""
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def record(self, line: str):
-        if self._handle is not None:
-            self._handle.write(line + "\n")
-        else:
-            sys.stdout.write(line + "\n")
-
-    def manifest(self, line: str):
-        sys.stdout.write(line + "\n")
 
 
 def _write_csv(handle, reports):
@@ -307,9 +293,10 @@ def _search_config(args) -> SearchConfig:
     )
 
 
-def _finish(sink: _Sink, args, config: SearchConfig, totals: dict, started: str) -> None:
+def _finish(args, config: SearchConfig, totals: dict, started: str) -> None:
+    """The manifest always ends up as the final stdout line."""
     manifest = RunManifest(args.command, config, CATALOG_VERSION, started, _utc_now(), totals)
-    sink.manifest(to_json(manifest))
+    sys.stdout.write(to_json(manifest) + "\n")
 
 
 # command handlers ------------------------------------------------------------
@@ -323,20 +310,20 @@ def cmd_search(args, threads: int) -> int:
     names = _search_names(args.ineq, config.field)
     # both outputs open first, so an unwritable --out or --csv fails before the run
     with _outputs(args.out, args.csv) as (out, csv):
-        sink = _Sink(out)
+        stream = out or sys.stdout
 
         def write(records):
             for record in records:
-                sink.record(to_json(record))
+                stream.write(to_json(record) + "\n")
 
         reports = []
         for name in names:
             report = falsify(name, config, threads=threads, on_records=write if args.emit_instances else None)
-            sink.record(to_json(report))
+            stream.write(to_json(report) + "\n")
             reports.append(report)
         if csv is not None:
             _write_csv(csv, reports)
-        _finish(sink, args, config, {r.ineq: r.trials_run for r in reports}, started)
+        _finish(args, config, {r.ineq: r.trials_run for r in reports}, started)
     return 2 if any(r.violation_count for r in reports) else 0
 
 
@@ -349,7 +336,6 @@ def cmd_equality(args, threads: int) -> int:
     failures = 0
     totals = {}
     with _outputs(args.out) as (out,):
-        sink = _Sink(out)
         for name in names:
             build = EQUALITY_BUILDERS[name]
             passes = 0
@@ -361,8 +347,9 @@ def cmd_equality(args, threads: int) -> int:
             failed = config.trials - passes
             failures += failed
             totals[name] = config.trials
-            sink.record(to_json({"ineq": name, "samples": config.trials, "passes": passes, "failures": failed}))
-        _finish(sink, args, config, totals, started)
+            record = {"ineq": name, "samples": config.trials, "passes": passes, "failures": failed}
+            (out or sys.stdout).write(to_json(record) + "\n")
+        _finish(args, config, totals, started)
     return 2 if failures else 0
 
 
@@ -371,10 +358,9 @@ def cmd_moore_complex(args, threads: int) -> int:
     config = _search_config(args)
     # --out opens first, so an unwritable one fails before the run
     with _outputs(args.out) as (out,):
-        sink = _Sink(out)
         report = moore_complex_experiment(args.eps, config)
-        sink.record(to_json(report))
-        _finish(sink, args, config, {args.command: report.samples}, started)
+        (out or sys.stdout).write(to_json(report) + "\n")
+        _finish(args, config, {args.command: report.samples}, started)
     return 3 if report.verdict is Verdict.COUNTEREXAMPLE_FOUND else 0
 
 

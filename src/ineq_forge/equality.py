@@ -71,17 +71,17 @@ class EqualityKind(enum.Enum):
 class EqualityCertificate:
     """Outcome of one dependence test.
 
-    `coefficients` holds (lam,) for reflection-ratio certificates (None when
-    the reference vector vanishes) and (lam, mu) for the two projection
-    kinds; `residual` is in vector-norm units.  For reflection-ratio
-    certificates `attained` compares the residual against ATTAINMENT_REL
-    times `scale`; for the projection kinds it holds when the normalized
-    Gram determinant of the pair is at most DEPENDENCE_TOL (or one vector is
-    negligible against its reference norm), whatever the two scales.
+    `coefficients` holds (lam,) for reflection-ratio certificates and
+    (lam, mu) for the two projection kinds; `residual` is in vector-norm
+    units.  For reflection-ratio certificates `attained` compares the
+    residual against ATTAINMENT_REL times `scale`; for the projection kinds
+    it holds when the normalized Gram determinant of the pair is at most
+    DEPENDENCE_TOL (or one vector is negligible against its reference norm),
+    whatever the two scales.
     """
 
     kind: EqualityKind
-    coefficients: Optional[tuple]
+    coefficients: tuple
     residual: float
     attained: bool
     scale: float
@@ -92,14 +92,10 @@ def solve_reflection_ratio(space: SpaceSpec, E, F, x, y) -> EqualityCertificate:
     xx = require_nonzero(space, x, "x")
     yy = require_nonzero(space, y, "y")
     u = reflection(E, xx)
+    # a reflection is an isometry, so v is as far from zero as y
     v = reflection(F, yy)
     nv2 = inner(space, v, v)
     nv2 = nv2.real if space.field is Field.COMPLEX else nv2
-    if nv2 <= 0.0:
-        residual = norm(space, u)
-        return EqualityCertificate(
-            EqualityKind.REFLECTION_RATIO, None, float(residual), residual == 0.0, float(residual)
-        )
     lam = inner(space, u, v) / nv2
     residual = norm(space, u - lam * v)
     scale = max(norm(space, u), abs(lam) * norm(space, v))
@@ -264,7 +260,7 @@ def build_generalized(space: SpaceSpec, rng) -> BuiltEquality:
     y = _nonzero(space, rng)
     x = construct_equality_instance(space, E, F, lam, y)
     cert = solve_reflection_ratio(space, E, F, x, y)
-    recovered = cert.coefficients[0] if cert.coefficients else None
+    recovered = cert.coefficients[0]
     ev = eval_generalized(space, [E], [F], [x], [y]).binding
     return BuiltEquality("generalized-2.1", cert, lam, recovered, ev)
 
@@ -274,7 +270,7 @@ def build_schwarz(space: SpaceSpec, rng) -> BuiltEquality:
     y = _nonzero(space, rng)
     x = lam * y
     cert = solve_reflection_ratio(space, _empty_family(space), _empty_family(space), x, y)
-    recovered = cert.coefficients[0] if cert.coefficients else None
+    recovered = cert.coefficients[0]
     ev = eval_schwarz(space, [x], [y]).binding
     return BuiltEquality("schwarz", cert, lam, recovered, ev)
 
@@ -317,7 +313,7 @@ def build_buzano(space: SpaceSpec, rng) -> BuiltEquality:
     xhat = OrthonormalFamily(space, (x / norm(space, x))[np.newaxis, :])
     cert = solve_reflection_ratio(space, xhat, _empty_family(space), a, b)
     expected = -phase * na / nb
-    recovered = cert.coefficients[0] if cert.coefficients else None
+    recovered = cert.coefficients[0]
     ev = eval_buzano(space, [a], [b], [x]).binding
     return BuiltEquality("buzano-1.14", cert, expected, recovered, ev)
 
@@ -340,7 +336,7 @@ def build_kurepa(space: SpaceSpec, rng) -> BuiltEquality:
     cert = solve_reflection_ratio(cspace, family, _empty_family(cspace), w, wbar)
     omega = complex(re, im)
     expected = -omega * omega / abs(omega) ** 2
-    recovered = cert.coefficients[0] if cert.coefficients else None
+    recovered = cert.coefficients[0]
     ev = eval_kurepa(space, [a], [z]).binding
     return BuiltEquality("kurepa-3.2", cert, expected, recovered, ev)
 

@@ -44,8 +44,9 @@ first faulty trial's own.  A shard can also return one
 instance record per trial whose premises hold (its digest and binding
 margins), so a caller that writes every instance gets them from the same
 sampling and evaluation as the report, one shard at a time; the digests of
-a shard take one batched FNV-1a pass.  It returns the inputs of its worst
-and lowest trials with their counts, so no trial is sampled twice.
+a shard take one batched FNV-1a pass.  It returns the inputs of its
+lowest trials with their counts, so no trial is sampled twice; the lowest
+of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -985,9 +986,10 @@ def _binding_rows(entry, space: SpaceSpec, group: list, params=None, extended: b
 
 def _shard_worker(task):
     """Sample, evaluate and count the trials [start, stop) of one name.
-    With the counts come its worst trial (normalized, index, raw margin)
-    and its TOP_K lowest (normalized, index, near equality, violated), each
-    followed by its SampledInstance copied out of the shard's stacks."""
+    With the counts come its TOP_K lowest trials as ascending keys
+    (normalized, index, raw margin, near equality, violated), each followed
+    by its SampledInstance copied out of the shard's stacks; the first is
+    the shard's worst trial."""
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
     samples = sample_instance(config, name, list(range(start, stop)))
@@ -996,8 +998,7 @@ def _shard_worker(task):
     near = 0
     violations = 0
     starved_count = 0
-    worst = None  # (normalized, index, raw)
-    top = []  # ascending (normalized, index, near_equality, violated)
+    top = []  # ascending (normalized, index, raw, near_equality, violated)
     for index, sampled, row in zip(range(start, stop), samples, rows):
         normalized, premises_ok, min_margin, holds, near_equality, _ = row
         if not premises_ok:
@@ -1007,14 +1008,12 @@ def _shard_worker(task):
         near += 1 if near_equality else 0
         violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
         violations += 1 if violated else 0
-        if worst is None or (normalized, index) < (worst[0], worst[1]):
-            worst = (normalized, index, min_margin)
-        # (normalized, index) is unique, so the flags never decide the order
-        _keep_top(top, (normalized, index, near_equality, violated))
+        # a NaN margin is not shown to hold (bucket 0), so it sorts first;
+        # (normalized, index) is unique, so the rest never decides the order
+        order = -math.inf if math.isnan(normalized) else normalized
+        _keep_top(top, (order, index, min_margin, near_equality, violated))
     records = _instance_records(name, config.seed, samples, rows) if with_records else None
-    chosen = {key[1]: _detached(samples[key[1] - start]) for key in top + [worst] * (worst is not None)}
-    worst = None if worst is None else (*worst, chosen[worst[1]])
-    return hist, near, violations, starved_count, worst, [(*key, chosen[key[1]]) for key in top], records
+    return hist, near, violations, starved_count, [(*key, _detached(samples[key[1] - start])) for key in top], records
 
 
 def _detached(sampled: SampledInstance) -> SampledInstance:
@@ -1063,30 +1062,29 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     near = 0
     violations = 0
     starved = 0
-    worst = None
     top = []
     workers = min(threads, len(tasks))
     use_pool = workers > 1
     with ProcessPoolExecutor(max_workers=workers) if use_pool else contextlib.nullcontext() as pool:
         # both maps yield the shards in order; the pool's as each finishes
         partials = pool.map(_shard_worker, tasks) if use_pool else map(_shard_worker, tasks)
-        for p_hist, p_near, p_viol, p_starved, p_worst, p_top, p_records in partials:
+        for p_hist, p_near, p_viol, p_starved, p_top, p_records in partials:
             hist = [a + b for a, b in zip(hist, p_hist)]
             near += p_near
             violations += p_viol
             starved += p_starved
-            if p_worst is not None and (worst is None or (p_worst[0], p_worst[1]) < (worst[0], worst[1])):
-                worst = p_worst
             top.extend(p_top)
             if on_records is not None:
                 on_records(p_records)
     top.sort()
     top = top[:TOP_K]
 
-    # the shards return their chosen trials' inputs, so no trial is sampled again
-    worst_instance = None if worst is None else (worst[3].space, worst[3].inputs)
+    # the first of the top K is the worst trial; the shards return their
+    # top trials' inputs, so no trial is sampled again
+    worst = top[0] if top else None
+    worst_instance = None if worst is None else (worst[5].space, worst[5].inputs)
     if config.ascent_steps > 0:
-        for normalized, index, sampled_near, sampled_violated, sampled in top:
+        for _, index, _, sampled_near, sampled_violated, sampled in top:
             # the descent evaluated its final instance, so its row is folded as is
             refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
             if not refined.row[1]:  # premises fail: the fallback row (inf, False) has no more fields
@@ -1097,7 +1095,7 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
             # most once as a violation
             if near_equality and not sampled_near:
                 near += 1
-            if worst is None or refined_normalized < worst[0]:
+            if refined_normalized < worst[0]:
                 worst = (refined_normalized, index, min_margin)
                 worst_instance = (sampled.space, refined.refined_inputs)
             if not sampled_violated and not holds:

@@ -11,8 +11,8 @@ which coincides with the plain complex space on coordinates re + i*im and
 the same gram.  Precision follows the operands' dtype: float64/complex128
 coordinates pair in double precision, long double ones (x86 80-bit) in
 extended precision, which serves as an independent numerical oracle.  The
-gram stays double and numpy promotes it exactly.  Only `inner` and `norm`
-take `extended=True`, and cast once after validation.
+gram stays double and numpy promotes it exactly.  Only `inner` takes
+`extended=True`, and casts once after validation.
 
 Validation happens once, at the boundary.  The public `as_vector`, `inner`,
 `norm` and `require_nonzero` check their arguments (complex data in a real
@@ -136,9 +136,9 @@ def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray):
 
 
 def pairing_norm(space: SpaceSpec, u: np.ndarray):
-    """Norm induced by `pairing`, on an array that already passed as_vector
-    or of every row of an (n, d) stack of them; tiny negative squares clamp
-    to zero."""
+    """Norm induced by `pairing`, on a double vector that already passed
+    as_vector or of every row of an (n, d) stack of them, in the stack's
+    dtype; tiny negative squares clamp to zero."""
     q = pairing(space, u, u)
     if u.ndim == 2:
         # the same rule on arrays: fmax(|re|, 1) is max(1.0, |re|), a NaN
@@ -158,9 +158,7 @@ def pairing_norm(space: SpaceSpec, u: np.ndarray):
             raise DomainError("squared norm has a non-negligible imaginary part")
     else:
         re = q
-    if type(re) is float:
-        return math.sqrt(max(re, 0.0))
-    return np.sqrt(max(re, type(re)(0.0)))
+    return math.sqrt(max(re, 0.0))
 
 
 def _operand(space: SpaceSpec, x, extended: bool) -> np.ndarray:
@@ -173,9 +171,9 @@ def inner(space: SpaceSpec, u, v, *, extended: bool = False):
     return pairing(space, _operand(space, u, extended), _operand(space, v, extended))
 
 
-def norm(space: SpaceSpec, u, *, extended: bool = False):
+def norm(space: SpaceSpec, u):
     """Norm induced by the pairing; tiny negative squares clamp to zero."""
-    return pairing_norm(space, _operand(space, u, extended))
+    return pairing_norm(space, as_vector(space, u))
 
 
 def zero_norm_threshold(space: SpaceSpec) -> float:

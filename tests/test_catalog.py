@@ -1205,7 +1205,7 @@ def _link_stacks(draw):
     for _ in range(draw(st.integers(1, 3))):
         center = None if kind == "upper" else column(_MARGIN_VALUES)
         rhs = None if kind == "lower" else column(_MARGIN_VALUES)
-        links.append(stacked_evaluation("t", scale, column(_MARGIN_VALUES), center=center, rhs=rhs))
+        links.append(stacked_evaluation(scale, column(_MARGIN_VALUES), center=center, rhs=rhs))
     return StackedResult(tuple(links))
 
 

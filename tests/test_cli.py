@@ -6,6 +6,7 @@ import enum
 import hashlib
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -221,6 +222,26 @@ class TestUsageErrors:
         else:
             assert not kept.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dot-slash", "hard-link"])
+    def test_out_and_csv_naming_one_file_are_refused(self, capsys, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "x.jsonl"
+        path.write_text("earlier run\n")
+        if spelling == "hard-link":
+            os.link(path, tmp_path / "y.jsonl")
+        other = {"same": "x.jsonl", "dot-slash": "./x.jsonl", "hard-link": "y.jsonl"}[spelling]
+        code, out, err = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "3",
+                                 "--out", "x.jsonl", "--csv", other)
+        assert code == 1 and out == ""
+        assert err.startswith("ineq-forge: error:") and err.count("\n") == 1
+        assert path.read_text() == "earlier run\n"
+
+    def test_out_and_csv_naming_one_new_file_leave_no_file(self, capsys, tmp_path):
+        path = str(tmp_path / "x.jsonl")
+        code, out, _ = run_cli(capsys, "verify", "--ineq", "schwarz", "--samples", "3", "--out", path, "--csv", path)
+        assert code == 1 and out == ""
+        assert not (tmp_path / "x.jsonl").exists()
+
     def test_outputs_that_open_are_rewritten(self, capsys, tmp_path):
         out_path, csv_path = tmp_path / "records", tmp_path / "summary.csv"
         for path in (out_path, csv_path):
@@ -391,6 +412,17 @@ class TestMooreComplex:
         assert report["min_observed_ratio"] >= 0.805 - 1e-9
         assert report["verdict"] == "NoCounterexampleFound"
         assert report["witness_digest"] is None
+
+    def test_a_finding_exits_3_and_writes_its_record_and_manifest(self, capsys, halved_moore):
+        argv = ("moore-complex", "--eps", "0.05", "--samples", "40", "--dims", "2..4", "--seed", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and err == ""
+        record, manifest = out.splitlines()
+        config = SearchConfig(seed=1, trials=40, dims=(2, 4), field=FieldChoice.COMPLEX)
+        report = cli.moore_complex_experiment(0.05, config)
+        assert report.verdict is Verdict.COUNTEREXAMPLE_FOUND
+        assert record == cli.to_json(report)
+        assert json.loads(manifest)["command"] == "moore-complex"
 
     def test_vacuous_large_eps(self, capsys):
         code, out, _ = run_cli(capsys, "moore-complex", "--eps", "0.6", "--samples", "100")

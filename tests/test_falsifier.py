@@ -20,7 +20,10 @@ from ineq_forge.catalog import (
     CatalogEntry,
     MooreParams,
     StackedResult,
+    TOL_ABS,
+    TOL_REL,
     catalog_names,
+    digest_inputs,
     eval_generalized,
     eval_schwarz,
     instance_digest,
@@ -30,6 +33,7 @@ from ineq_forge.falsifier import (
     FieldChoice,
     GramKind,
     SearchConfig,
+    TOP_K,
     Verdict,
     _CoordCodec,
     _binding_rows,
@@ -539,12 +543,19 @@ def _always_violating(space, x, y, *, extended=False):
     # Schwarz turned around with a factor 2: |<x,y>| >= 2 ||x|| ||y|| fails
     # on every instance, at any precision, and its margin still varies
     ev = eval_schwarz(space, x, y, extended=extended).binding
-    return StackedResult((stacked_evaluation("schwarz", ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
+    return StackedResult((stacked_evaluation(ev.scale, 2.0 * ev.rhs, rhs=ev.lhs),))
 
 
 def _nan_margin(space, x, y, *, extended=False):
     nan = np.full(len(x), math.nan)
-    return StackedResult((stacked_evaluation("schwarz", 1.0, nan, rhs=nan),))
+    return StackedResult((stacked_evaluation(1.0, nan, rhs=nan),))
+
+
+def _tightened_schwarz(space, x, y, *, extended=False):
+    # Schwarz with its cap tightened to (1 - 1e-3) ||x|| ||y||: only nearly
+    # parallel pairs violate it, which sampling rarely draws and ascent finds
+    ev = eval_schwarz(space, x, y, extended=extended).binding
+    return StackedResult((stacked_evaluation(ev.scale, ev.lhs, rhs=(1.0 - 1e-3) * ev.rhs),))
 
 
 class TestCountInvariants:
@@ -554,6 +565,17 @@ class TestCountInvariants:
         # every trial violates, and each is counted once
         assert report.violation_count == report.trials_run
         assert sum(report.margin_histogram) + report.premise_starved == report.trials_run
+
+    def test_a_refined_violation_is_confirmed_and_counted_once(self, monkeypatch):
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_tightened_schwarz))
+        config = SearchConfig(seed=0, trials=12, dims=(2, 4), ascent_steps=0)
+        sampled = falsify("schwarz", config)
+        refined = falsify("schwarz", dataclasses.replace(config, ascent_steps=10))
+        assert sampled.violation_count == 0
+        # only the top K are refined, and a refined trial counts at most once
+        assert 1 <= refined.violation_count <= TOP_K
+        assert refined.worst_margin < 0.0
+        assert sum(refined.margin_histogram) + refined.premise_starved == refined.trials_run
 
     def test_nan_margin_is_counted_in_bucket_zero(self, monkeypatch):
         monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_nan_margin))
@@ -599,14 +621,7 @@ class TestGroupFaults:
     def test_nan_margin_trial_alone_lands_in_bucket_zero(self, monkeypatch):
         config = SearchConfig(seed=0, trials=48, dims=(2, 4))
         bad = sample_instance(config, "schwarz", 7)
-
-        def nan_for_bad_x(space, x, y, *, extended=False):
-            (link,) = eval_schwarz(space, x, y, extended=extended).links
-            hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])
-            return StackedResult((stacked_evaluation("schwarz", link.scale, np.where(hit, math.nan, link.lhs),
-                                                     rhs=link.rhs),))
-
-        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=nan_for_bad_x))
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_nan_for_x_of(bad)))
         report = falsify("schwarz", config)
         # the trial-by-trial reference: each instance alone, in trial order
         entry = CATALOG["schwarz"]
@@ -616,6 +631,29 @@ class TestGroupFaults:
             hist[_bucket(entry.run(sampled.space, sampled.inputs).binding.normalized_margin[0])] += 1
         assert hist[0] == 1
         assert list(report.margin_histogram) == hist
+
+    @pytest.mark.parametrize("index", [0, 7, 30])
+    def test_a_nan_margin_trial_is_the_worst(self, monkeypatch, index):
+        # a NaN margin is not shown to hold: bucket 0 counts it, it is a
+        # confirmed violation, and it sorts first, so the report names it
+        config = SearchConfig(seed=0, trials=48, dims=(2, 4))
+        bad = sample_instance(config, "schwarz", index)
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=_nan_for_x_of(bad)))
+        report = falsify("schwarz", config)
+        assert report.violation_count == 1
+        assert math.isnan(report.worst_margin)
+        assert report.worst_instance_digest == instance_digest("schwarz", bad.space, bad.inputs)
+
+
+def _nan_for_x_of(bad):
+    """Schwarz with a NaN lhs on each instance whose x is `bad`'s."""
+
+    def statement(space, x, y, *, extended=False):
+        (link,) = eval_schwarz(space, x, y, extended=extended).links
+        hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])
+        return StackedResult((stacked_evaluation(link.scale, np.where(hit, math.nan, link.lhs), rhs=link.rhs),))
+
+    return statement
 
 
 def _reference_gradient(entry, space, codec, flat, h):
@@ -1158,6 +1196,23 @@ class TestMooreComplexExperiment:
         assert rep.min_observed_ratio >= rep.second_bound - 1e-9
         assert rep.verdict is Verdict.NO_COUNTEREXAMPLE_FOUND
         assert rep.witness_digest is None
+
+    def test_a_sample_below_the_first_bound_is_the_witness(self, halved_moore):
+        eps = 0.05
+        config = SearchConfig(seed=1, trials=40, dims=(2, 4), field=FieldChoice.COMPLEX)
+        report = moore_complex_experiment(eps, config)
+        assert report.verdict is Verdict.COUNTEREXAMPLE_FOUND
+        assert report.samples_satisfying_premises == config.trials
+        # the reference: the lowest-index sample whose halved ratio is below the first bound
+        for index in range(config.trials):
+            space, inputs = _moore_complex_sample(config, MooreParams(eps=eps), index)
+            scale = norm(space, inputs["y"]) * norm(space, inputs["z"])
+            ratio = abs(inner(space, inputs["y"], inputs["z"])) / scale / 2
+            if ratio - report.first_bound < -(TOL_ABS / scale + TOL_REL):
+                break
+        else:
+            pytest.fail("no sample is below the first bound")
+        assert report.witness_digest == digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
 
     def test_second_bound_is_never_below_the_first(self):
         # buzano-moore-1.16's floor implies the first floor: with u = sqrt(2 eps)
