@@ -17,9 +17,9 @@ hold.  Those lines come from the falsify shard pass that fills the summary,
 so each instance is sampled, evaluated and digested once; they are written
 shard by shard in trial order, before the name's summary line.
 
-Exit codes: 0 pass, 1 usage error (--out and --csv naming one file
-included), unwritable output path or a stdout pipe closed by its reader
-(which prints nothing), 2 confirmed violation or failed equality
+Exit codes: 0 pass, 1 usage error (two of --out, --csv and stdout naming
+one file included), unwritable output path or a stdout pipe closed by its
+reader (which prints nothing), 2 confirmed violation or failed equality
 round-trip, 3 experimental counterexample finding (moore-complex only).
 """
 
@@ -36,7 +36,7 @@ import os
 import re
 import stat
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from datetime import datetime, timezone
 
 from .catalog import CATALOG_VERSION, catalog_entry, catalog_names
@@ -134,8 +134,8 @@ def _utc_now() -> str:
 def _outputs(*paths):
     """Open each path (None: no file) for writing, all or none: every path
     is opened before any is truncated, and if one cannot be opened, or two
-    name one file, the others are left as they were (a file created here is
-    removed)."""
+    of them or one and stdout name one file, the others are left as they
+    were (a file created here is removed)."""
     absent = [path is not None and not os.path.exists(path) for path in paths]
     with ExitStack() as stack:
         try:
@@ -143,7 +143,10 @@ def _outputs(*paths):
                        for path in paths]
             opened = [(path, handle, os.fstat(handle.fileno())) for path, handle in zip(paths, handles)
                       if handle is not None]
-            for (path, _, status), (other, _, other_status) in itertools.combinations(opened, 2):
+            compared = list(opened)
+            with suppress(OSError, ValueError):  # no file descriptor, as under a test's capture
+                compared.append(("stdout", None, os.fstat(sys.stdout.fileno())))
+            for (path, _, status), (other, _, other_status) in itertools.combinations(compared, 2):
                 if os.path.samestat(status, other_status):
                     raise DomainError(f"{path!r} and {other!r} name the same file")
         except (OSError, DomainError):

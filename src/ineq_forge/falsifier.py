@@ -31,22 +31,23 @@ A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
 order or by a process pool, and merged in shard order.  A shard samples its
 trials in two phases, space by space: phase A resets each trial's stream
 and makes its draw calls into the trial's row of the space's tape, phase B
-builds the space's trials from the tape in stacked operations that give
-each trial the bits it gets alone, with one Gram-Schmidt call per family
-argument.  A trial whose draws leave phase A's path (a retry, a rejected
-probe, a cosine of exactly 1) is sampled again alone by the same sampler
-drawing as it goes, which is how `sample_instance` samples one trial.  The
-shard evaluates its trials in groups of one space (catalog statements are
-stacked kernels that give each member of a group the bits it gets alone),
-then counts them in trial order.  If a group raises, the shard evaluates
-each of its trials as a group of one, in trial order, so the error is the
-first faulty trial's own.  A shard can also return one
-instance record per trial whose premises hold (its digest and binding
-margins), so a caller that writes every instance gets them from the same
-sampling and evaluation as the report, one shard at a time; the digests of
-a shard take one batched FNV-1a pass.  It returns the inputs of its
-lowest trials with their counts, so no trial is sampled twice; the lowest
-of all the shards' is the worst trial.
+builds the space's trials from the tape in stacked operations, with one
+Gram-Schmidt call per family argument.  One draw source serves phase B, the
+dry run of it that logs phase A's draw calls, and a lone trial drawing as
+it goes, with one arithmetic that gives each row of a stack the bits its
+trial gets alone.  A trial whose draws leave phase A's path (a retry, a
+rejected probe, a cosine of exactly 1) is sampled again alone, which is how
+`sample_instance` samples one trial.  The shard evaluates its trials in
+groups of one space (catalog statements are stacked kernels that give each
+member of a group the bits it gets alone), then counts them in trial order.
+If a group raises, the shard evaluates each of its trials as a group of
+one, in trial order, so the error is the first faulty trial's own.  A shard
+can also return one instance record per trial whose premises hold (its
+digest and binding margins), so a caller that writes every instance gets
+them from the same sampling and evaluation as the report, one shard at a
+time; the digests of a shard take one batched FNV-1a pass.  It returns the
+inputs of its lowest trials with their counts, so no trial is sampled
+twice; the lowest of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -280,98 +281,48 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
 
 # sampling: phase A draws, phase B builds (in whitened coordinates) --------------
 #
-# Each sampler is written once against a draw source, which also supplies
-# the arithmetic whose bits depend on the shape: `_Live` draws one trial as
-# it goes and computes on Python floats and 1-d arrays; `_Tape` reads a
-# group's draws back from phase A and computes on stacks, a row per trial,
-# in operations that give each row the bits `_Live` gives its trial.
+# Each sampler is written once against `_Draws`, the one draw source of
+# the dry run, phase B and a lone trial.  Its modes share one table of
+# shape-generic arithmetic (numpy operations and the helpers below), which
+# gives each row of a stack the bits that its trial gets alone.
 
 
-def _hypot_rows(a, b) -> np.ndarray:
-    """math.hypot, row by row: np.hypot rounds differently."""
+def _hypot(a, b):
+    """math.hypot of two numbers, or row by row of two arrays: np.hypot
+    rounds differently."""
+    if np.ndim(a) == 0:
+        return math.hypot(a, b)
     return np.array([math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())])
 
 
-def _norm(w) -> float:
-    """np.linalg.norm of a 1-d draw, by the same dot products and sqrt
-    without its dispatch."""
-    if w.dtype.kind == "c":
-        re, im = w.real, w.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(w.dot(w))
-
-
 def _beta_law(x, d: int, field: Field, inverse: bool = False):
-    """The squared cosine's Beta cdf, or its inverse, at each x of an array;
-    over C by Python's ** (numpy's array power rounds differently)."""
+    """The squared cosine's Beta cdf, or its inverse, at x, a number or an
+    array; over C by Python's ** (numpy's array power rounds differently)."""
     if field is Field.REAL:
         return (sps.betaincinv if inverse else sps.betainc)(0.5, (d - 1) / 2.0, x)
     power = 1.0 / (d - 1) if inverse else d - 1
+    if np.ndim(x) == 0:
+        return 1.0 - (1.0 - float(x)) ** power
     return np.array([1.0 - (1.0 - v) ** power for v in x.tolist()])
 
 
 @functools.lru_cache(maxsize=1024)
 def _beta_cdf(t: float, d: int, field: Field) -> float:
-    if field is Field.COMPLEX:
-        return 1.0 - (1.0 - t) ** (d - 1)
-    return float(sps.betainc(0.5, (d - 1) / 2.0, t))
+    return float(_beta_law(t, d, field))
 
 
-def _beta_ppf(u: float, d: int, field: Field) -> float:
-    if field is Field.COMPLEX:
-        return 1.0 - (1.0 - u) ** (1.0 / (d - 1))
-    return float(sps.betaincinv(0.5, (d - 1) / 2.0, u))
+class _Draws:
+    """The draws of phase B, in one of three modes.  With neither a tape
+    nor a generator it is a dry run, whose `calls` log the reads: phase A's
+    program.  With phase A's `tape` of a group it reads the draws back, a
+    row per trial, and marks in `redo` each trial off phase A's path.  With
+    one trial's `rng` it draws as it goes, in a lone trial's shapes
+    (numbers, 1-d vectors, (size, width) family rows), and the trial takes
+    every branch."""
 
-
-class _Live:
-    """The draws of one trial, made from its stream as phase B asks for
-    them: phase B on a group of one, which takes every branch."""
-
-    def __init__(self, rng):
-        self.rng, self.normals, self.uniforms = rng, rng.standard_normal, rng.random
-
-    def sizes(self, dim):
-        return int(self.rng.integers(0, dim + 1))
-
-    def rows(self, size, dim, width):
-        return self.rng.standard_normal((size, width))
-
-    def families(self, space, rows, size):
-        try:
-            return gram_schmidt(space, rows), True
-        except DomainError:
-            return None, False
-
-    def each(self, fn, *values):
-        return fn(*values)
-
-    common = staticmethod(bool)  # whether the trial takes the branch that phase A draws for
-    sqrt, hypot, norms = staticmethod(math.sqrt), staticmethod(math.hypot), staticmethod(_norm)
-    copysign = staticmethod(math.copysign)
-    beta_cdf, beta_ppf = staticmethod(_beta_cdf), staticmethod(_beta_ppf)
-
-    @staticmethod
-    def col(x):
-        """x as a factor of each row: a number scales a vector as it is."""
-        return x
-
-    @staticmethod
-    def clip(t, lo, hi):
-        return min(max(t, lo), hi)
-
-    @staticmethod
-    def dot(a, b):
-        """<b, a> of the standard pairing, conj(a) @ b."""
-        return a.conj().dot(b)
-
-
-class _Tape:
-    """Phase A's draws of a group, a row per trial, read back as phase B
-    asks for them; a trial off phase A's path is marked in `redo`.  `calls`
-    logs the reads: on a dry run (no tape) they are phase A's program."""
-
-    def __init__(self, tape=None):
-        self.tape, self.calls, self.redo = tape, [], np.zeros(1 if tape is None else len(tape), dtype=bool)
+    def __init__(self, tape=None, rng=None):
+        self.tape, self.rng, self.calls = tape, rng, []
+        self.redo = np.zeros(1 if tape is None else len(tape), dtype=bool)
 
     def _read(self, kind, count, width=0):
         start = self.calls[-1][2] if self.calls else 0
@@ -382,34 +333,46 @@ class _Tape:
         return np.zeros((1, count)) if self.tape is None else self.tape[:, start : start + count]
 
     def normals(self, count):
-        return self._read("n", count)
+        return self._read("n", count) if self.rng is None else self.rng.standard_normal(count)
 
     def uniforms(self):
-        return self._read("u", 1)[:, 0]
+        return self._read("u", 1)[:, 0] if self.rng is None else self.rng.random()
 
     def sizes(self, dim):
-        return self._read("s", 1)[:, 0].astype(np.intp)
+        return self._read("s", 1)[:, 0].astype(np.intp) if self.rng is None else int(self.rng.integers(0, dim + 1))
 
     def rows(self, sizes, dim, width):
-        return self._read("r", dim * width, width).reshape(len(self.redo), dim, width)
+        if self.rng is None:
+            return self._read("r", dim * width, width).reshape(len(self.redo), dim, width)
+        return self.rng.standard_normal((sizes, width))
 
     def families(self, space, rows, sizes):
+        if self.rng is not None:
+            try:
+                return gram_schmidt(space, rows), True
+            except DomainError:
+                return None, False
         families = [None] if self.tape is None else gram_schmidt(space, rows, sizes=sizes)
         return families, np.array([family is not None for family in families])
 
-    def each(self, fn, *stacks):
-        return [fn(*values) for values in zip(*stacks)]
+    def each(self, fn, *values):
+        return fn(*values) if self.rng is not None else [fn(*row) for row in zip(*values)]
 
     def common(self, ok) -> bool:
+        """Whether to take the branch that phase A draws for: a lone trial
+        takes it where `ok`, a group always, marking the trials not `ok`."""
+        if self.rng is not None:
+            return bool(ok)
         self.redo |= ~ok
         return True
 
-    sqrt, hypot, copysign = staticmethod(np.sqrt), staticmethod(_hypot_rows), staticmethod(np.copysign)
+    def col(self, x):
+        """x as a factor of each row: a value per row gets a trailing axis,
+        and a lone trial's number scales its vector as it is."""
+        return x if self.rng is not None else np.asarray(x)[..., np.newaxis]
 
-    @staticmethod
-    def col(x):
-        """x as a factor of each row: a value per row gets a trailing axis."""
-        return np.asarray(x)[..., np.newaxis]
+    sqrt, copysign, hypot = staticmethod(np.sqrt), staticmethod(np.copysign), staticmethod(_hypot)
+    dot = staticmethod(np.vecdot)  # <b, a> of the standard pairing, conj(a) . b: a 1-d dot's bits, row by row
 
     @staticmethod
     def clip(t, lo, hi):
@@ -417,19 +380,14 @@ class _Tape:
         return np.minimum(np.maximum(t, lo), hi)
 
     @staticmethod
-    def dot(a, b):
-        """<b, a> of the standard pairing, row by row (np.vecdot keeps a 1-d
-        dot's bits)."""
-        return np.vecdot(a, b)
-
-    @staticmethod
     def norms(w):
+        """np.linalg.norm of each row, by the same dot products and sqrt."""
         squares = np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag) if w.dtype.kind == "c" else np.vecdot(w, w)
         return np.sqrt(squares)
 
     @staticmethod
     def beta_cdf(t, d: int, field: Field):
-        # a bound shared by the group as a Python float, as the lone path
+        # a bound shared by the group as a Python float, as a lone trial
         # passes it: Python's ** over C, and one cache entry per value
         return _beta_cdf(float(t), d, field) if np.ndim(t) == 0 else _beta_law(t, d, field)
 
@@ -442,7 +400,7 @@ class _Tape:
 def _program(entry, params, dim: int, field: Field):
     """Phase A's draw calls for a trial of `entry` in (dim, field), as a
     dry run of phase B logs them, and the width of a trial's tape row."""
-    dry = _Tape()
+    dry = _Draws()
     with np.errstate(divide="ignore", invalid="ignore"):
         _SAMPLERS.get(entry.name, _sample_generic)(entry, SpaceSpec(dim, field), None, dry, params)
     return tuple(dry.calls), dry.calls[-1][2] if dry.calls else 0
@@ -637,9 +595,9 @@ _SAMPLERS = {
 
 
 def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, index: int):
-    """Phase B on a group of one, drawing as it goes: (space, inputs, starved)."""
+    """One trial sampled in live mode, drawing as it goes: (space, inputs, starved)."""
     space, whitener = _cached_space(config.seed, config.gram, key, *_trial_cell(config, fields, index))
-    draws = _Live(_trial_rng(config.seed, key, index))
+    draws = _Draws(rng=_trial_rng(config.seed, key, index))
     return (space, *_SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params))
 
 
@@ -660,7 +618,7 @@ def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple,
         for index, row in zip(members, tape):
             _draw(_trial_rng(config.seed, key, index), program, dim, row)
         space, whitener = _cached_space(config.seed, config.gram, key, dim, field)
-        draws = _Tape(tape)
+        draws = _Draws(tape)
         with np.errstate(divide="ignore", invalid="ignore"):
             inputs, starved = sampler(entry, space, whitener, draws, params)
         for row, index in enumerate(members):
@@ -821,7 +779,7 @@ class _CoordCodec:
             im = points[:, pos : pos + dim].copy()
             pos += dim
             if project:
-                n = _hypot_rows(pairing_norm(self.space, re), pairing_norm(self.space, im))
+                n = _hypot(pairing_norm(self.space, re), pairing_norm(self.space, im))
                 kept = n > zero_norm_threshold(self.space)
                 live &= kept
                 ratio = (self.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
@@ -1085,10 +1043,8 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     worst_instance = None if worst is None else (worst[5].space, worst[5].inputs)
     if config.ascent_steps > 0:
         for _, index, _, sampled_near, sampled_violated, sampled in top:
-            # the descent evaluated its final instance, so its row is folded as is
+            # folded as the descent evaluated it: premises hold at the start and at every accepted step
             refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
-            if not refined.row[1]:  # premises fail: the fallback row (inf, False) has no more fields
-                continue
             refined_normalized, _, min_margin, holds, near_equality, _ = refined.row
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
@@ -1172,9 +1128,9 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(space, inputs, ratio, ok, scale=None):
-        """Fold one `_moore_ratios` row (or the fallback (inf, False)) into the
-        minimum and the witness; returns its ratio, or None when its premises fail."""
+    def observe(space, inputs, ratio, ok, scale):
+        """Fold one `_moore_ratios` row into the minimum and the witness;
+        returns its ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
         if not ok:
             return None

@@ -242,6 +242,19 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert not (tmp_path / "x.jsonl").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_an_output_naming_the_stdout_file_is_refused(self, capsys, tmp_path, monkeypatch, flag):
+        # `--out s.jsonl >> s.jsonl`: stdout is the file the output would rewrite
+        path = tmp_path / "s.jsonl"
+        path.write_text("earlier run\n")
+        with open(path, "a", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = cli.main(["verify", "--ineq", "schwarz", "--samples", "3", flag, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("ineq-forge: error:") and err.count("\n") == 1
+        assert path.read_text() == "earlier run\n"
+
     def test_outputs_that_open_are_rewritten(self, capsys, tmp_path):
         out_path, csv_path = tmp_path / "records", tmp_path / "summary.csv"
         for path in (out_path, csv_path):
@@ -469,6 +482,19 @@ class TestEntryPoint:
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "ineq_forge"], capture_output=True, text=True)
         assert proc.returncode == 1
+
+    def test_out_naming_the_file_stdout_appends_to_is_refused(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text("earlier run\n")
+        with open(path, "a", encoding="utf-8") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ineq_forge", "verify", "--ineq", "schwarz", "--samples", "3",
+                 "--out", str(path)],
+                stdout=stdout, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("ineq-forge: error:") and proc.stderr.count("\n") == 1
+        assert path.read_text() == "earlier run\n"
 
     def test_closed_stdout_pipe_exits_1_silently(self):
         # the reader takes one line and closes the pipe, as `| head -1` does

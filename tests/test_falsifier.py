@@ -41,11 +41,10 @@ from ineq_forge.falsifier import (
     _central_gradient,
     _complexify,
     _conditioned,
-    _Live,
+    _Draws,
     _moore_ratios,
     _SAMPLERS,
     _name_key,
-    _norm,
     _random_gram,
     _refine_moore_candidate,
     _sample_alone,
@@ -229,7 +228,7 @@ class TestStreamReuse:
             sampled = sample_instance(cfg, name, index)
             sampler = _SAMPLERS.get(name, _sample_generic)
             rng = _fresh_rng(cfg.seed, name, index)
-            expected, starved = sampler(entry, sampled.space, None, _Live(rng), entry.default_params)
+            expected, starved = sampler(entry, sampled.space, None, _Draws(rng=rng), entry.default_params)
             assert _input_bytes(sampled.inputs) == _input_bytes(expected)
             assert sampled.starved == starved
 
@@ -269,7 +268,7 @@ class TestConditionedSampling:
         xhat = np.zeros(5, dtype=field.dtype)
         xhat[0] = 1.0
         for _ in range(300):
-            v = _conditioned(_Live(rng), space, xhat, 0.81, 1.0, False)
+            v = _conditioned(_Draws(rng=rng), space, xhat, 0.81, 1.0, False)
             cos = abs(v[0]) / np.linalg.norm(v)
             assert cos >= 0.9 - 1e-12
 
@@ -279,14 +278,14 @@ class TestConditionedSampling:
         xhat = np.zeros(4)
         xhat[1] = 1.0
         for _ in range(200):
-            v = _conditioned(_Live(rng), space, xhat, 0.25, 0.64, True)
+            v = _conditioned(_Draws(rng=rng), space, xhat, 0.25, 0.64, True)
             cos = v[1] / np.linalg.norm(v)
             assert 0.5 - 1e-12 <= cos <= 0.8 + 1e-12
 
     def test_dimension_one_is_fully_aligned(self):
         space = SpaceSpec(1, Field.REAL)
         rng = _trial_rng(9, "window", 2)
-        v = _conditioned(_Live(rng), space, np.array([1.0]), 0.5, 1.0, True)
+        v = _conditioned(_Draws(rng=rng), space, np.array([1.0]), 0.5, 1.0, True)
         assert v[0] > 0
 
 
@@ -303,7 +302,7 @@ class TestPerNameSamplers:
         rng = _trial_rng(0, "precupanu-moore-1.12", 0)
         params = MooreParams(eps1=0.3, eps2=0.5)
         entry = CATALOG["precupanu-moore-1.12"]
-        _, starved = _sample_anchored(entry, space, None, _Live(rng), params)
+        _, starved = _sample_anchored(entry, space, None, _Draws(rng=rng), params)
         assert starved
 
     def test_quotient_floor_lane_hits_premise_exactly(self):
@@ -312,7 +311,7 @@ class TestPerNameSamplers:
         params = entry.default_params
         for trial in range(50):
             rng = _trial_rng(8, "t1.5-ii", trial)
-            inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), params)
+            inputs, starved = _sample_quotient_transfer(entry, space, None, _Draws(rng=rng), params)
             assert not starved
             x, a, b = inputs["x"], inputs["a"], inputs["b"]
             q = float(x @ a) * float(x @ b) / float(x @ x)
@@ -322,7 +321,7 @@ class TestPerNameSamplers:
         entry = CATALOG["t1.5-ii"]
         space = SpaceSpec(3, Field.REAL)
         rng = _trial_rng(1, "t1.5-ii", 0)
-        inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), MooreParams(mu2=0.0))
+        inputs, starved = _sample_quotient_transfer(entry, space, None, _Draws(rng=rng), MooreParams(mu2=0.0))
         assert not starved
         x, a, b = inputs["x"], inputs["a"], inputs["b"]
         assert float(x @ a) * float(x @ b) <= 1e-12
@@ -334,7 +333,7 @@ class TestPerNameSamplers:
         space = SpaceSpec(1, Field.REAL)
         for trial in range(20):
             rng = _trial_rng(2, "t1.5-ii", trial)
-            inputs, starved = _sample_quotient_transfer(entry, space, None, _Live(rng), MooreParams(mu2=-0.5))
+            inputs, starved = _sample_quotient_transfer(entry, space, None, _Draws(rng=rng), MooreParams(mu2=-0.5))
             a, b = float(inputs["a"][0]), float(inputs["b"][0])
             assert starved == (a * b > -0.5 * abs(a) * abs(b))
 
@@ -345,8 +344,8 @@ class TestSamplingPrimitives:
         space = SpaceSpec(4, field)
         for size in (0, 1, 3):
             width = 4 * (2 if field is Field.COMPLEX else 1)
-            rows = _complexify(_Live(np.random.default_rng(5)).rows(size, 4, width), field)
-            draws = _Live(np.random.default_rng(5))
+            rows = _complexify(_Draws(rng=np.random.default_rng(5)).rows(size, 4, width), field)
+            draws = _Draws(rng=np.random.default_rng(5))
             one_by_one = [_vectors(draws, space) for _ in range(size)]
             assert rows.shape == (size, 4)
             assert rows.tobytes() == np.array(one_by_one, dtype=field.dtype).reshape(size, 4).tobytes()
@@ -356,8 +355,8 @@ class TestSamplingPrimitives:
         rng = np.random.default_rng(8)
         for dim in range(1, 9):
             for _ in range(50):
-                w = _vectors(_Live(rng), SpaceSpec(dim, field)) * 10.0 ** rng.integers(-150, 150)
-                assert _norm(w) == np.linalg.norm(w)
+                w = _vectors(_Draws(rng=rng), SpaceSpec(dim, field)) * 10.0 ** rng.integers(-150, 150)
+                assert _Draws.norms(w) == np.linalg.norm(w)
 
 
 def _stacked_and_alone(config, key, entry, params, fields):
