@@ -53,15 +53,19 @@ order as big-endian float64 coordinate payloads (families get a length
 prefix, complexified vectors serialize re then im).  Scalar parameters and
 the gram matrix are deliberately not digested; they are part of the run
 configuration, not of the sampled instance.  `instance_digests` serializes
-each group of a run into one uint8 matrix and hashes every row of every
-group in one pass.
+the instances of each (space, family sizes) group into one preallocated
+uint8 matrix, a row per instance: the header and the family length
+prefixes are assigned to all rows at once and each argument is cast to
+big-endian straight into its columns.  It then hashes every row of every
+group in one pass of uint64 states (`fnv1a_64_rows`), which reads the
+bytes a bounded chunk of columns at a time.  A lone digest takes the byte
+loop `fnv1a_64`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -89,7 +93,8 @@ PREMISE_SLACK = 1e-12
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_FNV_COLUMNS = 256
+_FNV_CHUNK_BYTES = 1 << 18
+_BIG_COUNT, _BIG_REAL, _BIG_COMPLEX = np.dtype(">u8"), np.dtype(">f8"), np.dtype(">c16")
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -104,57 +109,77 @@ def fnv1a_64_rows(blocks) -> list:
     order, in one pass.
 
     FNV-1a runs over all rows at once as uint64 states, which wrap mod 2^64
-    as _MASK64 does: with the rows sorted longest first, byte j applies one
-    xor and one multiply to the states of the rows longer than j.  The bytes
-    are copied column-major, _FNV_COLUMNS columns at a time, so the copy
-    stays small beside the blocks.  A pass costs per byte column, so one
-    lone byte string is cheaper through fnv1a_64.
+    as _MASK64 does: with the blocks, and so their rows, sorted longest
+    first, byte j applies one in-place xor and one in-place multiply to the
+    states of the rows longer than j.  The bytes are copied column-major and
+    widened to uint64 a chunk of columns at a time, so the steps read
+    operands of the states' dtype; the chunk narrows as more rows are still
+    active, so its one buffer stays within _FNV_CHUNK_BYTES (or one column
+    of states) beside the blocks.  A pass costs per byte column, so one lone
+    byte string is cheaper through fnv1a_64.
     """
-    lengths = np.array([b.shape[1] for b in blocks for _ in range(b.shape[0])], dtype=np.intp)
-    order = np.argsort(-lengths, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    width = int(lengths.max()) if lengths.size else 0
-    active = (lengths.size - np.searchsorted(np.sort(lengths), np.arange(width), side="right")).tolist()
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b].shape[1])
+    counts = [blocks[b].shape[0] for b in order]
+    first = np.cumsum([0] + counts).tolist()  # the states of block order[k] are first[k]:first[k + 1]
+    lengths = np.repeat([blocks[b].shape[1] for b in order], counts).astype(np.intp)
+    width = int(lengths[0]) if lengths.size else 0
+    active = np.searchsorted(-lengths, -np.arange(width), side="left").tolist()  # rows longer than j
     states = np.full(lengths.size, _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for start in range(0, width, _FNV_COLUMNS):
-        stop = min(start + _FNV_COLUMNS, width)
-        columns = np.zeros((stop - start, active[start]), dtype=np.uint8)
-        first = 0
-        for block in blocks:
-            if block.shape[1] > start:
-                columns[: block.shape[1] - start, slot[first : first + block.shape[0]]] = block[:, start:stop].T
-            first += block.shape[0]
-        for j in range(start, stop):
-            live = states[: active[j]]
-            live ^= columns[j - start, : active[j]]
+    primes = np.full(lengths.size, _FNV_PRIME, dtype=np.uint64)
+    live, prime = states, primes
+    buffer = np.empty(max(_FNV_CHUNK_BYTES // 8, lengths.size), dtype=np.uint64)
+    start = 0
+    while start < width:
+        stop = min(width, start + buffer.size // active[start])
+        columns = buffer[: (stop - start) * active[start]].reshape(stop - start, active[start])
+        for k, b in enumerate(order):
+            block = blocks[b]
+            if block.shape[1] <= start:
+                break
+            columns[: block.shape[1] - start, first[k] : first[k + 1]] = block[:, start:stop].T
+        for j, column in enumerate(columns, start):
+            if active[j] != live.size:
+                live, prime = states[: active[j]], primes[: active[j]]
+            live ^= column[: live.size]
             live *= prime
-    return states[slot].tolist()
-
-
-def _constant(n: int, data: bytes) -> np.ndarray:
-    return np.broadcast_to(np.frombuffer(data, dtype=np.uint8), (n, len(data)))
+        start = stop
+    parts = [None] * len(blocks)
+    for k, b in enumerate(order):
+        parts[b] = states[first[k] : first[k + 1]]
+    return np.concatenate(parts).tolist() if parts else []
 
 
 def _serialized(space: SpaceSpec, columns) -> np.ndarray:
     """The bytes digest_inputs hashes, for n instances at once, as the rows
-    of a uint8 matrix.  `columns` holds each argument's n values; the
-    families of one argument must share a size.  Each argument's
-    coordinates take one big-endian cast."""
+    of one uint8 matrix.  `columns` holds each argument's n values; the
+    families of one argument must share a size.  The header and the family
+    length prefixes are assigned to every row at once, and each argument's
+    coordinates are cast to big-endian straight into their columns."""
     n = len(columns[0]) if columns else 1
-    parts = [_constant(n, (b"R" if space.field is Field.REAL else b"C") + struct.pack(">Q", space.dim))]
+    payloads = []  # (family size or None, (n, m) coordinates, big-endian dtype)
     for values in columns:
+        size = None
         if isinstance(values[0], OrthonormalFamily):
-            parts.append(_constant(n, struct.pack(">Q", values[0].size)))
+            size = values[0].size
             coords = np.array([family.members for family in values])
         elif isinstance(values[0], ComplexifiedVector):
             coords = np.array([(z.re, z.im) for z in values])
         else:
-            coords = np.array(values)
-        big = coords.astype(">c16" if np.iscomplexobj(coords) else ">f8")
-        parts.append(big.reshape(n, -1).view(np.uint8))
-    return np.concatenate(parts, axis=1)
+            coords = np.asarray(values)
+        payloads.append((size, coords.reshape(n, -1), _BIG_COMPLEX if coords.dtype.kind == "c" else _BIG_REAL))
+    width = 9 + sum((0 if size is None else 8) + coords.shape[1] * big.itemsize for size, coords, big in payloads)
+    rows = np.empty((n, width), dtype=np.uint8)
+    rows[:, 0] = ord("R" if space.field is Field.REAL else "C")
+    rows[:, 1:9].view(_BIG_COUNT)[...] = space.dim
+    at = 9
+    for size, coords, big in payloads:
+        if size is not None:
+            rows[:, at : at + 8].view(_BIG_COUNT)[...] = size
+            at += 8
+        stop = at + coords.shape[1] * big.itemsize
+        rows[:, at:stop].view(big)[...] = coords
+        at = stop
+    return rows
 
 
 def digest_inputs(space: SpaceSpec, *parts) -> str:
@@ -853,8 +878,11 @@ def run_catalog(name: str, space: SpaceSpec, inputs, params: Optional[MooreParam
 
 
 def _digest_columns(entry: CatalogEntry, space: SpaceSpec, group) -> list:
-    return [[np.asarray(inputs[arg], dtype=space.field.dtype) if arg in entry.vector_args else inputs[arg]
-             for inputs in group] for arg in entry.args]
+    """Each argument's values over `group`, a vector argument as one (n, d)
+    array in the field's dtype."""
+    dtype = space.field.dtype
+    return [np.array([inputs[arg] for inputs in group], dtype=dtype) if arg in entry.vector_args
+            else [inputs[arg] for inputs in group] for arg in entry.args]
 
 
 def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:

@@ -14,8 +14,10 @@ timestamp fields are the only bytes that differ between identical runs.
 
 With --emit-instances, `verify` also writes one line per trial whose premises
 hold.  Those lines come from the falsify shard pass that fills the summary,
-so each instance is sampled, evaluated and digested once; they are written
-shard by shard in trial order, before the name's summary line.
+so each instance is sampled, evaluated and digested once; the shard spells
+them (`falsifier._instance_records`, with the one float spelling,
+`format_float`), and they are written as that text, shard by shard in trial
+order, before the name's summary line.
 
 Exit codes: 0 pass, 1 usage error (two of --out, --csv and stdout naming
 one file included), unwritable output path or a stdout pipe closed by its
@@ -31,7 +33,6 @@ import enum
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import stat
@@ -50,6 +51,7 @@ from .falsifier import (
     _trial_cell,
     _trial_rng,
     falsify,
+    format_float,
     moore_complex_experiment,
 )
 from .spaces import DomainError, Field
@@ -66,15 +68,6 @@ class RunManifest:
 
 
 # serialization -------------------------------------------------------------
-
-
-def format_float(x: float) -> str:
-    """17 significant digits, the shortest spelling that always round-trips
-    a double.  JSON has no spelling for non-finite values, so those map to
-    null."""
-    if not math.isfinite(x):
-        return "null"
-    return "%.17g" % x
 
 
 _encode_str = json.JSONEncoder(ensure_ascii=False).encode
@@ -315,13 +308,11 @@ def cmd_search(args, threads: int) -> int:
     with _outputs(args.out, args.csv) as (out, csv):
         stream = out or sys.stdout
 
-        def write(records):
-            for record in records:
-                stream.write(to_json(record) + "\n")
-
+        # a shard's instance lines come finished, newlines included
+        write = stream.writelines if args.emit_instances else None
         reports = []
         for name in names:
-            report = falsify(name, config, threads=threads, on_records=write if args.emit_instances else None)
+            report = falsify(name, config, threads=threads, on_records=write)
             stream.write(to_json(report) + "\n")
             reports.append(report)
         if csv is not None:

@@ -7,10 +7,11 @@ Every trial is a pure function of (seed, inequality name, trial index): the
 per-trial generator is Philox keyed on (seed, fnv1a(name)) with the trial
 index in the counter, so runs partition arbitrarily across workers without
 changing a single sampled byte.  A Philox stream depends only on its key and
-counter, so one generator per (seed, name) serves every trial: its counter
-and output buffers are reset for each trial, which reproduces a freshly
-built generator draw for draw.  Trials sweep the configured dimension range
-cyclically and alternate fields blockwise for field-agnostic statements.
+counter, so one generator per (seed, name) serves every trial and every
+random gram of that name: its counter and output buffers are reset for each
+trial and each gram draw, which reproduces a freshly built generator draw
+for draw.  Trials sweep the configured dimension range cyclically and
+alternate fields blockwise for field-agnostic statements.
 
 Vectors are sampled with independent standard normal coordinates (real and
 imaginary parts independently over C).  Under a non-identity gram matrix the
@@ -42,11 +43,12 @@ groups of one space (catalog statements are stacked kernels that give each
 member of a group the bits it gets alone), then counts them in trial order.
 If a group raises, the shard evaluates each of its trials as a group of
 one, in trial order, so the error is the first faulty trial's own.  A shard
-can also return one instance record per trial whose premises hold (its
-digest and binding margins), so a caller that writes every instance gets
-them from the same sampling and evaluation as the report, one shard at a
-time; the digests of a shard take one batched FNV-1a pass.  It returns the
-inputs of its lowest trials with their counts, so no trial is sampled
+can also return the instance line of each trial whose premises hold (its
+digest and binding margins, as finished JSON text), so a caller that writes
+every instance gets them from the same sampling and evaluation as the
+report, one shard at a time, and only writes them; the digests of a shard
+take one batched FNV-1a pass, and its lines one format string.  It returns
+the inputs of its lowest trials with their counts, so no trial is sampled
 twice; the lowest of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
@@ -78,6 +80,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -211,31 +214,38 @@ def _name_key(name: str) -> int:
 @functools.lru_cache(maxsize=256)
 def _stream(seed: int, name: str):
     """The one Philox generator of (seed, name), with its initial state,
-    whose counter `_trial_rng` sets."""
+    whose counter `_trial_rng` and `_gram_rng` set."""
     bits = np.random.Philox(key=[seed, _name_key(name)])
     return bits, np.random.Generator(bits), bits.state
 
 
-def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
-    """The generator of one trial: Philox keyed on (seed, fnv1a(name)) at
-    counter [0, 0, 0, index], drawing exactly as a freshly built one.
+def _stream_at(seed: int, name: str, word2: int, word3: int) -> np.random.Generator:
+    """The generator of (seed, name) at counter [0, 0, word2, word3], drawing
+    exactly as a freshly built one.
 
-    The generator is shared by every trial of (seed, name): it is reset here,
-    so it stays valid only until the next call with the same seed and name.
+    The generator is shared by every stream of (seed, name): it is reset
+    here, so it stays valid only until the next reset of the same seed and
+    name.
     """
     bits, rng, state = _stream(seed, name)
-    # setting a state copies it, buffer included, so the one dict serves every trial
-    state["state"]["counter"][3] = index
+    # setting a state copies it, buffer included, so the one dict serves every reset
+    counter = state["state"]["counter"]
+    counter[2] = word2
+    counter[3] = word3
     bits.state = state
     return rng
 
 
+def _trial_rng(seed: int, name: str, index: int) -> np.random.Generator:
+    """The generator of one trial: Philox keyed on (seed, fnv1a(name)) at
+    counter [0, 0, 0, index] (see `_stream_at`)."""
+    return _stream_at(seed, name, 0, index)
+
+
 def _gram_rng(seed: int, name: str, dim: int, field: Field) -> np.random.Generator:
     """Reserved substream (counter word 2 set) so gram draws never collide
-    with trial draws."""
-    word = dim * 2 + (1 if field is Field.COMPLEX else 0)
-    bits = np.random.Philox(key=[seed, _name_key(name)], counter=[0, 0, 1, word])
-    return np.random.Generator(bits)
+    with trial draws (see `_stream_at`)."""
+    return _stream_at(seed, name, 1, dim * 2 + (1 if field is Field.COMPLEX else 0))
 
 
 def _random_gram(seed: int, name: str, dim: int, field: Field) -> np.ndarray:
@@ -988,26 +998,44 @@ def _detached(sampled: SampledInstance) -> SampledInstance:
     return replace(sampled, inputs={k: copied(v) for k, v in sampled.inputs.items()})
 
 
+def format_float(x: float) -> str:
+    """17 significant digits, the shortest spelling that always round-trips
+    a double.  JSON has no spelling for non-finite values, so those map to
+    null."""
+    if not math.isfinite(x):
+        return "null"
+    return "%.17g" % x
+
+
+def _json_number(x) -> str:
+    return "null" if x is None else format_float(x)
+
+
 def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
-    """The instance line of each trial whose premises hold, in trial order,
-    as a dict in the line's key order.  The digests take one pass over the
-    whole shard."""
+    """The instance line of each trial whose premises hold, in trial order:
+    one JSON object and its newline, with its keys in the order below,
+    floats spelled by format_float and a missing field as null, as
+    `cli.to_json` spells the same record.  The digests take one pass over
+    the whole shard."""
     counted = [(sampled, row) for sampled, row in zip(samples, rows) if row[1]]
     digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
-    return [{"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(), "seed": seed,
-             "digest": digest, "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower,
-             "margin_upper": upper, "holds": holds, "near_equality": near}
-            for (sampled, (_, _, _, holds, near, (lhs, center, rhs, lower, upper))), digest in zip(counted, digests)]
+    line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%d,"field":"%s","seed":'
+            + str(seed) + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,'
+            '"holds":%s,"near_equality":%s}\n')
+    return [line % (sampled.space.dim, sampled.space.field.value, digest, *map(_json_number, fields),
+                    "true" if holds else "false", "true" if near else "false")
+            for (sampled, (_, _, _, holds, near, fields)), digest in zip(counted, digests)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
     """Run the randomized search for one inequality and aggregate a report.
 
     With `on_records`, every trial whose premises hold also yields its
-    instance line as a dict (`_instance_records`), from the same sampling
-    and evaluation that the report counts.  `on_records` receives each
-    shard's records, in trial order, as that shard arrives and in shard
-    order, so the caller holds one shard's records at a time.
+    instance record as its JSON line, newline included
+    (`_instance_records`), from the same sampling and evaluation that the
+    report counts.  `on_records` receives each shard's lines, in trial
+    order, as that shard arrives and in shard order, so the caller holds
+    one shard's lines at a time.
     """
     entry = catalog_entry(ineq_name)
     _field_plan(ineq_name, entry.fields, config.field)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ineq_forge.catalog import (
+    _FNV_CHUNK_BYTES,
     CATALOG,
     NEAR_EQUALITY_REL,
     TOL_ABS,
@@ -1269,3 +1270,19 @@ class TestBatchedDigest:
         assert fnv1a_64_rows(blocks) == expected
         singles = [np.frombuffer(data, dtype=np.uint8).reshape(1, len(data)) for data in strings]
         assert fnv1a_64_rows(singles) == [_fnv_reference(data) for data in strings] == [fnv1a_64(d) for d in strings]
+
+    @pytest.mark.parametrize("per_length, chunks_of", [(1, None), (3, None), (1, 256), (2, 100)],
+                             ids=["one-row-groups", "three-row-groups", "chunk-of-256", "narrow-chunk"])
+    def test_lengths_straddling_a_chunk_boundary(self, per_length, chunks_of):
+        # a chunk spans _FNV_CHUNK_BYTES of uint64 columns over the active
+        # rows; a block of 2304-byte filler rows brings the active rows up to
+        # as many as make the first chunk `chunks_of` columns wide
+        lengths = (0, 1, 255, 256, 257, 2304)
+        rng = np.random.default_rng(11)
+        blocks = [rng.integers(0, 256, size=(per_length, n), dtype=np.uint8) for n in lengths]
+        if chunks_of:
+            active = _FNV_CHUNK_BYTES // (8 * chunks_of)
+            assert _FNV_CHUNK_BYTES // (8 * active) == chunks_of
+            blocks.insert(2, rng.integers(0, 256, size=(active - per_length * (len(lengths) - 1), 2304), dtype=np.uint8))
+        expected = [_fnv_reference(row.tobytes()) for block in blocks for row in block]
+        assert fnv1a_64_rows(blocks) == expected

@@ -13,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ineq_forge import falsifier
+from ineq_forge import cli, falsifier
 from ineq_forge.catalog import (
     CATALOG,
     CatalogEntry,
@@ -26,6 +27,7 @@ from ineq_forge.catalog import (
     digest_inputs,
     eval_generalized,
     eval_schwarz,
+    fnv1a_64,
     instance_digest,
     stacked_evaluation,
 )
@@ -42,6 +44,8 @@ from ineq_forge.falsifier import (
     _complexify,
     _conditioned,
     _Draws,
+    _gram_rng,
+    _instance_records,
     _moore_ratios,
     _SAMPLERS,
     _name_key,
@@ -240,6 +244,61 @@ class TestStreamReuse:
         fresh = _fresh_rng(23, "schwarz", 4)
         for draw in (lambda r: r.integers(0, 7, size=5), lambda r: r.standard_normal(6), lambda r: r.uniform(size=3)):
             assert np.array_equal(draw(again), draw(fresh))
+
+    @pytest.mark.parametrize("seed", [0, 987654321])
+    def test_gram_draws_match_fresh_generators(self, seed):
+        # the gram substream shares the trials' generator, at counter word 2 = 1
+        name = "generalized-2.1"
+        for dim in range(1, 9):
+            for field in Field:
+                word = dim * 2 + (1 if field is Field.COMPLEX else 0)
+                fresh = np.random.Generator(np.random.Philox(key=[seed, fnv1a_64(name.encode())], counter=[0, 0, 1, word]))
+                assert np.array_equal(_gram_rng(seed, name, dim, field).standard_normal(2 * dim * dim),
+                                      fresh.standard_normal(2 * dim * dim))
+
+    def test_trial_after_a_gram_draw_is_unchanged(self):
+        before = _trial_rng(5, "schwarz", 3).standard_normal(8)
+        _gram_rng(5, "schwarz", 4, Field.COMPLEX).standard_normal(32)
+        after = _trial_rng(5, "schwarz", 3).standard_normal(8)
+        assert np.array_equal(before, after)
+        assert np.array_equal(after, _fresh_rng(5, "schwarz", 3).standard_normal(8))
+
+
+_LINE_FLOATS = st.one_of(
+    st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _line_samples(name):
+    config = SearchConfig(seed=3, trials=6, dims=(1, 3), field=FieldChoice.BOTH, gram=GramKind.RANDOM)
+    return sample_instance(config, name, list(range(config.trials)))
+
+
+def _reference_lines(name, seed, samples, rows):
+    """The instance lines as cli.to_json spells each record's dict, the
+    record keyed and ordered as the lines are, each digest taken alone."""
+    return [cli.to_json({"ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.name.lower(),
+                         "seed": seed, "digest": instance_digest(name, sampled.space, sampled.inputs),
+                         "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower, "margin_upper": upper,
+                         "holds": holds, "near_equality": near}) + "\n"
+            for sampled, (_, premises, _, holds, near, (lhs, center, rhs, lower, upper)) in zip(samples, rows)
+            if premises]
+
+
+class TestInstanceLineSpelling:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(catalog_names()),
+        seed=st.integers(0, 2**64 - 1),
+        flags=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=6, max_size=6),
+        fields=st.lists(st.tuples(*[_LINE_FLOATS] * 5), min_size=6, max_size=6),
+    )
+    def test_lines_are_to_json_of_the_record(self, name, seed, flags, fields):
+        samples = _line_samples(name)
+        rows = [(0.0, premises, 0.0, holds, near, values) for (premises, holds, near), values in zip(flags, fields)]
+        assert _instance_records(name, seed, samples, rows) == _reference_lines(name, seed, samples, rows)
 
 
 class TestWhitening:
