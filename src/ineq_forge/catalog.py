@@ -37,11 +37,12 @@ through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
 compute in the dtype of their operands.  Statements that evaluate the same
 quantity share one kernel for it, which validates the arguments it reads.
 
-A stacked kernel rounds every row as a group of one rounds it: each
-reduction is a stacked matmul with its operands in the scalar order, and
-where numpy's elementwise array loops round differently from Python's
-scalar arithmetic (complex product and modulus, `x ** 2`) the kernels spell
-out the scalar operation (`_cmul`, `_abs`, `_square`).  A group may mix
+A stacked kernel rounds every row as a group of one rounds it: each row
+dot product is one np.vecdot and each other reduction a stacked matmul,
+with their operands in the scalar order, and where numpy's elementwise
+array loops round differently from Python's scalar arithmetic (complex
+product and modulus, `x ** 2`) the kernels spell out the scalar operation
+(`_cmul`, `_abs`, `_square`).  A group may mix
 family sizes: the family statements stack the members of each size apart
 (`_family_stacks`), since a product of k-row members rounds by k.  So group
 sizes never change a result, and evaluating a group equals evaluating each
@@ -220,10 +221,14 @@ class StackedEvaluation:
 
     @property
     def normalized_margin(self) -> np.ndarray:
-        """min_margin in units of scale, a zero scale counting as 1e-300
-        (np.maximum keeps a NaN scale and never ties with 1e-300, so it
-        picks as Python's max does)."""
-        return self.min_margin / np.maximum(self.scale.astype(np.float64, copy=False), 1e-300)
+        """min_margin in units of scale (see `normalized`)."""
+        return self.normalized(self.min_margin)
+
+    def normalized(self, margin: np.ndarray) -> np.ndarray:
+        """A double margin of every row in units of scale, a zero scale
+        counting as 1e-300 (np.maximum keeps a NaN scale and never ties with
+        1e-300, so it picks as Python's max does)."""
+        return margin / np.maximum(self.scale.astype(np.float64, copy=False), 1e-300)
 
 
 def stacked_evaluation(scale, lhs, center=None, rhs=None) -> StackedEvaluation:
@@ -275,9 +280,11 @@ class StackedResult:
         first on ties, and a later link only where its margin is below, as
         Python's min picks (a NaN margin in the first link binds, one in a
         later link is passed over)."""
-        best = self.links[0]
+        best, *rest = self.links
+        if not rest:
+            return best
         lowest = best.normalized_margin
-        for link in self.links[1:]:
+        for link in rest:
             margin = link.normalized_margin
             pick = margin < lowest
             best = _select(pick, link, best)
@@ -371,8 +378,9 @@ def _complexified_parts(space, z, name, extended):
 
 
 def _dot(a, b):
-    """a_i . b_i for every row of two (n, k) stacks, as (1, k) @ (k, 1)."""
-    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+    """a_i . b_i for every row of two (n, k) stacks, unconjugated, by
+    np.vecdot (which conjugates its first operand): a 1-d dot's bits."""
+    return np.vecdot(np.conj(a) if a.dtype.kind == "c" else a, b)
 
 
 def _row_times(a, m):

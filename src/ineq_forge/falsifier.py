@@ -62,10 +62,11 @@ each family argument for all of them as one stacked Gram-Schmidt pass, and
 are evaluated as one group together with the point they probe: the start
 instance, or a step's first, full-length candidate when a step remains
 after it and the step before accepted its own first candidate, so an
-accepted first candidate brings the next gradient along (halved
-candidates, the last step's and those after a halving step are evaluated
-alone).  A probe that cannot be rebuilt or raises (alone, after its group
-raised) is left out of the gradient.  The complex-premise Moore experiment
+accepted first candidate brings the next gradient along.  The line
+search tries every other candidate in blocks of LINE_BLOCK step lengths,
+each rebuilt in one call and evaluated as one group.  A probe that cannot
+be rebuilt or raises (alone, after its group raised) is left out of the
+gradient.  The complex-premise Moore experiment
 samples and evaluates its samples in groups of one dimension, chunk by
 chunk, as a shard does, and refines the inputs of its lowest ratios with
 the same descent routine and the same coordinate codec, so both searches
@@ -115,6 +116,7 @@ SHARD_SIZE = 4096
 TOP_K = 8
 REJECTION_CAP = 10_000
 MAX_HALVINGS = 20
+LINE_BLOCK = 8  # step lengths a line search rebuilds and evaluates as one group
 HISTOGRAM_BUCKETS = 32
 _TINY = 1e-300
 
@@ -860,20 +862,21 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
     raises on a faulty one (see `_evaluate`).
 
     Each step takes the gradient from the 2n unprojected probes around the
-    current point, then tries projected candidates along the normalized
-    descent direction, halving the step until one lowers the value with its
-    premises intact.  The start instance is evaluated in one group with
-    the first gradient's probes.  A step's first, full-length candidate is
-    evaluated with the probes around its own flat when a step remains after
-    it and the step before accepted its first candidate (the first step
-    counts as such), so an accepted first candidate brings the next
-    gradient along.  Once a step halves, its successor's first candidate
-    goes alone: probes built around a rejected candidate are wasted, and in
-    a long descent most steps halve.  Halved candidates and the last step's
-    candidate are evaluated alone, and a point whose gradient did not come
-    with it gets its probes as a group of their own.  The recorded trace is
-    nonincreasing by construction.  The result holds the row of the final
-    instance.
+    current point, then tries the projected candidates at the step lengths
+    s, s/2, ..., s/2^MAX_HALVINGS along the normalized descent direction,
+    and accepts the first that lowers the value with its premises intact.
+    The start instance is evaluated in one group with the first gradient's
+    probes.  A step's first candidate is evaluated with the probes around
+    its own flat when a step remains after it and the step before accepted
+    its first candidate (the first step counts as such), so an accepted
+    first candidate brings the next gradient along; in a long descent most
+    steps halve, and probes built around a rejected candidate are wasted.
+    The other lengths are rebuilt in one call and evaluated as one group,
+    LINE_BLOCK at a time in order, the last block short.  A point whose
+    gradient did not come with it gets its probes as a group of their own.
+    Every member of a group gets the row it gets alone, so the blocks move
+    no bit.  The recorded trace is nonincreasing by construction.  The
+    result holds the row of the final instance.
     """
 
     h = config.fd_eps
@@ -891,22 +894,28 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
             break
         direction = grad / gnorm
         reach = max(float(np.linalg.norm(flat)), 1e-12)
-        trial_step = step
-        for halving in range(MAX_HALVINGS + 1):
-            candidate = codec.rebuild(flat - trial_step * reach * direction, project=True)
-            merged = first_accepted and left and not halving and candidate is not None
-            candidate_flat = codec.flatten(candidate) if merged else None
-            (candidate_row,), grad = _probed(objective, codec, [candidate], candidate_flat, h)
-            if candidate_row[1] and candidate_row[0] < row[0]:
+        lengths = [step]
+        for _ in range(MAX_HALVINGS):
+            lengths.append(lengths[-1] / 2.0)
+        start = 0
+        while start < len(lengths):
+            with_probes = first_accepted and left and not start  # the first candidate, with the probes around it
+            stop = start + (1 if with_probes else LINE_BLOCK)
+            block = np.array(lengths[start:stop]) * reach
+            candidates = codec.rebuild(flat - block[:, np.newaxis] * direction, project=True)
+            merged_flat = codec.flatten(candidates[0]) if with_probes and candidates[0] is not None else None
+            rows, grad = _probed(objective, codec, candidates, merged_flat, h)
+            i = next((i for i, (value, premises_ok, *_) in enumerate(rows) if premises_ok and value < row[0]), None)
+            if i is not None:
                 break
-            trial_step /= 2.0
+            start = stop
         else:
             break
-        current_inputs, row = candidate, candidate_row
-        flat = codec.flatten(candidate) if candidate_flat is None else candidate_flat
+        current_inputs, row = candidates[i], rows[i]
+        flat = codec.flatten(current_inputs) if merged_flat is None else merged_flat
         trace.append(row[0])
-        step = min(trial_step * 1.5, 1.0)
-        first_accepted = not halving
+        step = min(lengths[start + i] * 1.5, 1.0)
+        first_accepted = start + i == 0
     return AscentResult(current_inputs, row, tuple(trace))
 
 
@@ -948,7 +957,8 @@ def _binding_rows(entry, space: SpaceSpec, group: list, params=None, extended: b
     premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
     fields = zip(*([None] * n if value is None else value.astype(np.float64, copy=False).tolist()
                    for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)))
-    return list(zip(binding.normalized_margin.tolist(), premises, binding.min_margin.tolist(), result.holds.tolist(),
+    margin = binding.min_margin
+    return list(zip(binding.normalized(margin).tolist(), premises, margin.tolist(), result.holds.tolist(),
                     binding.near_equality.tolist(), fields))
 
 

@@ -115,17 +115,15 @@ def pairing(space: SpaceSpec, u: np.ndarray, v: np.ndarray):
 
     Validates nothing and computes in the operands' dtype.  Double vectors
     give a Python float or complex, extended ones a numpy scalar, stacks an
-    (n,) array.  A stack takes one (1, d) @ (d, 1) matmul per row, which
-    rounds each row exactly as `u @ w` rounds one vector.
+    (n,) array.  A stack takes np.vecdot, which conjugates its first
+    operand and rounds each row exactly as `u @ w` rounds one vector.
     """
-    w = np.conj(v) if space.field is Field.COMPLEX else v
+    conj = np.conj if space.field is Field.COMPLEX else np.asarray
     if u.ndim == 2:
-        w = w[:, :, np.newaxis]
         if space.gram is not None:
-            w = space.gram @ w
-        return (u[:, np.newaxis, :] @ w)[:, 0, 0]
-    if space.gram is not None:
-        w = space.gram @ w
+            v = conj((space.gram @ conj(v)[:, :, np.newaxis])[:, :, 0])
+        return np.vecdot(v, u)
+    w = conj(v) if space.gram is None else space.gram @ conj(v)
     out = u @ w
     t = type(out)
     if t is np.float64:

@@ -971,10 +971,15 @@ def _reference_rows(objective, group):
     return [(math.inf, False) if instance is None else next(rows) for instance in group]
 
 
+REJECTED = falsifier.MAX_HALVINGS + 2  # what `tried` records for a step that rejects every candidate
+
+
 def _reference_descent(objective, codec, inputs, config, tried=None):
     """The descent with every evaluation in a group of its own: the start
     point, each gradient's 2n probes and each line-search candidate.
-    `tried` collects the number of candidates each step tried."""
+    `tried` collects the number of candidates each step tried until it
+    accepted one, or REJECTED for a step that ends the descent rejecting
+    all of them."""
     h = config.fd_eps
     flat = codec.flatten(inputs)
     (row,) = _reference_rows(objective, [inputs])
@@ -1002,6 +1007,8 @@ def _reference_descent(objective, codec, inputs, config, tried=None):
                 break
             trial_step /= 2.0
         else:
+            if tried is not None:
+                tried.append(REJECTED)
             break
         if tried is not None:
             tried.append(count)
@@ -1011,22 +1018,51 @@ def _reference_descent(objective, codec, inputs, config, tried=None):
     return falsifier.AscentResult(current, row, tuple(trace))
 
 
-def _merged_group_sizes(tried, n) -> list:
-    """The group sizes `local_ascent` evaluates in a descent of len(tried)
-    steps over n coordinates, step i accepting its tried[i]-th candidate:
-    the start with its probes; a first candidate with the probes around it
-    when a step follows and the step before accepted its first; others
-    alone; a gradient that did not come with its point as 2n probes."""
-    sizes = [2 * n + 1] if tried else [1]
+def _descent_group_sizes(tried, n, steps) -> list:
+    """The group sizes `local_ascent` evaluates in a descent of `steps`
+    steps over n coordinates whose step i tried tried[i] candidates (see
+    `_reference_descent`): the start with its probes; a first candidate
+    with the probes around it when a step follows and the step before
+    accepted its first; the other step lengths LINE_BLOCK at a time, the
+    last block short, up to the block holding the accepted one; a gradient
+    that did not come with its point as 2n probes."""
+    lengths, block = falsifier.MAX_HALVINGS + 1, falsifier.LINE_BLOCK
+    sizes = [2 * n + 1] if steps else [1]
     with_gradient = first_accepted = True
     for i, count in enumerate(tried):
         if not with_gradient:
             sizes.append(2 * n)
-        merged = first_accepted and i < len(tried) - 1
-        sizes += [2 * n + 1 if merged else 1] + [1] * (count - 1)
+        merged = first_accepted and i < steps - 1
+        start = 1 if merged else 0
+        sizes += [2 * n + 1] * start
+        while start < min(count, lengths):
+            sizes.append(min(start + block, lengths) - start)
+            start += block
         with_gradient = merged and count == 1
         first_accepted = count == 1
     return sizes
+
+
+def _counted_descent(monkeypatch, name, config) -> tuple:
+    """The `tried` counts of the reference descent of trial 0 of name, the
+    group size of every `CatalogEntry.run` call of its `local_ascent`, which
+    must end as the reference does, and its number of flat coordinates."""
+    sampled = sample_instance(config, name, 0)
+    tried = []
+    entry = CATALOG[name]
+    codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+    objective = functools.partial(_binding_rows, entry, sampled.space)
+    reference = _reference_descent(objective, codec, sampled.inputs, config, tried)
+    sizes = []
+    run = CatalogEntry.run
+
+    def counted(self, space, group, *args, **kwargs):
+        sizes.append(len(group))
+        return run(self, space, group, *args, **kwargs)
+
+    monkeypatch.setattr(CatalogEntry, "run", counted)
+    assert _same_ascent(local_ascent(name, sampled.space, sampled.inputs, config), reference)
+    return tried, sizes, codec.flatten(sampled.inputs).size
 
 
 def _same_ascent(a, b) -> bool:
@@ -1116,60 +1152,56 @@ class TestMergedDescent:
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_k_first_candidate_steps_make_k_plus_one_calls(self, monkeypatch, steps):
         config = SearchConfig(seed=3, trials=1, dims=(3, 3), ascent_steps=steps)
-        sampled = sample_instance(config, "schwarz", 0)
-        tried = []
-        entry = CATALOG["schwarz"]
-        codec = _CoordCodec(entry, sampled.space, sampled.inputs)
-        _reference_descent(functools.partial(_binding_rows, entry, sampled.space), codec, sampled.inputs, config,
-                           tried)
+        tried, sizes, n = _counted_descent(monkeypatch, "schwarz", config)
         assert tried == [1] * steps
-        sizes = []
-        run = CatalogEntry.run
-
-        def counted(self, space, group, *args, **kwargs):
-            sizes.append(len(group))
-            return run(self, space, group, *args, **kwargs)
-
-        monkeypatch.setattr(CatalogEntry, "run", counted)
-        result = local_ascent("schwarz", sampled.space, sampled.inputs, config)
-        assert len(result.trace) == steps + 1
         # the start and each first candidate but the last with their probes,
-        # then the last candidate alone; one gradient group and one lone
-        # candidate a step, after the lone start, made 2K + 1
-        n = codec.flatten(sampled.inputs).size
-        assert sizes == [2 * n + 1] * steps + [1]
-        assert sizes == _merged_group_sizes(tried, n)
+        # then the last step's first block; one gradient group and one
+        # block a step, after the lone start, made 2K + 1
+        assert sizes == [2 * n + 1] * steps + [falsifier.LINE_BLOCK]
+        assert sizes == _descent_group_sizes(tried, n, steps)
 
-    # every step halves; step 0 halves, step 1 accepts its lone first
-    # candidate and step 2's merged one is rejected; step 2 halves, step 3
-    # accepts its lone first candidate and step 4 merges again
+    # every step halves; step 0 halves, step 1 accepts its first candidate
+    # (without its probes, leading a block) and step 2's merged one is
+    # rejected; step 2 halves, step 3 accepts its first candidate and step
+    # 4 merges again
     @pytest.mark.parametrize("name, step_size, seed, steps", [("schwarz", 0.5, 3, 2), ("buzano-1.14", 0.5, 4, 4),
                                                               ("buzano-1.14", 0.2, 3, 6)])
     def test_after_a_halving_step_the_first_candidate_goes_alone(self, monkeypatch, name, step_size, seed, steps):
         config = SearchConfig(seed=seed, trials=1, dims=(3, 3), ascent_steps=steps, step_size=step_size)
-        sampled = sample_instance(config, name, 0)
-        tried = []
-        entry = CATALOG[name]
-        codec = _CoordCodec(entry, sampled.space, sampled.inputs)
-        _reference_descent(functools.partial(_binding_rows, entry, sampled.space), codec, sampled.inputs, config,
-                           tried)
+        tried, sizes, n = _counted_descent(monkeypatch, name, config)
         assert len(tried) == steps and max(tried[:-1]) > 1
-        sizes = []
-        run = CatalogEntry.run
-
-        def counted(self, space, group, *args, **kwargs):
-            sizes.append(len(group))
-            return run(self, space, group, *args, **kwargs)
-
-        monkeypatch.setattr(CatalogEntry, "run", counted)
-        local_ascent(name, sampled.space, sampled.inputs, config)
-        n = codec.flatten(sampled.inputs).size
-        assert sizes == _merged_group_sizes(tried, n)
-        if tried[0] > 1:
+        assert sizes == _descent_group_sizes(tried, n, steps)
+        if 1 < tried[0] <= 1 + falsifier.LINE_BLOCK:
             # the first step's merged candidate was rejected, its probes
-            # built for nothing; the halved ones went alone, then the
-            # accepted one's probes
-            assert sizes[:tried[0] + 2] == [2 * n + 1, 2 * n + 1] + [1] * (tried[0] - 1) + [2 * n]
+            # built for nothing; the next block held the accepted one, then
+            # came its probes and the second step's block without probes
+            assert sizes[:5] == [2 * n + 1, 2 * n + 1, falsifier.LINE_BLOCK, 2 * n, falsifier.LINE_BLOCK]
+
+    # step 2 accepts the twelfth length; with a step after it, its merged
+    # candidate and the block after that are rejected first, and as the
+    # last step it has no merged candidate: either way the second block
+    # holds the accepted one
+    @pytest.mark.parametrize("steps, merged", [(4, 1), (3, 0)])
+    def test_the_accepted_candidate_in_the_second_block(self, monkeypatch, steps, merged):
+        config = SearchConfig(seed=4, trials=1, dims=(3, 3), ascent_steps=steps, step_size=0.2)
+        tried, sizes, n = _counted_descent(monkeypatch, "schwarz", config)
+        assert tried[:3] == [1, 1, 12] and len(tried) == steps
+        block = falsifier.LINE_BLOCK
+        assert merged + block < 12 <= merged + 2 * block
+        assert sizes == _descent_group_sizes(tried, n, steps)
+        # the start and steps 0 and 1 with their probes, then step 2's groups
+        assert sizes[3 : 5 + merged] == [2 * n + 1] * merged + [block, block]
+
+    def test_a_step_that_rejects_every_candidate_ends_the_descent(self, monkeypatch):
+        config = SearchConfig(seed=6, trials=1, dims=(3, 3), ascent_steps=50, step_size=0.2)
+        tried, sizes, n = _counted_descent(monkeypatch, "schwarz", config)
+        assert tried[-1] == REJECTED and 1 < len(tried) < config.ascent_steps and tried[-2] > 1
+        assert sizes == _descent_group_sizes(tried, n, config.ascent_steps)
+        # the last step's gradient, then its 21 lengths in blocks, the last short
+        lengths, block = falsifier.MAX_HALVINGS + 1, falsifier.LINE_BLOCK
+        blocks = [min(block, lengths - start) for start in range(0, lengths, block)]
+        assert len(blocks) == math.ceil(lengths / block) and blocks[-1] < block
+        assert sizes[-len(blocks) - 1:] == [2 * n] + blocks
 
 
 class TestRefinementFold:

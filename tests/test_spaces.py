@@ -15,6 +15,8 @@ from ineq_forge.spaces import (
     gram_from_factor,
     inner,
     norm,
+    pairing,
+    pairing_norm,
     require_nonzero,
     scale_complexified,
     zero_norm_threshold,
@@ -196,6 +198,70 @@ class TestExtendedPrecision:
         exact = inner(s, u, v, extended=True)  # 1 - 1e-17 in 80-bit
         assert float(exact) == 1.0
         assert exact != np.longdouble(1.0)
+
+
+def _signed_stack(rng, n, dim, dtype):
+    """An (n, dim) stack over magnitudes 1e-3 to 1e3 with a +0.0 row, a
+    -0.0 row and scattered signed zeros, in dtype."""
+    scale = 10.0 ** rng.uniform(-3, 3, (n, 1))
+    x = rng.standard_normal((n, dim)) * scale
+    if np.dtype(dtype).kind == "c":
+        x = x + 1j * rng.standard_normal((n, dim)) * scale
+    x[rng.random((n, dim)) < 0.15] = 0.0
+    x[rng.random((n, dim)) < 0.15] = -0.0
+    x[0] = 0.0
+    x[1] = -0.0
+    return x.astype(dtype)
+
+
+class TestRowDotKernel:
+    """A stack's row dot products round each row exactly as a 1-d product
+    does: the stacked `pairing` and `pairing_norm` against the 1-d ones,
+    and `catalog._dot` against a loop of 1-d `@`, compared as bytes so that
+    the sign of a zero counts."""
+
+    @staticmethod
+    def _same_bits(stacked, values) -> bool:
+        """Equal values with the same signs, part by part: the bits of a
+        finite number (a long double's padding bytes are not compared)."""
+        expected = np.array(values, dtype=stacked.dtype)
+        parts = (np.real, np.imag) if stacked.dtype.kind == "c" else (np.asarray,)
+        return stacked.shape == expected.shape and all(
+            np.array_equal(part(stacked), part(expected)) and np.array_equal(np.signbit(part(stacked)),
+                                                                             np.signbit(part(expected)))
+            for part in parts)
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_stacked_pairing_is_the_one_dimensional_pairing(self, field, weighted, extended):
+        rng = np.random.default_rng(19)
+        dtype = np.dtype(field.dtype) if not extended else np.dtype(np.clongdouble if field is Field.COMPLEX
+                                                                    else np.longdouble)
+        for dim in range(1, 9):
+            s = random_space(rng, dim, field, weighted)
+            for n in (2, 7, 29):
+                u = _signed_stack(rng, n, dim, dtype)
+                v = _signed_stack(rng, n, dim, dtype)
+                v[-1] = -u[-1]
+                stacked = pairing(s, u, v)
+                assert stacked.dtype == dtype
+                assert self._same_bits(stacked, [pairing(s, a, b) for a, b in zip(u, v)]), (dim, n)
+                if not extended:
+                    assert self._same_bits(pairing_norm(s, u), [pairing_norm(s, a) for a in u]), (dim, n)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble, np.clongdouble])
+    def test_catalog_dot_is_a_loop_of_one_dimensional_products(self, dtype):
+        from ineq_forge.catalog import _dot
+
+        rng = np.random.default_rng(20)
+        for k in range(1, 9):
+            for n in (2, 3, 29):
+                a = _signed_stack(rng, n, k, dtype)
+                b = _signed_stack(rng, n, k, dtype)
+                out = _dot(a, b)
+                assert out.dtype == np.dtype(dtype)
+                assert self._same_bits(out, [x @ y for x, y in zip(a, b)]), (k, n)
 
 
 # property tests ------------------------------------------------------------
