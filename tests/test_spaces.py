@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ineq_forge.catalog import _dot
 from ineq_forge.spaces import (
     ComplexifiedVector,
     DomainError,
@@ -217,8 +218,8 @@ def _signed_stack(rng, n, dim, dtype):
 class TestRowDotKernel:
     """A stack's row dot products round each row exactly as a 1-d product
     does: the stacked `pairing` and `pairing_norm` against the 1-d ones,
-    and `catalog._dot` against a loop of 1-d `@`, compared as bytes so that
-    the sign of a zero counts."""
+    and `catalog._dot` against a loop of 1-d `@`, compared value by value
+    with the signs of zeros."""
 
     @staticmethod
     def _same_bits(stacked, values) -> bool:
@@ -236,8 +237,7 @@ class TestRowDotKernel:
     @pytest.mark.parametrize("extended", [False, True])
     def test_stacked_pairing_is_the_one_dimensional_pairing(self, field, weighted, extended):
         rng = np.random.default_rng(19)
-        dtype = np.dtype(field.dtype) if not extended else np.dtype(np.clongdouble if field is Field.COMPLEX
-                                                                    else np.longdouble)
+        dtype = np.dtype(field.extended_dtype if extended else field.dtype)
         for dim in range(1, 9):
             s = random_space(rng, dim, field, weighted)
             for n in (2, 7, 29):
@@ -252,8 +252,6 @@ class TestRowDotKernel:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble, np.clongdouble])
     def test_catalog_dot_is_a_loop_of_one_dimensional_products(self, dtype):
-        from ineq_forge.catalog import _dot
-
         rng = np.random.default_rng(20)
         for k in range(1, 9):
             for n in (2, 3, 29):
