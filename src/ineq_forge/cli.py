@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import functools
 import itertools
 import json
 import os
@@ -73,34 +72,12 @@ class RunManifest:
 _encode_str = json.JSONEncoder(ensure_ascii=False).encode
 
 
-@functools.lru_cache(maxsize=1024)
-def _str_key(key: str) -> str:
-    return _encode_str(key) + ":"
-
-
-def _member_key(key) -> str:
-    """`"key":` for one dict member.  The spelling of a str key is memoized,
-    since record lines repeat the same keys; other keys go through str()."""
-    if type(key) is str:
-        return _str_key(key)
-    return to_json(str(key)) + ":"
-
-
 def to_json(value) -> str:
-    """One JSON value, with no whitespace.  An enum is written as its value,
-    and a dataclass instance as an object of its fields in declaration
-    order, so a record's line lists exactly its dataclass's fields."""
-    # exact scalar types first: bool, None, numpy floats and sequences take
-    # the isinstance chain below
-    kind = type(value)
-    if kind is float:
-        return format_float(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return str(value)
-    if isinstance(value, dict):
-        return "{" + ",".join([_member_key(k) + to_json(v) for k, v in value.items()]) + "}"
+    """One JSON value, with no whitespace.  A dict key is written as its
+    str(), an enum as its value, and a dataclass instance as an object of
+    its fields in declaration order, so a record's line lists exactly its
+    dataclass's fields.  A run writes only its summary, moore-complex and
+    manifest lines through here (instance lines are the shard's text)."""
     if value is None:
         return "null"
     if value is True:
@@ -109,13 +86,18 @@ def to_json(value) -> str:
         return "false"
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{to_json(str(k))}:{to_json(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(to_json(v) for v in value) + "]"
     if isinstance(value, enum.Enum):
         return to_json(value.value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return "{" + ",".join([_str_key(f.name) + to_json(getattr(value, f.name))
-                               for f in dataclasses.fields(value)]) + "}"
+        return to_json({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -236,7 +236,7 @@ def _ratio(space, rng) -> complex:
 def _random_family(space, rng, max_size):
     size = int(rng.integers(0, max_size + 1))
     if size == 0:
-        return OrthonormalFamily(space, np.zeros((0, space.dim), dtype=space.field.dtype))
+        return _empty_family(space)
     for _ in range(16):
         rows = [rng.standard_normal(space.dim) for _ in range(size)]
         if space.field is Field.COMPLEX:

@@ -155,7 +155,7 @@ class SearchConfig:
             raise DomainError("trials must be nonnegative")
         lo, hi = self.dims
         if not (1 <= lo <= hi):
-            raise DomainError("dims must be an inclusive range with lower bound >= 1")
+            raise DomainError(f"dims must satisfy 1 <= A <= B, got {lo}..{hi}")
         if self.ascent_steps < 0:
             raise DomainError("ascent_steps must be nonnegative")
         if not 0 < self.step_size < 1:
@@ -703,9 +703,8 @@ class _CoordCodec:
     manifold is the only place they make sense), vectors and complexified
     pairs renormalize to their starting norms when `project` is set.
     `rebuild` takes a stack of points: each family argument is
-    orthonormalized for all of them in one stacked gram_schmidt call, each
-    distinct slice once, so the 2n probes of a gradient re-orthonormalize a
-    family only where they perturb it.
+    orthonormalized for all of them in one stacked gram_schmidt call, which
+    gives each point's family the bits it gets alone.
     """
 
     def __init__(self, entry, space, inputs):
@@ -736,24 +735,6 @@ class _CoordCodec:
             parts.append(np.asarray(inputs[k].im, dtype=np.float64))
         return np.concatenate(parts)
 
-    def _families(self, chunk: np.ndarray, size: int) -> list:
-        """Orthonormalize one family's slice of each point of an (m, w)
-        stack, None where that fails.  Each distinct slice (the slices of
-        gradient probes that leave the family alone are all the same) is
-        orthonormalized once, and the distinct ones as one stack."""
-        keys = [row.tobytes() for row in chunk]
-        first = {}  # slice bytes -> the first row holding them
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-        dim = self.space.dim
-        distinct = chunk[list(first.values())]
-        shape = (len(distinct), size, dim)
-        raw = distinct[:, : size * dim].reshape(shape)
-        if self.complex_field:
-            raw = raw + 1j * distinct[:, size * dim :].reshape(shape)
-        family_of = dict(zip(first, gram_schmidt(self.space, raw)))
-        return [family_of[key] for key in keys]
-
     def rebuild(self, points: np.ndarray, project: bool):
         """The inputs of each flat point of an (m, n) stack, None for a
         point that cannot be rebuilt; one (n,) point gives its inputs (or
@@ -766,12 +747,16 @@ class _CoordCodec:
         pos = 0
         for k in self.entry.family_args:
             size = self.family_sizes[k]
-            end = pos + size * dim * (2 if self.complex_field else 1)
-            for i, family in enumerate(self._families(points[:, pos:end], size)):
+            shape = (len(points), size, dim)
+            raw = points[:, pos : pos + size * dim].reshape(shape)
+            pos += size * dim
+            if self.complex_field:
+                raw = raw + 1j * points[:, pos : pos + size * dim].reshape(shape)
+                pos += size * dim
+            for i, family in enumerate(gram_schmidt(self.space, raw)):
                 if family is None:
                     live[i] = False
                 rows[i][k] = family
-            pos = end
         for k in self.entry.vector_args:
             v = points[:, pos : pos + dim].copy()
             pos += dim

@@ -11,8 +11,7 @@ which coincides with the plain complex space on coordinates re + i*im and
 the same gram.  Precision follows the operands' dtype: float64/complex128
 coordinates pair in double precision, long double ones (x86 80-bit) in
 extended precision, which serves as an independent numerical oracle.  The
-gram stays double and numpy promotes it exactly.  Only `inner` takes
-`extended=True`, and casts once after validation.
+gram stays double and numpy promotes it exactly.
 
 Validation happens once, at the boundary.  The public `as_vector`, `inner`,
 `norm` and `require_nonzero` check their arguments (complex data in a real
@@ -159,14 +158,9 @@ def pairing_norm(space: SpaceSpec, u: np.ndarray):
     return math.sqrt(max(re, 0.0))
 
 
-def _operand(space: SpaceSpec, x, extended: bool) -> np.ndarray:
-    v = as_vector(space, x)
-    return v.astype(space.field.extended_dtype) if extended else v
-
-
-def inner(space: SpaceSpec, u, v, *, extended: bool = False):
+def inner(space: SpaceSpec, u, v):
     """The pairing u^T gram conj(v); linear in u, conjugate-linear in v."""
-    return pairing(space, _operand(space, u, extended), _operand(space, v, extended))
+    return pairing(space, as_vector(space, u), as_vector(space, v))
 
 
 def norm(space: SpaceSpec, u):

@@ -94,6 +94,11 @@ class TestSearchConfig:
         with pytest.raises(DomainError):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize("dims", [(8, 1), (0, 4)])
+    def test_bad_dims_message_names_the_range(self, dims):
+        with pytest.raises(DomainError, match=rf"^dims must satisfy 1 <= A <= B, got {dims[0]}\.\.{dims[1]}$"):
+            SearchConfig(dims=dims)
+
 
 class TestGoldenStreams:
     """Frozen digests pin the sampling byte streams."""
@@ -867,6 +872,27 @@ class TestStackedRebuild:
                        codec.complex_field))
         assert kinds == {(True, True, False, False), (True, True, False, True), (True, False, True, False),
                          (False, True, True, False), (False, True, False, True)}
+
+    @pytest.mark.parametrize("stack", ["probes", "block"])
+    def test_one_gram_schmidt_call_per_family_argument(self, stack, monkeypatch):
+        calls = []
+
+        def counted(space, vectors, *args, **kwargs):
+            calls.append(np.shape(vectors))
+            return gram_schmidt(space, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(falsifier, "gram_schmidt", counted)
+        rng = np.random.default_rng(12)
+        for codec, inputs in _codec_cases():
+            flat = codec.flatten(inputs)
+            if stack == "probes":
+                points, project = _probe_points(flat, 1e-3), False
+            else:
+                lengths = 1e-2 * 0.5 ** np.arange(falsifier.LINE_BLOCK)
+                points, project = flat - lengths[:, np.newaxis] * rng.standard_normal(flat.size), True
+            calls.clear()
+            codec.rebuild(points, project)
+            assert calls == [(len(points), codec.family_sizes[k], codec.space.dim) for k in codec.entry.family_args]
 
 
 class TestFullSweep:
