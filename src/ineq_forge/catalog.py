@@ -1,10 +1,11 @@
 """Evaluation records and closed forms for the inequality catalog.
 
 Every statement is written once, against stacked operands in their dtype,
-and evaluates a group of n instances: it takes each argument as a sequence
-of the n instances' values (vectors, OrthonormalFamily objects or
-ComplexifiedVector objects; a conditional statement takes one MooreParams
-after them) and returns a StackedResult, a tuple of StackedEvaluation links
+and evaluates a group of n instances: it takes each argument as one stack
+(an (n, d) array, a FamilyStack, or a ComplexifiedVector of (n, d) parts),
+or as the sequence of the n instances' values, which it stacks on entry (a
+conditional statement takes one MooreParams after them), and returns a
+StackedResult, a tuple of StackedEvaluation links
 whose fields are (n,) arrays and, for conditional statements, an (n,)
 premises array.  A lone instance is a group of one, and its values are
 row 0 of each field.  Each link follows a uniform margin convention:
@@ -25,10 +26,12 @@ statements (the Moore style results) set `premises_hold`, which is None for
 the others; their conclusion is always evaluated so that vacuous instances
 remain inspectable.
 
-The registry `CATALOG` maps each name to a CatalogEntry, which calls the
-statement function itself with the inputs in one argument order; its `run`
-takes a group of instances as a sequence of dicts, and one dict as a group
-of one.
+The group record, `Group`, holds n instances of one space with each
+argument as one stack, and each row's trial index.  The registry `CATALOG`
+maps each name to a CatalogEntry, which calls the statement function itself
+with a Group's stacks in one argument order; its `run` takes a Group, or
+through one adapter (`Group.of`) a sequence of dicts of inputs or one dict
+as a group of one.
 
 Each statement validates each argument's stack once on entry (`_vec`,
 `_families`, `_complexified_parts`), casting it there to the field's
@@ -43,7 +46,7 @@ with their operands in the scalar order, and where numpy's elementwise
 array loops round differently from Python's scalar arithmetic (complex
 product and modulus, `x ** 2`) the kernels spell out the scalar operation
 (`_cmul`, `_abs`, `_square`).  A group may mix
-family sizes: the family statements stack the members of each size apart
+family sizes: the family statements take the members of each pair of sizes apart
 (`_family_stacks`), since a product of k-row members rounds by k.  So group
 sizes never change a result, and evaluating a group equals evaluating each
 of its members alone, bit for bit.
@@ -53,14 +56,13 @@ serialization: field tag, dimension, then every argument in the registry's
 order as big-endian float64 coordinate payloads (families get a length
 prefix, complexified vectors serialize re then im).  Scalar parameters and
 the gram matrix are deliberately not digested; they are part of the run
-configuration, not of the sampled instance.  `instance_digests` serializes
-the instances of each (space, family sizes) group into one preallocated
-uint8 matrix, a row per instance: the header and the family length
-prefixes are assigned to all rows at once and each argument is cast to
-big-endian straight into its columns.  It then hashes every row of every
-group in one pass of uint64 states (`fnv1a_64_rows`), which reads the
-bytes a bounded chunk of columns at a time.  A lone digest takes the byte
-loop `fnv1a_64`.
+configuration, not of the sampled instance.  `instance_digests`
+serializes each Group from its stacks into one padded uint8 matrix, a row
+per instance with its own length: the header is assigned to all rows at
+once and each argument is cast to big-endian in one block, written at each
+row's offset.  It then hashes every row of every group in one pass of
+uint64 states (`fnv1a_64_rows`), which reads the bytes a bounded chunk of
+columns at a time.  A lone digest takes the byte loop `fnv1a_64`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .orthonormal import OrthonormalFamily
+from .orthonormal import FamilyStack, OrthonormalFamily
 from .spaces import (
     ComplexifiedVector,
     DomainError,
@@ -105,87 +107,107 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def fnv1a_64_rows(blocks) -> list:
+def fnv1a_64_rows(blocks, lengths=None) -> list:
     """fnv1a_64 of every row of a list of uint8 matrices, in block and row
-    order, in one pass.
+    order, in one pass; with `lengths` (an array per block), row i of block
+    b is its first lengths[b][i] bytes.
 
     FNV-1a runs over all rows at once as uint64 states, which wrap mod 2^64
-    as _MASK64 does: with the blocks, and so their rows, sorted longest
-    first, byte j applies one in-place xor and one in-place multiply to the
-    states of the rows longer than j.  The bytes are copied column-major and
-    widened to uint64 a chunk of columns at a time, so the steps read
-    operands of the states' dtype; the chunk narrows as more rows are still
-    active, so its one buffer stays within _FNV_CHUNK_BYTES (or one column
-    of states) beside the blocks.  A pass costs per byte column, so one lone
-    byte string is cheaper through fnv1a_64.
+    as _MASK64 does: with the states in the order of their rows' lengths,
+    longest first, byte j applies one in-place xor and one in-place multiply
+    to the states of the rows longer than j.  The bytes are gathered from
+    the blocks column-major and widened to uint64 a chunk of columns at a
+    time, so the steps read operands of the states' dtype; the chunk narrows
+    as more rows are still active, so its one buffer stays within
+    _FNV_CHUNK_BYTES (or one column of states) beside the blocks.  The
+    orders are Python sorts, as numpy's sorts would page in code that
+    nothing else here runs.  A pass costs per byte column, so one lone byte
+    string is cheaper through fnv1a_64.
     """
-    order = sorted(range(len(blocks)), key=lambda b: -blocks[b].shape[1])
-    counts = [blocks[b].shape[0] for b in order]
-    first = np.cumsum([0] + counts).tolist()  # the states of block order[k] are first[k]:first[k + 1]
-    lengths = np.repeat([blocks[b].shape[1] for b in order], counts).astype(np.intp)
-    width = int(lengths[0]) if lengths.size else 0
-    active = np.searchsorted(-lengths, -np.arange(width), side="left").tolist()  # rows longer than j
-    states = np.full(lengths.size, _FNV_OFFSET, dtype=np.uint64)
-    primes = np.full(lengths.size, _FNV_PRIME, dtype=np.uint64)
+    if lengths is None:
+        lengths = [np.full(len(block), block.shape[1], dtype=np.intp) for block in blocks]
+    every = [n for counts in lengths for n in counts.tolist()]
+    order = sorted(range(len(every)), key=every.__getitem__, reverse=True)  # longest first, stably
+    place = np.empty(len(every), dtype=np.intp)
+    place[order] = np.arange(len(every))
+    longest = np.array(every, dtype=np.intp)[order]
+    width = int(longest[0]) if longest.size else 0
+    parts, first = [], 0  # each block's rows longest first, their states and lengths
+    for block, counts in zip(blocks, lengths):
+        states_of = place[first : first + len(block)]
+        rows = np.array(sorted(range(len(block)), key=states_of.tolist().__getitem__), dtype=np.intp)
+        parts.append((block, rows, states_of[rows], -counts[rows]))
+        first += len(block)
+    active = np.searchsorted(-longest, -np.arange(width), side="left").tolist()  # rows longer than j
+    states = np.full(longest.size, _FNV_OFFSET, dtype=np.uint64)
+    primes = np.full(longest.size, _FNV_PRIME, dtype=np.uint64)
     live, prime = states, primes
-    buffer = np.empty(max(_FNV_CHUNK_BYTES // 8, lengths.size), dtype=np.uint64)
+    buffer = np.empty(max(_FNV_CHUNK_BYTES // 8, longest.size), dtype=np.uint64)
     start = 0
     while start < width:
         stop = min(width, start + buffer.size // active[start])
         columns = buffer[: (stop - start) * active[start]].reshape(stop - start, active[start])
-        for k, b in enumerate(order):
-            block = blocks[b]
-            if block.shape[1] <= start:
-                break
-            columns[: block.shape[1] - start, first[k] : first[k + 1]] = block[:, start:stop].T
+        for block, rows, at, shorter in parts:
+            count = int(np.searchsorted(shorter, -start, side="left"))  # its rows longer than start
+            if count:
+                columns[: min(block.shape[1], stop) - start, at[:count]] = block[rows[:count], start:stop].T
         for j, column in enumerate(columns, start):
             if active[j] != live.size:
                 live, prime = states[: active[j]], primes[: active[j]]
             live ^= column[: live.size]
             live *= prime
         start = stop
-    parts = [None] * len(blocks)
-    for k, b in enumerate(order):
-        parts[b] = states[first[k] : first[k + 1]]
-    return np.concatenate(parts).tolist() if parts else []
+    return states[place].tolist()
 
 
-def _serialized(space: SpaceSpec, columns) -> np.ndarray:
-    """The bytes digest_inputs hashes, for n instances at once, as the rows
-    of one uint8 matrix.  `columns` holds each argument's n values; the
-    families of one argument must share a size.  The header and the family
-    length prefixes are assigned to every row at once, and each argument's
-    coordinates are cast to big-endian straight into their columns."""
-    n = len(columns[0]) if columns else 1
-    payloads = []  # (family size or None, (n, m) coordinates, big-endian dtype)
-    for values in columns:
-        size = None
-        if isinstance(values[0], OrthonormalFamily):
-            size = values[0].size
-            coords = np.array([family.members for family in values])
-        elif isinstance(values[0], ComplexifiedVector):
-            coords = np.array([(z.re, z.im) for z in values])
+def _serialized(space: SpaceSpec, n: int, stacks, dtype=None):
+    """The bytes digest_inputs hashes, for the n instances of `stacks` (each
+    argument's stack, in order: (n, d) vectors, cast to `dtype` when given,
+    a FamilyStack, or a ComplexifiedVector of (n, d) parts), as the rows of
+    one uint8 matrix and each row's length.  The header is assigned to all
+    rows at once, and each argument is cast to big-endian into one padded
+    block, written at each row's own offset (a family's length prefix and
+    members, past which the next argument starts); the padding lies past
+    a row's length or under the next argument."""
+    lengths = np.full(n, 9, dtype=np.intp)
+    blocks = []
+    for value in stacks:
+        if isinstance(value, FamilyStack):
+            big = _BIG_COMPLEX if value.members.dtype.kind == "c" else _BIG_REAL
+            coords = value.members.reshape(n, -1)
+            block = np.empty((n, 8 + coords.shape[1] * big.itemsize), dtype=np.uint8)
+            block[:, :8].view(_BIG_COUNT)[:, 0] = value.sizes
+            size = 8 + value.sizes * (space.dim * big.itemsize)
         else:
-            coords = np.asarray(values)
-        payloads.append((size, coords.reshape(n, -1), _BIG_COMPLEX if coords.dtype.kind == "c" else _BIG_REAL))
-    width = 9 + sum((0 if size is None else 8) + coords.shape[1] * big.itemsize for size, coords, big in payloads)
-    rows = np.empty((n, width), dtype=np.uint8)
+            coords = np.concatenate([value.re, value.im], axis=1) if isinstance(value, ComplexifiedVector) \
+                else np.asarray(value, dtype=dtype).reshape(n, -1)
+            big = _BIG_COMPLEX if coords.dtype.kind == "c" else _BIG_REAL
+            block = np.empty((n, coords.shape[1] * big.itemsize), dtype=np.uint8)
+            size = block.shape[1]
+        block[:, block.shape[1] - coords.shape[1] * big.itemsize :].view(big)[...] = coords
+        blocks.append((lengths.copy(), block))
+        lengths += size
+    rows = np.zeros((n, 9 + sum(block.shape[1] for _, block in blocks)), dtype=np.uint8)
     rows[:, 0] = ord("R" if space.field is Field.REAL else "C")
     rows[:, 1:9].view(_BIG_COUNT)[...] = space.dim
-    at = 9
-    for size, coords, big in payloads:
-        if size is not None:
-            rows[:, at : at + 8].view(_BIG_COUNT)[...] = size
-            at += 8
-        stop = at + coords.shape[1] * big.itemsize
-        rows[:, at:stop].view(big)[...] = coords
-        at = stop
-    return rows
+    for at, block in blocks:
+        if (at == at[0]).all():
+            rows[:, at[0] : at[0] + block.shape[1]] = block
+        else:
+            rows[np.arange(n)[:, np.newaxis], at[:, np.newaxis] + np.arange(block.shape[1])] = block
+    return rows, lengths
+
+
+def _digest(rows, lengths) -> str:
+    return format(fnv1a_64(rows[0, : lengths[0]].tobytes()), "016x")
 
 
 def digest_inputs(space: SpaceSpec, *parts) -> str:
     """Canonical 16-hex-digit fingerprint of an instance's vector data."""
-    return format(fnv1a_64(_serialized(space, [[part] for part in parts]).tobytes()), "016x")
+    stacks = [FamilyStack.of(space, [part]) if isinstance(part, OrthonormalFamily)
+              else _paired([part], "part") if isinstance(part, ComplexifiedVector) else np.asarray(part)[np.newaxis]
+              for part in parts]
+    return _digest(*_serialized(space, 1, stacks))
 
 
 # records ---------------------------------------------------------------------
@@ -315,8 +337,9 @@ def _require_field(space: SpaceSpec, allowed, what: str):
 
 
 def _vec(space, v, name, *, nonzero, extended):
-    """One vector argument's n values as an (n, d) stack, checked at once."""
-    arr = np.array(v)
+    """One vector argument's n values (an (n, d) stack or a sequence) as
+    an (n, d) stack, checked at once."""
+    arr = np.asarray(v)
     if space.field is Field.REAL and np.iscomplexobj(arr):
         raise DomainError("complex coordinates in a real space")
     arr = arr.astype(space.field.dtype, copy=False)
@@ -329,11 +352,13 @@ def _vec(space, v, name, *, nonzero, extended):
     return arr.astype(space.field.extended_dtype) if extended else arr
 
 
-def _families(space: SpaceSpec, family, name: str):
-    """One family argument's n families, each checked against the space,
-    returned as given."""
-    for member in family:
-        if not isinstance(member, OrthonormalFamily):
+def _families(space: SpaceSpec, family, name: str) -> FamilyStack:
+    """One family argument's n families (a FamilyStack, or a sequence of
+    OrthonormalFamily objects) as a FamilyStack, each family's space (a
+    stack's once) checked against `space`."""
+    stacked = isinstance(family, FamilyStack)
+    for member in [family] if stacked else family:
+        if not stacked and not isinstance(member, OrthonormalFamily):
             raise DomainError(f"{name} must be an OrthonormalFamily")
         fs = member.space
         if fs is space:
@@ -345,7 +370,18 @@ def _families(space: SpaceSpec, family, name: str):
         )
         if not same_gram:
             raise DomainError(f"family {name} carries a different gram weighting")
-    return family
+    return FamilyStack.of(space, family)
+
+
+def _paired(z, name: str) -> ComplexifiedVector:
+    """One complexified argument's n values (a ComplexifiedVector of (n, d)
+    parts, or a sequence of ComplexifiedVector objects) as one pair of
+    stacks."""
+    if isinstance(z, ComplexifiedVector):
+        return z
+    if not all(isinstance(value, ComplexifiedVector) for value in z):
+        raise DomainError(f"{name} must be a ComplexifiedVector")
+    return ComplexifiedVector._checked(np.array([value.re for value in z]), np.array([value.im for value in z]))
 
 
 def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
@@ -354,26 +390,24 @@ def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
     the m instances, indexed by `rows`, whose families have those sizes.
     A product of k-row members rounds by k, so sizes are never mixed."""
     es, fs = _families(space, E, "E"), _families(space, F, "F")
-    sizes = {}
-    for i, (e, f) in enumerate(zip(es, fs)):
-        sizes.setdefault((e.size, f.size), []).append(i)
+    pairs = es.sizes * (space.dim + 1) + fs.sizes
     stacks = []
-    for rows in sizes.values():
-        me = np.array([es[i].members for i in rows])
-        mf = np.array([fs[i].members for i in rows])
+    for pair in sorted(set(pairs.tolist())):
+        rows = np.flatnonzero(pairs == pair)
+        ke, kf = divmod(pair, space.dim + 1)
+        me, mf = es.members[rows, :ke], fs.members[rows, :kf]
         if extended:
             me, mf = me.astype(space.field.extended_dtype), mf.astype(space.field.extended_dtype)
-        stacks.append((np.array(rows), me, mf))
+        stacks.append((rows, me, mf))
     return stacks
 
 
 def _complexified_parts(space, z, name, extended):
     """One complexified argument's n values as (n, d) stacks of their real
     and imaginary parts."""
-    if not all(isinstance(value, ComplexifiedVector) for value in z):
-        raise DomainError(f"{name} must be a ComplexifiedVector")
-    re = _vec(space, [value.re for value in z], f"{name}.re", nonzero=False, extended=extended)
-    im = _vec(space, [value.im for value in z], f"{name}.im", nonzero=False, extended=extended)
+    z = _paired(z, name)
+    re = _vec(space, z.re, f"{name}.re", nonzero=False, extended=extended)
+    im = _vec(space, z.im, f"{name}.im", nonzero=False, extended=extended)
     return re, im
 
 
@@ -799,6 +833,79 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False):
     return StackedResult((first, second, third))
 
 
+# the group record --------------------------------------------------------------
+
+
+def _row(value, i):
+    if isinstance(value, ComplexifiedVector):
+        return ComplexifiedVector._checked(value.re[i], value.im[i])
+    return value[i]
+
+
+def _rows(value, rows):
+    if isinstance(value, FamilyStack):
+        return value.take(rows)
+    if isinstance(value, ComplexifiedVector):
+        return ComplexifiedVector._checked(value.re[rows], value.im[rows])
+    return value[rows]
+
+
+def _joined(a, b):
+    if isinstance(a, FamilyStack):  # of one size, as the descent's stacks are
+        return FamilyStack(a.space, np.concatenate([a.members, b.members]), np.concatenate([a.sizes, b.sizes]),
+                           np.concatenate([a.ok, b.ok]), a.tol)
+    if isinstance(a, ComplexifiedVector):
+        return ComplexifiedVector._checked(np.concatenate([a.re, b.re]), np.concatenate([a.im, b.im]))
+    return np.concatenate([a, b])
+
+
+@dataclass(frozen=True, eq=False)
+class Group:
+    """n instances of one space with each argument as one stack, the
+    record a statement reads: a vector argument an (n, d) array, a
+    complexified one a ComplexifiedVector of (n, d) real and imaginary
+    parts, a family argument a FamilyStack.  `trials` numbers the rows (a
+    shard's trial indices), and `live`, when set, marks the rows that
+    exist; only those are evaluated.  It is also the sequence of its
+    instances: item i is row i's inputs as a dict of views into the stacks,
+    or None where row i does not exist."""
+
+    space: SpaceSpec
+    trials: np.ndarray
+    args: dict
+    live: Optional[np.ndarray] = None
+
+    def __len__(self):
+        return len(self.trials)
+
+    def __getitem__(self, i):
+        if self.live is not None and not self.live[i]:
+            return None
+        return {k: _row(value, i) for k, value in self.args.items()}
+
+    def take(self, rows) -> "Group":
+        """The rows at `rows` (indices or a mask), their stacks copied."""
+        return Group(self.space, self.trials[rows], {k: _rows(value, rows) for k, value in self.args.items()},
+                     None if self.live is None else self.live[rows])
+
+    def joined(self, other: "Group") -> "Group":
+        """This group's rows, then other's (both of one space and entry)."""
+        live = None if self.live is None and other.live is None else np.concatenate(
+            [np.ones(len(g), dtype=bool) if g.live is None else g.live for g in (self, other)])
+        return Group(self.space, np.concatenate([self.trials, other.trials]),
+                     {k: _joined(value, other.args[k]) for k, value in self.args.items()}, live)
+
+    @classmethod
+    def of(cls, space: SpaceSpec, entry: "CatalogEntry", inputs) -> "Group":
+        """The group of a sequence of dicts of inputs, or of one dict as a
+        group of one: the adapter from the library's per-instance form."""
+        group = [inputs] if isinstance(inputs, dict) else inputs
+        args = {k: _families(space, [one[k] for one in group], k) for k in entry.family_args}
+        args.update((k, np.array([one[k] for one in group])) for k in entry.vector_args)
+        args.update((k, _paired([one[k] for one in group], k)) for k in entry.complexified_args)
+        return cls(space, np.arange(len(group)), args)
+
+
 # registry --------------------------------------------------------------------
 
 
@@ -825,13 +932,13 @@ class CatalogEntry:
         return self.default_params is not None
 
     def run(self, space, inputs, params=None, *, extended: bool = False):
-        """Evaluate a group of instances of `space` (a sequence of dicts of
-        inputs), giving their StackedResult in order; one dict is a group
-        of one."""
+        """Evaluate a group of instances of `space` (a Group, a sequence of
+        dicts of inputs, or one dict as a group of one), giving their
+        StackedResult in order."""
         if space.field not in self.fields:
             raise DomainError(f"{self.name} is not defined over {space.field.name.lower()} spaces")
-        group = [inputs] if isinstance(inputs, dict) else inputs
-        values = [[one[arg] for one in group] for arg in self.args]
+        group = inputs if isinstance(inputs, Group) else Group.of(space, self, inputs)
+        values = [group.args[arg] for arg in self.args]
         if self.has_premises:
             values.append(params or self.default_params)
         return self.statement(space, *values, extended=extended)
@@ -885,31 +992,18 @@ def run_catalog(name: str, space: SpaceSpec, inputs, params: Optional[MooreParam
     return catalog_entry(name).run(space, inputs, params, extended=extended)
 
 
-def _digest_columns(entry: CatalogEntry, space: SpaceSpec, group) -> list:
-    """Each argument's values over `group`, a vector argument as one (n, d)
-    array in the field's dtype."""
-    dtype = space.field.dtype
-    return [np.array([inputs[arg] for inputs in group], dtype=dtype) if arg in entry.vector_args
-            else [inputs[arg] for inputs in group] for arg in entry.args]
-
-
 def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
     """Digest an instance's vector data in the entry's argument order."""
-    rows = _serialized(space, _digest_columns(catalog_entry(name), space, [inputs]))
-    return format(fnv1a_64(rows.tobytes()), "016x")
-
-
-def instance_digests(name: str, instances) -> list:
-    """instance_digest of each (space, inputs) pair, in order: the instances
-    of one space and family sizes are serialized into one uint8 matrix, and
-    every row of every matrix is hashed in one pass."""
     entry = catalog_entry(name)
-    groups = {}
-    for i, (space, inputs) in enumerate(instances):
-        groups.setdefault((space, *(inputs[k].size for k in entry.family_args)), []).append(i)
-    blocks = [_serialized(space, _digest_columns(entry, space, [instances[i][1] for i in rows]))
-              for (space, *_), rows in groups.items()]
-    digests = [None] * len(instances)
-    for i, h in zip((i for rows in groups.values() for i in rows), fnv1a_64_rows(blocks)):
-        digests[i] = format(h, "016x")
-    return digests
+    group = Group.of(space, entry, inputs)
+    return _digest(*_serialized(space, 1, [group.args[arg] for arg in entry.args], space.field.dtype))
+
+
+def instance_digests(name: str, groups) -> list:
+    """instance_digest of every row of each Group of `groups`, in group and
+    row order: each group is serialized into one uint8 matrix, and every
+    row of every matrix is hashed in one pass."""
+    entry = catalog_entry(name)
+    blocks = [_serialized(group.space, len(group), [group.args[arg] for arg in entry.args], group.space.field.dtype)
+              for group in groups if len(group)]
+    return [format(h, "016x") for h in fnv1a_64_rows([rows for rows, _ in blocks], [n for _, n in blocks])]

@@ -4,14 +4,15 @@ Search design
 -------------
 
 Every trial is a pure function of (seed, inequality name, trial index): the
-per-trial generator is Philox keyed on (seed, fnv1a(name)) with the trial
-index in the counter, so runs partition arbitrarily across workers without
-changing a single sampled byte.  A Philox stream depends only on its key and
-counter, so one generator per (seed, name) serves every trial and every
-random gram of that name: its counter and output buffers are reset for each
-trial and each gram draw, which reproduces a freshly built generator draw
-for draw.  Trials sweep the configured dimension range cyclically and
-alternate fields blockwise for field-agnostic statements.
+per-trial generator is Philox keyed on the uint64 words [seed, k] (k from
+fnv1a(name), `_key_words`) with the trial index in the counter, so runs
+partition arbitrarily across workers without changing a single sampled
+byte.  A Philox stream depends only on its key and counter, so one
+generator per (seed, name) serves every trial and every random gram of that
+name: its counter and output buffers are reset for each trial and each gram
+draw, which reproduces a freshly built generator draw for draw.  Trials
+sweep the configured dimension range cyclically and alternate fields
+blockwise for field-agnostic statements.
 
 Vectors are sampled with independent standard normal coordinates (real and
 imaginary parts independently over C).  Under a non-identity gram matrix the
@@ -33,23 +34,27 @@ order or by a process pool, and merged in shard order.  A shard samples its
 trials in two phases, space by space: phase A resets each trial's stream
 and makes its draw calls into the trial's row of the space's tape, phase B
 builds the space's trials from the tape in stacked operations, with one
-Gram-Schmidt call per family argument.  One draw source serves phase B, the
-dry run of it that logs phase A's draw calls, and a lone trial drawing as
-it goes, with one arithmetic that gives each row of a stack the bits its
-trial gets alone.  A trial whose draws leave phase A's path (a retry, a
-rejected probe, a cosine of exactly 1) is sampled again alone, which is how
-`sample_instance` samples one trial.  The shard evaluates its trials in
-groups of one space (catalog statements are stacked kernels that give each
-member of a group the bits it gets alone), then counts them in trial order.
-If a group raises, the shard evaluates each of its trials as a group of
-one, in trial order, so the error is the first faulty trial's own.  A shard
-can also return the instance line of each trial whose premises hold (its
-digest and binding margins, as finished JSON text), so a caller that writes
-every instance gets them from the same sampling and evaluation as the
-report, one shard at a time, and only writes them; the digests of a shard
-take one batched FNV-1a pass, and its lines one format string.  It returns
-the inputs of its lowest trials with their counts, so no trial is sampled
-twice; the lowest of all the shards' is the worst trial.
+Gram-Schmidt call per family argument, as one group record (`Group`: each
+argument one stack).  One draw source serves phase B, the dry run of it
+that logs phase A's draw calls, and a lone trial drawing as it goes, with
+one arithmetic that gives each row of a stack the bits its trial gets
+alone.  A trial whose draws leave phase A's path (a retry, a rejected
+probe, a cosine of exactly 1) is sampled again alone, a group of one, which
+is how `sample_instance` samples one trial.  The shard evaluates each group
+(catalog statements are stacked kernels that give each member of a group
+the bits it gets alone) and counts the rows' columns in trial order: the
+buckets by the decade thresholds of `_bucket`, the lowest trials by
+argmin passes.  If a group raises, the shard evaluates each of its trials as a
+group of one, in trial order, so the error is the first faulty trial's
+own.  A shard can also return the instance line of each trial whose
+premises hold (its digest and binding margins, as finished JSON text), so
+a caller that writes every instance gets them from the same sampling and
+evaluation as the report, one shard at a time, and only writes them; the
+digests take one batched FNV-1a pass over each group's stacks, and the
+lines one format string.  Only the lowest trials, the trials sampled alone
+and the lines read single trials.  The shard returns copies of the inputs
+of its lowest trials with their counts, so no trial is sampled twice; the
+lowest of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -57,9 +62,10 @@ roundoff, and the report only counts confirmed ones.  The worst margin is
 selected by scale-normalized margin (ties to the lower trial index) and
 reported in raw units.  Local ascent refines the most promising candidates
 by projected central-difference descent on the normalized margin.  The 2n
-probes of each gradient are rebuilt in one call, which re-orthonormalizes
-each family argument for all of them as one stacked Gram-Schmidt pass, and
-are evaluated as one group together with the point they probe: the start
+probes of each gradient are rebuilt in one call, as one group record that
+re-orthonormalizes each family argument for all of them as one stacked
+Gram-Schmidt pass, and are evaluated as one group together with the point
+they probe (only their values are read): the start
 instance, or a step's first, full-length candidate when a step remains
 after it and the step before accepted its own first candidate, so an
 accepted first candidate brings the next gradient along.  The line
@@ -91,6 +97,7 @@ import numpy as np
 from scipy import special as sps
 
 from .catalog import (
+    Group,
     MooreParams,
     TOL_ABS,
     TOL_REL,
@@ -101,7 +108,7 @@ from .catalog import (
     instance_digests,
     verify_moore,
 )
-from .orthonormal import OrthonormalFamily, gram_schmidt
+from .orthonormal import FamilyStack, gram_schmidt
 from .spaces import (
     ComplexifiedVector,
     DomainError,
@@ -213,11 +220,20 @@ def _name_key(name: str) -> int:
     return fnv1a_64(name.encode("utf-8"))
 
 
+def _key_words(seed: int, name: str) -> np.ndarray:
+    """The Philox key of (seed, name): the two uint64 words [seed, k].  k is
+    fnv1a(name) as it stands below 2^63, and above that the double nearest
+    it, int(float(fnv1a(name))), as the streams were first keyed; k is
+    frozen, part of the stream contract."""
+    key = _name_key(name)
+    return np.array([seed, key if key < 2**63 else int(float(key))], dtype=np.uint64)
+
+
 @functools.lru_cache(maxsize=256)
 def _stream(seed: int, name: str):
     """The one Philox generator of (seed, name), with its initial state,
     whose counter `_trial_rng` and `_gram_rng` set."""
-    bits = np.random.Philox(key=[seed, _name_key(name)])
+    bits = np.random.Philox(key=_key_words(seed, name))
     return bits, np.random.Generator(bits), bits.state
 
 
@@ -364,11 +380,17 @@ class _Draws:
                 return gram_schmidt(space, rows), True
             except DomainError:
                 return None, False
-        families = [None] if self.tape is None else gram_schmidt(space, rows, sizes=sizes)
-        return families, np.array([family is not None for family in families])
+        if self.tape is None:
+            return None, np.zeros(1, dtype=bool)
+        families = FamilyStack.of(space, gram_schmidt(space, rows, sizes=sizes))
+        return families, families.ok
 
-    def each(self, fn, *values):
-        return fn(*values) if self.rng is not None else [fn(*row) for row in zip(*values)]
+    def pair(self, re, im):
+        """A lone trial's complexified vector, or a group's as one pair of
+        (n, d) stacks."""
+        if self.rng is not None:
+            return ComplexifiedVector(re, im)
+        return ComplexifiedVector._checked(np.ascontiguousarray(re), np.ascontiguousarray(im))
 
     def common(self, ok) -> bool:
         """Whether to take the branch that phase A draws for: a lone trial
@@ -527,7 +549,7 @@ def _sample_generic(entry, space, whitener, draws, params):
             re, im = draws.normals(dim), draws.normals(dim)
             if draws.common(draws.hypot(draws.norms(re), draws.norms(im)) > zero_norm_threshold(space)):
                 break
-        inputs[key] = draws.each(ComplexifiedVector, _ambient(whitener, re), _ambient(whitener, im))
+        inputs[key] = draws.pair(_ambient(whitener, re), _ambient(whitener, im))
     return inputs, False
 
 
@@ -613,17 +635,17 @@ def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, 
     return (space, *_SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params))
 
 
-def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple, indices: list) -> list:
-    """The SampledInstance of each trial of `indices`, in that order, from
-    the streams of (config.seed, key) by `entry`'s sampler at `params`, in
-    two phases per space (see the module docstring).  Phase A raises
-    nothing, and the trials off its path are sampled again alone in trial
-    order, so an error raised is the first such trial's own."""
+def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple, indices: list) -> "_Sampled":
+    """The trials of `indices` from the streams of (config.seed, key) by
+    `entry`'s sampler at `params`, sampled as groups in two phases per space
+    (see the module docstring).  Phase A raises nothing, and the trials off
+    its path are sampled again alone in trial order, each a group of one,
+    so an error raised is the first such trial's own."""
     cells = {}  # (dim, field) -> its trials, in order
     for index in indices:
         cells.setdefault(_trial_cell(config, fields, index), []).append(index)
     sampler = _SAMPLERS.get(entry.name, _sample_generic)
-    sampled, redo = {}, []
+    groups, redo = [], []
     for (dim, field), members in cells.items():
         program, width = _program(entry, params, dim, field)
         tape = np.zeros((len(members), width))
@@ -633,18 +655,52 @@ def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple,
         draws = _Draws(tape)
         with np.errstate(divide="ignore", invalid="ignore"):
             inputs, starved = sampler(entry, space, whitener, draws, params)
-        for row, index in enumerate(members):
-            sampled[index] = SampledInstance(space, {k: stack[row] for k, stack in inputs.items()}, starved)
-        redo += [members[row] for row in np.flatnonzero(draws.redo).tolist()]
+        # vectors may be views of the tape: the group keeps its own rows
+        args = {k: np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
+        group = Group(space, np.array(members), args)
+        if draws.redo.any():
+            redo += group.trials[draws.redo].tolist()
+            group = group.take(~draws.redo)
+        if len(group):
+            groups.append((group, starved))
     for index in sorted(redo):
-        sampled[index] = SampledInstance(*_sample_alone(config, key, entry, params, fields, index))
-    return [sampled[index] for index in indices]
+        space, inputs, starved = _sample_alone(config, key, entry, params, fields, index)
+        groups.append((replace(Group.of(space, entry, inputs), trials=np.array([index])), starved))
+    return _Sampled(groups, indices)
+
+
+class _Sampled:
+    """The trials of a list of indices, sampled as groups: `groups` holds
+    (Group, starved) for each space and each trial sampled alone, and
+    `where` the (group, row) of each trial of the list, in its order.  Item
+    i is the SampledInstance of the list's i-th trial, built on demand, so
+    it is also the list of its instances."""
+
+    def __init__(self, groups: list, indices: list):
+        self.groups = groups
+        rows = {t: (g, r) for g, (group, _) in enumerate(groups) for r, t in enumerate(group.trials.tolist())}
+        self.where = [rows[index] for index in indices]
+
+    def __len__(self):
+        return len(self.where)
+
+    def __getitem__(self, i):
+        g, r = self.where[i]
+        group, starved = self.groups[g]
+        return SampledInstance(group.space, group[r], starved)
+
+    def copied(self, i) -> tuple:
+        """The (space, inputs) of the list's i-th trial, copied out of its
+        group's stacks."""
+        g, r = self.where[i]
+        one = self.groups[g][0].take([r])
+        return one.space, one[0]
 
 
 def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int | list) -> SampledInstance | list:
     """Deterministic instance for one trial; see the module docstring.  A
-    list of trial indices gives the list of their instances, sampled as a
-    shard samples its trials (`_sample_trials`), with the same bits."""
+    list of trial indices gives the sequence of their instances, sampled as
+    a shard samples its trials (`_sample_trials`), with the same bits."""
     entry = catalog_entry(ineq_name)
     fields = _field_plan(ineq_name, entry.fields, config.field)
     if isinstance(trial_index, list):
@@ -661,31 +717,119 @@ def _bucket(normalized_margin: float) -> int:
     overflow."""
     if not normalized_margin > 0.0:
         return 0
+    if normalized_margin == math.inf:
+        return 31
     return min(max(int(math.floor(math.log10(normalized_margin))) + 18, 1), 31)
 
 
-def _group_rows(samples: list, evaluate) -> list:
-    """One row per SampledInstance, in order, from `evaluate(space, group)`,
-    which takes the inputs of the samples in one space as one group and
-    returns a row for each.
+def _threshold(bucket: int) -> float:
+    """The least double that `_bucket` puts in `bucket` or above (2..31)."""
+    t = 10.0 ** (bucket - 18)
+    while _bucket(t) >= bucket:
+        t = math.nextafter(t, 0.0)
+    while _bucket(t) < bucket:
+        t = math.nextafter(t, math.inf)
+    return t
 
-    If a group raises, each sample is evaluated as a group of one, in
-    order, so that the error raised is the one the first faulty sample
+
+_DECADES = np.array([_threshold(bucket) for bucket in range(2, HISTOGRAM_BUCKETS)])
+
+
+def _buckets(normalized: np.ndarray) -> np.ndarray:
+    """`_bucket` of every entry, by the decade thresholds that `_bucket`
+    itself places (np.log10 may round differently from math.log10)."""
+    return np.where(normalized > 0.0, 1 + np.searchsorted(_DECADES, normalized, side="right"), 0)
+
+
+def _lowest(values: np.ndarray) -> list:
+    """The positions of the TOP_K smallest values, ascending, a NaN first and
+    ties to the lower position: `_keep_top` over (value, position) keys, by
+    TOP_K passes of np.argmin (numpy's sorts would page in code that nothing
+    else here runs)."""
+    keys = np.where(np.isnan(values), -np.inf, values)
+    rest, lowest = np.arange(keys.size), []
+    for _ in range(min(TOP_K, keys.size)):
+        k = int(np.argmin(keys[rest]))
+        lowest.append(int(rest[k]))
+        rest = np.delete(rest, k)
+    return lowest
+
+
+class _Rows:
+    """The rows of a group as columns, (n,) arrays: first the value a
+    descent lowers and whether the premises hold, then the objective's own,
+    and for `linked` rows the five binding link fields last (None for a
+    field the link lacks), which a row holds as one tuple.  Iterating
+    converts each column once and gives each row as a tuple of Python
+    values, or (inf, False) for a member that has no row (`present` unset);
+    a reader of a column builds no row."""
+
+    def __init__(self, columns: list, linked: bool = False, present: Optional[np.ndarray] = None):
+        self.columns, self.linked, self.present = columns, linked, present
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return next(iter(self.take([i])))
+
+    def __iter__(self):
+        columns = [[None] * len(self) if column is None else column.tolist() for column in self.columns]
+        if self.linked:
+            columns[5:] = [zip(*columns[5:])]
+        rows = zip(*columns)
+        if self.present is None:
+            return rows
+        return (row if present else (math.inf, False) for row, present in zip(rows, self.present.tolist()))
+
+    def take(self, rows) -> "_Rows":
+        """The rows at `rows`, an index array."""
+        return _Rows([None if column is None else column[rows] for column in self.columns], self.linked,
+                     None if self.present is None else self.present[rows])
+
+    @staticmethod
+    def joined(parts: list) -> "_Rows":
+        """The rows of each of `parts` in turn, rows of one objective."""
+        if len(parts) == 1:
+            return parts[0]
+        return _Rows([None if column is None else np.concatenate([rows.columns[k] for rows in parts])
+                      for k, column in enumerate(parts[0].columns)], parts[0].linked)
+
+    @staticmethod
+    def gathered(n: int, parts: list) -> "_Rows":
+        """The rows of n members from `parts`, (positions, _Rows) pairs; a
+        member that no part covers has none: value inf, premises False."""
+        if len(parts) == 1 and len(parts[0][0]) == n:
+            return parts[0][1]
+        if not parts:
+            return _Rows([np.full(n, math.inf), np.zeros(n, dtype=bool)], present=np.zeros(n, dtype=bool))
+        place = np.full(n, -1, dtype=np.intp)
+        place[np.concatenate([at for at, _ in parts])] = np.arange(sum(len(at) for at, _ in parts))
+        rows = _Rows.joined([rows for _, rows in parts]).take(np.maximum(place, 0))
+        rows.present = place >= 0
+        rows.columns[0][~rows.present] = math.inf
+        rows.columns[1][~rows.present] = False
+        return rows
+
+
+def _group_rows(samples: _Sampled, evaluate) -> _Rows:
+    """The rows of the trials of `samples`, in its order, from
+    `evaluate(space, group)`, which takes a Group (or a list of dicts of
+    inputs) and returns its rows.
+
+    If a group raises, each trial is evaluated as a group of one, in
+    order, so that the error raised is the one the first faulty trial
     raises by itself (and the group's own error if none does).
     """
-    groups = {}
-    for i, sampled in enumerate(samples):
-        groups.setdefault(sampled.space, []).append(i)
-    rows = [None] * len(samples)
     try:
-        for space, members in groups.items():
-            for i, row in zip(members, evaluate(space, [samples[i].inputs for i in members])):
-                rows[i] = row
+        parts = [evaluate(group.space, group) for group, _ in samples.groups]
     except (ValueError, ArithmeticError):
-        for sampled in samples:
-            evaluate(sampled.space, [sampled.inputs])
+        for i in range(len(samples)):
+            space, inputs = samples.copied(i)
+            evaluate(space, [inputs])
         raise
-    return rows
+    starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
+    return _Rows.joined(parts).take(np.array([starts[g] + r for g, r in samples.where], dtype=np.intp))
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
@@ -702,9 +846,9 @@ class _CoordCodec:
     Families always rebuild through gram_schmidt (the orthonormality
     manifold is the only place they make sense), vectors and complexified
     pairs renormalize to their starting norms when `project` is set.
-    `rebuild` takes a stack of points: each family argument is
-    orthonormalized for all of them in one stacked gram_schmidt call, which
-    gives each point's family the bits it gets alone.
+    `rebuild` takes a stack of points and gives their Group: each family
+    argument is orthonormalized for all of them in one stacked gram_schmidt
+    call, which gives each point's family the bits it gets alone.
     """
 
     def __init__(self, entry, space, inputs):
@@ -736,13 +880,13 @@ class _CoordCodec:
         return np.concatenate(parts)
 
     def rebuild(self, points: np.ndarray, project: bool):
-        """The inputs of each flat point of an (m, n) stack, None for a
-        point that cannot be rebuilt; one (n,) point gives its inputs (or
-        None) alone.  Each argument is rebuilt for the whole stack at once."""
+        """The Group of the flat points of an (m, n) stack, live where a
+        point can be rebuilt; one (n,) point gives its inputs (or None)
+        alone.  Each argument is rebuilt for the whole stack at once."""
         if points.ndim == 1:
             return self.rebuild(points[np.newaxis], project)[0]
         dim = self.space.dim
-        rows = [{} for _ in points]
+        args = {}
         live = np.ones(len(points), dtype=bool)
         pos = 0
         for k in self.entry.family_args:
@@ -753,10 +897,8 @@ class _CoordCodec:
             if self.complex_field:
                 raw = raw + 1j * points[:, pos : pos + size * dim].reshape(shape)
                 pos += size * dim
-            for i, family in enumerate(gram_schmidt(self.space, raw)):
-                if family is None:
-                    live[i] = False
-                rows[i][k] = family
+            args[k] = FamilyStack.of(self.space, gram_schmidt(self.space, raw))
+            live &= args[k].ok
         for k in self.entry.vector_args:
             v = points[:, pos : pos + dim].copy()
             pos += dim
@@ -768,8 +910,7 @@ class _CoordCodec:
                 kept = n > zero_norm_threshold(self.space)
                 live &= kept
                 v = v * (self.vector_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
-            for row, vector in zip(rows, v):
-                row[k] = vector
+            args[k] = v
         for k in self.entry.complexified_args:
             re = points[:, pos : pos + dim].copy()
             pos += dim
@@ -782,9 +923,8 @@ class _CoordCodec:
                 ratio = (self.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
                 re = re * ratio
                 im = im * ratio
-            for row, a, b in zip(rows, re, im):
-                row[k] = ComplexifiedVector._checked(a, b)
-        return [row if ok else None for row, ok in zip(rows, live.tolist())]
+            args[k] = ComplexifiedVector._checked(re, im)
+        return Group(self.space, np.arange(len(points)), args, live)
 
 
 def _probe_points(flat: np.ndarray, h: float) -> np.ndarray:
@@ -810,41 +950,39 @@ def _central_gradient(values, h: float) -> np.ndarray:
     return grad
 
 
-def _evaluate(objective, candidates: list) -> list:
-    """The objective row (value, premises_ok, ...) of each candidate, with
-    (inf, False), a row every fold skips, for None (a point the codec cannot
-    rebuild).  The others are evaluated as one group; if that raises, each
-    is evaluated alone, and one that raises alone gets (inf, False)."""
-    live = [c for c in candidates if c is not None]
+def _evaluate(objective, group: Group) -> _Rows:
+    """The objective rows of the members of `group`, of which the objective
+    takes a Group and returns the rows: the live members are evaluated as
+    one group, or if that raises each alone, and a member that is not live
+    (a point the codec cannot rebuild) or that raises alone has no row."""
+    live = np.flatnonzero(group.live) if group.live is not None else np.arange(len(group))
     try:
-        rows = iter(objective(live) if live else ())
+        parts = [(live, objective(group if live.size == len(group) else group.take(live)))] if live.size else []
     except (DomainError, ArithmeticError):
-        rows = iter([_evaluate_alone(objective, c) for c in live])
-    return [(math.inf, False) if c is None else next(rows) for c in candidates]
+        parts = []
+        for i in live.tolist():
+            with contextlib.suppress(DomainError, ArithmeticError):
+                parts.append(([i], objective(group.take([i]))))
+    return _Rows.gathered(len(group), parts)
 
 
-def _evaluate_alone(objective, candidate) -> tuple:
-    try:
-        return objective([candidate])[0]
-    except (DomainError, ArithmeticError):
-        return math.inf, False
-
-
-def _probed(objective, codec: _CoordCodec, head: list, flat: Optional[np.ndarray], h: float) -> tuple:
-    """The rows of the instances in `head` and the central-difference
-    gradient of `objective` at flat (None when flat is None), from one
-    group: the head, then the 2n probes around flat, rebuilt unprojected in
-    one call.  Each member gets the row it gets alone."""
-    probes = [] if flat is None else codec.rebuild(_probe_points(flat, h), project=False)
-    rows = _evaluate(objective, head + probes)
-    grad = None if flat is None else _central_gradient([row[0] for row in rows[len(head):]], h)
-    return rows[: len(head)], grad
+def _probed(objective, codec: _CoordCodec, head, flat: Optional[np.ndarray], h: float) -> tuple:
+    """The rows of one group, the instances of `head` (a Group, or empty)
+    and then the 2n probes around flat, rebuilt unprojected in one call,
+    and the central-difference gradient of `objective` at flat from the
+    probes' values (None when flat is None).  Each member gets the row it
+    gets alone."""
+    probes = None if flat is None else codec.rebuild(_probe_points(flat, h), project=False)
+    group = probes if not len(head) else head if probes is None else head.joined(probes)
+    rows = _evaluate(objective, group)
+    grad = None if flat is None else _central_gradient(rows.columns[0][len(head):], h)
+    return rows, grad
 
 
 def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
     """Projected central-difference descent on `objective`, which maps a
-    list of instances to their rows, each (value, premises_ok, ...), and
-    raises on a faulty one (see `_evaluate`).
+    Group to its rows, each (value, premises_ok, ...), and raises on a
+    faulty member (see `_evaluate`).
 
     Each step takes the gradient from the 2n unprojected probes around the
     current point, then tries the projected candidates at the step lengths
@@ -867,7 +1005,9 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
     h = config.fd_eps
     flat = codec.flatten(inputs)
     current_inputs = inputs
-    (row,), grad = _probed(objective, codec, [inputs], flat if config.ascent_steps else None, h)
+    start = Group.of(codec.space, codec.entry, [inputs])
+    rows, grad = _probed(objective, codec, start, flat if config.ascent_steps else None, h)
+    row = rows[0]
     trace = [row[0]]
     step = config.step_size
     first_accepted = True  # the step before accepted its first candidate
@@ -890,8 +1030,10 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
             candidates = codec.rebuild(flat - block[:, np.newaxis] * direction, project=True)
             merged_flat = codec.flatten(candidates[0]) if with_probes and candidates[0] is not None else None
             rows, grad = _probed(objective, codec, candidates, merged_flat, h)
-            i = next((i for i, (value, premises_ok, *_) in enumerate(rows) if premises_ok and value < row[0]), None)
-            if i is not None:
+            value, premises_ok = rows.columns[0][: len(candidates)], rows.columns[1][: len(candidates)]
+            accepted = np.flatnonzero(premises_ok & (value < row[0]))
+            if accepted.size:
+                i = int(accepted[0])
                 break
             start = stop
         else:
@@ -931,66 +1073,47 @@ def _keep_top(top: list, key: tuple) -> None:
 # search driver -------------------------------------------------------------------
 
 
-def _binding_rows(entry, space: SpaceSpec, group: list, params=None, extended: bool = False) -> list:
-    """The one reading of a catalog result in this module: for each
-    instance (a dict of inputs) of a group in `space`, the row (normalized
-    margin, premises hold, min margin, all links hold, near equality,
-    binding link fields), the fields as an instance line writes them."""
+def _binding_rows(entry, space: SpaceSpec, group, params=None, extended: bool = False) -> _Rows:
+    """The one reading of a catalog result in this module: the rows of a
+    group of instances in `space` (a Group, or a list of dicts of inputs),
+    each (normalized margin, premises hold, min margin, all links hold,
+    near equality, binding link fields), the fields as an instance line
+    writes them."""
     result = entry.run(space, group, params, extended=extended)
     binding = result.binding
-    n = len(group)
-    premises = [True] * n if result.premises_hold is None else result.premises_hold.tolist()
-    fields = zip(*([None] * n if value is None else value.astype(np.float64, copy=False).tolist()
-                   for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)))
+    premises = np.ones(len(binding.holds), dtype=bool) if result.premises_hold is None else result.premises_hold
     margin = binding.min_margin
-    return list(zip(binding.normalized(margin).tolist(), premises, margin.tolist(), result.holds.tolist(),
-                    binding.near_equality.tolist(), fields))
+    fields = [None if value is None else value.astype(np.float64, copy=False)
+              for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)]
+    return _Rows([binding.normalized(margin), premises, margin, result.holds, binding.near_equality, *fields], True)
 
 
 def _shard_worker(task):
     """Sample, evaluate and count the trials [start, stop) of one name.
     With the counts come its TOP_K lowest trials as ascending keys
     (normalized, index, raw margin, near equality, violated), each followed
-    by its SampledInstance copied out of the shard's stacks; the first is
-    the shard's worst trial."""
+    by its space and its inputs copied out of the shard's stacks; the first
+    is the shard's worst trial.  The counts read the rows' columns."""
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
     samples = sample_instance(config, name, list(range(start, stop)))
     rows = _group_rows(samples, functools.partial(_binding_rows, entry))
+    normalized, premises, margin, holds, near = rows.columns[:5]
+    counted = np.flatnonzero(premises)
     hist = [0] * HISTOGRAM_BUCKETS
-    near = 0
-    violations = 0
-    starved_count = 0
-    top = []  # ascending (normalized, index, raw, near_equality, violated)
-    for index, sampled, row in zip(range(start, stop), samples, rows):
-        normalized, premises_ok, min_margin, holds, near_equality, _ = row
-        if not premises_ok:
-            starved_count += 1
-            continue
-        hist[_bucket(normalized)] += 1
-        near += 1 if near_equality else 0
-        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
-        violations += 1 if violated else 0
-        # a NaN margin is not shown to hold (bucket 0), so it sorts first;
-        # (normalized, index) is unique, so the rest never decides the order
-        order = -math.inf if math.isnan(normalized) else normalized
-        _keep_top(top, (order, index, min_margin, near_equality, violated))
+    for bucket in _buckets(normalized[counted]).tolist():
+        hist[bucket] += 1
+    violated = np.zeros(len(rows), dtype=bool)
+    for i in counted[~holds[counted]].tolist():
+        violated[i] = _confirmed_violation(entry, *samples.copied(i))
+    top = []  # ascending (normalized, index, raw, near_equality, violated, space, inputs)
+    for i in counted[_lowest(normalized[counted])].tolist():
+        # a NaN margin is not shown to hold (bucket 0), so it sorts first
+        order = -math.inf if math.isnan(normalized[i]) else normalized[i].item()
+        top.append((order, start + i, margin[i].item(), bool(near[i]), bool(violated[i]), *samples.copied(i)))
     records = _instance_records(name, config.seed, samples, rows) if with_records else None
-    return hist, near, violations, starved_count, [(*key, _detached(samples[key[1] - start])) for key in top], records
-
-
-def _detached(sampled: SampledInstance) -> SampledInstance:
-    """A trial's instance with its inputs copied out of its group's stacks,
-    so that keeping it keeps no other trial's draws alive."""
-
-    def copied(value):
-        if isinstance(value, OrthonormalFamily):
-            return replace(value)  # its __post_init__ copies the members
-        if isinstance(value, ComplexifiedVector):
-            return ComplexifiedVector(value.re.copy(), value.im.copy())
-        return value.copy()
-
-    return replace(sampled, inputs={k: copied(v) for k, v in sampled.inputs.items()})
+    return (hist, int(np.count_nonzero(near[counted])), int(np.count_nonzero(violated)), len(rows) - counted.size,
+            top, records)
 
 
 def format_float(x: float) -> str:
@@ -1006,20 +1129,31 @@ def _json_number(x) -> str:
     return "null" if x is None else format_float(x)
 
 
-def _instance_records(name: str, seed: int, samples: list, rows: list) -> list:
-    """The instance line of each trial whose premises hold, in trial order:
-    one JSON object and its newline, with its keys in the order below,
-    floats spelled by format_float and a missing field as null, as
-    `cli.to_json` spells the same record.  The digests take one pass over
-    the whole shard."""
-    counted = [(sampled, row) for sampled, row in zip(samples, rows) if row[1]]
-    digests = instance_digests(name, [(sampled.space, sampled.inputs) for sampled, _ in counted])
+def _instance_records(name: str, seed: int, samples: _Sampled, rows) -> list:
+    """The instance line of each trial of `samples` whose premises hold,
+    in its order, from its row of `rows`: one JSON object and its newline,
+    with its keys in the order below, floats spelled by format_float and a
+    missing field as null, as `cli.to_json` spells the same record.  The
+    digests take one pass over the counted trials of every group."""
+    counted = [(i, row) for i, row in enumerate(rows) if row[1]]
+    picked = {}  # group -> its counted rows
+    for i, _ in counted:
+        g, r = samples.where[i]
+        picked.setdefault(g, []).append(r)
+    groups = [samples.groups[g][0] for g in picked]
+    digests = iter(instance_digests(name, [group if len(rs) == len(group) else group.take(rs)
+                                           for group, rs in zip(groups, picked.values())]))
+    digest = {(g, r): next(digests) for g, rs in picked.items() for r in rs}
     line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%d,"field":"%s","seed":'
             + str(seed) + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,'
             '"holds":%s,"near_equality":%s}\n')
-    return [line % (sampled.space.dim, sampled.space.field.value, digest, *map(_json_number, fields),
-                    "true" if holds else "false", "true" if near else "false")
-            for (sampled, (_, _, _, holds, near, fields)), digest in zip(counted, digests)]
+    lines = []
+    for i, (_, _, _, holds, near, fields) in counted:
+        g, r = samples.where[i]
+        space = samples.groups[g][0].space
+        lines.append(line % (space.dim, space.field.value, digest[g, r], *map(_json_number, fields),
+                             "true" if holds else "false", "true" if near else "false"))
+    return lines
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
@@ -1063,11 +1197,11 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     # the first of the top K is the worst trial; the shards return their
     # top trials' inputs, so no trial is sampled again
     worst = top[0] if top else None
-    worst_instance = None if worst is None else (worst[5].space, worst[5].inputs)
+    worst_instance = None if worst is None else worst[5:]
     if config.ascent_steps > 0:
-        for _, index, _, sampled_near, sampled_violated, sampled in top:
+        for _, index, _, sampled_near, sampled_violated, space, inputs in top:
             # folded as the descent evaluated it: premises hold at the start and at every accepted step
-            refined = local_ascent(ineq_name, sampled.space, sampled.inputs, config)
+            refined = local_ascent(ineq_name, space, inputs, config)
             refined_normalized, _, min_margin, holds, near_equality, _ = refined.row
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
@@ -1076,9 +1210,9 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
                 near += 1
             if refined_normalized < worst[0]:
                 worst = (refined_normalized, index, min_margin)
-                worst_instance = (sampled.space, refined.refined_inputs)
+                worst_instance = (space, refined.refined_inputs)
             if not sampled_violated and not holds:
-                if _confirmed_violation(entry, sampled.space, refined.refined_inputs):
+                if _confirmed_violation(entry, space, refined.refined_inputs):
                     violations += 1
 
     digest = None
@@ -1102,16 +1236,17 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
 _MOORE_COMPLEX_KEY = "moore-complex"
 
 
-def _moore_ratios(space, group: list, params: MooreParams, extended: bool = False) -> list:
-    """(|<y,z>| / (||y|| ||z||), premises hold, ||y|| ||z||) of each instance
-    of a group of moore-1.9 inputs in one space, evaluated together: the
-    one reading of a verify_moore result, and a descent objective as is."""
-    result = verify_moore(space, *([inputs[k] for inputs in group] for k in ("x", "y", "z")), params,
-                          extended=extended)
+def _moore_ratios(space, group, params: MooreParams, extended: bool = False) -> _Rows:
+    """The rows (|<y,z>| / (||y|| ||z||), premises hold, ||y|| ||z||) of a
+    group of moore-1.9 inputs in one space (a Group, or a list of dicts),
+    evaluated together: the one reading of a verify_moore result, and a
+    descent objective as is."""
+    if not isinstance(group, Group):
+        group = Group.of(space, catalog_entry("moore-1.9"), group)
+    result = verify_moore(space, *(group.args[k] for k in ("x", "y", "z")), params, extended=extended)
     (conclusion,) = result.links
     center, scale = conclusion.center.astype(np.float64, copy=False), conclusion.scale.astype(np.float64, copy=False)
-    ratio = center / np.maximum(scale, _TINY)
-    return list(zip(ratio.tolist(), result.premises_hold.tolist(), scale.tolist()))
+    return _Rows([center / np.maximum(scale, _TINY), result.premises_hold, scale])
 
 
 def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchConfig) -> AscentResult:
@@ -1145,21 +1280,23 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     params = MooreParams(eps=eps)
     satisfying = 0
     min_ratio = None
-    top = []  # ascending (ratio, index, sampled)
+    top = []  # ascending (ratio, index, the row of the chunk's samples, then (space, inputs) copied out)
     witness = None
 
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
 
-    def observe(space, inputs, ratio, ok, scale):
+    def observe(ratio, ok, scale, instance):
         """Fold one `_moore_ratios` row into the minimum and the witness;
-        returns its ratio, or None when its premises fail."""
+        `instance()` gives its (space, inputs), read only for a candidate
+        witness.  Returns its ratio, or None when its premises fail."""
         nonlocal min_ratio, witness
         if not ok:
             return None
         if min_ratio is None or ratio < min_ratio:
             min_ratio = ratio
         if witness is None and below_first_bound(ratio, scale):
+            space, inputs = instance()
             ((ratio_e, ok_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
             if ok_e and below_first_bound(ratio_e, scale_e):
                 witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
@@ -1170,20 +1307,20 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     for first in range(0, config.trials, SHARD_SIZE):
         indices = list(range(first, min(first + SHARD_SIZE, config.trials)))
         samples = _sample_trials(config, _MOORE_COMPLEX_KEY, entry, params, (Field.COMPLEX,), indices)
-        rows = _group_rows(samples, functools.partial(_moore_ratios, params=params))
-        for index, sampled, row in zip(indices, samples, rows):
-            ratio = observe(sampled.space, sampled.inputs, *row)
+        copied = samples.copied
+        for i, row in enumerate(_group_rows(samples, functools.partial(_moore_ratios, params=params))):
+            ratio = observe(*row, functools.partial(copied, i))
             if ratio is not None:
                 satisfying += 1
-                # (ratio, index) is unique, so the instance never decides the order
-                _keep_top(top, (ratio, index, sampled))
-        # the chunk's stacks die with it: its trials in the top K keep copies
-        top = [(ratio, index, _detached(sampled) if index >= first else sampled) for ratio, index, sampled in top]
+                # (ratio, index) is unique, so the row never decides the order
+                _keep_top(top, (ratio, indices[i], i))
+        # the chunk's stacks die with it: its samples in the top K keep copies
+        top = [(ratio, index, copied(at) if index >= first else at) for ratio, index, at in top]
     if config.ascent_steps > 0:
-        for _, index, sampled in top:
+        for _, index, (space, inputs) in top:
             # the descent evaluated its final instance, so its row is folded as is
-            refined = _refine_moore_candidate(sampled.space, sampled.inputs, params, config)
-            observe(sampled.space, refined.refined_inputs, *refined.row)
+            refined = _refine_moore_candidate(space, inputs, params, config)
+            observe(*refined.row, lambda: (space, refined.refined_inputs))
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

@@ -93,6 +93,48 @@ class OrthonormalFamily:
         return family
 
 
+@dataclass(frozen=True, eq=False)
+class FamilyStack:
+    """n families of one space as one stack, the sequence of its families:
+    family j is the first sizes[j] rows of members[j] (zeros past them), or
+    None where ok[j] is False.  The members are read-only, and a family is
+    a view of its rows."""
+
+    space: SpaceSpec
+    members: np.ndarray  # (n, k, d)
+    sizes: np.ndarray  # (n,) of intp
+    ok: np.ndarray  # (n,) of bool
+    tol: float = DEFAULT_FAMILY_TOL
+
+    def __len__(self):
+        return len(self.sizes)
+
+    def __getitem__(self, j):
+        if not self.ok[j]:
+            return None
+        return OrthonormalFamily._checked(self.space, self.members[j, : self.sizes[j]], self.tol)
+
+    def take(self, rows):
+        """The families at `rows` (indices or a mask), their members copied."""
+        members = self.members[rows]
+        members.setflags(write=False)
+        return FamilyStack(self.space, members, self.sizes[rows], self.ok[rows], self.tol)
+
+    @classmethod
+    def of(cls, space, families, tol=DEFAULT_FAMILY_TOL):
+        """The stack of a sequence of families of `space` (None for a
+        refused one); a FamilyStack is its own."""
+        if isinstance(families, cls):
+            return families
+        sizes = np.array([0 if f is None else f.size for f in families], dtype=np.intp)
+        members = np.zeros((len(families), int(sizes.max(initial=0)), space.dim), dtype=space.field.dtype)
+        for j, family in enumerate(families):
+            if family is not None:
+                members[j, : family.size] = family.members
+        members.setflags(write=False)
+        return cls(space, members, sizes, np.array([f is not None for f in families], dtype=bool), tol)
+
+
 def _max_deviation(space, members):
     """max |<e_i, e_j> - delta_ij| of a family, or of each family of a
     stack."""
@@ -131,8 +173,9 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
 
     One family raises DomainError on a non-finite row or a result that is
     not orthonormal within `tol`, and RankDeficientError naming the first
-    row that is dependent on its predecessors.  A stack returns a list with
-    one entry per family: the family, or None where it would raise alone.
+    row that is dependent on its predecessors.  A stack returns a
+    FamilyStack, a sequence with one entry per family: the family, or None
+    where it would raise alone.
     """
     vs = np.asarray(vectors, dtype=space.field.dtype)
     if vs.ndim not in (2, 3) or vs.shape[-1] != space.dim:
@@ -174,16 +217,13 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
     except DomainError:
         # a pairing that raises for the stack (a complex squared norm with
         # an imaginary part) raises for some family alone: run each alone
-        families = [_alone(space, family if sizes is None else family[:sizes[j]], tol) for j, family in enumerate(vs)]
+        stack = FamilyStack.of(space, [_alone(space, family if sizes is None else family[:sizes[j]], tol)
+                                       for j, family in enumerate(vs)], tol)
     else:
-        families = [None if j in errors or (failed is not None and failed[j])
-                    else OrthonormalFamily._checked(space, members, tol) for j, members in enumerate(out)]
-    if order is None:
-        return families
-    result = [None] * m
-    for j, family in zip(order, families):
-        result[j] = family
-    return result
+        ok = np.ones(m, dtype=bool) if failed is None else ~failed
+        ok[list(errors)] = False
+        stack = FamilyStack(space, out, np.full(m, out.shape[1]) if sizes is None else np.array(sizes), ok, tol)
+    return stack if order is None else stack.take(sorted(range(m), key=order.__getitem__))  # back in its row
 
 
 def _alone(space, vectors, tol):
@@ -197,10 +237,10 @@ def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     """The Gram-Schmidt loop over an (m, k, d) stack of finite rows, of
     which `failed` (a mask, or None) marks families already refused and
     `sizes` (a descending list, or None for k each) gives the rows of each
-    family: the read-only result (the (m, k, d) stack, or with `sizes` a
-    list of each family's (size, d) rows), and {family index: the error it
-    raises alone} for the families that fail here.  A family that fails
-    runs on as zeros, so it stays finite and inert."""
+    family: the read-only (m, k, d) result, zeros past each family's rows,
+    and {family index: the error it raises alone} for the families that
+    fail here.  A family that fails runs on as zeros, so it stays finite
+    and inert."""
     m, k, d = vs.shape
     out = np.zeros(vs.shape, vs.dtype)
     errors = {}
@@ -240,20 +280,18 @@ def _orthonormalize(space, vs, tol, failed=None, sizes=None):
         out[:c, i] = u / r[:, np.newaxis]
     if sizes is None:
         _refuse_deviant(space, out, tol, failed, errors)
-        out.setflags(write=False)
-        return out, errors
-    # each size on its own stack (a padded product rounds differently), its
-    # families' rows and no padding
-    members, start = [], 0
-    for size in sorted(set(sizes), reverse=True):
-        stop = start + sizes.count(size)
-        block = out[start:stop, :size].copy()
-        block.setflags(write=False)
-        members += list(block)
-        if size:
-            _refuse_deviant(space, block, tol, None if failed is None else failed[start:stop], errors, start)
-        start = stop
-    return members, errors
+    else:
+        # each size checked on its own stack (a padded product rounds
+        # differently), its families' rows and no padding
+        start = 0
+        for size in sorted(set(sizes), reverse=True):
+            stop = start + sizes.count(size)
+            if size:
+                _refuse_deviant(space, out[start:stop, :size].copy(), tol,
+                                None if failed is None else failed[start:stop], errors, start)
+            start = stop
+    out.setflags(write=False)
+    return out, errors
 
 
 def _refuse_deviant(space, block, tol, failed, errors, start=0):

@@ -1271,8 +1271,8 @@ class TestRefinementFold:
 
     def test_moore_complex_does_not_evaluate_a_refined_instance_again(self, monkeypatch):
         def received(args, inputs):
-            x = args[1]  # (space, x, y, z, params), each argument a list over the group
-            return len(x) == 1 and x[0] is inputs["x"]
+            x = args[1]  # (space, x, y, z, params), each argument a stack over the group
+            return len(x) == 1 and np.array_equal(x[0], inputs["x"])
 
         refined, hits = self._lone_receivers(monkeypatch, "_refine_moore_candidate", falsifier, "verify_moore", received)
         moore_complex_experiment(0.05, SearchConfig(seed=1, trials=400, ascent_steps=2, field=FieldChoice.COMPLEX))

@@ -1,0 +1,270 @@
+"""The group record path against per-trial references.
+
+A shard samples each space's trials as one Group (each argument one
+stack), evaluates it, folds the rows' columns, picks its top K by one
+lexsort and digests its counted trials from the stacks.  Every case here
+checks that path against each trial taken alone: sampled by itself,
+evaluated through `run_catalog(name, space, dict)` and digested by
+`instance_digest`.  The stream keys' tests pin the Philox key words.
+"""
+
+import contextlib
+import dataclasses
+import functools
+import io
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from ineq_forge import cli, falsifier, orthonormal
+from ineq_forge.catalog import (
+    CATALOG,
+    Group,
+    StackedResult,
+    eval_schwarz,
+    instance_digest,
+    run_catalog,
+    stacked_evaluation,
+)
+from ineq_forge.falsifier import (
+    HISTOGRAM_BUCKETS,
+    TOP_K,
+    FieldChoice,
+    GramKind,
+    SearchConfig,
+    _binding_rows,
+    _bucket,
+    _buckets,
+    _confirmed_violation,
+    _CoordCodec,
+    _evaluate,
+    _group_rows,
+    _keep_top,
+    _key_words,
+    _lowest,
+    _name_key,
+    _probe_points,
+    _shard_worker,
+    sample_instance,
+)
+from ineq_forge.orthonormal import FamilyStack, gram_schmidt
+from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, pairing_norm
+
+
+def _cases():
+    for name, entry in CATALOG.items():
+        for field in entry.fields:
+            for gram in GramKind:
+                yield pytest.param(name, field, gram, id=f"{name}-{field.value}-{gram.value}")
+
+
+def _reference_shard(name, config):
+    """The shard's outputs from each trial alone, in trial order: its
+    rows, histogram, near-equality, violation and starved counts, top-K
+    keys and instance lines."""
+    entry = CATALOG[name]
+    rows, hist, top, lines = [], [0] * HISTOGRAM_BUCKETS, [], []
+    near = violations = starved = 0
+    for index in range(config.trials):
+        sampled = sample_instance(config, name, index)
+        result = run_catalog(name, sampled.space, sampled.inputs)
+        binding = result.binding
+        premises = True if result.premises_hold is None else bool(result.premises_hold[0])
+        normalized = binding.normalized_margin[0].item()
+        fields = tuple(None if value is None else float(value[0])
+                       for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower,
+                                     binding.margin_upper))
+        holds, near_equality = bool(result.holds[0]), bool(binding.near_equality[0])
+        rows.append((normalized, premises, binding.min_margin[0].item(), holds, near_equality, fields))
+        if not premises:
+            starved += 1
+            continue
+        hist[_bucket(normalized)] += 1
+        near += near_equality
+        violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
+        violations += violated
+        order = -math.inf if math.isnan(normalized) else normalized
+        _keep_top(top, (order, index, rows[-1][2], near_equality, violated))
+        lines.append(cli.to_json({
+            "ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.value, "seed": config.seed,
+            "digest": instance_digest(name, sampled.space, sampled.inputs), "lhs": fields[0], "center": fields[1],
+            "rhs": fields[2], "margin_lower": fields[3], "margin_upper": fields[4], "holds": holds,
+            "near_equality": near_equality}) + "\n")
+    return rows, hist, near, violations, starved, top, lines
+
+
+def _assert_shard_is_its_trials_alone(name, config):
+    hist, near, violations, starved, top, lines = _shard_worker((name, config, 0, config.trials, True))
+    rows, *reference = _reference_shard(name, config)
+    samples = sample_instance(config, name, list(range(config.trials)))
+    evaluated = _group_rows(samples, lambda space, group: _binding_rows(CATALOG[name], space, group))
+    # repr: a NaN margin equals itself only by spelling
+    assert repr(list(evaluated)) == repr(rows)
+    assert repr([hist, near, violations, starved, [key[:5] for key in top], lines]) == repr(reference)
+    for key in top:  # the top K's inputs are their trials' own, copied out of the stacks
+        sampled = sample_instance(config, name, key[1])
+        assert instance_digest(name, key[5], key[6]) == instance_digest(name, sampled.space, sampled.inputs)
+    return samples
+
+
+class TestShardAgainstLoneTrials:
+    @pytest.mark.parametrize("name, field, gram", list(_cases()))
+    def test_every_name_field_and_gram(self, name, field, gram):
+        choice = FieldChoice.REAL if field is Field.REAL else FieldChoice.COMPLEX
+        config = SearchConfig(seed=31, trials=40, dims=(1, 6), field=choice, gram=gram)
+        samples = _assert_shard_is_its_trials_alone(name, config)
+        if CATALOG[name].family_args:  # families of mixed sizes share a space's stacks
+            sizes = {(group.space.dim, len(np.unique(group.args["E"].sizes))) for group, _ in samples.groups}
+            assert any(count > 1 for _, count in sizes)
+
+    @pytest.mark.parametrize("name", ["schwarz", "kurepa-3.2", "kurepa-refined-3.3", "generalized-2.1"])
+    def test_trials_off_phase_a_path(self, monkeypatch, name):
+        # a threshold near the typical norm sends many draws back, so those
+        # trials are sampled again alone, each a group of one
+        monkeypatch.setattr(falsifier, "zero_norm_threshold", lambda space: 0.9 * math.sqrt(space.dim))
+        config = SearchConfig(seed=5, trials=40, dims=(1, 4), field=FieldChoice.REAL, gram=GramKind.RANDOM)
+        samples = _assert_shard_is_its_trials_alone(name, config)
+        assert sum(len(group) == 1 for group, _ in samples.groups) > 4
+
+    def test_a_nan_row(self, monkeypatch):
+        config = SearchConfig(seed=0, trials=40, dims=(2, 4))
+        bad = sample_instance(config, "schwarz", 13)
+
+        def statement(space, x, y, *, extended=False):
+            (link,) = eval_schwarz(space, x, y, extended=extended).links
+            hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])
+            return StackedResult((stacked_evaluation(link.scale, np.where(hit, math.nan, link.lhs), rhs=link.rhs),))
+
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=statement))
+        _assert_shard_is_its_trials_alone("schwarz", config)
+        assert _shard_worker(("schwarz", config, 0, 40, False))[4][0][1] == 13  # NaN sorts first
+
+
+def test_a_group_error_no_trial_raises_alone_is_raised(monkeypatch):
+    # the group raises, each trial alone does not: the shard raises the group's own error
+    def statement(space, x, y, *, extended=False):
+        if len(x) > 1:
+            raise DomainError("the group's own")
+        return eval_schwarz(space, x, y, extended=extended)
+
+    monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=statement))
+    with pytest.raises(DomainError, match="the group's own"):
+        _shard_worker(("schwarz", SearchConfig(seed=0, trials=12, dims=(2, 4)), 0, 12, False))
+
+
+class TestVectorizedFold:
+    def test_buckets_equal_bucket_at_every_decade_edge(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -1.0, 1e-300, 1.7976931348623157e308]
+        for k in range(-17, 14):
+            edge = 10.0 ** k
+            values += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        assert _buckets(np.array(values)).tolist() == [_bucket(v) for v in values]
+
+    def test_lowest_equals_keep_top_on_ties_and_nan(self):
+        rng = np.random.default_rng(3)
+        for n in (0, 1, TOP_K - 1, TOP_K, 40, 300):
+            values = rng.choice([math.nan, -math.inf, -1.0, 0.0, 0.25, 0.25, 1.0, math.inf], size=n)
+            top = []
+            for index, value in enumerate(values.tolist()):
+                _keep_top(top, (-math.inf if math.isnan(value) else value, index))
+            assert _lowest(values) == [index for _, index in top]
+
+
+class TestRebuiltRecord:
+    def test_a_rebuilt_block_is_each_point_alone(self):
+        config = SearchConfig(seed=4, trials=6, dims=(2, 4), gram=GramKind.RANDOM)
+        rng = np.random.default_rng(8)
+        for name in ("generalized-2.1", "kurepa-refined-3.3", "kurepa-3.2", "buzano-1.14"):
+            for index in range(config.trials):
+                sampled = sample_instance(config, name, index)
+                codec = _CoordCodec(CATALOG[name], sampled.space, sampled.inputs)
+                flat = codec.flatten(sampled.inputs)
+                points = np.vstack([_probe_points(flat, 1e-3), flat + 0.1 * rng.standard_normal((3, flat.size))])
+                for project in (False, True):
+                    block = codec.rebuild(points, project)
+                    assert isinstance(block, Group) and len(block) == len(points)
+                    for i in range(len(points)):
+                        alone = codec.rebuild(points[i : i + 1], project)
+                        assert _record_bytes(block.take([i])) == _record_bytes(alone)
+
+
+    def test_a_block_of_dead_points_has_no_rows(self):
+        sampled = sample_instance(SearchConfig(seed=1, trials=1, dims=(3, 3)), "schwarz", 0)
+        codec = _CoordCodec(CATALOG["schwarz"], sampled.space, sampled.inputs)
+        block = codec.rebuild(np.zeros((3, codec.flatten(sampled.inputs).size)), project=True)
+        assert list(block) == [None] * 3
+        rows = _evaluate(functools.partial(_binding_rows, CATALOG["schwarz"], sampled.space), block)
+        assert list(rows) == [(math.inf, False)] * 3 and rows[1] == (math.inf, False)
+
+
+def _record_bytes(group):
+    """The bytes of every stack of a group, and its live mask."""
+    parts = [group.live.tobytes()]
+    for key in sorted(group.args):
+        value = group.args[key]
+        if isinstance(value, FamilyStack):
+            parts += [value.members.tobytes(), value.sizes.tobytes(), value.ok.tobytes()]
+        elif isinstance(value, ComplexifiedVector):
+            parts += [value.re.tobytes(), value.im.tobytes()]
+        else:
+            parts.append(value.tobytes())
+    return b"|".join(parts)
+
+
+def _first_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue().splitlines()[0])["digest"]
+
+
+class TestExactStreamKeys:
+    def test_key_words_are_pinned(self):
+        # schwarz's FNV key is above 2^63: its word is the double nearest it;
+        # generalized-2.1's is below, and its word is the key itself
+        assert _key_words(5, "schwarz").tolist() == [5, 9380511674771175424]
+        assert _key_words(5, "generalized-2.1").tolist() == [5, 0x60BB46BD7D226653]
+        assert _key_words(2**64 - 1, "schwarz").tolist() == [2**64 - 1, 9380511674771175424]
+        assert falsifier._stream(5, "schwarz")[0].state["state"]["key"].tolist() == [5, 9380511674771175424]
+
+    def test_seeds_below_2_53_keep_their_keys(self):
+        for name in [*CATALOG, "moore-complex"]:
+            for seed in (0, 7, 2**53 - 1):
+                old = np.random.Philox(key=[seed, _name_key(name)]).state["state"]["key"]
+                assert old.tolist() == _key_words(seed, name).tolist(), (name, seed)
+
+    def test_neighbouring_seeds_above_2_53_get_their_own_streams(self):
+        argv = ["verify", "--ineq", "schwarz", "--samples", "50", "--emit-instances", "--seed"]
+        assert _first_digest(argv + [str(2**53)]) != _first_digest(argv + [str(2**53 + 1)])
+
+    def test_the_largest_seeds_key_exactly(self):
+        argv = ["verify", "--ineq", "generalized-2.1", "--samples", "20", "--emit-instances", "--seed"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warned "invalid value encountered in cast"
+            digests = {_first_digest(argv + [str(seed)]) for seed in (2**53, 2**53 + 1, 2**63 + 5, 2**64 - 1024,
+                                                                        2**64 - 1)}
+        assert len(digests) == 5
+
+
+
+def test_a_mixed_size_stack_that_raises_runs_each_family_alone_in_its_row(monkeypatch):
+    # as the stacked pairing raises, each family is orthonormalized alone,
+    # longest first, and the FamilyStack puts each back in its own row
+    space = SpaceSpec(2, Field.COMPLEX)
+
+    def pairing_norm_refusing_seven(space, u):
+        if np.any(u == 7.0):
+            raise DomainError("squared norm has a non-negligible imaginary part")
+        return pairing_norm(space, u)
+
+    monkeypatch.setattr(orthonormal, "pairing_norm", pairing_norm_refusing_seven)
+    good = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    bad = np.array([[7.0, 1.0], [0.0, 1.0]])
+    stack = gram_schmidt(space, np.array([good, bad, good]), sizes=[1, 2, 2])
+    assert isinstance(stack, FamilyStack) and stack.ok.tolist() == [True, False, True]
+    assert stack[1] is None and stack.sizes[stack.ok].tolist() == [1, 2]
+    assert stack[0].members.tobytes() == gram_schmidt(space, good[:1]).members.tobytes()
+    assert stack[2].members.tobytes() == gram_schmidt(space, good).members.tobytes()
