@@ -46,10 +46,12 @@ with their operands in the scalar order, and where numpy's elementwise
 array loops round differently from Python's scalar arithmetic (complex
 product and modulus, `x ** 2`) the kernels spell out the scalar operation
 (`_cmul`, `_abs`, `_square`).  A group may mix
-family sizes: the family statements take the members of each pair of sizes apart
-(`_family_stacks`), since a product of k-row members rounds by k.  So group
-sizes never change a result, and evaluating a group equals evaluating each
-of its members alone, bit for bit.
+family sizes, and a product of k-row members rounds by k, so the family
+statements take each family argument apart by size (`_by_size`): a term of
+one family runs once per size of that family, and only the cross term
+<e_i, f_j> once per pair of sizes (`_cross_sum`), each reading the per-size
+results at its rows' positions.  So group sizes never change a result, and
+evaluating a group equals evaluating each of its members alone, bit for bit.
 
 Instances are fingerprinted with a 64-bit FNV-1a digest over a canonical byte
 serialization: field tag, dimension, then every argument in the registry's
@@ -70,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -384,22 +386,46 @@ def _paired(z, name: str) -> ComplexifiedVector:
     return ComplexifiedVector._checked(np.array([value.re for value in z]), np.array([value.im for value in z]))
 
 
-def _family_stacks(space: SpaceSpec, E, F, extended: bool) -> list:
-    """The family arguments E and F as stacks of one size each: a list of
-    (rows, members of E, members of F), the members (m, k, d) arrays for
-    the m instances, indexed by `rows`, whose families have those sizes.
-    A product of k-row members rounds by k, so sizes are never mixed."""
-    es, fs = _families(space, E, "E"), _families(space, F, "F")
-    pairs = es.sizes * (space.dim + 1) + fs.sizes
-    stacks = []
-    for pair in sorted(set(pairs.tolist())):
-        rows = np.flatnonzero(pairs == pair)
-        ke, kf = divmod(pair, space.dim + 1)
-        me, mf = es.members[rows, :ke], fs.members[rows, :kf]
-        if extended:
-            me, mf = me.astype(space.field.extended_dtype), mf.astype(space.field.extended_dtype)
-        stacks.append((rows, me, mf))
-    return stacks
+class _Sized(NamedTuple):
+    """One family argument's n families taken apart by size: `parts` holds
+    (rows, members) for each size present, ascending, `rows` indexing the
+    families of that size (a full slice when every family has it) and
+    `members` their (m, size, d) stack.  A product of k-row members rounds
+    by k, so no product mixes sizes."""
+
+    n: int
+    parts: list
+
+    def merged(self, values):
+        """The (n, ...) stack whose rows at each part's `rows` are that
+        part's entry of `values`; with one part, its entry itself."""
+        if len(self.parts) == 1:
+            return values[0]
+        out = np.empty((self.n, *values[0].shape[1:]), dtype=values[0].dtype)
+        for (rows, _), value in zip(self.parts, values):
+            out[rows] = value
+        return out
+
+    def positions(self):
+        """Each row's part and its position among that part's rows."""
+        which, where = np.empty(self.n, dtype=np.intp), np.empty(self.n, dtype=np.intp)
+        for p, (rows, members) in enumerate(self.parts):
+            which[rows] = p
+            where[rows] = np.arange(len(members))
+        return which, where
+
+
+def _by_size(space: SpaceSpec, family, name: str, extended: bool) -> _Sized:
+    """A family argument's n families as a _Sized, its members cast to the
+    extended dtype when `extended`."""
+    stack = _families(space, family, name)
+    sizes = sorted(set(stack.sizes.tolist())) or [0]
+    dtype = space.field.extended_dtype if extended else stack.members.dtype
+    parts = []
+    for size in sizes:
+        rows = slice(None) if len(sizes) == 1 else (stack.sizes == size).nonzero()[0]
+        parts.append((rows, stack.members[rows, :size].astype(dtype, copy=False)))
+    return _Sized(len(stack), parts)
 
 
 def _complexified_parts(space, z, name, extended):
@@ -457,24 +483,45 @@ def _square(x):
     return np.array([item ** 2 for item in items], dtype=x.dtype)
 
 
-def _pairings(space, x, members):
-    """<x, e_i> for every family member, as an (n, k) stack."""
+def _pairings(space, x, family: _Sized) -> list:
+    """<x, e_i> for every member of each of a family's size parts, as
+    (m, k) stacks."""
     gx = x if space.gram is None else _row_times(x, space.gram)
-    return _times_column(members.conj(), gx)
+    return [_times_column(members.conj(), gx[rows]) for rows, members in family.parts]
 
 
-def _pairings_right(space, members, y):
-    """<e_i, y> for every family member."""
+def _pairings_right(space, family: _Sized, y) -> list:
+    """<e_i, y> for every member of each of a family's size parts."""
     gy = np.conj(y) if space.gram is None else _times_column(space.gram, np.conj(y))
-    return _times_column(members, gy)
+    return [_times_column(members, gy[rows]) for rows, members in family.parts]
 
 
-def _cross_matrix(space, members_e, members_f):
-    """<e_i, f_j> as an (n, len(E), len(F)) stack."""
-    mf = np.conj(members_f.swapaxes(1, 2))
+def _cross_matrix(members_e, adjoint_f):
+    """<e_i, f_j> as an (n, len(E), len(F)) stack, from F's adjoint G conj(F^T)."""
+    return members_e @ adjoint_f
+
+
+def _cross_sum(space, e: _Sized, f: _Sized, left: list, right: list):
+    """sum_ij a_i <e_i, f_j> b_j of every row, as an (n,) stack, from the
+    a values of each of E's size parts (`left`, (m, len(E)) stacks) and the
+    b values of each of F's (`right`).  The only family term that needs
+    both sizes, so it alone runs per (size of E, size of F) pair, reading
+    each part's values at its rows' positions."""
+    adjoints = [np.conj(mf.swapaxes(1, 2)) for _, mf in f.parts]  # once per size of F
     if space.gram is not None:
-        mf = space.gram @ mf
-    return members_e @ mf
+        adjoints = [space.gram @ adjoint for adjoint in adjoints]
+    if len(e.parts) == len(f.parts) == 1:
+        return _dot(_row_times(left[0], _cross_matrix(e.parts[0][1], adjoints[0])), right[0])
+    (part_e, at_e), (part_f, at_f) = e.positions(), f.positions()
+    pairs = part_e * len(f.parts) + part_f
+    out = np.empty(e.n, dtype=np.result_type(left[0], right[0]))
+    for pair in sorted(set(pairs.tolist())):
+        rows = (pairs == pair).nonzero()[0]
+        p, q = divmod(pair, len(f.parts))
+        ie, jf = at_e[rows], at_f[rows]
+        cross = _cross_matrix(e.parts[p][1][ie], adjoints[q][jf])
+        out[rows] = _dot(_row_times(left[p][ie], cross), right[q][jf])
+    return out
 
 
 # elementary statements -------------------------------------------------------
@@ -714,26 +761,22 @@ def _family_core(space, E, F, x, y, extended):
     """Nonzero x and y, validated, and the sums the two-family statements share.
 
     Returns (x, y, S, <x,y>, ||x||, ||y||, pieces) where S is the bilinear
-    family sum of each row and pieces holds, per stack of one family size,
-    (rows, members of E, members of F, <x, e_i>, <f_j, y>) for reflection reuse.
+    family sum of each row and pieces, for reflection reuse, holds E and F
+    taken apart by size (`_Sized`), with <x, e_i> for each of E's size
+    parts and <f_j, y> for each of F's.  The terms of E alone run once per
+    size of E, those of F alone once per size of F, and only the cross
+    term per pair of sizes (`_cross_sum`).
     """
     x = _vec(space, x, "x", nonzero=True, extended=extended)
     y = _vec(space, y, "y", nonzero=True, extended=extended)
-    s = np.empty(len(x), dtype=x.dtype)
-    pieces = []
-    for rows, me, mf in _family_stacks(space, E, F, extended):
-        xs, ys = x[rows], y[rows]
-        ce = _pairings(space, xs, me)
-        cf = _pairings(space, xs, mf)
-        cey = _pairings_right(space, me, ys)
-        cfy = _pairings_right(space, mf, ys)
-        cross = _cross_matrix(space, me, mf)
-        s[rows] = _dot(ce, cey) + _dot(cf, cfy) - 2.0 * _dot(_row_times(ce, cross), cfy)
-        pieces.append((rows, me, mf, ce, cfy))
+    e, f = _by_size(space, E, "E", extended), _by_size(space, F, "F", extended)
+    ce, cf = _pairings(space, x, e), _pairings(space, x, f)
+    cey, cfy = _pairings_right(space, e, y), _pairings_right(space, f, y)
+    s = e.merged(list(map(_dot, ce, cey))) + f.merged(list(map(_dot, cf, cfy))) - 2.0 * _cross_sum(space, e, f, ce, cfy)
     xy = pairing(space, x, y)
     nx = pairing_norm(space, x)
     ny = pairing_norm(space, y)
-    return x, y, s, xy, nx, ny, pieces
+    return x, y, s, xy, nx, ny, (e, f, ce, cfy)
 
 
 def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
@@ -744,12 +787,10 @@ def eval_generalized(space: SpaceSpec, E, F, x, y, *, extended: bool = False):
     ROUTE_AGREEMENT_REL relative to the instance scale; disagreement on any
     row means a coding fault, not a counterexample, and raises immediately.
     """
-    xx, yy, s, xy, nx, ny, pieces = _family_core(space, E, F, x, y, extended)
+    xx, yy, s, xy, nx, ny, (e, f, ce, cfy) = _family_core(space, E, F, x, y, extended)
     direct = _abs(s - 0.5 * xy)
-    u, v = np.empty_like(xx), np.empty_like(yy)
-    for rows, me, mf, ce, cfy in pieces:
-        u[rows] = 2.0 * _row_times(ce, me) - xx[rows]
-        v[rows] = 2.0 * _row_times(np.conj(cfy), mf) - yy[rows]
+    u = e.merged([2.0 * _row_times(c, me) - xx[rows] for c, (rows, me) in zip(ce, e.parts)])
+    v = f.merged([2.0 * _row_times(np.conj(c), mf) - yy[rows] for c, (rows, mf) in zip(cfy, f.parts)])
     # u and v are derived rather than validated arguments: check them here,
     # in their own dtype, and pair them at the precision of the direct route
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
@@ -812,13 +853,12 @@ def eval_kurepa_refined(space: SpaceSpec, E, F, w, *, extended: bool = False):
     """Three chained caps for the squared family pairings of a complexified w."""
     _require_field(space, (Field.REAL,), "this statement")
     wre, wim = _complexified_parts(space, w, "w", extended)
-    t = np.empty(len(wre), dtype=np.result_type(wre, 1j))
-    for rows, me, mf in _family_stacks(space, E, F, extended):
-        re, im = wre[rows], wim[rows]
-        cwe = _pairings(space, re, me) + 1j * _pairings(space, im, me)
-        cwf = _pairings(space, re, mf) + 1j * _pairings(space, im, mf)
-        cross = _cross_matrix(space, me, mf)
-        t[rows] = _dot(cwe, cwe) + _dot(cwf, cwf) - 2.0 * _dot(_row_times(cwe, cross), cwf)
+    e, f = _by_size(space, E, "E", extended), _by_size(space, F, "F", extended)
+    # E's terms once per size of E, F's once per size of F, and only the
+    # cross term per pair of sizes
+    cwe, cwf = ([re + 1j * im for re, im in zip(_pairings(space, wre, g), _pairings(space, wim, g))] for g in (e, f))
+    t = e.merged([_dot(c, c) for c in cwe]) + f.merged([_dot(c, c) for c in cwf]) - 2.0 * _cross_sum(
+        space, e, f, cwe, cwf)
     nre2 = pairing(space, wre, wre)
     nim2 = pairing(space, wim, wim)
     nw2 = nre2 + nim2

@@ -33,14 +33,15 @@ A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
 order or by a process pool, and merged in shard order.  A shard samples its
 trials in two phases, space by space: phase A resets each trial's stream
 and makes its draw calls into the trial's row of the space's tape, phase B
-builds the space's trials from the tape in stacked operations, with one
-Gram-Schmidt call per family argument, as one group record (`Group`: each
-argument one stack).  One draw source serves phase B, the dry run of it
-that logs phase A's draw calls, and a lone trial drawing as it goes, with
-one arithmetic that gives each row of a stack the bits its trial gets
-alone.  A trial whose draws leave phase A's path (a retry, a rejected
-probe, a cosine of exactly 1) is sampled again alone, a group of one, which
-is how `sample_instance` samples one trial.  The shard evaluates each group
+builds the space's trials from the tape in stacked operations, as one group
+record (`Group`: each argument one stack), and orthonormalizes the families
+of all its family arguments last, in one Gram-Schmidt call per space.  One
+draw source serves phase B, the dry run of it that logs phase A's draw
+calls, and a lone trial drawing as it goes, with one arithmetic that gives
+each row of a stack the bits its trial gets alone.  A trial whose draws
+leave phase A's path (a retry, a rejected probe, a cosine of exactly 1, a
+refused family) is sampled again alone, a group of one, which is how
+`sample_instance` samples one trial.  The shard evaluates each group
 (catalog statements are stacked kernels that give each member of a group
 the bits it gets alone) and counts the rows' columns in trial order: the
 buckets by the decade thresholds of `_bucket`, the lowest trials by
@@ -343,13 +344,14 @@ class _Draws:
     """The draws of phase B, in one of three modes.  With neither a tape
     nor a generator it is a dry run, whose `calls` log the reads: phase A's
     program.  With phase A's `tape` of a group it reads the draws back, a
-    row per trial, and marks in `redo` each trial off phase A's path.  With
-    one trial's `rng` it draws as it goes, in a lone trial's shapes
-    (numbers, 1-d vectors, (size, width) family rows), and the trial takes
-    every branch."""
+    row per trial, defers the families to `resolved`, and marks in `redo`
+    each trial off phase A's path.  With one trial's `rng` it draws as it
+    goes, in a lone trial's shapes (numbers, 1-d vectors, (size, width)
+    family rows), orthonormalizing each family as it is drawn, and the
+    trial takes every branch, retries included."""
 
     def __init__(self, tape=None, rng=None):
-        self.tape, self.rng, self.calls = tape, rng, []
+        self.tape, self.rng, self.calls, self.deferred = tape, rng, [], []
         self.redo = np.zeros(1 if tape is None else len(tape), dtype=bool)
 
     def _read(self, kind, count, width=0):
@@ -375,15 +377,30 @@ class _Draws:
         return self.rng.standard_normal((sizes, width))
 
     def families(self, space, rows, sizes):
+        """A lone trial's family, or None (and ok) for a group's, which
+        `resolved` orthonormalizes with the group's other families."""
         if self.rng is not None:
             try:
                 return gram_schmidt(space, rows), True
             except DomainError:
                 return None, False
-        if self.tape is None:
-            return None, np.zeros(1, dtype=bool)
-        families = FamilyStack.of(space, gram_schmidt(space, rows, sizes=sizes))
-        return families, families.ok
+        self.deferred.append((rows, sizes))
+        return None, np.ones(len(self.redo), dtype=bool)
+
+    def resolved(self, space, entry, inputs) -> dict:
+        """A group's `inputs` with its family arguments, in `entry`'s order,
+        orthonormalized in one stacked gram_schmidt call, marking in `redo`
+        each trial with a refused family."""
+        if not self.deferred:
+            return inputs
+        n = len(self.redo)
+        rows, sizes = (np.concatenate(parts) for parts in zip(*self.deferred))
+        stack = FamilyStack.of(space, gram_schmidt(space, rows, sizes=sizes))
+        members, sizes, ok = (a.reshape(len(self.deferred), n, *a.shape[1:])
+                              for a in (stack.members, stack.sizes, stack.ok))
+        self.redo |= ~np.logical_and.reduce(ok)
+        return {**inputs, **{k: FamilyStack(space, members[j], sizes[j], ok[j], stack.tol)
+                             for j, k in enumerate(entry.family_args)}}
 
     def pair(self, re, im):
         """A lone trial's complexified vector, or a group's as one pair of
@@ -655,6 +672,7 @@ def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple,
         draws = _Draws(tape)
         with np.errstate(divide="ignore", invalid="ignore"):
             inputs, starved = sampler(entry, space, whitener, draws, params)
+            inputs = draws.resolved(space, entry, inputs)
         # vectors may be views of the tape: the group keeps its own rows
         args = {k: np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
         group = Group(space, np.array(members), args)

@@ -204,10 +204,9 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
             # i are a prefix; in plain Python, because numpy's sorts and axis
             # reductions would page in code that nothing else here runs
             order = sorted(range(m), key=lambda j: -listed[j])
-            sizes = [listed[j] for j in order]
+            sizes = np.array(listed, dtype=np.intp)[order]
             vs = vs[order]
-            for j, size in enumerate(sizes):
-                vs[j, size:] = 0.0
+            vs[np.arange(k) >= sizes[:, np.newaxis]] = 0.0
     finite = np.isfinite(vs).all(axis=(1, 2))
     failed = None if finite.all() else ~finite
     try:
@@ -222,7 +221,7 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
     else:
         ok = np.ones(m, dtype=bool) if failed is None else ~failed
         ok[list(errors)] = False
-        stack = FamilyStack(space, out, np.full(m, out.shape[1]) if sizes is None else np.array(sizes), ok, tol)
+        stack = FamilyStack(space, out, np.full(m, out.shape[1]) if sizes is None else sizes, ok, tol)
     return stack if order is None else stack.take(sorted(range(m), key=order.__getitem__))  # back in its row
 
 
@@ -236,7 +235,7 @@ def _alone(space, vectors, tol):
 def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     """The Gram-Schmidt loop over an (m, k, d) stack of finite rows, of
     which `failed` (a mask, or None) marks families already refused and
-    `sizes` (a descending list, or None for k each) gives the rows of each
+    `sizes` (a descending array, or None for k each) gives the rows of each
     family: the read-only (m, k, d) result, zeros past each family's rows,
     and {family index: the error it raises alone} for the families that
     fail here.  A family that fails runs on as zeros, so it stays finite
@@ -245,7 +244,7 @@ def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     out = np.zeros(vs.shape, vs.dtype)
     errors = {}
     # running[i]: the families that have a row i, a prefix of the stack
-    running = None if sizes is None else [sum(1 for size in sizes if size > i) for i in range(k)]
+    running = None if sizes is None else np.searchsorted(-sizes, -np.arange(k), side="left").tolist()
     if k:
         # the norm of every row at once: each row keeps its bits
         floors = RANK_TOL * np.maximum(pairing_norm(space, vs.reshape(m * k, d)).reshape(m, k), 1e-300)
@@ -283,13 +282,11 @@ def _orthonormalize(space, vs, tol, failed=None, sizes=None):
     else:
         # each size checked on its own stack (a padded product rounds
         # differently), its families' rows and no padding
-        start = 0
-        for size in sorted(set(sizes), reverse=True):
-            stop = start + sizes.count(size)
-            if size:
-                _refuse_deviant(space, out[start:stop, :size].copy(), tol,
+        bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), m]
+        for start, stop in zip(bounds, bounds[1:]):
+            if sizes[start]:
+                _refuse_deviant(space, out[start:stop, : sizes[start]].copy(), tol,
                                 None if failed is None else failed[start:stop], errors, start)
-            start = stop
     out.setflags(write=False)
     return out, errors
 

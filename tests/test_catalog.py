@@ -1186,6 +1186,54 @@ class TestStackedKernels:
                         assert group.premises_hold[i] == one.premises_hold[0]
 
 
+def _moved(space: SpaceSpec, inputs: dict, basis: np.ndarray) -> dict:
+    """An instance's inputs mapped by v -> basis^T v, family members (rows)
+    by m -> m basis, into the identity-gram space of its field; with basis
+    = L Q^T, G = L L^H and Q unitary, every pairing is kept."""
+    plain = SpaceSpec(space.dim, space.field)
+    moved = {}
+    for k, value in inputs.items():
+        if isinstance(value, OrthonormalFamily):
+            moved[k] = OrthonormalFamily(plain, value.members @ basis)
+        elif isinstance(value, ComplexifiedVector):
+            moved[k] = ComplexifiedVector(basis.T @ value.re, basis.T @ value.im)
+        else:
+            moved[k] = basis.T @ value
+    return moved
+
+
+class TestRepresentationInvariance:
+    """Every statement is about an abstract inner-product space, so its
+    verdicts may not depend on the basis: an instance of a random-gram space
+    moved to the identity-gram space (and over C turned by a random unitary)
+    keeps its premise verdicts and, to roundoff, its binding normalized
+    margin.  A fault that sits in both a group's path and a lone instance's
+    (a gram on the wrong side, a dropped conjugate) shows here."""
+
+    @pytest.mark.parametrize(
+        "name, field", [pytest.param(n, f, id=f"{n}-{f.value}") for n, e in CATALOG.items() for f in e.fields])
+    def test_verdicts_and_margins_keep_under_a_change_of_basis(self, name, field):
+        entry = CATALOG[name]
+        choice = FieldChoice.REAL if field is Field.REAL else FieldChoice.COMPLEX
+        config = SearchConfig(seed=5, trials=400, dims=(1, 8), field=choice, gram=GramKind.RANDOM)
+        rng = np.random.default_rng(17)
+        groups = {}
+        for sampled in sample_instance(config, name, list(range(config.trials))):
+            groups.setdefault(sampled.space, []).append(sampled.inputs)
+        for space, members in groups.items():
+            basis = space.chol
+            if field is Field.COMPLEX:
+                square = (space.dim, space.dim)
+                turn, _ = np.linalg.qr(rng.standard_normal(square) + 1j * rng.standard_normal(square))
+                basis = basis @ turn.T
+            here = entry.run(space, members)
+            there = entry.run(SpaceSpec(space.dim, field), [_moved(space, one, basis) for one in members])
+            if here.premises_hold is not None:
+                assert np.array_equal(here.premises_hold, there.premises_hold), space.dim
+            np.testing.assert_allclose(there.binding.normalized_margin, here.binding.normalized_margin,
+                                       rtol=0, atol=1e-12, err_msg=f"dim {space.dim}")
+
+
 _MARGIN_VALUES = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 0.5, -0.5, 1.0]), st.floats(-2.0, 2.0))
 _SCALES = st.sampled_from([1.0, 2.0, 0.0, 1e-310, math.nan])
 

@@ -507,6 +507,52 @@ class TestStackedSampler:
         after = _sample_alone(cfg, "generalized-2.1", entry, entry.default_params, fields, 9)
         assert instance_digest("generalized-2.1", *after[:2]) != instance_digest("generalized-2.1", *before[:2])
 
+    @pytest.mark.parametrize("case, digest", [
+        ("F", "43a31b6b2e3c7cf8"),
+        ("E and F", "8fa1bb850d271b58"),
+        ("one space", "1d29dcd576e05631"),
+    ])
+    def test_family_refusals(self, monkeypatch, case, digest):
+        # gram_schmidt refuses the first rows drawn for F in trial 9, or for
+        # both of its families, or every family of trial 9's space in the
+        # stacked call: each refused trial goes alone once, drawing as a
+        # lone trial draws
+        cfg = SearchConfig(seed=3, trials=40, dims=(2, 5), gram=GramKind.RANDOM)
+        entry, fields = CATALOG["generalized-2.1"], (Field.REAL, Field.COMPLEX)
+        seen = []
+        original = falsifier.gram_schmidt
+
+        def recording(space, vectors, *args, **kwargs):
+            seen.append(np.array(vectors))
+            return original(space, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(falsifier, "gram_schmidt", recording)
+        space, inputs, _ = _sample_alone(cfg, "generalized-2.1", entry, entry.default_params, fields, 9)
+        assert inputs["E"].size > 0 and inputs["F"].size > 0
+        first_e, first_f = seen[0][0].tobytes(), seen[1][0].tobytes()
+        refused = {"F": {first_f}, "E and F": {first_e, first_f}}.get(case, set())
+
+        def refusing(space_, vectors, tol=1e-10, sizes=None):
+            vectors = np.asarray(vectors)
+            if vectors.ndim == 2:
+                if len(vectors) and vectors[0].tobytes() in refused:
+                    raise DomainError("refused")
+                return original(space_, vectors, tol)
+            families = original(space_, vectors, tol, sizes=sizes)
+            return [None if (case == "one space" and space_ is space) or rows[0].tobytes() in refused else family
+                    for rows, family in zip(vectors, families)]
+
+        went_alone = []
+        lone = falsifier._sample_alone
+        monkeypatch.setattr(falsifier, "gram_schmidt", refusing)
+        monkeypatch.setattr(falsifier, "_sample_alone", lambda *args: went_alone.append(args[-1]) or lone(*args))
+        stacked, alone = _stacked_and_alone(cfg, "generalized-2.1", entry, entry.default_params, fields)
+        assert stacked == alone
+        cell = (space.dim, space.field)
+        assert went_alone == ([i for i in range(cfg.trials) if falsifier._trial_cell(cfg, fields, i) == cell]
+                              if case == "one space" else [9])
+        assert alone[9][0] == digest
+
     @pytest.mark.parametrize("name", ["schwarz", "kurepa-3.2", "moore-1.9", "kurepa-refined-3.3"])
     def test_nonzero_and_complexified_retries(self, monkeypatch, lone_count, name):
         # a threshold near the typical norm sends many draws back
@@ -546,7 +592,7 @@ class TestStackedSampler:
 
 
 class TestSamplingCost:
-    def test_one_gram_schmidt_call_per_space_and_family_argument(self, monkeypatch, lone_count):
+    def test_one_gram_schmidt_call_per_space(self, monkeypatch, lone_count):
         calls = []
         original = falsifier.gram_schmidt
 
@@ -558,10 +604,10 @@ class TestSamplingCost:
         cfg = SearchConfig(seed=0, trials=400, dims=(1, 8), gram=GramKind.RANDOM)
         _shard_worker(("generalized-2.1", cfg, 0, 400, False))
         spaces = 8 * 2
-        # the stacked pass: one call per space and family argument; a trial
-        # sampled again alone calls once per family argument and retry
-        assert calls.count(3) == 2 * spaces
-        assert len(calls) <= 2 * spaces + 2 * 16 * lone_count[0]
+        # the stacked pass: one call per space, for both family arguments;
+        # a trial sampled again alone calls once per family argument and retry
+        assert calls.count(3) == spaces
+        assert len(calls) <= spaces + 2 * 16 * lone_count[0]
         assert len(calls) < 100  # one call per trial and argument would be 800
 
     def test_no_trial_is_sampled_twice(self, monkeypatch):
