@@ -109,10 +109,10 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def fnv1a_64_rows(blocks, lengths=None) -> list:
+def fnv1a_64_rows(blocks, lengths) -> list:
     """fnv1a_64 of every row of a list of uint8 matrices, in block and row
-    order, in one pass; with `lengths` (an array per block), row i of block
-    b is its first lengths[b][i] bytes.
+    order, in one pass, where row i of block b is its first lengths[b][i]
+    bytes (`lengths` holds an array per block).
 
     FNV-1a runs over all rows at once as uint64 states, which wrap mod 2^64
     as _MASK64 does: with the states in the order of their rows' lengths,
@@ -126,8 +126,6 @@ def fnv1a_64_rows(blocks, lengths=None) -> list:
     nothing else here runs.  A pass costs per byte column, so one lone byte
     string is cheaper through fnv1a_64.
     """
-    if lengths is None:
-        lengths = [np.full(len(block), block.shape[1], dtype=np.intp) for block in blocks]
     every = [n for counts in lengths for n in counts.tolist()]
     order = sorted(range(len(every)), key=every.__getitem__, reverse=True)  # longest first, stably
     place = np.empty(len(every), dtype=np.intp)
@@ -162,9 +160,9 @@ def fnv1a_64_rows(blocks, lengths=None) -> list:
     return states[place].tolist()
 
 
-def _serialized(space: SpaceSpec, n: int, stacks, dtype=None):
-    """The bytes digest_inputs hashes, for the n instances of `stacks` (each
-    argument's stack, in order: (n, d) vectors, cast to `dtype` when given,
+def _serialized(space: SpaceSpec, n: int, stacks):
+    """The bytes instance_digest hashes, for the n instances of `stacks` (each
+    argument's stack, in order: (n, d) vectors, cast to the field's dtype,
     a FamilyStack, or a ComplexifiedVector of (n, d) parts), as the rows of
     one uint8 matrix and each row's length.  The header is assigned to all
     rows at once, and each argument is cast to big-endian into one padded
@@ -182,7 +180,7 @@ def _serialized(space: SpaceSpec, n: int, stacks, dtype=None):
             size = 8 + value.sizes * (space.dim * big.itemsize)
         else:
             coords = np.concatenate([value.re, value.im], axis=1) if isinstance(value, ComplexifiedVector) \
-                else np.asarray(value, dtype=dtype).reshape(n, -1)
+                else np.asarray(value, dtype=space.field.dtype).reshape(n, -1)
             big = _BIG_COMPLEX if coords.dtype.kind == "c" else _BIG_REAL
             block = np.empty((n, coords.shape[1] * big.itemsize), dtype=np.uint8)
             size = block.shape[1]
@@ -202,14 +200,6 @@ def _serialized(space: SpaceSpec, n: int, stacks, dtype=None):
 
 def _digest(rows, lengths) -> str:
     return format(fnv1a_64(rows[0, : lengths[0]].tobytes()), "016x")
-
-
-def digest_inputs(space: SpaceSpec, *parts) -> str:
-    """Canonical 16-hex-digit fingerprint of an instance's vector data."""
-    stacks = [FamilyStack.of(space, [part]) if isinstance(part, OrthonormalFamily)
-              else _paired([part], "part") if isinstance(part, ComplexifiedVector) else np.asarray(part)[np.newaxis]
-              for part in parts]
-    return _digest(*_serialized(space, 1, stacks))
 
 
 # records ---------------------------------------------------------------------
@@ -1036,7 +1026,7 @@ def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
     """Digest an instance's vector data in the entry's argument order."""
     entry = catalog_entry(name)
     group = Group.of(space, entry, inputs)
-    return _digest(*_serialized(space, 1, [group.args[arg] for arg in entry.args], space.field.dtype))
+    return _digest(*_serialized(space, 1, [group.args[arg] for arg in entry.args]))
 
 
 def instance_digests(name: str, groups) -> list:
@@ -1044,6 +1034,6 @@ def instance_digests(name: str, groups) -> list:
     row order: each group is serialized into one uint8 matrix, and every
     row of every matrix is hashed in one pass."""
     entry = catalog_entry(name)
-    blocks = [_serialized(group.space, len(group), [group.args[arg] for arg in entry.args], group.space.field.dtype)
+    blocks = [_serialized(group.space, len(group), [group.args[arg] for arg in entry.args])
               for group in groups if len(group)]
     return [format(h, "016x") for h in fnv1a_64_rows([rows for rows, _ in blocks], [n for _, n in blocks])]

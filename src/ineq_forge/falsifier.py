@@ -52,10 +52,10 @@ premises hold (its digest and binding margins, as finished JSON text), so
 a caller that writes every instance gets them from the same sampling and
 evaluation as the report, one shard at a time, and only writes them; the
 digests take one batched FNV-1a pass over each group's stacks, and the
-lines one format string.  Only the lowest trials, the trials sampled alone
-and the lines read single trials.  The shard returns copies of the inputs
-of its lowest trials with their counts, so no trial is sampled twice; the
-lowest of all the shards' is the worst trial.
+lines one format string over the rows' columns.  Only the lowest trials
+and the trials sampled alone read single trials.  The shard returns copies
+of the inputs of its lowest trials with their counts, so no trial is
+sampled twice; the lowest of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -74,13 +74,12 @@ search tries every other candidate in blocks of LINE_BLOCK step lengths,
 each rebuilt in one call and evaluated as one group.  A probe that cannot
 be rebuilt or raises (alone, after its group raised) is left out of the
 gradient.  The complex-premise Moore experiment
-samples and evaluates its samples in groups of one dimension, chunk by
-chunk, as a shard does, and refines the inputs of its lowest ratios with
-the same descent routine and the same coordinate codec, so both searches
-share one implementation of the step, the projection and the premise
-guard.  The descent returns the row it evaluated for its final instance,
-and both searches fold that row, so a refined instance is not evaluated
-again.
+samples, evaluates and folds its samples chunk by chunk as a shard does,
+reading the columns of a chunk's rows and confirming only the rows below
+the first bound, in trial order, and refines the inputs of its lowest
+ratios with the same descent routine and coordinate codec, so both
+searches share one step, projection and premise guard.  The descent
+returns the row of its final instance, which both searches fold as is.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ from .catalog import (
     TOL_ABS,
     TOL_REL,
     catalog_entry,
-    digest_inputs,
     fnv1a_64,
     instance_digest,
     instance_digests,
@@ -395,7 +393,7 @@ class _Draws:
             return inputs
         n = len(self.redo)
         rows, sizes = (np.concatenate(parts) for parts in zip(*self.deferred))
-        stack = FamilyStack.of(space, gram_schmidt(space, rows, sizes=sizes))
+        stack = gram_schmidt(space, rows, sizes=sizes)
         members, sizes, ok = (a.reshape(len(self.deferred), n, *a.shape[1:])
                               for a in (stack.members, stack.sizes, stack.ok))
         self.redo |= ~np.logical_and.reduce(ok)
@@ -761,9 +759,8 @@ def _buckets(normalized: np.ndarray) -> np.ndarray:
 
 def _lowest(values: np.ndarray) -> list:
     """The positions of the TOP_K smallest values, ascending, a NaN first and
-    ties to the lower position: `_keep_top` over (value, position) keys, by
-    TOP_K passes of np.argmin (numpy's sorts would page in code that nothing
-    else here runs)."""
+    ties to the lower position, by TOP_K passes of np.argmin (numpy's sorts
+    would page in code that nothing else here runs)."""
     keys = np.where(np.isnan(values), -np.inf, values)
     rest, lowest = np.arange(keys.size), []
     for _ in range(min(TOP_K, keys.size)):
@@ -775,34 +772,26 @@ def _lowest(values: np.ndarray) -> list:
 
 class _Rows:
     """The rows of a group as columns, (n,) arrays: first the value a
-    descent lowers and whether the premises hold, then the objective's own,
-    and for `linked` rows the five binding link fields last (None for a
-    field the link lacks), which a row holds as one tuple.  Iterating
-    converts each column once and gives each row as a tuple of Python
-    values, or (inf, False) for a member that has no row (`present` unset);
-    a reader of a column builds no row."""
+    descent lowers and whether the premises hold, then the objective's own
+    (a column is None where the binding link lacks its field).  The folds
+    read the columns; item i, read only where one instance is, is row i as
+    the flat tuple of its columns' Python values, or (inf, False) for a
+    member that has no row (`present` unset)."""
 
-    def __init__(self, columns: list, linked: bool = False, present: Optional[np.ndarray] = None):
-        self.columns, self.linked, self.present = columns, linked, present
+    def __init__(self, columns: list, present: Optional[np.ndarray] = None):
+        self.columns, self.present = columns, present
 
     def __len__(self):
         return len(self.columns[0])
 
     def __getitem__(self, i):
-        return next(iter(self.take([i])))
-
-    def __iter__(self):
-        columns = [[None] * len(self) if column is None else column.tolist() for column in self.columns]
-        if self.linked:
-            columns[5:] = [zip(*columns[5:])]
-        rows = zip(*columns)
-        if self.present is None:
-            return rows
-        return (row if present else (math.inf, False) for row, present in zip(rows, self.present.tolist()))
+        if self.present is not None and not self.present[i]:
+            return math.inf, False
+        return tuple(None if column is None else column[i].item() for column in self.columns)
 
     def take(self, rows) -> "_Rows":
         """The rows at `rows`, an index array."""
-        return _Rows([None if column is None else column[rows] for column in self.columns], self.linked,
+        return _Rows([None if column is None else column[rows] for column in self.columns],
                      None if self.present is None else self.present[rows])
 
     @staticmethod
@@ -811,7 +800,7 @@ class _Rows:
         if len(parts) == 1:
             return parts[0]
         return _Rows([None if column is None else np.concatenate([rows.columns[k] for rows in parts])
-                      for k, column in enumerate(parts[0].columns)], parts[0].linked)
+                      for k, column in enumerate(parts[0].columns)])
 
     @staticmethod
     def gathered(n: int, parts: list) -> "_Rows":
@@ -851,7 +840,7 @@ def _group_rows(samples: _Sampled, evaluate) -> _Rows:
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
-    ((_, premises_ok, _, holds, _, _),) = _binding_rows(entry, space, [inputs], extended=True)
+    _, premises_ok, _, holds, *_ = _binding_rows(entry, space, [inputs], extended=True)[0]
     return premises_ok and not holds
 
 
@@ -899,10 +888,8 @@ class _CoordCodec:
 
     def rebuild(self, points: np.ndarray, project: bool):
         """The Group of the flat points of an (m, n) stack, live where a
-        point can be rebuilt; one (n,) point gives its inputs (or None)
-        alone.  Each argument is rebuilt for the whole stack at once."""
-        if points.ndim == 1:
-            return self.rebuild(points[np.newaxis], project)[0]
+        point can be rebuilt.  Each argument is rebuilt for the whole stack
+        at once."""
         dim = self.space.dim
         args = {}
         live = np.ones(len(points), dtype=bool)
@@ -915,7 +902,7 @@ class _CoordCodec:
             if self.complex_field:
                 raw = raw + 1j * points[:, pos : pos + size * dim].reshape(shape)
                 pos += size * dim
-            args[k] = FamilyStack.of(self.space, gram_schmidt(self.space, raw))
+            args[k] = gram_schmidt(self.space, raw)
             live &= args[k].ok
         for k in self.entry.vector_args:
             v = points[:, pos : pos + dim].copy()
@@ -1078,16 +1065,6 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
     return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
 
 
-def _keep_top(top: list, key: tuple) -> None:
-    """Keep the TOP_K smallest keys seen so far, ascending."""
-    if len(top) < TOP_K:
-        top.append(key)
-        top.sort()
-    elif key < top[-1]:
-        top[-1] = key
-        top.sort()
-
-
 # search driver -------------------------------------------------------------------
 
 
@@ -1095,15 +1072,15 @@ def _binding_rows(entry, space: SpaceSpec, group, params=None, extended: bool = 
     """The one reading of a catalog result in this module: the rows of a
     group of instances in `space` (a Group, or a list of dicts of inputs),
     each (normalized margin, premises hold, min margin, all links hold,
-    near equality, binding link fields), the fields as an instance line
-    writes them."""
+    near equality, then the binding link's lhs, center, rhs, margin_lower
+    and margin_upper as an instance line writes them)."""
     result = entry.run(space, group, params, extended=extended)
     binding = result.binding
     premises = np.ones(len(binding.holds), dtype=bool) if result.premises_hold is None else result.premises_hold
     margin = binding.min_margin
     fields = [None if value is None else value.astype(np.float64, copy=False)
               for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower, binding.margin_upper)]
-    return _Rows([binding.normalized(margin), premises, margin, result.holds, binding.near_equality, *fields], True)
+    return _Rows([binding.normalized(margin), premises, margin, result.holds, binding.near_equality, *fields])
 
 
 def _shard_worker(task):
@@ -1147,15 +1124,15 @@ def _json_number(x) -> str:
     return "null" if x is None else format_float(x)
 
 
-def _instance_records(name: str, seed: int, samples: _Sampled, rows) -> list:
+def _instance_records(name: str, seed: int, samples: _Sampled, rows: _Rows) -> list:
     """The instance line of each trial of `samples` whose premises hold,
-    in its order, from its row of `rows`: one JSON object and its newline,
-    with its keys in the order below, floats spelled by format_float and a
+    in its order, from the columns of `rows`: one JSON object and its
+    newline, keys in the order below, floats spelled by format_float and a
     missing field as null, as `cli.to_json` spells the same record.  The
     digests take one pass over the counted trials of every group."""
-    counted = [(i, row) for i, row in enumerate(rows) if row[1]]
+    counted = np.flatnonzero(rows.columns[1]).tolist()
     picked = {}  # group -> its counted rows
-    for i, _ in counted:
+    for i in counted:
         g, r = samples.where[i]
         picked.setdefault(g, []).append(r)
     groups = [samples.groups[g][0] for g in picked]
@@ -1165,8 +1142,9 @@ def _instance_records(name: str, seed: int, samples: _Sampled, rows) -> list:
     line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%d,"field":"%s","seed":'
             + str(seed) + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,'
             '"holds":%s,"near_equality":%s}\n')
+    columns = [[None] * len(counted) if column is None else column[counted].tolist() for column in rows.columns[3:]]
     lines = []
-    for i, (_, _, _, holds, near, fields) in counted:
+    for i, holds, near, *fields in zip(counted, *columns):
         g, r = samples.where[i]
         space = samples.groups[g][0].space
         lines.append(line % (space.dim, space.field.value, digest[g, r], *map(_json_number, fields),
@@ -1220,7 +1198,7 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
         for _, index, _, sampled_near, sampled_violated, space, inputs in top:
             # folded as the descent evaluated it: premises hold at the start and at every accepted step
             refined = local_ascent(ineq_name, space, inputs, config)
-            refined_normalized, _, min_margin, holds, near_equality, _ = refined.row
+            refined_normalized, _, min_margin, holds, near_equality, *_ = refined.row
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
             # most once as a violation
@@ -1297,48 +1275,43 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     second_bound = 1.0 - 4.0 * eps + 2.0 * eps * eps
     params = MooreParams(eps=eps)
     satisfying = 0
-    min_ratio = None
-    top = []  # ascending (ratio, index, the row of the chunk's samples, then (space, inputs) copied out)
+    top = []  # ascending (ratio, index, the row in its chunk's samples, then (space, inputs) copied out)
     witness = None
 
     def below_first_bound(ratio, scale):
-        return ratio - first_bound < -(TOL_ABS / max(scale, _TINY) + TOL_REL)
+        return ratio - first_bound < -(TOL_ABS / np.maximum(scale, _TINY) + TOL_REL)
 
-    def observe(ratio, ok, scale, instance):
-        """Fold one `_moore_ratios` row into the minimum and the witness;
-        `instance()` gives its (space, inputs), read only for a candidate
-        witness.  Returns its ratio, or None when its premises fail."""
-        nonlocal min_ratio, witness
-        if not ok:
-            return None
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if witness is None and below_first_bound(ratio, scale):
-            space, inputs = instance()
-            ((ratio_e, ok_e, scale_e),) = _moore_ratios(space, [inputs], params, extended=True)
-            if ok_e and below_first_bound(ratio_e, scale_e):
-                witness = digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
-        return ratio
+    def confirmed(space, inputs):
+        """The witness digest of an instance below the first bound at
+        extended precision, or None."""
+        ratio, ok, scale = _moore_ratios(space, [inputs], params, extended=True)[0]
+        return instance_digest("moore-1.9", space, inputs) if ok and below_first_bound(ratio, scale) else None
 
-    # the samples of a chunk are sampled and evaluated in groups of one dimension each
+    # a chunk is sampled and evaluated in groups of one dimension each, and folded by its columns
     entry = catalog_entry("moore-1.9")
     for first in range(0, config.trials, SHARD_SIZE):
         indices = list(range(first, min(first + SHARD_SIZE, config.trials)))
         samples = _sample_trials(config, _MOORE_COMPLEX_KEY, entry, params, (Field.COMPLEX,), indices)
-        copied = samples.copied
-        for i, row in enumerate(_group_rows(samples, functools.partial(_moore_ratios, params=params))):
-            ratio = observe(*row, functools.partial(copied, i))
-            if ratio is not None:
-                satisfying += 1
-                # (ratio, index) is unique, so the row never decides the order
-                _keep_top(top, (ratio, indices[i], i))
-        # the chunk's stacks die with it: its samples in the top K keep copies
-        top = [(ratio, index, copied(at) if index >= first else at) for ratio, index, at in top]
+        ratio, ok, scale = _group_rows(samples, functools.partial(_moore_ratios, params=params)).columns
+        counted = np.flatnonzero(ok)
+        satisfying += counted.size
+        for i in counted[below_first_bound(ratio[counted], scale[counted])].tolist():
+            witness = witness or confirmed(*samples.copied(i))
+        # (ratio, index) is unique, so the row never decides the order; the
+        # chunk's stacks die with it, so its samples in the top K keep copies
+        lowest = [(ratio[i].item(), first + i, i) for i in counted[_lowest(ratio[counted])].tolist()]
+        top = [(r, index, samples.copied(at) if index >= first else at)
+               for r, index, at in sorted(top + lowest)[:TOP_K]]
+    min_ratio = top[0][0] if top else None
     if config.ascent_steps > 0:
-        for _, index, (space, inputs) in top:
+        for _, _, (space, inputs) in top:
             # the descent evaluated its final instance, so its row is folded as is
             refined = _refine_moore_candidate(space, inputs, params, config)
-            observe(*refined.row, lambda: (space, refined.refined_inputs))
+            ratio, ok, scale = refined.row
+            if ok:
+                min_ratio = min(min_ratio, ratio)
+                if witness is None and below_first_bound(ratio, scale):
+                    witness = confirmed(space, refined.refined_inputs)
     verdict = Verdict.COUNTEREXAMPLE_FOUND if witness is not None else Verdict.NO_COUNTEREXAMPLE_FOUND
     return MooreComplexReport(
         eps=eps,

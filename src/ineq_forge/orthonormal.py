@@ -192,7 +192,7 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
             raise errors[0]
         return OrthonormalFamily._checked(space, out[0], tol)
     if not len(vs):
-        return []
+        return FamilyStack.of(space, [], tol)
     m, k, _ = vs.shape
     order = None
     if sizes is not None:

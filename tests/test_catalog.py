@@ -24,7 +24,6 @@ from ineq_forge.catalog import (
     MooreParams,
     StackedResult,
     buzano_moore_useful,
-    digest_inputs,
     eval_angle_bound,
     eval_buzano,
     eval_chain,
@@ -38,6 +37,7 @@ from ineq_forge.catalog import (
     eval_schwarz,
     fnv1a_64,
     fnv1a_64_rows,
+    instance_digest,
     moore_coefficient,
     precupanu_moore_bounds,
     run_catalog,
@@ -171,32 +171,42 @@ class TestEvaluationRecord:
 
 
 class TestDigest:
+    """instance_digest's canonical bytes: field tag, dimension, then each
+    argument in the entry's order, and nothing of the gram."""
+
+    XY = {"x": np.array([1.0, 2.0]), "y": np.array([3.0, 4.0])}
+
     def test_format_and_determinism(self):
-        d1 = digest_inputs(R2, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        d2 = digest_inputs(R2, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        d1 = instance_digest("schwarz", R2, self.XY)
+        d2 = instance_digest("schwarz", R2, {k: v.copy() for k, v in self.XY.items()})
         assert d1 == d2
         assert len(d1) == 16 and set(d1) <= set("0123456789abcdef")
 
     def test_sensitive_to_coordinates_field_and_dim(self):
-        base = digest_inputs(R2, np.array([1.0, 2.0]))
-        assert digest_inputs(R2, np.array([1.0, 2.0 + 1e-15])) != base
-        assert digest_inputs(SpaceSpec(2, Field.COMPLEX), np.array([1.0, 2.0], dtype=complex)) != base
-        assert digest_inputs(R3, np.array([1.0, 2.0, 0.0])) != base
+        base = instance_digest("schwarz", R2, self.XY)
+        assert instance_digest("schwarz", R2, {**self.XY, "x": np.array([1.0, 2.0 + 1e-15])}) != base
+        assert instance_digest("schwarz", C2, {k: v.astype(complex) for k, v in self.XY.items()}) != base
+        assert instance_digest("schwarz", R3, {k: np.append(v, 0.0) for k, v in self.XY.items()}) != base
 
     def test_family_membership_is_positional(self):
         e = np.array([1.0, 0.0])
-        a = digest_inputs(R2, fam(R2, e), empty_fam(R2))
-        b = digest_inputs(R2, empty_fam(R2), fam(R2, e))
+        a = instance_digest("generalized-2.1", R2, {"E": fam(R2, e), "F": empty_fam(R2), **self.XY})
+        b = instance_digest("generalized-2.1", R2, {"E": empty_fam(R2), "F": fam(R2, e), **self.XY})
         assert a != b
 
     def test_complexified_orders_re_then_im(self):
+        a = np.array([1.0, 1.0])
         z = ComplexifiedVector(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
         w = ComplexifiedVector(np.array([0.0, 2.0]), np.array([1.0, 0.0]))
-        assert digest_inputs(R2, z) != digest_inputs(R2, w)
+        digest = instance_digest("kurepa-3.2", R2, {"a": a, "z": z})
+        assert digest != instance_digest("kurepa-3.2", R2, {"a": a, "z": w})
+        # z's bytes are re's, then im's: those of two more real vectors
+        assert digest == instance_digest("moore-1.9", R2, {"x": a, "y": z.re, "z": z.im})
 
     def test_gram_not_digested(self):
         g = gram_from_factor(np.array([[1.0, 0.5], [0.0, 1.0]]), 0.5)
-        assert digest_inputs(R2, np.array([1.0, 2.0])) == digest_inputs(SpaceSpec(2, Field.REAL, g), np.array([1.0, 2.0]))
+        weighted = SpaceSpec(2, Field.REAL, g)
+        assert instance_digest("schwarz", R2, self.XY) == instance_digest("schwarz", weighted, self.XY)
 
     def test_fnv1a_reference_value(self):
         # FNV-1a 64 of empty input is the offset basis.
@@ -1304,6 +1314,11 @@ def _fnv_reference(data: bytes) -> int:
     return h
 
 
+def _full_widths(blocks):
+    """Each block's rows at their full width."""
+    return [np.full(len(block), block.shape[1], dtype=np.intp) for block in blocks]
+
+
 class TestBatchedDigest:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.binary(max_size=48), max_size=16))
@@ -1315,9 +1330,10 @@ class TestBatchedDigest:
         blocks = [np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), length)
                   for length, rows in by_length.items()]
         expected = [_fnv_reference(data) for rows in by_length.values() for data in rows]
-        assert fnv1a_64_rows(blocks) == expected
+        assert fnv1a_64_rows(blocks, _full_widths(blocks)) == expected
         singles = [np.frombuffer(data, dtype=np.uint8).reshape(1, len(data)) for data in strings]
-        assert fnv1a_64_rows(singles) == [_fnv_reference(data) for data in strings] == [fnv1a_64(d) for d in strings]
+        assert fnv1a_64_rows(singles, _full_widths(singles)) == [_fnv_reference(data) for data in strings] == [
+            fnv1a_64(d) for d in strings]
 
     @pytest.mark.parametrize("per_length, chunks_of", [(1, None), (3, None), (1, 256), (2, 100)],
                              ids=["one-row-groups", "three-row-groups", "chunk-of-256", "narrow-chunk"])
@@ -1333,4 +1349,4 @@ class TestBatchedDigest:
             assert _FNV_CHUNK_BYTES // (8 * active) == chunks_of
             blocks.insert(2, rng.integers(0, 256, size=(active - per_length * (len(lengths) - 1), 2304), dtype=np.uint8))
         expected = [_fnv_reference(row.tobytes()) for block in blocks for row in block]
-        assert fnv1a_64_rows(blocks) == expected
+        assert fnv1a_64_rows(blocks, _full_widths(blocks)) == expected

@@ -24,7 +24,6 @@ from ineq_forge.catalog import (
     TOL_ABS,
     TOL_REL,
     catalog_names,
-    digest_inputs,
     eval_generalized,
     eval_schwarz,
     fnv1a_64,
@@ -51,6 +50,7 @@ from ineq_forge.falsifier import (
     _name_key,
     _random_gram,
     _refine_moore_candidate,
+    _Rows,
     _sample_alone,
     _sample_anchored,
     _sample_generic,
@@ -66,7 +66,7 @@ from ineq_forge.falsifier import (
     moore_complex_experiment,
     sample_instance,
 )
-from ineq_forge.orthonormal import OrthonormalFamily, gram_schmidt
+from ineq_forge.orthonormal import FamilyStack, OrthonormalFamily, gram_schmidt
 from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, inner, norm, zero_norm_threshold
 
 
@@ -270,9 +270,11 @@ class TestStreamReuse:
 
 
 _LINE_FLOATS = st.one_of(
-    st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# a link field is a column of six rows' values, or None where the binding link lacks it
+_LINE_COLUMNS = st.one_of(st.none(), st.lists(_LINE_FLOATS, min_size=6, max_size=6))
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,7 +290,7 @@ def _reference_lines(name, seed, samples, rows):
                          "seed": seed, "digest": instance_digest(name, sampled.space, sampled.inputs),
                          "lhs": lhs, "center": center, "rhs": rhs, "margin_lower": lower, "margin_upper": upper,
                          "holds": holds, "near_equality": near}) + "\n"
-            for sampled, (_, premises, _, holds, near, (lhs, center, rhs, lower, upper)) in zip(samples, rows)
+            for sampled, (_, premises, _, holds, near, lhs, center, rhs, lower, upper) in zip(samples, rows)
             if premises]
 
 
@@ -298,11 +300,13 @@ class TestInstanceLineSpelling:
         name=st.sampled_from(catalog_names()),
         seed=st.integers(0, 2**64 - 1),
         flags=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=6, max_size=6),
-        fields=st.lists(st.tuples(*[_LINE_FLOATS] * 5), min_size=6, max_size=6),
+        fields=st.lists(_LINE_COLUMNS, min_size=5, max_size=5),
     )
     def test_lines_are_to_json_of_the_record(self, name, seed, flags, fields):
         samples = _line_samples(name)
-        rows = [(0.0, premises, 0.0, holds, near, values) for (premises, holds, near), values in zip(flags, fields)]
+        premises, holds, near = (np.array(column, dtype=bool) for column in zip(*flags))
+        rows = _Rows([np.zeros(6), premises, np.zeros(6), holds, near,
+                      *(None if column is None else np.array(column) for column in fields)])
         assert _instance_records(name, seed, samples, rows) == _reference_lines(name, seed, samples, rows)
 
 
@@ -497,8 +501,8 @@ class TestStackedSampler:
                     raise DomainError("refused")
                 return original(space, vectors, tol)
             families = original(space, vectors, tol, sizes=sizes)
-            return [None if len(rows) and rows[0].tobytes() == refused else family
-                    for rows, family in zip(vectors, families)]
+            return FamilyStack.of(space, [None if len(rows) and rows[0].tobytes() == refused else family
+                                          for rows, family in zip(vectors, families)])
 
         monkeypatch.setattr(falsifier, "gram_schmidt", refusing)
         stacked, alone = _stacked_and_alone(cfg, "generalized-2.1", entry, entry.default_params, fields)
@@ -539,8 +543,9 @@ class TestStackedSampler:
                     raise DomainError("refused")
                 return original(space_, vectors, tol)
             families = original(space_, vectors, tol, sizes=sizes)
-            return [None if (case == "one space" and space_ is space) or rows[0].tobytes() in refused else family
-                    for rows, family in zip(vectors, families)]
+            return FamilyStack.of(space_, [
+                None if (case == "one space" and space_ is space) or rows[0].tobytes() in refused else family
+                for rows, family in zip(vectors, families)])
 
         went_alone = []
         lone = falsifier._sample_alone
@@ -770,7 +775,7 @@ def _reference_gradient(entry, space, codec, flat, h):
     a probe the codec cannot rebuild, or whose evaluation raises, is inf."""
 
     def value(point):
-        candidate = codec.rebuild(point, project=False)
+        candidate = codec.rebuild(point[np.newaxis], project=False)[0]
         if candidate is None:
             return math.inf
         try:
@@ -803,7 +808,7 @@ class TestBatchedGradient:
         # the last coordinate by h leaves a dependent pair, which fails
         # Gram-Schmidt; every other probe rebuilds
         flat = np.concatenate([[1.0, 0.0, 1.0, h + 5e-11], inputs["x"], inputs["y"]])
-        assert codec.rebuild(flat, project=False) is not None
+        assert codec.rebuild(flat[np.newaxis], project=False)[0] is not None
         # the probes that raise x[0] by h raise inside the statement
         faulty = _faulty_on(eval_generalized, 2, {float(flat[4] + h)}, lambda x: float(x[0]))
         monkeypatch.setitem(CATALOG, "generalized-2.1", dataclasses.replace(CATALOG["generalized-2.1"], statement=faulty))
@@ -902,7 +907,7 @@ class TestStackedRebuild:
             stacked = codec.rebuild(points, project)
             assert len(stacked) == len(points)
             for point, rebuilt in zip(points, stacked):
-                alone = codec.rebuild(point, project)
+                alone = codec.rebuild(point[np.newaxis], project)[0]
                 reference = _reference_rebuild(codec, point, project)
                 assert (rebuilt is None) == (alone is None) == (reference is None)
                 if rebuilt is not None:
@@ -1073,7 +1078,7 @@ def _reference_descent(objective, codec, inputs, config, tried=None):
         reach = max(float(np.linalg.norm(flat)), 1e-12)
         trial_step = step
         for count in range(1, falsifier.MAX_HALVINGS + 2):
-            candidate = codec.rebuild(flat - trial_step * reach * (grad / gnorm), project=True)
+            candidate = codec.rebuild((flat - trial_step * reach * (grad / gnorm))[np.newaxis], project=True)[0]
             (candidate_row,) = _reference_rows(objective, [candidate])
             if candidate_row[1] and candidate_row[0] < row[0]:
                 break
@@ -1374,7 +1379,7 @@ class TestMooreComplexExperiment:
                 break
         else:
             pytest.fail("no sample is below the first bound")
-        assert report.witness_digest == digest_inputs(space, inputs["x"], inputs["y"], inputs["z"])
+        assert report.witness_digest == instance_digest("moore-1.9", space, inputs)
 
     def test_second_bound_is_never_below_the_first(self):
         # buzano-moore-1.16's floor implies the first floor: with u = sqrt(2 eps)
@@ -1398,7 +1403,7 @@ class TestMooreComplexExperiment:
             res = _refine_moore_candidate(space, inputs, params, cfg)
             for k in ("x", "y", "z"):
                 assert norm(space, res.refined_inputs[k]) == pytest.approx(norm(space, inputs[k]), rel=1e-9)
-            ((ratio, ok, _),) = _moore_ratios(space, [res.refined_inputs], params)
+            ratio, ok, _ = _moore_ratios(space, [res.refined_inputs], params)[0]
             assert ok
             assert ratio == res.final_margin == res.trace[-1]
             assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))

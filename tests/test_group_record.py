@@ -1,8 +1,8 @@
 """The group record path against per-trial references.
 
 A shard samples each space's trials as one Group (each argument one
-stack), evaluates it, folds the rows' columns, picks its top K by one
-lexsort and digests its counted trials from the stacks.  Every case here
+stack), evaluates it, folds the rows' columns, picks its top K by argmin
+passes (`_lowest`) and digests its counted trials from the stacks.  Every case here
 checks that path against each trial taken alone: sampled by itself,
 evaluated through `run_catalog(name, space, dict)` and digested by
 `instance_digest`.  The stream keys' tests pin the Philox key words.
@@ -22,7 +22,10 @@ import pytest
 from ineq_forge import cli, falsifier, orthonormal
 from ineq_forge.catalog import (
     CATALOG,
+    TOL_ABS,
+    TOL_REL,
     Group,
+    MooreParams,
     StackedResult,
     eval_schwarz,
     instance_digest,
@@ -31,6 +34,7 @@ from ineq_forge.catalog import (
 )
 from ineq_forge.falsifier import (
     HISTOGRAM_BUCKETS,
+    SHARD_SIZE,
     TOP_K,
     FieldChoice,
     GramKind,
@@ -42,12 +46,15 @@ from ineq_forge.falsifier import (
     _CoordCodec,
     _evaluate,
     _group_rows,
-    _keep_top,
     _key_words,
     _lowest,
+    _moore_ratios,
     _name_key,
     _probe_points,
+    _refine_moore_candidate,
+    _sample_alone,
     _shard_worker,
+    moore_complex_experiment,
     sample_instance,
 )
 from ineq_forge.orthonormal import FamilyStack, gram_schmidt
@@ -61,9 +68,20 @@ def _cases():
                 yield pytest.param(name, field, gram, id=f"{name}-{field.value}-{gram.value}")
 
 
+def _keep_top(top, key):
+    """Keep the TOP_K smallest keys seen so far, ascending: the per-row
+    reference of `_lowest`."""
+    if len(top) < TOP_K:
+        top.append(key)
+        top.sort()
+    elif key < top[-1]:
+        top[-1] = key
+        top.sort()
+
+
 def _reference_shard(name, config):
     """The shard's outputs from each trial alone, in trial order: its
-    rows, histogram, near-equality, violation and starved counts, top-K
+    flat rows, histogram, near-equality, violation and starved counts, top-K
     keys and instance lines."""
     entry = CATALOG[name]
     rows, hist, top, lines = [], [0] * HISTOGRAM_BUCKETS, [], []
@@ -78,7 +96,7 @@ def _reference_shard(name, config):
                        for value in (binding.lhs, binding.center, binding.rhs, binding.margin_lower,
                                      binding.margin_upper))
         holds, near_equality = bool(result.holds[0]), bool(binding.near_equality[0])
-        rows.append((normalized, premises, binding.min_margin[0].item(), holds, near_equality, fields))
+        rows.append((normalized, premises, binding.min_margin[0].item(), holds, near_equality, *fields))
         if not premises:
             starved += 1
             continue
@@ -171,6 +189,113 @@ class TestVectorizedFold:
             for index, value in enumerate(values.tolist()):
                 _keep_top(top, (-math.inf if math.isnan(value) else value, index))
             assert _lowest(values) == [index for _, index in top]
+
+
+def _moore_sample(config, params, index):
+    """One sample of the complex-premise experiment, alone."""
+    return _sample_alone(config, "moore-complex", CATALOG["moore-1.9"], params, (Field.COMPLEX,), index)[:2]
+
+
+def _planted_moore(monkeypatch, faults):
+    """moore-1.9 as the complex-premise experiment reads it, with a fault at
+    each row whose x has the bytes of a key of `faults`: "halved" halves the
+    center |<y,z>| at both precisions, "double" at double precision only (a
+    candidate that the extended check rejects), and "premise" fails the
+    premises."""
+    original = falsifier.verify_moore
+
+    def planted(space, x, y, z, params, *, extended=False):
+        result = original(space, x, y, z, params, extended=extended)
+        (link,) = result.links
+        kinds = [faults.get(row.tobytes()) for row in x]
+        halved = np.array([kind == "halved" or (kind == "double" and not extended) for kind in kinds])
+        premises = result.premises_hold & np.array([kind != "premise" for kind in kinds])
+        return StackedResult((dataclasses.replace(link, center=np.where(halved, link.center / 2, link.center)),),
+                             premises)
+
+    monkeypatch.setattr(falsifier, "verify_moore", planted)
+
+
+def _reference_moore(eps, config):
+    """The experiment's premise count, minimum ratio and witness from each
+    sample alone, folded row by row in trial order, then each of the TOP_K
+    lowest samples' refined rows folded in rank order; and the digests of
+    those samples, in rank order."""
+    params = MooreParams(eps=eps)
+    first_bound = 1.0 - eps - math.sqrt(2.0 * eps)
+    satisfying, low, top, witness = 0, None, [], None
+
+    def fold(space, inputs, row):
+        nonlocal low, witness
+        ratio, ok, scale = row
+        if not ok:
+            return False
+        low = ratio if low is None else min(low, ratio)
+        below = ratio - first_bound < -(TOL_ABS / max(scale, 1e-300) + TOL_REL)
+        if witness is None and below:
+            ratio, ok, scale = _moore_ratios(space, [inputs], params, extended=True)[0]
+            if ok and ratio - first_bound < -(TOL_ABS / max(scale, 1e-300) + TOL_REL):
+                witness = instance_digest("moore-1.9", space, inputs)
+        return True
+
+    for index in range(config.trials):
+        space, inputs = _moore_sample(config, params, index)
+        row = _moore_ratios(space, [inputs], params)[0]
+        if fold(space, inputs, row):
+            satisfying += 1
+            _keep_top(top, (row[0], index, space, inputs))  # (ratio, index) is unique
+    for _, _, space, inputs in (top if config.ascent_steps else []):
+        refined = _refine_moore_candidate(space, inputs, params, config)
+        fold(space, refined.refined_inputs, refined.row)
+    return satisfying, low, witness, [instance_digest("moore-1.9", space, inputs) for _, _, space, inputs in top]
+
+
+class TestMooreComplexChunks:
+    """moore-complex folds each SHARD_SIZE chunk by its columns; across a
+    chunk boundary it equals the per-row fold of every sample alone."""
+
+    EPS = 0.05
+
+    def _faults(self, config, plan):
+        params = MooreParams(eps=self.EPS)
+        return {_moore_sample(config, params, index)[1]["x"].tobytes(): kind for index, kind in plan.items()}
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_a_fault_past_the_first_chunk(self, monkeypatch, steps):
+        config = SearchConfig(seed=6, trials=SHARD_SIZE + 40, dims=(2, 4), field=FieldChoice.COMPLEX,
+                              ascent_steps=steps)
+        witness, later = SHARD_SIZE + 17, SHARD_SIZE + 30
+        # trial 9 is flagged and rejected in the first chunk; the witness is
+        # the second chunk's lowest confirmed trial
+        plan = {9: "double", SHARD_SIZE + 3: "premise", witness: "halved", later: "halved"}
+        _planted_moore(monkeypatch, self._faults(config, plan))
+        report = moore_complex_experiment(self.EPS, config)
+        satisfying, low, digest, _ = _reference_moore(self.EPS, config)
+        assert (report.samples_satisfying_premises, report.min_observed_ratio, report.witness_digest) == (
+            satisfying, low, digest)
+        assert satisfying == config.trials - 1
+        assert digest == instance_digest("moore-1.9", *_moore_sample(config, MooreParams(eps=self.EPS), witness))
+
+    def test_refined_rows_fold_in_rank_order(self, monkeypatch):
+        config = SearchConfig(seed=6, trials=SHARD_SIZE + 40, dims=(2, 4), field=FieldChoice.COMPLEX,
+                              ascent_steps=3)
+        # trials 9 and SHARD_SIZE + 5, one in each chunk, are the lowest and
+        # are rejected as witnesses; a ratio does not depend on x, so their
+        # descents keep x's bytes and the fault, and their refined rows are
+        # flagged, rejected again and lower the minimum
+        _planted_moore(monkeypatch, self._faults(config, {9: "double", SHARD_SIZE + 5: "double"}))
+        started = []  # the digest of each refined sample, in the order refined
+        refine = falsifier._refine_moore_candidate
+        monkeypatch.setattr(falsifier, "_refine_moore_candidate", lambda space, inputs, *args: started.append(
+            instance_digest("moore-1.9", space, inputs)) or refine(space, inputs, *args))
+        report = moore_complex_experiment(self.EPS, config)
+        satisfying, low, digest, ranked = _reference_moore(self.EPS, config)
+        assert (report.samples_satisfying_premises, report.min_observed_ratio, report.witness_digest) == (
+            satisfying, low, digest)
+        assert started == ranked and len(ranked) == TOP_K
+        assert digest is None
+        unrefined = moore_complex_experiment(self.EPS, dataclasses.replace(config, ascent_steps=0))
+        assert report.min_observed_ratio < unrefined.min_observed_ratio
 
 
 class TestRebuiltRecord:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ineq_forge import orthonormal
 from ineq_forge.orthonormal import (
     RANK_TOL,
+    FamilyStack,
     OrthonormalFamily,
     RankDeficientError,
     gram_schmidt,
@@ -215,7 +216,9 @@ class TestStackedGramSchmidt:
     def test_empty_families_and_shape_errors(self):
         s = SpaceSpec(2)
         assert [f.size for f in gram_schmidt(s, np.zeros((3, 0, 2)))] == [0, 0, 0]
-        assert gram_schmidt(s, np.zeros((0, 2, 2))) == []
+        empty = gram_schmidt(s, np.zeros((0, 2, 2)))
+        assert isinstance(empty, FamilyStack) and len(empty) == 0 and list(empty) == []
+        assert empty.members.shape[0] == empty.sizes.size == empty.ok.size == 0
         with pytest.raises(DomainError):
             gram_schmidt(s, np.zeros((2, 3, 2)))
         with pytest.raises(DomainError):
