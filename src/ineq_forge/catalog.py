@@ -198,10 +198,6 @@ def _serialized(space: SpaceSpec, n: int, stacks):
     return rows, lengths
 
 
-def _digest(rows, lengths) -> str:
-    return format(fnv1a_64(rows[0, : lengths[0]].tobytes()), "016x")
-
-
 # records ---------------------------------------------------------------------
 
 
@@ -883,7 +879,7 @@ def _rows(value, rows):
 def _joined(a, b):
     if isinstance(a, FamilyStack):  # of one size, as the descent's stacks are
         return FamilyStack(a.space, np.concatenate([a.members, b.members]), np.concatenate([a.sizes, b.sizes]),
-                           np.concatenate([a.ok, b.ok]), a.tol)
+                           np.concatenate([a.ok, b.ok]))
     if isinstance(a, ComplexifiedVector):
         return ComplexifiedVector._checked(np.concatenate([a.re, b.re]), np.concatenate([a.im, b.im]))
     return np.concatenate([a, b])
@@ -1026,7 +1022,8 @@ def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
     """Digest an instance's vector data in the entry's argument order."""
     entry = catalog_entry(name)
     group = Group.of(space, entry, inputs)
-    return _digest(*_serialized(space, 1, [group.args[arg] for arg in entry.args]))
+    rows, lengths = _serialized(space, 1, [group.args[arg] for arg in entry.args])
+    return format(fnv1a_64(rows[0, : lengths[0]].tobytes()), "016x")
 
 
 def instance_digests(name: str, groups) -> list:

@@ -174,9 +174,8 @@ def _seed_flag(text: str) -> int:
     return int(text)
 
 
-def _add_common(sub, *, count_flag: str, count_default: int = 10000, field_flag: bool = True,
-                gram_flag: bool = True):
-    sub.add_argument(count_flag, dest="trials", type=int, default=count_default, metavar="N")
+def _add_common(sub, *, count_flag: str, field_flag: bool = True, gram_flag: bool = True):
+    sub.add_argument(count_flag, dest="trials", type=int, default=10000, metavar="N")
     sub.add_argument("--dims", type=_dims_flag, default=(2, 6), metavar="A..B")
     if field_flag:
         sub.add_argument("--field", choices=["real", "complex", "both"], default="both")

@@ -45,14 +45,14 @@ refused family) is sampled again alone, a group of one, which is how
 (catalog statements are stacked kernels that give each member of a group
 the bits it gets alone) and counts the rows' columns in trial order: the
 buckets by the decade thresholds of `_bucket`, the lowest trials by
-argmin passes.  If a group raises, the shard evaluates each of its trials as a
-group of one, in trial order, so the error is the first faulty trial's
-own.  A shard can also return the instance line of each trial whose
-premises hold (its digest and binding margins, as finished JSON text), so
-a caller that writes every instance gets them from the same sampling and
-evaluation as the report, one shard at a time, and only writes them; the
-digests take one batched FNV-1a pass over each group's stacks, and the
-lines one format string over the rows' columns.  Only the lowest trials
+argmin passes.  If a group raises, the shard evaluates each trial as a
+group of one cut from its group, in trial order, so the error is the first
+faulty trial's own.  A shard can also return the instance line of each
+trial whose premises hold (its digest and binding margins, as finished
+JSON text), so a caller that writes every instance gets them from the same
+sampling and evaluation as the report, one shard at a time, and only
+writes them; the digests take one batched FNV-1a pass over every row of
+every group, and the lines one format string over the rows' columns.  Only the lowest trials
 and the trials sampled alone read single trials.  The shard returns copies
 of the inputs of its lowest trials with their counts, so no trial is
 sampled twice; the lowest of all the shards' is the worst trial.
@@ -397,7 +397,7 @@ class _Draws:
         members, sizes, ok = (a.reshape(len(self.deferred), n, *a.shape[1:])
                               for a in (stack.members, stack.sizes, stack.ok))
         self.redo |= ~np.logical_and.reduce(ok)
-        return {**inputs, **{k: FamilyStack(space, members[j], sizes[j], ok[j], stack.tol)
+        return {**inputs, **{k: FamilyStack(space, members[j], sizes[j], ok[j])
                              for j, k in enumerate(entry.family_args)}}
 
     def pair(self, re, im):
@@ -687,30 +687,31 @@ def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple,
 
 class _Sampled:
     """The trials of a list of indices, sampled as groups: `groups` holds
-    (Group, starved) for each space and each trial sampled alone, and
-    `where` the (group, row) of each trial of the list, in its order.  Item
-    i is the SampledInstance of the list's i-th trial, built on demand, so
-    it is also the list of its instances."""
+    (Group, starved) for each space and each trial sampled alone, `rows`
+    (group, starved, row in the group) for each row of all the groups, in
+    group order, as the groups' joined rows and digests number them, and
+    `at` each listed trial's row among them.  Item i is the SampledInstance
+    of the list's i-th trial, built on demand, so it is also the list of its
+    instances."""
 
     def __init__(self, groups: list, indices: list):
         self.groups = groups
-        rows = {t: (g, r) for g, (group, _) in enumerate(groups) for r, t in enumerate(group.trials.tolist())}
-        self.where = [rows[index] for index in indices]
+        self.rows = [(group, starved, r) for group, starved in groups for r in range(len(group))]
+        row = {t: k for k, t in enumerate(t for group, _ in groups for t in group.trials.tolist())}
+        self.at = np.array([row[index] for index in indices], dtype=np.intp)
 
     def __len__(self):
-        return len(self.where)
+        return len(self.at)
 
     def __getitem__(self, i):
-        g, r = self.where[i]
-        group, starved = self.groups[g]
+        group, starved, r = self.rows[self.at[i]]
         return SampledInstance(group.space, group[r], starved)
 
     def copied(self, i) -> tuple:
         """The (space, inputs) of the list's i-th trial, copied out of its
         group's stacks."""
-        g, r = self.where[i]
-        one = self.groups[g][0].take([r])
-        return one.space, one[0]
+        group, _, r = self.rows[self.at[i]]
+        return group.space, group.take([r])[0]
 
 
 def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int | list) -> SampledInstance | list:
@@ -820,23 +821,22 @@ class _Rows:
 
 
 def _group_rows(samples: _Sampled, evaluate) -> _Rows:
-    """The rows of the trials of `samples`, in its order, from
-    `evaluate(space, group)`, which takes a Group (or a list of dicts of
-    inputs) and returns its rows.
+    """The rows of the trials of `samples`, in its order: each group
+    evaluated whole by `evaluate(space, group)`, which takes a Group and
+    returns its rows, and the joined rows read at `samples.at`.
 
-    If a group raises, each trial is evaluated as a group of one, in
-    order, so that the error raised is the one the first faulty trial
-    raises by itself (and the group's own error if none does).
+    If a group raises, each trial is evaluated as a group of one cut from
+    its own group, in order, so that the error raised is the one the first
+    faulty trial raises by itself (and the group's own error if none does).
     """
     try:
         parts = [evaluate(group.space, group) for group, _ in samples.groups]
     except (ValueError, ArithmeticError):
-        for i in range(len(samples)):
-            space, inputs = samples.copied(i)
-            evaluate(space, [inputs])
+        for k in samples.at.tolist():
+            group, _, r = samples.rows[k]
+            evaluate(group.space, group.take([r]))
         raise
-    starts = np.cumsum([0] + [len(rows) for rows in parts]).tolist()
-    return _Rows.joined(parts).take(np.array([starts[g] + r for g, r in samples.where], dtype=np.intp))
+    return _Rows.joined(parts).take(samples.at)
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
@@ -1095,9 +1095,7 @@ def _shard_worker(task):
     rows = _group_rows(samples, functools.partial(_binding_rows, entry))
     normalized, premises, margin, holds, near = rows.columns[:5]
     counted = np.flatnonzero(premises)
-    hist = [0] * HISTOGRAM_BUCKETS
-    for bucket in _buckets(normalized[counted]).tolist():
-        hist[bucket] += 1
+    hist = np.bincount(_buckets(normalized[counted]), minlength=HISTOGRAM_BUCKETS).tolist()
     violated = np.zeros(len(rows), dtype=bool)
     for i in counted[~holds[counted]].tolist():
         violated[i] = _confirmed_violation(entry, *samples.copied(i))
@@ -1129,25 +1127,18 @@ def _instance_records(name: str, seed: int, samples: _Sampled, rows: _Rows) -> l
     in its order, from the columns of `rows`: one JSON object and its
     newline, keys in the order below, floats spelled by format_float and a
     missing field as null, as `cli.to_json` spells the same record.  The
-    digests take one pass over the counted trials of every group."""
-    counted = np.flatnonzero(rows.columns[1]).tolist()
-    picked = {}  # group -> its counted rows
-    for i in counted:
-        g, r = samples.where[i]
-        picked.setdefault(g, []).append(r)
-    groups = [samples.groups[g][0] for g in picked]
-    digests = iter(instance_digests(name, [group if len(rs) == len(group) else group.take(rs)
-                                           for group, rs in zip(groups, picked.values())]))
-    digest = {(g, r): next(digests) for g, rs in picked.items() for r in rs}
+    digests take one pass over every row of every group, and a trial reads
+    its space and its digest at its row, `samples.at`."""
+    counted = np.flatnonzero(rows.columns[1])
+    digests = instance_digests(name, [group for group, _ in samples.groups])
     line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%d,"field":"%s","seed":'
             + str(seed) + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,'
             '"holds":%s,"near_equality":%s}\n')
     columns = [[None] * len(counted) if column is None else column[counted].tolist() for column in rows.columns[3:]]
     lines = []
-    for i, holds, near, *fields in zip(counted, *columns):
-        g, r = samples.where[i]
-        space = samples.groups[g][0].space
-        lines.append(line % (space.dim, space.field.value, digest[g, r], *map(_json_number, fields),
+    for k, holds, near, *fields in zip(samples.at[counted].tolist(), *columns):
+        space = samples.rows[k][0].space
+        lines.append(line % (space.dim, space.field.value, digests[k], *map(_json_number, fields),
                              "true" if holds else "false", "true" if near else "false"))
     return lines
 

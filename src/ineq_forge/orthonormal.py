@@ -104,7 +104,6 @@ class FamilyStack:
     members: np.ndarray  # (n, k, d)
     sizes: np.ndarray  # (n,) of intp
     ok: np.ndarray  # (n,) of bool
-    tol: float = DEFAULT_FAMILY_TOL
 
     def __len__(self):
         return len(self.sizes)
@@ -112,16 +111,16 @@ class FamilyStack:
     def __getitem__(self, j):
         if not self.ok[j]:
             return None
-        return OrthonormalFamily._checked(self.space, self.members[j, : self.sizes[j]], self.tol)
+        return OrthonormalFamily._checked(self.space, self.members[j, : self.sizes[j]], DEFAULT_FAMILY_TOL)
 
     def take(self, rows):
         """The families at `rows` (indices or a mask), their members copied."""
         members = self.members[rows]
         members.setflags(write=False)
-        return FamilyStack(self.space, members, self.sizes[rows], self.ok[rows], self.tol)
+        return FamilyStack(self.space, members, self.sizes[rows], self.ok[rows])
 
     @classmethod
-    def of(cls, space, families, tol=DEFAULT_FAMILY_TOL):
+    def of(cls, space, families):
         """The stack of a sequence of families of `space` (None for a
         refused one); a FamilyStack is its own."""
         if isinstance(families, cls):
@@ -132,7 +131,7 @@ class FamilyStack:
             if family is not None:
                 members[j, : family.size] = family.members
         members.setflags(write=False)
-        return cls(space, members, sizes, np.array([f is not None for f in families], dtype=bool), tol)
+        return cls(space, members, sizes, np.array([f is not None for f in families], dtype=bool))
 
 
 def _max_deviation(space, members):
@@ -192,7 +191,7 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
             raise errors[0]
         return OrthonormalFamily._checked(space, out[0], tol)
     if not len(vs):
-        return FamilyStack.of(space, [], tol)
+        return FamilyStack.of(space, [])
     m, k, _ = vs.shape
     order = None
     if sizes is not None:
@@ -217,11 +216,11 @@ def gram_schmidt(space, vectors, tol=DEFAULT_FAMILY_TOL, sizes=None):
         # a pairing that raises for the stack (a complex squared norm with
         # an imaginary part) raises for some family alone: run each alone
         stack = FamilyStack.of(space, [_alone(space, family if sizes is None else family[:sizes[j]], tol)
-                                       for j, family in enumerate(vs)], tol)
+                                       for j, family in enumerate(vs)])
     else:
         ok = np.ones(m, dtype=bool) if failed is None else ~failed
         ok[list(errors)] = False
-        stack = FamilyStack(space, out, np.full(m, out.shape[1]) if sizes is None else sizes, ok, tol)
+        stack = FamilyStack(space, out, np.full(m, out.shape[1]) if sizes is None else sizes, ok)
     return stack if order is None else stack.take(sorted(range(m), key=order.__getitem__))  # back in its row
 
 

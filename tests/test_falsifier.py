@@ -431,6 +431,7 @@ def _stacked_and_alone(config, key, entry, params, fields):
     """(stacked, alone): each trial's (digest, starved) from one stacked
     pass over the config's trials and from phase B on a group of one."""
     samples = _sample_trials(config, key, entry, params, fields, list(range(config.trials)))
+    assert len(samples) == config.trials
     stacked = {}
     for index, sampled in enumerate(samples):
         stacked[index] = (instance_digest(entry.name, sampled.space, sampled.inputs), bool(sampled.starved))

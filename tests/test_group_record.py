@@ -2,8 +2,9 @@
 
 A shard samples each space's trials as one Group (each argument one
 stack), evaluates it, folds the rows' columns, picks its top K by argmin
-passes (`_lowest`) and digests its counted trials from the stacks.  Every case here
-checks that path against each trial taken alone: sampled by itself,
+passes (`_lowest`) and digests every row of its groups from the stacks,
+a trial reading its digest at its row.  Every case here checks that
+path against each trial taken alone: sampled by itself,
 evaluated through `run_catalog(name, space, dict)` and digested by
 `instance_digest`.  The stream keys' tests pin the Philox key words.
 """
@@ -146,6 +147,28 @@ class TestShardAgainstLoneTrials:
         config = SearchConfig(seed=5, trials=40, dims=(1, 4), field=FieldChoice.REAL, gram=GramKind.RANDOM)
         samples = _assert_shard_is_its_trials_alone(name, config)
         assert sum(len(group) == 1 for group, _ in samples.groups) > 4
+
+    def test_groups_of_counted_and_uncounted_rows(self, monkeypatch):
+        # premises fail on every other row of one space's group, on every
+        # row of another and on one trial sampled alone, keyed by x's bytes
+        monkeypatch.setattr(falsifier, "zero_norm_threshold", lambda space: 0.9 * math.sqrt(space.dim))
+        name = "precupanu-moore-1.12"
+        config = SearchConfig(seed=5, trials=40, dims=(1, 4), field=FieldChoice.REAL, gram=GramKind.RANDOM)
+        samples = sample_instance(config, name, list(range(config.trials)))
+        alone, *_, every, some = sorted((group for group, _ in samples.groups), key=len)
+        assert len(alone) == 1 and len(every) > 1 and len(some) > 2
+        planted = {x.tobytes() for x in [*alone.args["x"], *every.args["x"], *some.args["x"][::2]]}
+        original = CATALOG[name].statement
+
+        def statement(space, a, b, x, params, *, extended=False):
+            result = original(space, a, b, x, params, extended=extended)
+            failed = np.array([row.tobytes() in planted for row in x])
+            return StackedResult(result.links, result.premises_hold & ~failed)
+
+        monkeypatch.setitem(CATALOG, name, dataclasses.replace(CATALOG[name], statement=statement))
+        _assert_shard_is_its_trials_alone(name, config)
+        starved = _shard_worker((name, config, 0, config.trials, False))[3]
+        assert starved == len(planted) == 1 + len(every) + (len(some) + 1) // 2
 
     def test_a_nan_row(self, monkeypatch):
         config = SearchConfig(seed=0, trials=40, dims=(2, 4))
