@@ -9,10 +9,11 @@ fnv1a(name), `_key_words`) with the trial index in the counter, so runs
 partition arbitrarily across workers without changing a single sampled
 byte.  A Philox stream depends only on its key and counter, so one
 generator per (seed, name) serves every trial and every random gram of that
-name: its counter and output buffers are reset for each trial and each gram
-draw, which reproduces a freshly built generator draw for draw.  Trials
-sweep the configured dimension range cyclically and alternate fields
-blockwise for field-agnostic statements.
+name: counter words written into one state of plain ints reset it, buffers
+included, for each trial and each gram draw, which reproduces a freshly
+built generator draw for draw.  Trials sweep the configured dimension range
+cyclically and alternate fields blockwise for field-agnostic statements, so
+a trial's space, its cell, is its index's class modulo dims x fields.
 
 Vectors are sampled with independent standard normal coordinates (real and
 imaginary parts independently over C).  Under a non-identity gram matrix the
@@ -31,12 +32,12 @@ exhaust the cap are reported as premise-starved, never silently dropped.
 
 A run is split into shards of SHARD_SIZE consecutive trials, evaluated in
 order or by a process pool, and merged in shard order.  A shard samples its
-trials in two phases, space by space: phase A resets each trial's stream
-and makes its draw calls into the trial's row of the space's tape, phase B
-builds the space's trials from the tape in stacked operations, as one group
-record (`Group`: each argument one stack), and orthonormalizes the families
-of all its family arguments last, in one Gram-Schmidt call per space.  One
-draw source serves phase B, the dry run of it that logs phase A's draw
+trials in two phases, cell by cell, each cell a stride of its trials: phase
+A resets the stream for each trial and makes its draw calls into its row of
+the space's tape, phase B builds the space's trials from the tape in stacked
+operations, as one group record (`Group`: each argument one stack), and
+orthonormalizes all its family arguments last, in one Gram-Schmidt call.
+One draw source serves phase B, the dry run of it that logs phase A's draw
 calls, and a lone trial drawing as it goes, with one arithmetic that gives
 each row of a stack the bits its trial gets alone.  A trial whose draws
 leave phase A's path (a retry, a rejected probe, a cosine of exactly 1, a
@@ -44,18 +45,18 @@ refused family) is sampled again alone, a group of one, which is how
 `sample_instance` samples one trial.  The shard evaluates each group
 (catalog statements are stacked kernels that give each member of a group
 the bits it gets alone) and counts the rows' columns in trial order: the
-buckets by the decade thresholds of `_bucket`, the lowest trials by
-argmin passes.  If a group raises, the shard evaluates each trial as a
-group of one cut from its group, in trial order, so the error is the first
-faulty trial's own.  A shard can also return the instance line of each
-trial whose premises hold (its digest and binding margins, as finished
-JSON text), so a caller that writes every instance gets them from the same
-sampling and evaluation as the report, one shard at a time, and only
-writes them; the digests take one batched FNV-1a pass over every row of
-every group, and the lines one format string over the rows' columns.  Only the lowest trials
-and the trials sampled alone read single trials.  The shard returns copies
-of the inputs of its lowest trials with their counts, so no trial is
-sampled twice; the lowest of all the shards' is the worst trial.
+buckets by the decade thresholds of `_bucket`, the lowest trials by argmin
+passes.  If a group raises, the shard evaluates each trial as a group of
+one cut from its group, in trial order, so the error is the first faulty
+trial's own.  A shard can also return the instance line of each trial whose
+premises hold, as finished JSON text, from the same sampling and evaluation
+as the report, so a caller that writes every instance only writes them, one
+shard at a time: the digests take one batched FNV-1a pass over every row of
+every group, one format spells each float column and one more each line.
+Only the lowest trials and the trials sampled alone read single trials.  The
+shard returns copies of the inputs of its lowest trials with their counts,
+so no trial is sampled twice; the lowest of all the shards' is the worst
+trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
@@ -84,12 +85,13 @@ returns the row of its final instance, which both searches fold as is.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import enum
 import functools
+import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -230,10 +232,14 @@ def _key_words(seed: int, name: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def _stream(seed: int, name: str):
-    """The one Philox generator of (seed, name), with its initial state,
-    whose counter `_trial_rng` and `_gram_rng` set."""
+    """The one Philox generator of (seed, name), with its initial state in
+    plain ints (numpy sets them in half the time of its uint64 arrays),
+    whose counter words `_stream_at` and a shard's phase A write."""
     bits = np.random.Philox(key=_key_words(seed, name))
-    return bits, np.random.Generator(bits), bits.state
+    state = bits.state
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return bits, np.random.Generator(bits), state
 
 
 def _stream_at(seed: int, name: str, word2: int, word3: int) -> np.random.Generator:
@@ -300,7 +306,8 @@ def _cached_space(seed: int, gram_kind: GramKind, name: str, dim: int, field: Fi
     entries live at once)."""
     if gram_kind is GramKind.IDENTITY:
         return SpaceSpec(dim, field), None
-    space = SpaceSpec(dim, field, _random_gram(seed, name, dim, field))
+    # (g + g^H) / 2 is exactly Hermitian, so of the checks only definiteness is left
+    space = SpaceSpec._hermitian(dim, field, _random_gram(seed, name, dim, field))
     whitener = np.linalg.inv(space.chol.T)
     whitener.setflags(write=False)
     return space, whitener
@@ -650,22 +657,40 @@ def _sample_alone(config: SearchConfig, key: str, entry, params, fields: tuple, 
     return (space, *_SAMPLERS.get(entry.name, _sample_generic)(entry, space, whitener, draws, params))
 
 
+def _cells(indices: list, period: int) -> list:
+    """The positions in `indices` of each cell's trials, by first appearance
+    and in list order: a trial's cell is its index's class modulo `period`,
+    so consecutive trials (a shard's) make each cell a stride."""
+    n = len(indices)
+    if n and indices == list(range(indices[0], indices[0] + n)):
+        return [np.arange(j, n, period) for j in range(min(period, n))]
+    classes = {}
+    for position, index in enumerate(indices):
+        classes.setdefault(index % period, []).append(position)
+    return [np.array(positions) for positions in classes.values()]
+
+
 def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple, indices: list) -> "_Sampled":
     """The trials of `indices` from the streams of (config.seed, key) by
     `entry`'s sampler at `params`, sampled as groups in two phases per space
     (see the module docstring).  Phase A raises nothing, and the trials off
     its path are sampled again alone in trial order, each a group of one,
     so an error raised is the first such trial's own."""
-    cells = {}  # (dim, field) -> its trials, in order
-    for index in indices:
-        cells.setdefault(_trial_cell(config, fields, index), []).append(index)
+    trials = np.array(indices, dtype=np.int64)
+    bits, rng, state = _stream(config.seed, key)
+    counter = state["state"]["counter"]
     sampler = _SAMPLERS.get(entry.name, _sample_generic)
-    groups, redo = [], []
-    for (dim, field), members in cells.items():
+    groups, places, redo = [], [], []
+    for cell in _cells(indices, (config.dims[1] - config.dims[0] + 1) * len(fields)):
+        members = trials[cell]
+        dim, field = _trial_cell(config, fields, int(members[0]))
         program, width = _program(entry, params, dim, field)
         tape = np.zeros((len(members), width))
-        for index, row in zip(members, tape):
-            _draw(_trial_rng(config.seed, key, index), program, dim, row)
+        counter[2] = 0  # a gram draw since the last cell left word 2 at its substream
+        for index, row in zip(members.tolist(), tape):
+            counter[3] = index
+            bits.state = state  # `_stream_at`'s reset
+            _draw(rng, program, dim, row)
         space, whitener = _cached_space(config.seed, config.gram, key, dim, field)
         draws = _Draws(tape)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -673,44 +698,51 @@ def _sample_trials(config: SearchConfig, key: str, entry, params, fields: tuple,
             inputs = draws.resolved(space, entry, inputs)
         # vectors may be views of the tape: the group keeps its own rows
         args = {k: np.ascontiguousarray(v) if isinstance(v, np.ndarray) else v for k, v in inputs.items()}
-        group = Group(space, np.array(members), args)
+        group = Group(space, members, args)
         if draws.redo.any():
-            redo += group.trials[draws.redo].tolist()
-            group = group.take(~draws.redo)
+            redo += cell[draws.redo].tolist()
+            group, cell = group.take(~draws.redo), cell[~draws.redo]
         if len(group):
             groups.append((group, starved))
-    for index in sorted(redo):
-        space, inputs, starved = _sample_alone(config, key, entry, params, fields, index)
-        groups.append((replace(Group.of(space, entry, inputs), trials=np.array([index])), starved))
-    return _Sampled(groups, indices)
+            places.append(cell)
+    for position in sorted(redo, key=indices.__getitem__):
+        space, inputs, starved = _sample_alone(config, key, entry, params, fields, indices[position])
+        groups.append((replace(Group.of(space, entry, inputs), trials=trials[[position]]), starved))
+        places.append([position])
+    return _Sampled(groups, places)
 
 
 class _Sampled:
     """The trials of a list of indices, sampled as groups: `groups` holds
-    (Group, starved) for each space and each trial sampled alone, `rows`
-    (group, starved, row in the group) for each row of all the groups, in
-    group order, as the groups' joined rows and digests number them, and
-    `at` each listed trial's row among them.  Item i is the SampledInstance
-    of the list's i-th trial, built on demand, so it is also the list of its
-    instances."""
+    (Group, starved) for each space and each trial sampled alone, `offsets`
+    the first of each group's rows as their joined rows and digests number
+    them, and `at` each listed trial's row, from `places`, each group's
+    list positions.  Item i is the SampledInstance of the list's i-th
+    trial, built on demand, so it is also the list of its instances."""
 
-    def __init__(self, groups: list, indices: list):
+    def __init__(self, groups: list, places: list):
         self.groups = groups
-        self.rows = [(group, starved, r) for group, starved in groups for r in range(len(group))]
-        row = {t: k for k, t in enumerate(t for group, _ in groups for t in group.trials.tolist())}
-        self.at = np.array([row[index] for index in indices], dtype=np.intp)
+        self.offsets = [0, *itertools.accumulate(len(group) for group, _ in groups)]
+        self.at = np.empty(self.offsets[-1], dtype=np.intp)
+        if places:
+            self.at[np.concatenate(places)] = np.arange(self.offsets[-1])
 
     def __len__(self):
         return len(self.at)
 
+    def row(self, k: int) -> tuple:
+        """(group, starved, row in the group) of the joined row k."""
+        g = bisect.bisect_right(self.offsets, k) - 1
+        return (*self.groups[g], int(k) - self.offsets[g])
+
     def __getitem__(self, i):
-        group, starved, r = self.rows[self.at[i]]
+        group, starved, r = self.row(self.at[i])
         return SampledInstance(group.space, group[r], starved)
 
     def copied(self, i) -> tuple:
         """The (space, inputs) of the list's i-th trial, copied out of its
         group's stacks."""
-        group, _, r = self.rows[self.at[i]]
+        group, _, r = self.row(self.at[i])
         return group.space, group.take([r])[0]
 
 
@@ -833,7 +865,7 @@ def _group_rows(samples: _Sampled, evaluate) -> _Rows:
         parts = [evaluate(group.space, group) for group, _ in samples.groups]
     except (ValueError, ArithmeticError):
         for k in samples.at.tolist():
-            group, _, r = samples.rows[k]
+            group, _, r = samples.row(k)
             evaluate(group.space, group.take([r]))
         raise
     return _Rows.joined(parts).take(samples.at)
@@ -1118,8 +1150,12 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _json_number(x) -> str:
-    return "null" if x is None else format_float(x)
+def _spelled(column, rows: np.ndarray) -> list:
+    """format_float of the column's value at each of `rows`, by one % (a missing column: nulls)."""
+    if column is None:
+        return ["null"] * rows.size
+    text = ",".join(["%.17g"] * rows.size) % tuple(column[rows].tolist())
+    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null").split(",")
 
 
 def _instance_records(name: str, seed: int, samples: _Sampled, rows: _Rows) -> list:
@@ -1128,19 +1164,18 @@ def _instance_records(name: str, seed: int, samples: _Sampled, rows: _Rows) -> l
     newline, keys in the order below, floats spelled by format_float and a
     missing field as null, as `cli.to_json` spells the same record.  The
     digests take one pass over every row of every group, and a trial reads
-    its space and its digest at its row, `samples.at`."""
+    its space's dim and field and its digest at its row, `samples.at`."""
     counted = np.flatnonzero(rows.columns[1])
     digests = instance_digests(name, [group for group, _ in samples.groups])
-    line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%d,"field":"%s","seed":'
-            + str(seed) + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,'
-            '"holds":%s,"near_equality":%s}\n')
-    columns = [[None] * len(counted) if column is None else column[counted].tolist() for column in rows.columns[3:]]
-    lines = []
-    for k, holds, near, *fields in zip(samples.at[counted].tolist(), *columns):
-        space = samples.rows[k][0].space
-        lines.append(line % (space.dim, space.field.value, digests[k], *map(_json_number, fields),
-                             "true" if holds else "false", "true" if near else "false"))
-    return lines
+    spaces = [spelled for group, _ in samples.groups  # the dim and field of each row
+              for spelled in ['%d,"field":"%s"' % (group.space.dim, group.space.field.value)] * len(group)]
+    line = ('{"ineq":' + json.dumps(name, ensure_ascii=False).replace("%", "%%") + ',"dim":%s,"seed":' + str(seed)
+            + ',"digest":"%s","lhs":%s,"center":%s,"rhs":%s,"margin_lower":%s,"margin_upper":%s,"holds":%s,'
+            '"near_equality":%s}\n')
+    floats = [_spelled(column, counted) for column in rows.columns[5:]]
+    flags = [["true" if v else "false" for v in column[counted].tolist()] for column in rows.columns[3:5]]
+    return [line % (spaces[k], digests[k], lhs, center, rhs, lower, upper, holds, near)
+            for k, lhs, center, rhs, lower, upper, holds, near in zip(samples.at[counted].tolist(), *floats, *flags)]
 
 
 def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_records=None) -> SearchReport:
@@ -1167,6 +1202,8 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     top = []
     workers = min(threads, len(tasks))
     use_pool = workers > 1
+    if use_pool:  # its modules, multiprocessing's among them, would cost every launch 10 ms
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if use_pool else contextlib.nullcontext() as pool:
         # both maps yield the shards in order; the pool's as each finishes
         partials = pool.map(_shard_worker, tasks) if use_pool else map(_shard_worker, tasks)

@@ -76,17 +76,17 @@ class SpaceSpec:
         g = np.asarray(self.gram)
         if g.shape != (self.dim, self.dim):
             raise DomainError(f"gram must be {self.dim}x{self.dim}, got {g.shape}")
-        if self.field is Field.REAL:
-            if np.iscomplexobj(g):
-                raise DomainError("complex gram on a real space")
-            g = g.astype(np.float64, copy=True)
-        else:
-            g = g.astype(np.complex128, copy=True)
-        if not np.all(np.isfinite(g.view(np.float64) if np.iscomplexobj(g) else g)):
+        if self.field is Field.REAL and np.iscomplexobj(g):
+            raise DomainError("complex gram on a real space")
+        g = g.astype(self.field.dtype, copy=True)
+        if not np.isfinite(g).all():
             raise DomainError("gram has non-finite entries")
         scale = max(1.0, float(np.max(np.abs(g))))
         if np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL * scale:
             raise DomainError("gram is not Hermitian within tolerance")
+        self._factored(g)
+
+    def _factored(self, g: np.ndarray) -> "SpaceSpec":
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
@@ -94,6 +94,14 @@ class SpaceSpec:
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "chol", chol)
+        return self
+
+    @classmethod
+    def _hermitian(cls, dim: int, field: Field, gram: np.ndarray) -> "SpaceSpec":
+        """The space of a gram made (dim, dim), finite, exactly Hermitian and of
+        the field's dtype by its construction, without __post_init__'s checks
+        of these; the Cholesky factorization still proves it definite."""
+        return cls(dim, field)._factored(gram)
 
 
 def as_vector(space: SpaceSpec, x) -> np.ndarray:

@@ -31,6 +31,7 @@ from ineq_forge.catalog import (
     stacked_evaluation,
 )
 from ineq_forge.falsifier import (
+    SHARD_SIZE as SHARD,
     FieldChoice,
     GramKind,
     SearchConfig,
@@ -185,7 +186,7 @@ class TestDeterminism:
                 return map(fn, tasks)
 
         cfg = SearchConfig(seed=5, trials=2 * falsifier.SHARD_SIZE + 1, dims=(2, 3))
-        monkeypatch.setattr(falsifier, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         assert falsify("schwarz", cfg, threads=10**6) == falsify("schwarz", cfg, threads=1)
         assert sizes == [3]  # one pool, opened by the first run only
 
@@ -269,6 +270,94 @@ class TestStreamReuse:
         assert np.array_equal(after, _fresh_rng(5, "schwarz", 3).standard_normal(8))
 
 
+def _fresh_at(seed, name, word2, word3):
+    counter = np.array([0, 0, word2, word3], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=falsifier._key_words(seed, name), counter=counter))
+
+
+_DRAW_KINDS = (lambda r: r.integers(0, 7, size=5), lambda r: r.standard_normal(7), lambda r: r.random(3))
+
+
+class TestPlainIntResets:
+    """The stream's state is kept in plain ints; every reset through it must
+    draw as a freshly built Philox keyed on `_key_words` at the same counter."""
+
+    def test_the_state_holds_plain_ints(self):
+        _, _, state = falsifier._stream(3, "schwarz")
+        words = state["state"]["counter"] + state["state"]["key"] + state["buffer"]
+        assert all(type(word) is int for word in words)
+        assert state["state"]["key"] == falsifier._key_words(3, "schwarz").tolist()
+
+    # schwarz's key is at or above 2^63, generalized-2.1's below
+    @pytest.mark.parametrize("seed, name", [(3, "schwarz"), (2**64 - 1, "schwarz"), (2**64 - 1, "generalized-2.1")])
+    def test_resets_draw_as_fresh_generators(self, seed, name):
+        for word2, word3 in [(0, 0), (0, 9), (1, 17), (0, 2**64 - 1), (0, 9)]:
+            for draw in _DRAW_KINDS:
+                assert np.array_equal(draw(falsifier._stream_at(seed, name, word2, word3)),
+                                      draw(_fresh_at(seed, name, word2, word3)))
+
+    def test_a_reset_interrupts_a_buffered_32_bit_draw(self):
+        # a bounded integer below 2^32 takes half of a 64-bit word and keeps
+        # the other half; a reset must drop it, and the four-word buffer too
+        seed, name = 2**64 - 1, "schwarz"
+        bits = falsifier._stream(seed, name)[0]
+        _trial_rng(seed, name, 4).integers(0, 7)
+        assert bits.state["has_uint32"] == 1
+        again, fresh = _trial_rng(seed, name, 4), _fresh_at(seed, name, 0, 4)
+        for draw in _DRAW_KINDS:
+            assert np.array_equal(draw(again), draw(fresh))
+        _trial_rng(seed, name, 4).standard_normal(1)
+        assert bits.state["buffer_pos"] < 4
+        assert np.array_equal(_trial_rng(seed, name, 4).random(6), _fresh_at(seed, name, 0, 4).random(6))
+
+    def test_resets_interleaved_with_gram_draws(self):
+        seed, name = 11, "schwarz"
+        for dim, field, index in [(3, Field.COMPLEX, 0), (1, Field.REAL, 5), (8, Field.COMPLEX, 5)]:
+            trial = _trial_rng(seed, name, index).standard_normal(3)
+            word = dim * 2 + (1 if field is Field.COMPLEX else 0)
+            gram = _gram_rng(seed, name, dim, field).standard_normal(2 * dim * dim)
+            assert np.array_equal(gram, _fresh_at(seed, name, 1, word).standard_normal(2 * dim * dim))
+            assert np.array_equal(trial, _fresh_at(seed, name, 0, index).standard_normal(3))
+            assert np.array_equal(_trial_rng(seed, name, index).standard_normal(3), trial)
+
+
+def _trial_cell_groups(config, fields, indices):
+    """The trials of `indices` grouped by `_trial_cell`, cells by first
+    appearance and trials in list order: the reference of the residue cells."""
+    cells = {}
+    for index in indices:
+        cells.setdefault(falsifier._trial_cell(config, fields, index), []).append(index)
+    return list(cells.items())
+
+
+class TestResidueCells:
+    """Phase B's cells are the classes of the trial indices modulo dims x
+    fields: each must hold the trials that `_trial_cell` puts in one space,
+    in order, and each trial the bits it gets alone.  The gram cache is
+    emptied first, so the random grams are drawn between the cells' phase A
+    resets of the same stream."""
+
+    @pytest.mark.parametrize("name, dims, indices", [
+        ("schwarz", (1, 8), list(range(5, 205))),  # not on a period boundary
+        ("generalized-2.1", (2, 4), list(range(SHARD, SHARD + 7))),  # a short last shard
+        ("kurepa-3.2", (1, 64), list(range(40, 100))),  # a period of 128 trials, longer than the shard
+        ("richard-1.3", (2, 6), list(range(3, 80))),  # real only: a period of dims
+        ("moore-1.9", (1, 8), [17, 3, 40, 19, 9, 100, 33, 1, 4096, 35]),  # unsorted, with gaps
+    ])
+    def test_cells_are_the_trial_cells(self, name, dims, indices):
+        falsifier._cached_space.cache_clear()
+        config = SearchConfig(seed=29, trials=1, dims=dims, field=FieldChoice.BOTH, gram=GramKind.RANDOM)
+        entry = CATALOG[name]
+        fields = falsifier._field_plan(name, entry.fields, config.field)
+        samples = sample_instance(config, name, indices)
+        assert [((group.space.dim, group.space.field), group.trials.tolist())
+                for group, _ in samples.groups] == _trial_cell_groups(config, fields, indices)
+        for sampled, index in zip(samples, indices, strict=True):
+            space, inputs, starved = _sample_alone(config, name, entry, entry.default_params, fields, index)
+            assert sampled.space is space
+            assert _input_bytes(sampled.inputs) == _input_bytes(inputs) and sampled.starved == starved
+
+
 _LINE_FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -310,11 +399,33 @@ class TestInstanceLineSpelling:
         assert _instance_records(name, seed, samples, rows) == _reference_lines(name, seed, samples, rows)
 
 
+# schwarz's key is at or above 2^63, the others' below
+_GRAM_KEYS = [(0, "schwarz"), (2**64 - 1, "schwarz"), (3, "generalized-2.1"), (12, "moore-complex")]
+
+
 class TestWhitening:
     def test_random_gram_is_hermitian_positive(self):
-        g = _random_gram(0, "schwarz", 4, Field.COMPLEX)
-        assert np.allclose(g, g.conj().T)
-        assert np.all(np.linalg.eigvalsh(g) > 0.4)
+        # what `_cached_space` skips checking: the field's dtype, the shape,
+        # finite entries and an exactly Hermitian gram
+        for seed, name in _GRAM_KEYS:
+            for dim in range(1, 9):
+                for field in Field:
+                    g = _random_gram(seed, name, dim, field)
+                    assert g.dtype == field.dtype and g.shape == (dim, dim)
+                    assert np.isfinite(g).all()
+                    assert (g == g.conj().T).all()
+                    assert np.all(np.linalg.eigvalsh(g) > 0.4)
+
+    @pytest.mark.parametrize("seed, name", _GRAM_KEYS)
+    def test_cached_space_is_the_validated_space(self, seed, name):
+        for dim in range(1, 9):
+            for field in Field:
+                space, whitener = falsifier._cached_space(seed, GramKind.RANDOM, name, dim, field)
+                checked = SpaceSpec(dim, field, _random_gram(seed, name, dim, field))
+                assert (space.dim, space.field) == (dim, field) and not space.gram.flags.writeable
+                for got, expected in [(space.gram, checked.gram), (space.chol, checked.chol),
+                                      (whitener, np.linalg.inv(checked.chol.T))]:
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_whitener_inverts_the_pairing(self):
         space = SpaceSpec(4, Field.COMPLEX, _random_gram(3, "schwarz", 4, Field.COMPLEX))
@@ -588,6 +699,17 @@ class TestStackedSampler:
             stacked, alone = _stacked_and_alone(cfg, "t1.5-ii", entry, MooreParams(mu2=mu2), (Field.REAL,))
             assert stacked == alone, mu2
         assert lone_count[0] > 0  # trials that rejected their first probe went alone
+
+    def test_an_unsorted_list_goes_alone_in_trial_order(self, monkeypatch):
+        # every trial leaves phase A's path: the lowest index goes alone first
+        monkeypatch.setattr(falsifier, "zero_norm_threshold", lambda space: math.inf)
+
+        def refuse(config, key, entry, params, fields, index):
+            raise RuntimeError(f"trial {index} alone")
+
+        monkeypatch.setattr(falsifier, "_sample_alone", refuse)
+        with pytest.raises(RuntimeError, match="^trial 3 alone$"):
+            sample_instance(SearchConfig(seed=0, trials=1, dims=(2, 4)), "schwarz", [9, 40, 3, 17])
 
     def test_a_rare_branch_error_is_the_first_trials_own(self, monkeypatch):
         # every nonzero draw fails: the stacked pass raises what trial 0 raises alone

@@ -50,6 +50,24 @@ class TestSpaceSpec:
         with pytest.raises(DomainError):
             SpaceSpec(2, Field.REAL, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_unchecked_constructor_still_proves_definiteness(self):
+        with pytest.raises(DomainError, match="not positive definite"):
+            SpaceSpec._hermitian(2, Field.REAL, np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("field, bad", [(Field.REAL, np.nan), (Field.REAL, -np.inf),
+                                            (Field.COMPLEX, complex(1.0, np.inf)), (Field.COMPLEX, complex(np.nan, 0.0))])
+    def test_rejects_non_finite_gram(self, field, bad):
+        g = np.eye(2, dtype=field.dtype)
+        g[0, 1] = g[1, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            SpaceSpec(2, field, g)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_gram_takes_the_field_dtype(self, field):
+        given = np.array([[2, 1], [1, 2]])
+        space = SpaceSpec(2, field, given)
+        assert space.gram.dtype == field.dtype and not space.gram.flags.writeable and given.flags.writeable
+
     def test_rejects_non_symmetric_gram(self):
         with pytest.raises(DomainError):
             SpaceSpec(2, Field.REAL, np.array([[1.0, 0.1], [0.0, 1.0]]))
