@@ -34,11 +34,14 @@ through one adapter (`Group.of`) a sequence of dicts of inputs or one dict
 as a group of one.
 
 Each statement validates each argument's stack once on entry (`_vec`,
-`_families`, `_complexified_parts`), casting it there to the field's
-extended dtype when called with `extended=True`.  From then on it pairs
-through the unvalidated `spaces.pairing` and `spaces.pairing_norm`, which
-compute in the dtype of their operands.  Statements that evaluate the same
-quantity share one kernel for it, which validates the arguments it reads.
+`_normed`, `_families`, `_complexified_parts`), casting it there to the
+field's extended dtype when called with `extended=True`.  From then on it
+pairs through the unvalidated `spaces.pairing` and `spaces.pairing_norm`,
+which compute in the dtype of their operands; the norms of a nonzero
+vector argument are those its check computed (`_normed`), in double
+precision, and the cast stack's own in extended.  Statements that
+evaluate the same quantity share one kernel for it, which validates the
+arguments it reads.
 
 A stacked kernel rounds every row as a group of one rounds it: each row
 dot product is one np.vecdot and each other reduction a stacked matmul,
@@ -335,9 +338,29 @@ def _vec(space, v, name, *, nonzero, extended):
         raise DomainError(f"expected vectors of length {space.dim}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError("vector has non-finite coordinates")
-    if nonzero and (pairing_norm(space, arr) < zero_norm_threshold(space)).any():
-        raise DomainError(f"{name} must be nonzero")
+    if nonzero:
+        _nonzero_norms(space, arr, name)
     return arr.astype(space.field.extended_dtype) if extended else arr
+
+
+def _nonzero_norms(space, arr, name):
+    """The norms of a checked double stack's rows, refusing a zero row."""
+    norms = pairing_norm(space, arr)
+    if (norms < zero_norm_threshold(space)).any():
+        raise DomainError(f"{name} must be nonzero")
+    return norms
+
+
+def _normed(space, v, name, extended):
+    """A nonzero vector argument as `_vec` checks and casts it, with the
+    norms of its rows: in double precision those its nonzero check
+    computed, in extended precision the cast stack's own."""
+    arr = _vec(space, v, name, nonzero=False, extended=False)
+    norms = _nonzero_norms(space, arr, name)
+    if extended:
+        arr = arr.astype(space.field.extended_dtype)
+        norms = pairing_norm(space, arr)
+    return arr, norms
 
 
 def _families(space: SpaceSpec, family, name: str) -> FamilyStack:
@@ -578,12 +601,9 @@ def eval_precupanu_self(space: SpaceSpec, a, x, y, *, extended: bool = False):
 
 def _anchor_cosines(space, a, x, y, extended):
     """cos(x, a), cos(y, a) and cos(x, y) of nonzero a, x and y, as (1.6) and T1.5(i) read them."""
-    aa = _vec(space, a, "a", nonzero=True, extended=extended)
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    yy = _vec(space, y, "y", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa)
-    nx = pairing_norm(space, xx)
-    ny = pairing_norm(space, yy)
+    aa, na = _normed(space, a, "a", extended)
+    xx, nx = _normed(space, x, "x", extended)
+    yy, ny = _normed(space, y, "y", extended)
     cxa = pairing(space, xx, aa) / (nx * na)
     cya = pairing(space, yy, aa) / (ny * na)
     cxy = pairing(space, xx, yy) / (nx * ny)
@@ -617,12 +637,9 @@ def buzano_moore_useful(eps: float) -> bool:
 def _near_parallel_transfer(space, names, x, u, v, eps, coeff, extended):
     """(1.9) and (1.16): if u and v are eps-parallel to x in modulus (all
     nonzero, and named `names`), then |<u,v>| >= coeff ||u|| ||v||."""
-    xx = _vec(space, x, names[0], nonzero=True, extended=extended)
-    uu = _vec(space, u, names[1], nonzero=True, extended=extended)
-    vv = _vec(space, v, names[2], nonzero=True, extended=extended)
-    nx = pairing_norm(space, xx)
-    nu = pairing_norm(space, uu)
-    nv = pairing_norm(space, vv)
+    xx, nx = _normed(space, x, names[0], extended)
+    uu, nu = _normed(space, u, names[1], extended)
+    vv, nv = _normed(space, v, names[2], extended)
     need = 1.0 - eps
     premises = (_abs(pairing(space, xx, uu)) >= need * nx * nu - PREMISE_SLACK * nx * nu) & (
         _abs(pairing(space, xx, vv)) >= need * nx * nv - PREMISE_SLACK * nx * nv
@@ -656,12 +673,9 @@ def verify_precupanu_moore(space: SpaceSpec, a, b, x, params: MooreParams, *, ex
     eps1, eps2 = float(params.eps1), float(params.eps2)
     if eps1 <= 0 or eps2 <= eps1:
         raise DomainError("need 0 < eps1 < eps2")
-    aa = _vec(space, a, "a", nonzero=True, extended=extended)
-    bb = _vec(space, b, "b", nonzero=True, extended=extended)
-    xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa)
-    nb = pairing_norm(space, bb)
-    nx = pairing_norm(space, xx)
+    aa, na = _normed(space, a, "a", extended)
+    bb, nb = _normed(space, b, "b", extended)
+    xx, nx = _normed(space, x, "x", extended)
     ca = pairing(space, xx, aa) / (nx * na)
     cb = pairing(space, xx, bb) / (nx * nb)
     low, high = eps1 - PREMISE_SLACK, eps2 + PREMISE_SLACK
@@ -722,11 +736,9 @@ def verify_quotient_transfer(space: SpaceSpec, a, b, x, params: MooreParams, *, 
         raise DomainError("mu1 must lie in [0, 1]")
     if mu2 is not None and not -1 <= mu2 <= 0:
         raise DomainError("mu2 must lie in [-1, 0]")
-    aa = _vec(space, a, "a", nonzero=True, extended=extended)
-    bb = _vec(space, b, "b", nonzero=True, extended=extended)
+    aa, na = _normed(space, a, "a", extended)
+    bb, nb = _normed(space, b, "b", extended)
     xx = _vec(space, x, "x", nonzero=True, extended=extended)
-    na = pairing_norm(space, aa)
-    nb = pairing_norm(space, bb)
     nx2 = pairing(space, xx, xx)
     quotient = pairing(space, xx, aa) * pairing(space, xx, bb) / nx2
     cos_ab = pairing(space, aa, bb) / (na * nb)
@@ -753,15 +765,13 @@ def _family_core(space, E, F, x, y, extended):
     size of E, those of F alone once per size of F, and only the cross
     term per pair of sizes (`_cross_sum`).
     """
-    x = _vec(space, x, "x", nonzero=True, extended=extended)
-    y = _vec(space, y, "y", nonzero=True, extended=extended)
+    x, nx = _normed(space, x, "x", extended)
+    y, ny = _normed(space, y, "y", extended)
     e, f = _by_size(space, E, "E", extended), _by_size(space, F, "F", extended)
     ce, cf = _pairings(space, x, e), _pairings(space, x, f)
     cey, cfy = _pairings_right(space, e, y), _pairings_right(space, f, y)
     s = e.merged(list(map(_dot, ce, cey))) + f.merged(list(map(_dot, cf, cfy))) - 2.0 * _cross_sum(space, e, f, ce, cfy)
     xy = pairing(space, x, y)
-    nx = pairing_norm(space, x)
-    ny = pairing_norm(space, y)
     return x, y, s, xy, nx, ny, (e, f, ce, cfy)
 
 
@@ -1018,10 +1028,11 @@ def run_catalog(name: str, space: SpaceSpec, inputs, params: Optional[MooreParam
     return catalog_entry(name).run(space, inputs, params, extended=extended)
 
 
-def instance_digest(name: str, space: SpaceSpec, inputs: dict) -> str:
-    """Digest an instance's vector data in the entry's argument order."""
+def instance_digest(name: str, space: SpaceSpec, inputs) -> str:
+    """Digest an instance's vector data in the entry's argument order (its
+    dict of inputs, or a one-row Group)."""
     entry = catalog_entry(name)
-    group = Group.of(space, entry, inputs)
+    group = inputs if isinstance(inputs, Group) else Group.of(space, entry, inputs)
     rows, lengths = _serialized(space, 1, [group.args[arg] for arg in entry.args])
     return format(fnv1a_64(rows[0, : lengths[0]].tobytes()), "016x")
 

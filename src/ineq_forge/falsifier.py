@@ -46,24 +46,30 @@ refused family) is sampled again alone, a group of one, which is how
 (catalog statements are stacked kernels that give each member of a group
 the bits it gets alone) and counts the rows' columns in trial order: the
 buckets by the decade thresholds of `_bucket`, the lowest trials by argmin
-passes.  If a group raises, the shard evaluates each trial as a group of
-one cut from its group, in trial order, so the error is the first faulty
-trial's own.  A shard can also return the instance line of each trial whose
+passes (TOP_K of them when a descent refines them, else the worst one).
+If a group raises, the shard evaluates each trial as a group of one cut
+from its group, in trial order, so the error is the first faulty trial's
+own.  A shard can also return the instance line of each trial whose
 premises hold, as finished JSON text, from the same sampling and evaluation
 as the report, so a caller that writes every instance only writes them, one
 shard at a time: the digests take one batched FNV-1a pass over every row of
 every group, one format spells each float column and one more each line.
 Only the lowest trials and the trials sampled alone read single trials.  The
-shard returns copies of the inputs of its lowest trials with their counts,
-so no trial is sampled twice; the lowest of all the shards' is the worst
-trial.
+shard returns each of its lowest trials with its counts as a one-row group
+copied out of its stacks, each family trimmed to its own size, so no trial
+is sampled twice; the lowest of all the shards' is the worst trial.
 
 Violation candidates are re-evaluated at extended precision before being
 counted: a double-precision "violation" of a true bound is overwhelmingly
 roundoff, and the report only counts confirmed ones.  The worst margin is
 selected by scale-normalized margin (ties to the lower trial index) and
 reported in raw units.  Local ascent refines the most promising candidates
-by projected central-difference descent on the normalized margin.  The 2n
+by projected central-difference descent on the normalized margin, starting
+from a candidate's one-row group and holding its current point as a row of
+the group it was rebuilt in, with that row's evaluated row and flat
+vector; the result's inputs and row are read once, from the final point's
+row.  A rebuild norms and projects all the vector arguments of its points
+as one block.  The 2n
 probes of each gradient are rebuilt in one call, as one group record that
 re-orthonormalizes each family argument for all of them as one stacked
 Gram-Schmidt pass, and are evaluated as one group together with the point
@@ -115,7 +121,7 @@ from .spaces import (
     DomainError,
     Field,
     SpaceSpec,
-    norm,
+    as_vector,
     pairing_norm,
     zero_norm_threshold,
 )
@@ -740,10 +746,14 @@ class _Sampled:
         return SampledInstance(group.space, group[r], starved)
 
     def copied(self, i) -> tuple:
-        """The (space, inputs) of the list's i-th trial, copied out of its
-        group's stacks."""
+        """The space of the list's i-th trial and the trial as a one-row
+        Group, copied out of its group's stacks, each family trimmed to its
+        own size as `Group.of` stacks a lone trial's."""
         group, _, r = self.row(self.at[i])
-        return group.space, group.take([r])[0]
+        one = group.take([r])
+        args = {k: FamilyStack(v.space, v.members[:, : v.sizes[0]], v.sizes, v.ok) if isinstance(v, FamilyStack)
+                else v for k, v in one.args.items()}
+        return group.space, replace(one, args=args)
 
 
 def sample_instance(config: SearchConfig, ineq_name: str, trial_index: int | list) -> SampledInstance | list:
@@ -790,13 +800,13 @@ def _buckets(normalized: np.ndarray) -> np.ndarray:
     return np.where(normalized > 0.0, 1 + np.searchsorted(_DECADES, normalized, side="right"), 0)
 
 
-def _lowest(values: np.ndarray) -> list:
-    """The positions of the TOP_K smallest values, ascending, a NaN first and
-    ties to the lower position, by TOP_K passes of np.argmin (numpy's sorts
-    would page in code that nothing else here runs)."""
+def _lowest(values: np.ndarray, count: int) -> list:
+    """The positions of the `count` smallest values, ascending, a NaN first
+    and ties to the lower position, by `count` passes of np.argmin (numpy's
+    sorts would page in code that nothing else here runs)."""
     keys = np.where(np.isnan(values), -np.inf, values)
     rest, lowest = np.arange(keys.size), []
-    for _ in range(min(TOP_K, keys.size)):
+    for _ in range(min(count, keys.size)):
         k = int(np.argmin(keys[rest]))
         lowest.append(int(rest[k]))
         rest = np.delete(rest, k)
@@ -872,7 +882,9 @@ def _group_rows(samples: _Sampled, evaluate) -> _Rows:
 
 
 def _confirmed_violation(entry, space, inputs) -> bool:
-    _, premises_ok, _, holds, *_ = _binding_rows(entry, space, [inputs], extended=True)[0]
+    """Whether one instance (a dict of inputs, or a one-row Group) violates
+    the statement at extended precision with its premises holding."""
+    _, premises_ok, _, holds, *_ = _binding_rows(entry, space, inputs, extended=True)[0]
     return premises_ok and not holds
 
 
@@ -880,55 +892,60 @@ def _confirmed_violation(entry, space, inputs) -> bool:
 
 
 class _CoordCodec:
-    """Flatten instance inputs to one real vector and back.
+    """Flatten a row of a group to one real vector and back.
 
     Families always rebuild through gram_schmidt (the orthonormality
     manifold is the only place they make sense), vectors and complexified
-    pairs renormalize to their starting norms when `project` is set.
-    `rebuild` takes a stack of points and gives their Group: each family
-    argument is orthonormalized for all of them in one stacked gram_schmidt
-    call, which gives each point's family the bits it gets alone.
+    pairs renormalize to their starting norms when `project` is set.  The
+    family sizes and the starting norms are read from the stacks of the
+    one-row group a descent starts from.  `rebuild` takes a stack of
+    points and gives their Group: each family argument is orthonormalized
+    for all of them in one stacked gram_schmidt call, and the vector
+    arguments are normed and projected as one block, which gives each
+    point the bits it gets alone.
     """
 
-    def __init__(self, entry, space, inputs):
+    def __init__(self, entry, start: Group):
+        space = self.space = start.space
         self.entry = entry
-        self.space = space
         self.complex_field = space.field is Field.COMPLEX
-        self.family_sizes = {k: inputs[k].size for k in entry.family_args}
-        self.vector_norms = {k: norm(space, inputs[k]) for k in entry.vector_args}
+        self.family_sizes = {k: int(start.args[k].sizes[0]) for k in entry.family_args}
+        if entry.vector_args:
+            self.vector_norms = pairing_norm(space, np.concatenate([start.args[k] for k in entry.vector_args]))
         self.pair_norms = {
-            k: math.hypot(norm(space, inputs[k].re), norm(space, inputs[k].im))
+            k: _hypot(pairing_norm(space, start.args[k].re), pairing_norm(space, start.args[k].im))[0]
             for k in entry.complexified_args
         }
 
-    def flatten(self, inputs) -> np.ndarray:
+    def flatten(self, group: Group, r: int) -> np.ndarray:
+        """Row r of `group` as one flat real vector."""
         parts = []
         for k in self.entry.family_args:
-            m = inputs[k].members
-            parts.append(np.asarray(m.real, dtype=np.float64).ravel())
+            m = group.args[k].members[r, : self.family_sizes[k]]
+            parts.append(m.real.ravel())
             if self.complex_field:
-                parts.append(np.asarray(m.imag, dtype=np.float64).ravel())
+                parts.append(m.imag.ravel())
         for k in self.entry.vector_args:
-            v = np.asarray(inputs[k], dtype=self.space.field.dtype)
-            parts.append(np.asarray(v.real, dtype=np.float64))
+            v = group.args[k][r]
+            parts.append(v.real)
             if self.complex_field:
-                parts.append(np.asarray(v.imag, dtype=np.float64))
+                parts.append(v.imag)
         for k in self.entry.complexified_args:
-            parts.append(np.asarray(inputs[k].re, dtype=np.float64))
-            parts.append(np.asarray(inputs[k].im, dtype=np.float64))
-        return np.concatenate(parts)
+            parts += [group.args[k].re[r], group.args[k].im[r]]
+        return np.concatenate(parts, dtype=np.float64)
 
     def rebuild(self, points: np.ndarray, project: bool):
         """The Group of the flat points of an (m, n) stack, live where a
-        point can be rebuilt.  Each argument is rebuilt for the whole stack
-        at once."""
-        dim = self.space.dim
+        point can be rebuilt.  Each family argument is rebuilt for the
+        whole stack at once, and the vector arguments as one (k, m, d)
+        block, with one pairing_norm and one projection."""
+        dim, m = self.space.dim, len(points)
         args = {}
-        live = np.ones(len(points), dtype=bool)
+        live = np.ones(m, dtype=bool)
         pos = 0
         for k in self.entry.family_args:
             size = self.family_sizes[k]
-            shape = (len(points), size, dim)
+            shape = (m, size, dim)
             raw = points[:, pos : pos + size * dim].reshape(shape)
             pos += size * dim
             if self.complex_field:
@@ -936,18 +953,19 @@ class _CoordCodec:
                 pos += size * dim
             args[k] = gram_schmidt(self.space, raw)
             live &= args[k].ok
-        for k in self.entry.vector_args:
-            v = points[:, pos : pos + dim].copy()
-            pos += dim
-            if self.complex_field:
-                v = v + 1j * points[:, pos : pos + dim]
-                pos += dim
+        if self.entry.vector_args:
+            count, parts = len(self.entry.vector_args), 2 if self.complex_field else 1
+            # (k, parts, m, d): each argument's rows contiguous, as its own copy would be
+            block = np.ascontiguousarray(points[:, pos : pos + count * parts * dim].reshape(m, count, parts, dim)
+                                         .transpose(1, 2, 0, 3))
+            pos += count * parts * dim
+            v = block[:, 0] + 1j * block[:, 1] if self.complex_field else block[:, 0]
             if project:
-                n = pairing_norm(self.space, v)
+                n = pairing_norm(self.space, v.reshape(count * m, dim)).reshape(count, m)
                 kept = n > zero_norm_threshold(self.space)
-                live &= kept
-                v = v * (self.vector_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
-            args[k] = v
+                live &= kept.all(axis=0)
+                v = v * (self.vector_norms[:, np.newaxis] / np.where(kept, n, 1.0))[:, :, np.newaxis]
+            args.update(zip(self.entry.vector_args, v))
         for k in self.entry.complexified_args:
             re = points[:, pos : pos + dim].copy()
             pos += dim
@@ -961,7 +979,7 @@ class _CoordCodec:
                 re = re * ratio
                 im = im * ratio
             args[k] = ComplexifiedVector._checked(re, im)
-        return Group(self.space, np.arange(len(points)), args, live)
+        return Group(self.space, np.arange(m), args, live)
 
 
 def _probe_points(flat: np.ndarray, h: float) -> np.ndarray:
@@ -1016,10 +1034,10 @@ def _probed(objective, codec: _CoordCodec, head, flat: Optional[np.ndarray], h: 
     return rows, grad
 
 
-def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) -> AscentResult:
+def _descend(objective, codec: _CoordCodec, start: Group, config: SearchConfig) -> AscentResult:
     """Projected central-difference descent on `objective`, which maps a
     Group to its rows, each (value, premises_ok, ...), and raises on a
-    faulty member (see `_evaluate`).
+    faulty member (see `_evaluate`), from the one-row group `start`.
 
     Each step takes the gradient from the 2n unprojected probes around the
     current point, then tries the projected candidates at the step lengths
@@ -1035,17 +1053,17 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
     LINE_BLOCK at a time in order, the last block short.  A point whose
     gradient did not come with it gets its probes as a group of their own.
     Every member of a group gets the row it gets alone, so the blocks move
-    no bit.  The recorded trace is nonincreasing by construction.  The
-    result holds the row of the final instance.
+    no bit.  The current point is held as a row, of a group and of its
+    rows, with its flat; the recorded trace is nonincreasing by
+    construction, and the result's inputs and row are read once, from the
+    final point's row.
     """
 
     h = config.fd_eps
-    flat = codec.flatten(inputs)
-    current_inputs = inputs
-    start = Group.of(codec.space, codec.entry, [inputs])
+    flat = codec.flatten(start, 0)
     rows, grad = _probed(objective, codec, start, flat if config.ascent_steps else None, h)
-    row = rows[0]
-    trace = [row[0]]
+    point, i = start, 0  # the current point: row i of `point` and of `rows`
+    trace = [rows.columns[0][0].item()]
     step = config.step_size
     first_accepted = True  # the step before accepted its first candidate
     for left in reversed(range(config.ascent_steps)):  # the steps after this one
@@ -1059,42 +1077,57 @@ def _descend(objective, codec: _CoordCodec, inputs: dict, config: SearchConfig) 
         lengths = [step]
         for _ in range(MAX_HALVINGS):
             lengths.append(lengths[-1] / 2.0)
-        start = 0
-        while start < len(lengths):
-            with_probes = first_accepted and left and not start  # the first candidate, with the probes around it
-            stop = start + (1 if with_probes else LINE_BLOCK)
-            block = np.array(lengths[start:stop]) * reach
+        begin = 0
+        while begin < len(lengths):
+            with_probes = first_accepted and left and not begin  # the first candidate, with the probes around it
+            stop = begin + (1 if with_probes else LINE_BLOCK)
+            block = np.array(lengths[begin:stop]) * reach
             candidates = codec.rebuild(flat - block[:, np.newaxis] * direction, project=True)
-            merged_flat = codec.flatten(candidates[0]) if with_probes and candidates[0] is not None else None
-            rows, grad = _probed(objective, codec, candidates, merged_flat, h)
-            value, premises_ok = rows.columns[0][: len(candidates)], rows.columns[1][: len(candidates)]
-            accepted = np.flatnonzero(premises_ok & (value < row[0]))
+            merged_flat = codec.flatten(candidates, 0) if with_probes and candidates.live[0] else None
+            block_rows, grad = _probed(objective, codec, candidates, merged_flat, h)
+            value, premises_ok = block_rows.columns[0][: len(candidates)], block_rows.columns[1][: len(candidates)]
+            accepted = np.flatnonzero(premises_ok & (value < trace[-1]))
             if accepted.size:
-                i = int(accepted[0])
+                k = int(accepted[0])
                 break
-            start = stop
+            begin = stop
         else:
             break
-        current_inputs, row = candidates[i], rows[i]
-        flat = codec.flatten(current_inputs) if merged_flat is None else merged_flat
-        trace.append(row[0])
-        step = min(lengths[start + i] * 1.5, 1.0)
-        first_accepted = start + i == 0
-    return AscentResult(current_inputs, row, tuple(trace))
+        point, rows, i = candidates, block_rows, k
+        flat = codec.flatten(point, i) if merged_flat is None else merged_flat
+        trace.append(rows.columns[0][i].item())
+        step = min(lengths[begin + i] * 1.5, 1.0)
+        first_accepted = begin + i == 0
+    return AscentResult(point[i], rows[i], tuple(trace))
 
 
-def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchConfig, params=None) -> AscentResult:
+def _start(space: SpaceSpec, entry, inputs) -> Group:
+    """The one-row Group a descent starts from: a Group as it is, or a
+    library caller's dict of inputs adapted once by `Group.of`, its vectors
+    and complexified parts checked (and cast) by `as_vector`."""
+    if isinstance(inputs, Group):
+        return inputs
+    for k in entry.complexified_args:
+        as_vector(space, inputs[k].re)
+        as_vector(space, inputs[k].im)
+    return Group.of(space, entry, {**inputs, **{k: as_vector(space, inputs[k]) for k in entry.vector_args}})
+
+
+def local_ascent(ineq_name: str, space: SpaceSpec, inputs, config: SearchConfig, params=None) -> AscentResult:
     """Drive the instance toward equality or violation.
 
-    Descent on the scale-normalized binding margin: accepted steps
-    renormalize nonzero-required vectors to their starting norms and
-    re-orthonormalize families, and steps that leave the premise region are
-    rejected.  The objective is `_binding_rows`, so the result's row is the
-    final instance's binding row.
+    `inputs` is the start instance: a one-row Group, as a shard copies out
+    its lowest trials (`_Sampled.copied`), or a dict of inputs.  Descent on
+    the scale-normalized binding margin: accepted steps renormalize
+    nonzero-required vectors to their starting norms and re-orthonormalize
+    families, and steps that leave the premise region are rejected.  The
+    objective is `_binding_rows`, so the result's row is the final
+    instance's binding row.
     """
     entry = catalog_entry(ineq_name)
+    start = _start(space, entry, inputs)
     objective = functools.partial(_binding_rows, entry, space, params=params)
-    return _descend(objective, _CoordCodec(entry, space, inputs), inputs, config)
+    return _descend(objective, _CoordCodec(entry, start), start, config)
 
 
 # search driver -------------------------------------------------------------------
@@ -1102,10 +1135,10 @@ def local_ascent(ineq_name: str, space: SpaceSpec, inputs: dict, config: SearchC
 
 def _binding_rows(entry, space: SpaceSpec, group, params=None, extended: bool = False) -> _Rows:
     """The one reading of a catalog result in this module: the rows of a
-    group of instances in `space` (a Group, or a list of dicts of inputs),
-    each (normalized margin, premises hold, min margin, all links hold,
-    near equality, then the binding link's lhs, center, rhs, margin_lower
-    and margin_upper as an instance line writes them)."""
+    group of instances in `space` (a Group, a list of dicts of inputs, or
+    one dict), each (normalized margin, premises hold, min margin, all
+    links hold, near equality, then the binding link's lhs, center, rhs,
+    margin_lower and margin_upper as an instance line writes them)."""
     result = entry.run(space, group, params, extended=extended)
     binding = result.binding
     premises = np.ones(len(binding.holds), dtype=bool) if result.premises_hold is None else result.premises_hold
@@ -1117,9 +1150,10 @@ def _binding_rows(entry, space: SpaceSpec, group, params=None, extended: bool = 
 
 def _shard_worker(task):
     """Sample, evaluate and count the trials [start, stop) of one name.
-    With the counts come its TOP_K lowest trials as ascending keys
-    (normalized, index, raw margin, near equality, violated), each followed
-    by its space and its inputs copied out of the shard's stacks; the first
+    With the counts come its lowest trials, TOP_K when a descent refines
+    them and else the one worst, as ascending keys (normalized, index, raw
+    margin, near equality, violated), each followed by its space and the
+    trial as a one-row Group copied out of the shard's stacks; the first
     is the shard's worst trial.  The counts read the rows' columns."""
     name, config, start, stop, with_records = task
     entry = catalog_entry(name)
@@ -1132,7 +1166,8 @@ def _shard_worker(task):
     for i in counted[~holds[counted]].tolist():
         violated[i] = _confirmed_violation(entry, *samples.copied(i))
     top = []  # ascending (normalized, index, raw, near_equality, violated, space, inputs)
-    for i in counted[_lowest(normalized[counted])].tolist():
+    # only the worst trial is read unless a descent refines the top K
+    for i in counted[_lowest(normalized[counted], TOP_K if config.ascent_steps else 1)].tolist():
         # a NaN margin is not shown to hold (bucket 0), so it sorts first
         order = -math.inf if math.isnan(normalized[i]) else normalized[i].item()
         top.append((order, start + i, margin[i].item(), bool(near[i]), bool(violated[i]), *samples.copied(i)))
@@ -1223,9 +1258,9 @@ def falsify(ineq_name: str, config: SearchConfig, threads: int = 1, *, on_record
     worst = top[0] if top else None
     worst_instance = None if worst is None else worst[5:]
     if config.ascent_steps > 0:
-        for _, index, _, sampled_near, sampled_violated, space, inputs in top:
+        for _, index, _, sampled_near, sampled_violated, space, start in top:
             # folded as the descent evaluated it: premises hold at the start and at every accepted step
-            refined = local_ascent(ineq_name, space, inputs, config)
+            refined = local_ascent(ineq_name, space, start, config)
             refined_normalized, _, min_margin, holds, near_equality, *_ = refined.row
             # the refined instance replaces its trial's contribution, so
             # each trial still counts at most once as near-equality and at
@@ -1262,7 +1297,8 @@ _MOORE_COMPLEX_KEY = "moore-complex"
 
 def _moore_ratios(space, group, params: MooreParams, extended: bool = False) -> _Rows:
     """The rows (|<y,z>| / (||y|| ||z||), premises hold, ||y|| ||z||) of a
-    group of moore-1.9 inputs in one space (a Group, or a list of dicts),
+    group of moore-1.9 inputs in one space (a Group, a list of dicts, or
+    one dict),
     evaluated together: the one reading of a verify_moore result, and a
     descent objective as is."""
     if not isinstance(group, Group):
@@ -1275,9 +1311,12 @@ def _moore_ratios(space, group, params: MooreParams, extended: bool = False) -> 
 
 def _refine_moore_candidate(space, inputs, params: MooreParams, config: SearchConfig) -> AscentResult:
     """Descent on the premise-conditioned ratio for the complex experiment,
-    with moore-1.9's codec applied to the complex space."""
+    with moore-1.9's codec applied to the complex space, from a one-row
+    Group or a dict of inputs (see `local_ascent`)."""
+    entry = catalog_entry("moore-1.9")
+    start = _start(space, entry, inputs)
     objective = functools.partial(_moore_ratios, space, params=params)
-    return _descend(objective, _CoordCodec(catalog_entry("moore-1.9"), space, inputs), inputs, config)
+    return _descend(objective, _CoordCodec(entry, start), start, config)
 
 
 def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexReport:
@@ -1303,16 +1342,17 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
     second_bound = 1.0 - 4.0 * eps + 2.0 * eps * eps
     params = MooreParams(eps=eps)
     satisfying = 0
-    top = []  # ascending (ratio, index, the row in its chunk's samples, then (space, inputs) copied out)
+    top = []  # ascending (ratio, index, the row in its chunk's samples, then (space, one-row group) copied out)
     witness = None
 
     def below_first_bound(ratio, scale):
         return ratio - first_bound < -(TOL_ABS / np.maximum(scale, _TINY) + TOL_REL)
 
     def confirmed(space, inputs):
-        """The witness digest of an instance below the first bound at
-        extended precision, or None."""
-        ratio, ok, scale = _moore_ratios(space, [inputs], params, extended=True)[0]
+        """The witness digest of an instance (a dict of inputs, or a
+        one-row Group) below the first bound at extended precision, or
+        None."""
+        ratio, ok, scale = _moore_ratios(space, inputs, params, extended=True)[0]
         return instance_digest("moore-1.9", space, inputs) if ok and below_first_bound(ratio, scale) else None
 
     # a chunk is sampled and evaluated in groups of one dimension each, and folded by its columns
@@ -1327,7 +1367,8 @@ def moore_complex_experiment(eps: float, config: SearchConfig) -> MooreComplexRe
             witness = witness or confirmed(*samples.copied(i))
         # (ratio, index) is unique, so the row never decides the order; the
         # chunk's stacks die with it, so its samples in the top K keep copies
-        lowest = [(ratio[i].item(), first + i, i) for i in counted[_lowest(ratio[counted])].tolist()]
+        picked = _lowest(ratio[counted], TOP_K if config.ascent_steps else 1)
+        lowest = [(ratio[i].item(), first + i, i) for i in counted[picked].tolist()]
         top = [(r, index, samples.copied(at) if index >= first else at)
                for r, index, at in sorted(top + lowest)[:TOP_K]]
     min_ratio = top[0][0] if top else None

@@ -103,13 +103,14 @@ def random_vec(rng, space):
 
 def record_pairings(monkeypatch):
     """Record the operand dtypes of every `pairing` call outside the
-    double-precision nonzero checks of `_vec`, which run on validated
-    arrays before the cast to extended precision."""
+    double-precision nonzero checks (`_nonzero_norms`, which `_vec` and
+    `_normed` call), which run on validated arrays before the cast to
+    extended precision."""
     from ineq_forge import catalog, spaces
 
     seen = []
     checking = [0]
-    pairing, vec = spaces.pairing, catalog._vec
+    pairing, check = spaces.pairing, catalog._nonzero_norms
 
     def recording(sp, u, v):
         if not checking[0]:
@@ -119,13 +120,13 @@ def record_pairings(monkeypatch):
     def counted_check(*args, **kwargs):
         checking[0] += 1
         try:
-            return vec(*args, **kwargs)
+            return check(*args, **kwargs)
         finally:
             checking[0] -= 1
 
     monkeypatch.setattr(catalog, "pairing", recording)
     monkeypatch.setattr(spaces, "pairing", recording)
-    monkeypatch.setattr(catalog, "_vec", counted_check)
+    monkeypatch.setattr(catalog, "_nonzero_norms", counted_check)
     return seen
 
 

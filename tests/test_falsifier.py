@@ -19,6 +19,7 @@ from ineq_forge import cli, falsifier
 from ineq_forge.catalog import (
     CATALOG,
     CatalogEntry,
+    Group,
     MooreParams,
     StackedResult,
     TOL_ABS,
@@ -43,6 +44,7 @@ from ineq_forge.falsifier import (
     _central_gradient,
     _complexify,
     _conditioned,
+    _confirmed_violation,
     _Draws,
     _gram_rng,
     _instance_records,
@@ -217,6 +219,16 @@ def _input_bytes(inputs):
         else:
             parts.append(np.asarray(value).tobytes())
     return b"|".join(parts)
+
+
+def _codec(entry, space, inputs):
+    """The descent's codec for a dict of inputs, from its one-row group."""
+    return _CoordCodec(entry, Group.of(space, entry, inputs))
+
+
+def _flat(codec, inputs):
+    """The codec's flat vector of a dict of inputs."""
+    return codec.flatten(Group.of(codec.space, codec.entry, inputs), 0)
 
 
 class TestStreamReuse:
@@ -926,7 +938,7 @@ class TestBatchedGradient:
         h = 1e-3
         inputs = {"E": OrthonormalFamily(space, np.eye(2)), "F": OrthonormalFamily(space, np.zeros((0, 2))),
                   "x": np.array([0.6, -1.3]), "y": np.array([1.1, 0.4])}
-        codec = _CoordCodec(CATALOG["generalized-2.1"], space, inputs)
+        codec = _codec(CATALOG["generalized-2.1"], space, inputs)
         # E's slice holds rows (1, 0) and (1, h + 5e-11): the probe that lowers
         # the last coordinate by h leaves a dependent pair, which fails
         # Gram-Schmidt; every other probe rebuilds
@@ -963,7 +975,7 @@ def _reference_rebuild(codec, flat, project):
             inputs[k] = gram_schmidt(space, raw)
         except DomainError:
             return None
-    for k in codec.entry.vector_args:
+    for j, k in enumerate(codec.entry.vector_args):
         v = flat[pos : pos + dim].copy()
         if codec.complex_field:
             v = v + 1j * flat[pos + dim : pos + 2 * dim]
@@ -972,7 +984,7 @@ def _reference_rebuild(codec, flat, project):
             n = norm(space, v)
             if n <= zero_norm_threshold(space):
                 return None
-            v = v * (codec.vector_norms[k] / n)
+            v = v * (codec.vector_norms[j] / n)
         inputs[k] = v
     for k in codec.entry.complexified_args:
         re, im = flat[pos : pos + dim].copy(), flat[pos + dim : pos + 2 * dim].copy()
@@ -995,11 +1007,11 @@ def _codec_cases():
     for name in ("generalized-2.1", "kurepa-refined-3.3", "kurepa-3.2"):
         for index in range(6):
             sampled = sample_instance(config, name, index)
-            cases.append((_CoordCodec(CATALOG[name], sampled.space, sampled.inputs), sampled.inputs))
+            cases.append((_codec(CATALOG[name], sampled.space, sampled.inputs), sampled.inputs))
     moore = dataclasses.replace(config, field=FieldChoice.COMPLEX)
     for index in range(3):
         space, inputs = _moore_complex_sample(moore, MooreParams(eps=0.2), index)
-        cases.append((_CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs))
+        cases.append((_codec(CATALOG["moore-1.9"], space, inputs), inputs))
     return cases
 
 
@@ -1009,7 +1021,7 @@ class TestStackedRebuild:
         rng = np.random.default_rng(11)
         kinds = set()
         for codec, inputs in _codec_cases():
-            flat = codec.flatten(inputs)
+            flat = _flat(codec, inputs)
             n = flat.size
             # the 2n gradient probes, then nearby points, then one point that
             # cannot be rebuilt: a family with a repeated row, or (projected)
@@ -1058,7 +1070,7 @@ class TestStackedRebuild:
         monkeypatch.setattr(falsifier, "gram_schmidt", counted)
         rng = np.random.default_rng(12)
         for codec, inputs in _codec_cases():
-            flat = codec.flatten(inputs)
+            flat = _flat(codec, inputs)
             if stack == "probes":
                 points, project = _probe_points(flat, 1e-3), False
             else:
@@ -1181,7 +1193,7 @@ def _reference_descent(objective, codec, inputs, config, tried=None):
     accepted one, or REJECTED for a step that ends the descent rejecting
     all of them."""
     h = config.fd_eps
-    flat = codec.flatten(inputs)
+    flat = _flat(codec, inputs)
     (row,) = _reference_rows(objective, [inputs])
     current, trace, step = inputs, [row[0]], config.step_size
     for _ in range(config.ascent_steps):
@@ -1212,7 +1224,7 @@ def _reference_descent(objective, codec, inputs, config, tried=None):
             break
         if tried is not None:
             tried.append(count)
-        current, row, flat = candidate, candidate_row, codec.flatten(candidate)
+        current, row, flat = candidate, candidate_row, _flat(codec, candidate)
         trace.append(row[0])
         step = min(trial_step * 1.5, 1.0)
     return falsifier.AscentResult(current, row, tuple(trace))
@@ -1250,7 +1262,7 @@ def _counted_descent(monkeypatch, name, config) -> tuple:
     sampled = sample_instance(config, name, 0)
     tried = []
     entry = CATALOG[name]
-    codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+    codec = _codec(entry, sampled.space, sampled.inputs)
     objective = functools.partial(_binding_rows, entry, sampled.space)
     reference = _reference_descent(objective, codec, sampled.inputs, config, tried)
     sizes = []
@@ -1262,7 +1274,7 @@ def _counted_descent(monkeypatch, name, config) -> tuple:
 
     monkeypatch.setattr(CatalogEntry, "run", counted)
     assert _same_ascent(local_ascent(name, sampled.space, sampled.inputs, config), reference)
-    return tried, sizes, codec.flatten(sampled.inputs).size
+    return tried, sizes, _flat(codec, sampled.inputs).size
 
 
 def _same_ascent(a, b) -> bool:
@@ -1284,7 +1296,7 @@ class TestMergedDescent:
             for name, entry in CATALOG.items():
                 for sampled in sample_instance(config, name, list(range(3 * len(entry.fields)))):
                     objective = functools.partial(_binding_rows, entry, sampled.space, params=None)
-                    codec = _CoordCodec(entry, sampled.space, sampled.inputs)
+                    codec = _codec(entry, sampled.space, sampled.inputs)
                     descents.append([])
                     reference = _reference_descent(objective, codec, sampled.inputs, config, descents[-1])
                     merged = local_ascent(name, sampled.space, sampled.inputs, config)
@@ -1307,7 +1319,7 @@ class TestMergedDescent:
         for index in range(config.trials):
             space, inputs = _moore_complex_sample(config, params, index)
             objective = functools.partial(_moore_ratios, space, params=params)
-            reference = _reference_descent(objective, _CoordCodec(CATALOG["moore-1.9"], space, inputs), inputs,
+            reference = _reference_descent(objective, _codec(CATALOG["moore-1.9"], space, inputs), inputs,
                                            config)
             merged = _refine_moore_candidate(space, inputs, params, config)
             assert _same_ascent(merged, reference), index
@@ -1319,7 +1331,7 @@ class TestMergedDescent:
         sampled = sample_instance(config, "schwarz", 0)
         space, inputs = sampled.space, sampled.inputs
         entry = CATALOG["schwarz"]
-        codec = _CoordCodec(entry, space, inputs)
+        codec = _codec(entry, space, inputs)
         h = config.fd_eps
         # x[0] is flat coordinate 0: one probe of the start point raises, and
         # then one of the first accepted candidate, each in a merged group
@@ -1344,7 +1356,7 @@ class TestMergedDescent:
         raised.clear()
         merged = local_ascent("schwarz", space, inputs, config)
         assert _same_ascent(merged, reference)
-        n = codec.flatten(inputs).size
+        n = _flat(codec, inputs).size
         # each merged group raised, then its faulty probe raised alone
         assert raised == [2 * n + 1, 1, 2 * n + 1, 1]
         assert len(merged.trace) == 4
@@ -1402,6 +1414,63 @@ class TestMergedDescent:
         blocks = [min(block, lengths - start) for start in range(0, lengths, block)]
         assert len(blocks) == math.ceil(lengths / block) and blocks[-1] < block
         assert sizes[-len(blocks) - 1:] == [2 * n] + blocks
+
+
+class TestRefinementFromTheShardGroup:
+    """A shard hands each top-K trial to its descent as a one-row Group cut
+    from its stacks; the descent must equal the one from the trial's lone
+    dict of inputs."""
+
+    @pytest.mark.parametrize("steps", [0, 2, 5])
+    @pytest.mark.parametrize("gram", list(GramKind))
+    def test_every_name_and_field(self, gram, steps):
+        moved = 0
+        for name, entry in CATALOG.items():
+            # dims 1..4 cycle within each field, so a space's group mixes family sizes
+            config = SearchConfig(seed=26, trials=4 * len(entry.fields), dims=(1, 4), gram=gram, ascent_steps=steps)
+            samples = sample_instance(config, name, list(range(config.trials)))
+            for i in range(config.trials):
+                space, start = samples.copied(i)
+                assert isinstance(start, Group) and len(start) == 1
+                for k in entry.family_args:  # trimmed to its own size, as a lone trial's stack
+                    assert start.args[k].members.shape[1] == start.args[k].sizes[0]
+                alone = sample_instance(config, name, i)
+                refined = local_ascent(name, space, start, config)
+                assert _same_ascent(refined, local_ascent(name, alone.space, alone.inputs, config)), (name, i)
+                assert isinstance(refined.refined_inputs, dict)
+                moved += len(refined.trace) > 1
+        assert moved > 0 or steps == 0
+
+    @pytest.mark.parametrize("steps", [0, 2, 5])
+    def test_moore_refinement(self, steps):
+        params = MooreParams(eps=0.2)
+        config = SearchConfig(seed=26, trials=8, dims=(1, 4), field=FieldChoice.COMPLEX, gram=GramKind.RANDOM,
+                              ascent_steps=steps)
+        samples = _sample_trials(config, "moore-complex", CATALOG["moore-1.9"], params, (Field.COMPLEX,),
+                                 list(range(config.trials)))
+        for i in range(config.trials):
+            space, inputs = _moore_complex_sample(config, params, i)
+            assert _same_ascent(_refine_moore_candidate(*samples.copied(i), params, config),
+                                _refine_moore_candidate(space, inputs, params, config)), i
+
+    def test_confirmed_violation_takes_a_one_row_group(self, monkeypatch):
+        config = SearchConfig(seed=26, trials=6, dims=(2, 4))
+        samples = sample_instance(config, "schwarz", list(range(config.trials)))
+        bad = sample_instance(config, "schwarz", 4)
+
+        def statement(space, x, y, *, extended=False):
+            # trial 4's |<x,y>| doubled at both precisions: a violation the extended check confirms
+            (link,) = eval_schwarz(space, x, y, extended=extended).links
+            hit = np.array([np.array_equal(row, bad.inputs["x"]) for row in x])
+            return StackedResult((stacked_evaluation(link.scale, np.where(hit, 2 * link.lhs, link.lhs),
+                                                     rhs=link.rhs),))
+
+        monkeypatch.setitem(CATALOG, "schwarz", dataclasses.replace(CATALOG["schwarz"], statement=statement))
+        entry = CATALOG["schwarz"]
+        for i in range(config.trials):
+            alone = sample_instance(config, "schwarz", i)
+            assert _confirmed_violation(entry, *samples.copied(i)) == _confirmed_violation(
+                entry, alone.space, alone.inputs) == (i == 4)
 
 
 class TestRefinementFold:

@@ -59,7 +59,7 @@ from ineq_forge.falsifier import (
     sample_instance,
 )
 from ineq_forge.orthonormal import FamilyStack, gram_schmidt
-from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, pairing_norm
+from ineq_forge.spaces import ComplexifiedVector, DomainError, Field, SpaceSpec, pairing_norm, zero_norm_threshold
 
 
 def _cases():
@@ -69,10 +69,10 @@ def _cases():
                 yield pytest.param(name, field, gram, id=f"{name}-{field.value}-{gram.value}")
 
 
-def _keep_top(top, key):
-    """Keep the TOP_K smallest keys seen so far, ascending: the per-row
+def _keep_top(top, key, count=TOP_K):
+    """Keep the `count` smallest keys seen so far, ascending: the per-row
     reference of `_lowest`."""
-    if len(top) < TOP_K:
+    if len(top) < count:
         top.append(key)
         top.sort()
     elif key < top[-1]:
@@ -106,7 +106,8 @@ def _reference_shard(name, config):
         violated = not holds and _confirmed_violation(entry, sampled.space, sampled.inputs)
         violations += violated
         order = -math.inf if math.isnan(normalized) else normalized
-        _keep_top(top, (order, index, rows[-1][2], near_equality, violated))
+        # a shard keeps its TOP_K lowest trials for a descent, else its worst
+        _keep_top(top, (order, index, rows[-1][2], near_equality, violated), TOP_K if config.ascent_steps else 1)
         lines.append(cli.to_json({
             "ineq": name, "dim": sampled.space.dim, "field": sampled.space.field.value, "seed": config.seed,
             "digest": instance_digest(name, sampled.space, sampled.inputs), "lhs": fields[0], "center": fields[1],
@@ -208,10 +209,11 @@ class TestVectorizedFold:
         rng = np.random.default_rng(3)
         for n in (0, 1, TOP_K - 1, TOP_K, 40, 300):
             values = rng.choice([math.nan, -math.inf, -1.0, 0.0, 0.25, 0.25, 1.0, math.inf], size=n)
-            top = []
-            for index, value in enumerate(values.tolist()):
-                _keep_top(top, (-math.inf if math.isnan(value) else value, index))
-            assert _lowest(values) == [index for _, index in top]
+            for count in (1, 3, TOP_K):
+                top = []
+                for index, value in enumerate(values.tolist()):
+                    _keep_top(top, (-math.inf if math.isnan(value) else value, index), count)
+                assert _lowest(values, count) == [index for _, index in top]
 
 
 def _moore_sample(config, params, index):
@@ -328,8 +330,9 @@ class TestRebuiltRecord:
         for name in ("generalized-2.1", "kurepa-refined-3.3", "kurepa-3.2", "buzano-1.14"):
             for index in range(config.trials):
                 sampled = sample_instance(config, name, index)
-                codec = _CoordCodec(CATALOG[name], sampled.space, sampled.inputs)
-                flat = codec.flatten(sampled.inputs)
+                start = Group.of(sampled.space, CATALOG[name], sampled.inputs)
+                codec = _CoordCodec(CATALOG[name], start)
+                flat = codec.flatten(start, 0)
                 points = np.vstack([_probe_points(flat, 1e-3), flat + 0.1 * rng.standard_normal((3, flat.size))])
                 for project in (False, True):
                     block = codec.rebuild(points, project)
@@ -341,11 +344,82 @@ class TestRebuiltRecord:
 
     def test_a_block_of_dead_points_has_no_rows(self):
         sampled = sample_instance(SearchConfig(seed=1, trials=1, dims=(3, 3)), "schwarz", 0)
-        codec = _CoordCodec(CATALOG["schwarz"], sampled.space, sampled.inputs)
-        block = codec.rebuild(np.zeros((3, codec.flatten(sampled.inputs).size)), project=True)
+        start = Group.of(sampled.space, CATALOG["schwarz"], sampled.inputs)
+        codec = _CoordCodec(CATALOG["schwarz"], start)
+        block = codec.rebuild(np.zeros((3, codec.flatten(start, 0).size)), project=True)
         assert list(block) == [None] * 3
         rows = _evaluate(functools.partial(_binding_rows, CATALOG["schwarz"], sampled.space), block)
         assert list(rows) == [(math.inf, False)] * 3 and rows[1] == (math.inf, False)
+
+
+    def test_the_vector_block_equals_each_argument_projected_alone(self):
+        # random grams over both fields: some rows put one vector argument,
+        # or all of them, below the zero-norm threshold
+        rng = np.random.default_rng(26)
+        cases = 0
+        for name, entry in CATALOG.items():
+            if not entry.vector_args:
+                continue
+            config = SearchConfig(seed=26, trials=4 * len(entry.fields), dims=(1, 4), gram=GramKind.RANDOM)
+            samples = sample_instance(config, name, list(range(config.trials)))
+            for i in range(config.trials):
+                space, start = samples.copied(i)
+                codec = _CoordCodec(entry, start)
+                flat = codec.flatten(start, 0)
+                points = np.vstack([_probe_points(flat, 1e-3), flat + 0.1 * rng.standard_normal((4, flat.size))])
+                width = (2 if codec.complex_field else 1) * space.dim
+                first = flat.size - width * (len(entry.vector_args) + len(entry.complexified_args))
+                for j in range(len(entry.vector_args)):  # rows 2j and 2j + 1: argument j tiny, then zero
+                    points[2 * j, first + j * width : first + (j + 1) * width] *= 1e-20
+                    points[2 * j + 1, first + j * width : first + (j + 1) * width] = 0.0
+                points[-1, first : first + width * len(entry.vector_args)] = 0.0
+                for project in (False, True):
+                    assert _record_bytes(codec.rebuild(points, project)) == _record_bytes(
+                        _per_argument_rebuild(codec, points, project))
+                cases += 1
+        assert cases == 4 * sum(len(entry.fields) for entry in CATALOG.values() if entry.vector_args)
+
+
+def _per_argument_rebuild(codec, points, project):
+    """The rebuild as it was before the vector block, kept as its
+    reference: each family argument through one stacked gram_schmidt call,
+    then each vector argument and each complexified pair normed and
+    projected on its own."""
+    space, dim, m = codec.space, codec.space.dim, len(points)
+    args, live, pos = {}, np.ones(m, dtype=bool), 0
+    for k in codec.entry.family_args:
+        size = codec.family_sizes[k]
+        raw = points[:, pos : pos + size * dim].reshape(m, size, dim)
+        pos += size * dim
+        if codec.complex_field:
+            raw = raw + 1j * points[:, pos : pos + size * dim].reshape(m, size, dim)
+            pos += size * dim
+        args[k] = gram_schmidt(space, raw)
+        live &= args[k].ok
+    for j, k in enumerate(codec.entry.vector_args):
+        v = points[:, pos : pos + dim].copy()
+        pos += dim
+        if codec.complex_field:
+            v = v + 1j * points[:, pos : pos + dim]
+            pos += dim
+        if project:
+            n = pairing_norm(space, v)
+            kept = n > zero_norm_threshold(space)
+            live &= kept
+            v = v * (codec.vector_norms[j] / np.where(kept, n, 1.0))[:, np.newaxis]
+        args[k] = v
+    for k in codec.entry.complexified_args:
+        re, im = points[:, pos : pos + dim].copy(), points[:, pos + dim : pos + 2 * dim].copy()
+        pos += 2 * dim
+        if project:
+            n = np.array([math.hypot(a, b) for a, b in zip(pairing_norm(space, re).tolist(),
+                                                            pairing_norm(space, im).tolist())])
+            kept = n > zero_norm_threshold(space)
+            live &= kept
+            re, im = re * (codec.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis], im * (
+                codec.pair_norms[k] / np.where(kept, n, 1.0))[:, np.newaxis]
+        args[k] = ComplexifiedVector._checked(re, im)
+    return Group(space, np.arange(m), args, live)
 
 
 def _record_bytes(group):
